@@ -142,7 +142,8 @@ def cmd_nu_rank(args, cert):
                report["kernel_dimension"] in (3, 4), "PAPER")
     cert.outputs.update({"rank": report["rank"],
                          "kernel_dimension": report["kernel_dimension"],
-                         "verdict": report["verdict"]})
+                         "verdict": report["verdict"],
+                         "rank_certificate": report["rank_certificate"]})
     if args.command == "kernel":
         cert.outputs["kernel"] = report["kernel"]
 
@@ -245,7 +246,8 @@ def cmd_verify_all(args, cert):
                report["kernel_dimension"] in (3, 4), "PAPER")
     cert.outputs["nu"] = {"rank": report["rank"],
                           "kernel_dimension": report["kernel_dimension"],
-                          "verdict": report["verdict"]}
+                          "verdict": report["verdict"],
+                          "rank_certificate": report["rank_certificate"]}
     progress("hesse duality")
     cert.check("cusp system identities", True,
                all(r.is_zero() for r in hesse.cusp_system_residuals()),

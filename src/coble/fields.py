@@ -129,6 +129,31 @@ def omega_pow(k):
     return (Eisenstein(1), OMEGA, OMEGA2)[k % 3]
 
 
+def zw_pair(c):
+    """An element of Q(w) as the pair (re, om), with each part a plain int
+    when it is integral, so that arithmetic in Z[w] runs on ints."""
+    re, om = c.re, c.om
+    return (re.numerator if re.denominator == 1 else re,
+            om.numerator if om.denominator == 1 else om)
+
+
+def zw_mul(x, y):
+    """The product of two pairs (a + b*w)(c + d*w), with w^2 = -1 - w."""
+    a, b = x
+    c, d = y
+    return a * c - b * d, a * d + b * c - b * d
+
+
+def zw_rotate(x, j):
+    """The pair x times w^j, for j in 0..2, without multiplying."""
+    a, b = x
+    if j == 0:
+        return x
+    if j == 1:
+        return -b, a - b
+    return b - a, -a
+
+
 def format_rational(q):
     q = Fraction(q)
     if q.denominator == 1:

@@ -246,10 +246,12 @@ def iota_split(basis):
     m = [[zero] * n for _ in range(n)]
     for j, i in enumerate(perm):
         m[i][j] = one
-    plus_vecs = ExactMatrix(QQ, [[m[i][j] - (one if i == j else zero)
-                                  for j in range(n)] for i in range(n)]).kernel_basis()
-    minus_vecs = ExactMatrix(QQ, [[m[i][j] + (one if i == j else zero)
-                                   for j in range(n)] for i in range(n)]).kernel_basis()
+    _, plus_vecs = ExactMatrix(QQ, [[m[i][j] - (one if i == j else zero)
+                                     for j in range(n)]
+                                    for i in range(n)]).rank_and_kernel()
+    _, minus_vecs = ExactMatrix(QQ, [[m[i][j] + (one if i == j else zero)
+                                      for j in range(n)]
+                                     for i in range(n)]).rank_and_kernel()
 
     def combine(vec):
         acc = basis.elements[0].ring.zero()

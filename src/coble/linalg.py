@@ -4,9 +4,20 @@ Elimination is plain Gaussian elimination with exact division; the pivot in
 each column is the first (lowest-index) row with a nonzero entry, so results
 are deterministic.  Kernel bases come out echelon-normalized: one vector per
 free column, with entry 1 in that column.
+
+`certified_rank_and_kernel` proves the rank of an integral matrix over Q(w)
+without eliminating over Q(w) when a modular lower bound and exactly checked
+kernel vectors meet, and eliminates exactly otherwise.
 """
 
 from __future__ import annotations
+
+from .fields import QW, zw_mul, zw_pair
+
+# The prime of the modular rank bound and the image of w in F_p: p = 1 mod 3,
+# and RANK_OMEGA is a root of r^2 + r + 1 mod p.
+RANK_PRIME = 1000003
+RANK_OMEGA = 499501
 
 
 class ExactMatrix:
@@ -69,22 +80,8 @@ class ExactMatrix:
     def rank(self):
         return len(self.rref()[1])
 
-    def kernel_basis(self):
-        """Basis of the right kernel, echelon-normalized."""
-        m, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        zero, one = self.field.zero(), self.field.one()
-        basis = []
-        for f in free:
-            v = [zero] * self.cols
-            v[f] = one
-            for i, c in enumerate(pivots):
-                v[c] = -m[i][f]
-            basis.append(v)
-        return basis
-
     def rank_and_kernel(self):
+        """Rank and a basis of the right kernel, echelon-normalized."""
         m, pivots = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
@@ -118,3 +115,87 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols} over {self.field})"
+
+
+def rank_mod_p(rows, p, stop_at=None):
+    """Rank over F_p of the int rows (an iterable, consumed lazily).  Rows
+    join an echelon basis one at a time; the scan stops once the rank
+    reaches `stop_at`."""
+    basis = []  # (pivot column, row with 1 there), in insertion order
+    for row in rows:
+        v = [x % p for x in row]
+        for c, b in basis:
+            f = v[c]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, b)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        inv = pow(v[lead], -1, p)
+        basis.append((lead, [x * inv % p for x in v]))
+        if len(basis) == stop_at:
+            break
+    return len(basis)
+
+
+def _annihilates(rows, v):
+    """Is A v = 0 exactly, for A and v given as Z[w] pairs?"""
+    support = [(j, c) for j, c in enumerate(v) if c[0] or c[1]]
+    for row in rows:
+        re = om = 0
+        for j, c in support:
+            x, y = zw_mul(row[j], c)
+            re += x
+            om += y
+        if re or om:
+            return False
+    return True
+
+
+def _is_integral(pairs):
+    return all(type(a) is int and type(b) is int for a, b in pairs)
+
+
+def certified_rank_and_kernel(matrix, candidate_sets):
+    """Rank and kernel basis of an ExactMatrix over Q(w), with a certificate
+    of how they were obtained.
+
+    Lower bound: for an integral matrix, reduction Z[w] -> F_p (p =
+    RANK_PRIME) sending w to RANK_OMEGA is a ring homomorphism, so rank
+    mod p <= rank.
+    Upper bound: the largest candidate set (lists of integral vectors over
+    Q(w)) whose vectors satisfy A v = 0 exactly in Z[w] and are independent
+    (their rank mod p is their number) gives rank <= cols - #set.  When the
+    bounds meet, the rank is proven and that set is a kernel basis (route
+    "modular+kernel"); otherwise rank and kernel come from exact elimination
+    over Q(w) (route "exact-Qw").  Returns (rank, kernel, certificate); the
+    certificate gives the prime, the rank mod p (None for a non-integral
+    matrix), the size of the largest candidate set verified exactly, and
+    the route.
+    """
+    if matrix.field != QW:
+        raise ValueError(f"certified rank needs a matrix over {QW}, "
+                         f"not {matrix.field}")
+    rows = [[zw_pair(x) for x in row] for row in matrix.entries]
+    rank_p, verified, best = None, 0, []
+    if all(_is_integral(row) for row in rows):
+        p, r = RANK_PRIME, RANK_OMEGA
+
+        def mod_p(vec):
+            return [(a + b * r) % p for a, b in vec]
+
+        for cands in candidate_sets:
+            vecs = [[zw_pair(x) for x in v] for v in cands]
+            if (len(vecs) > verified and all(map(_is_integral, vecs))
+                    and all(_annihilates(rows, v) for v in vecs)
+                    and rank_mod_p(map(mod_p, vecs), p) == len(vecs)):
+                verified, best = len(vecs), cands
+        rank_p = rank_mod_p(map(mod_p, rows), p,
+                            stop_at=matrix.cols - verified)
+    if rank_p is not None and rank_p + verified == matrix.cols:
+        rank, kernel, route = rank_p, [list(v) for v in best], "modular+kernel"
+    else:
+        rank, kernel = matrix.rank_and_kernel()
+        route = "exact-Qw"
+    return rank, kernel, {"prime": RANK_PRIME, "rank_mod_p": rank_p,
+                          "kernel_vectors_verified": verified, "route": route}

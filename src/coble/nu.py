@@ -1,6 +1,6 @@
 """Fixed-point planes of Heisenberg lifts, restriction of the 43 invariant
-sextics to them, and the assembled restriction map nu with exact rank and
-kernel over Q(w).
+sextics to them, and the assembled restriction map nu with a certified rank
+and kernel.
 
 Chart conventions (mode "annexe")
 ---------------------------------
@@ -15,21 +15,32 @@ Mode "all_lifts" instead builds, for every nonzero class eta of A[3] mod +-
 and each of the three central lifts, an adapted basis of the eigenvalue-1
 eigenspace of the 9x9 action matrix, and charts all 120 of them.
 
+Every chart sends each Z_b to w^j * Y_k or to 0, so restriction is a
+monomial map: a term's exponents are re-indexed onto Y0, Y1, Y2 and its
+Z[w] coefficient, kept as a pair of ints, is multiplied by w^(sum e_b j_b).
 Restricted sextics are coordinatized in the 4-dimensional invariant basis
 S1 = sum Y_i^6, S2 = sum Y_i^3 Y_j^3, S3 = Y0 Y1 Y2 * sum Y_i^3,
-S4 = Y0^2 Y1^2 Y2^2; a second, independent row extraction (the coefficients
-of Y0^2, Y0^3, Y0^4, Y0^6 after setting Y1 = Y2 = 1) is kept for
-cross-validation and must give the same rank.
+S4 = Y0^2 Y1^2 Y2^2, whose monomial supports are disjoint: each coordinate
+is read off its support, and the whole restriction is checked to be that
+combination.  A second row extraction (the coefficients of Y0^2, Y0^3,
+Y0^4, Y0^6 after setting Y1 = Y2 = 1, i.e. coefficient sums by Y0-degree)
+replicates the source computation and must give the same rank.
+
+The nu matrix is integral in Z[w].  Its rank is certified by
+`linalg.certified_rank_and_kernel`: the rank mod a prime p = 1 mod 3 is a
+lower bound, the printed kernel vectors, checked exactly, give the upper
+bound, and exact elimination over Q(w) runs only when the two do not meet.
 """
 
 from __future__ import annotations
 
-from .fields import QW, Eisenstein, omega_pow
-from .heisenberg import (COORDS, COORD_INDEX, Apoint, HeisenbergElement,
-                         action_matrix, add2, apoint_classes_mod_sign,
-                         coord_name, dot, neg2, theta_ring)
-from .invariants import iota_act, pinned_basis
-from .linalg import ExactMatrix
+from .fields import QW, Eisenstein, omega_pow, zw_pair, zw_rotate
+from .heisenberg import (COORDS, COORD_INDEX, THETA_VARS, Apoint,
+                         HeisenbergElement, action_matrix, add2,
+                         apoint_classes_mod_sign, coord_name, dot, neg2,
+                         theta_ring)
+from .invariants import InvariantBasis, iota_act, pinned_basis
+from .linalg import ExactMatrix, certified_rank_and_kernel
 from .poly import NotInSpan, PolyRing, coefficient_in_basis
 
 
@@ -50,6 +61,9 @@ def s_basis(ring=Y_RING):
 
 
 S_BASIS = s_basis()
+# Each S_i has coefficient 1 on every monomial of its support.
+S_SUPPORTS = [tuple(s.terms) for s in S_BASIS]
+S_MONOMIALS = frozenset(m for support in S_SUPPORTS for m in support)
 
 DIAGONAL_RS = [(0, 1), (1, 0), (1, 1), (1, 2)]
 
@@ -79,6 +93,9 @@ SHIFT_TABLES = {
 }
 
 FAMILY_ORDER = [(0, 1), (1, 0), (1, 1), (1, 2)]
+
+
+_OMEGA_EXPONENT = {(1, 0): 0, (0, 1): 1, (-1, -1): 2}
 
 
 class FixedPlaneChart:
@@ -113,6 +130,23 @@ class FixedPlaneChart:
 
     def restrict(self, p):
         return p.substitute(self.assignment(p.ring), target_ring=Y_RING)
+
+    def monomial_map(self):
+        """Per theta coordinate, in ring order: None when it vanishes on the
+        plane, else (k, j) with Z_b -> w^j * Y_k."""
+        out = []
+        for b in COORDS:
+            img = self.substitution[b]
+            if img is None:
+                out.append(None)
+                continue
+            k, phase = img
+            j = _OMEGA_EXPONENT.get(zw_pair(QW.coerce(phase)))
+            if j is None:
+                raise ValueError(f"{self.family_tag}: phase {phase!r} of "
+                                 f"Z{b[0]}{b[1]} is not a power of w")
+            out.append((k, j))
+        return out
 
     def __repr__(self):
         return f"FixedPlaneChart({self.family_tag})"
@@ -306,56 +340,122 @@ def plane_action_preserves_s_span(a):
     return ExactMatrix(QW, [[cols[j][r] for j in range(4)] for r in range(4)])
 
 
+# ----- restriction as a monomial map, coordinates by read-off --------------
+
+def zw_terms(p):
+    """The terms of a theta polynomial as (exponents, Z[w] pair)."""
+    if p.ring.varnames != THETA_VARS:
+        raise ValueError(f"not a theta-coordinate polynomial: {p.ring}")
+    return [(e, zw_pair(QW.coerce(c))) for e, c in p.terms.items()]
+
+
+def restrict_terms(terms, monomial_map):
+    """Restrict (exponents, pair) terms through a chart's monomial map; the
+    result maps Y-exponents to pairs (zero pairs may remain)."""
+    out = {}
+    for exps, c in terms:
+        y = [0, 0, 0]
+        j = 0
+        for e, img in zip(exps, monomial_map):
+            if e:
+                if img is None:
+                    break
+                y[img[0]] += e
+                j += e * img[1]
+        else:
+            y = tuple(y)
+            c = zw_rotate(c, j % 3)
+            old = out.get(y)
+            out[y] = c if old is None else (old[0] + c[0], old[1] + c[1])
+    return out
+
+
+def s_coordinates(res):
+    """S1..S4 coordinates of a restriction, one read off each support.
+    Raises NotInSpan unless every monomial of a support carries the same
+    coefficient and no monomial outside the supports survives."""
+    coords = []
+    for support in S_SUPPORTS:
+        values = {res.get(m, (0, 0)) for m in support}
+        if len(values) != 1:
+            raise NotInSpan("restriction is not a combination of S1..S4")
+        coords.append(values.pop())
+    if any((a or b) and m not in S_MONOMIALS for m, (a, b) in res.items()):
+        raise NotInSpan("restriction has a monomial outside S1..S4")
+    return coords
+
+
+def hack_coordinates(res):
+    """The source computation's rows, after the same span check: the
+    coefficients of Y0^2, Y0^3, Y0^4, Y0^6 once Y1 = Y2 = 1, i.e. the
+    coefficient sums by Y0-degree.  On the span of S1..S4 these sums are
+    (a4, 2 a2, a3, a1): S2 has two monomials of Y0-degree 3, the other
+    S_i one monomial each of Y0-degree 2, 4 or 6."""
+    a1, (re, om), a3, a4 = s_coordinates(res)
+    return [a4, (2 * re, 2 * om), a3, a1]
+
+
+READ_OFF = {"sbasis": s_coordinates, "hack": hack_coordinates}
+
+
+def _read_off(method):
+    try:
+        return READ_OFF[method]
+    except KeyError:
+        raise ValueError(f"unknown method {method!r}") from None
+
+
 def restrict_sextic(p, chart):
     """Coordinates of the restriction in the S1..S4 basis."""
-    res = chart.restrict(p)
-    if res.is_zero():
-        return [QW.zero()] * 4
-    return coefficient_in_basis(res, S_BASIS)
-
-
-def hack_rows(res):
-    """The source computation's row extraction: coefficients of Y0^2, Y0^3,
-    Y0^4, Y0^6 after Y1 = Y2 = 1."""
-    line = res.substitute({"Y1": 1, "Y2": 1})
-    return [line.terms.get((k, 0, 0), QW.zero()) for k in (2, 3, 4, 6)]
+    res = restrict_terms(zw_terms(p), chart.monomial_map())
+    return [Eisenstein(*c) for c in s_coordinates(res)]
 
 
 class NuMatrix:
-    def __init__(self, matrix, charts, labels, method):
+    def __init__(self, matrix, charts, labels, method, elements):
         self.matrix = matrix          # ExactMatrix over Q(w), 4 rows per chart
         self.charts = charts
         self.labels = labels          # column labels T1..T43
         self.method = method
+        self.elements = elements      # the column sextics
 
 
-def assemble_nu(mode="annexe", method="sbasis", basis=None, progress=None):
-    """Stack the per-chart coordinate rows of all 43 basis sextics."""
-    ring = theta_ring()
-    if basis is None:
-        labels, elements = pinned_basis(ring, 6)
-    else:
-        labels, elements = basis.labels, basis.elements
-    charts = fixed_plane_charts(mode)
+def _nu_matrix(charts, elements, read_off, progress=None):
+    """The restriction matrix: per chart, four rows holding the read-off
+    coordinates of every element's restriction."""
+    terms = [zw_terms(p) for p in elements]
+    entries = {}  # one Eisenstein per distinct pair
+
+    def qw(c):
+        x = entries.get(c)
+        if x is None:
+            x = entries[c] = Eisenstein(*c)
+        return x
+
     rows = []
     for ci, chart in enumerate(charts):
         if progress:
             progress(f"chart {ci + 1}/{len(charts)} ({chart.family_tag})")
-        block = []
-        for p in elements:
-            res = chart.restrict(p)
-            if method == "sbasis":
-                col = ([QW.zero()] * 4 if res.is_zero()
-                       else coefficient_in_basis(res, S_BASIS))
-            elif method == "hack":
-                col = hack_rows(res)
-            else:
-                raise ValueError(f"unknown method {method!r}")
-            block.append(col)
-        # block is 43 columns of 4 entries; transpose into 4 rows
-        for r in range(4):
-            rows.append([block[j][r] for j in range(len(elements))])
-    return NuMatrix(ExactMatrix(QW, rows), charts, labels, method)
+        monomial_map = chart.monomial_map()
+        block = [read_off(restrict_terms(t, monomial_map)) for t in terms]
+        rows.extend([qw(col[r]) for col in block] for r in range(4))
+    return ExactMatrix(QW, rows)
+
+
+def _basis_or_pinned(basis):
+    """`basis`, or the pinned degree-6 basis T1..T43 when it is None."""
+    if basis is None:
+        return InvariantBasis(6, *pinned_basis(theta_ring(), 6))
+    return basis
+
+
+def assemble_nu(mode="annexe", method="sbasis", basis=None, progress=None):
+    """Stack the per-chart coordinate rows of all 43 basis sextics."""
+    read_off = _read_off(method)
+    basis = _basis_or_pinned(basis)
+    charts = fixed_plane_charts(mode)
+    matrix = _nu_matrix(charts, basis.elements, read_off, progress)
+    return NuMatrix(matrix, charts, basis.labels, method, basis.elements)
 
 
 # ----- the Annexe's filter pipeline ---------------------------------------
@@ -363,11 +463,7 @@ def assemble_nu(mode="annexe", method="sbasis", basis=None, progress=None):
 def diagonal_filter_pipeline(basis=None):
     """Apply the four diagonal filters cumulatively; return the list of
     surviving-count stages and the indices (0-based) of the 30 survivors."""
-    ring = theta_ring()
-    if basis is None:
-        labels, elements = pinned_basis(ring, 6)
-    else:
-        labels, elements = basis.labels, basis.elements
+    elements = _basis_or_pinned(basis).elements
     surviving = list(range(len(elements)))
     counts = []
     for r, s in DIAGONAL_RS:
@@ -380,31 +476,17 @@ def diagonal_filter_pipeline(basis=None):
 
 
 def annexe_subblock_kernel(basis=None, method="sbasis"):
-    """The 36 shift charts restricted to the 30 filter survivors: exact rank
-    and kernel, with kernel vectors re-expressed as T-label differences."""
-    ring = theta_ring()
-    if basis is None:
-        labels, elements = pinned_basis(ring, 6)
-    else:
-        labels, elements = basis.labels, basis.elements
+    """The 36 shift charts restricted to the 30 filter survivors: certified
+    rank and kernel, with kernel vectors re-expressed as T-label
+    differences."""
+    read_off = _read_off(method)
+    basis = _basis_or_pinned(basis)
     counts, surviving = diagonal_filter_pipeline(basis)
-    charts = annexe_charts()[4:]
-    rows = []
-    for chart in charts:
-        block = []
-        for i in surviving:
-            res = chart.restrict(elements[i])
-            if method == "sbasis":
-                col = ([QW.zero()] * 4 if res.is_zero()
-                       else coefficient_in_basis(res, S_BASIS))
-            else:
-                col = hack_rows(res)
-            block.append(col)
-        for r in range(4):
-            rows.append([block[j][r] for j in range(len(surviving))])
-    m = ExactMatrix(QW, rows)
-    rank, kernel = m.rank_and_kernel()
-    kernel_labels = [{labels[surviving[j]]: c for j, c in enumerate(v) if c}
+    labels = [basis.labels[i] for i in surviving]
+    m = _nu_matrix(annexe_charts()[4:], [basis.elements[i] for i in surviving],
+                   read_off)
+    rank, kernel, _ = certified_rank_and_kernel(m, candidate_sets(labels))
+    kernel_labels = [{labels[j]: c for j, c in enumerate(v) if c}
                      for v in kernel]
     return counts, rank, kernel, kernel_labels
 
@@ -436,15 +518,29 @@ ANNEXE_KERNEL_PAIRS = [("T11", "T10"), ("T14", "T13"), ("T17", "T16")]
 TEXT_KERNEL_PAIRS = [("T8", "T7")] + ANNEXE_KERNEL_PAIRS
 
 
+def candidate_sets(labels):
+    """The printed kernels (text, then annexe) as candidate vectors over the
+    columns `labels`, each keeping the pairs whose labels are both present.
+    The pairs are disjoint and, in the pinned order, the larger label of
+    each comes later, so a set that spans the kernel is its
+    echelon-normalized basis, the one exact elimination returns."""
+    present = set(labels)
+    return [candidate_vectors(labels, [pair for pair in pairs
+                                       if set(pair) <= present])
+            for pairs in (TEXT_KERNEL_PAIRS, ANNEXE_KERNEL_PAIRS)]
+
+
 def nu_rank_and_kernel(mode="annexe", method="sbasis", progress=None):
-    """Exact rank and kernel of the assembled nu matrix plus a report that
-    resolves the rank-39 (4-element kernel) versus rank-40 (3-element kernel)
-    discrepancy and certifies iota-anti-invariance of every kernel element."""
+    """Certified rank and kernel of the assembled nu matrix plus a report
+    that resolves the rank-39 (4-element kernel) versus rank-40 (3-element
+    kernel) discrepancy, certifies iota-anti-invariance of every kernel
+    element and says how the rank was proven (`rank_certificate`)."""
     nu = assemble_nu(mode=mode, method=method, progress=progress)
-    rank, kernel = nu.matrix.rank_and_kernel()
-    labels = nu.labels
-    ring = theta_ring()
-    _, elements = pinned_basis(ring, 6)
+    labels, elements = nu.labels, nu.elements
+    text, annexe = candidate_sets(labels)
+    rank, kernel, certificate = certified_rank_and_kernel(nu.matrix,
+                                                          [text, annexe])
+    ring = elements[0].ring
 
     def combine(vec):
         acc = ring.zero()
@@ -455,9 +551,9 @@ def nu_rank_and_kernel(mode="annexe", method="sbasis", progress=None):
 
     anti = all(iota_act(combine(v)) == -combine(v) for v in kernel)
 
-    if _kernel_span_equals(QW, kernel, candidate_vectors(labels, TEXT_KERNEL_PAIRS), 43):
+    if _kernel_span_equals(QW, kernel, text, 43):
         verdict = "text: rank 39, kernel {T8-T7, T11-T10, T14-T13, T17-T16}"
-    elif _kernel_span_equals(QW, kernel, candidate_vectors(labels, ANNEXE_KERNEL_PAIRS), 43):
+    elif _kernel_span_equals(QW, kernel, annexe, 43):
         verdict = "annexe: rank 40, kernel {T11-T10, T14-T13, T17-T16}"
     else:
         verdict = "neither printed kernel"
@@ -473,5 +569,6 @@ def nu_rank_and_kernel(mode="annexe", method="sbasis", progress=None):
         "rank_nullity_ok": rank + len(kernel) == nu.matrix.cols,
         "kernel_iota_anti_invariant": anti,
         "verdict": verdict,
+        "rank_certificate": certificate,
     }
     return rank, kernel, report

@@ -85,6 +85,7 @@ def test_nu_rank(capsys):
     assert cert["outputs"]["rank"] == 39
     assert cert["outputs"]["kernel_dimension"] == 4
     assert cert["outputs"]["verdict"].startswith("text: rank 39")
+    assert cert["outputs"]["rank_certificate"]["route"] == "modular+kernel"
     assert "kernel" not in cert["outputs"]
 
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from coble.fields import (OMEGA, QQ, QW, Eisenstein, PrimeField, bernoulli,
-                          binomial, omega_pow)
+                          binomial, omega_pow, zw_mul, zw_pair,
+                          zw_rotate)
 from properties import prop_field_axioms
 
 
@@ -13,6 +14,17 @@ def test_omega_relations():
     assert OMEGA ** 2 + OMEGA + QW.one() == QW.zero()
     assert omega_pow(5) == OMEGA ** 2
     assert omega_pow(-1) == OMEGA ** 2
+
+
+def test_zw_pairs_follow_eisenstein_arithmetic():
+    xs = [Eisenstein(a, b) for a in (-2, 0, 3) for b in (-1, 0, 5)]
+    for x in xs:
+        assert type(zw_pair(x)[0]) is int
+        for y in xs:
+            assert Eisenstein(*zw_mul(zw_pair(x), zw_pair(y))) == x * y
+        for j in range(3):
+            assert Eisenstein(*zw_rotate(zw_pair(x), j)) == x * omega_pow(j)
+    assert zw_pair(Eisenstein(Fraction(1, 2))) == (Fraction(1, 2), 0)
 
 
 def test_eisenstein_arithmetic():

@@ -4,12 +4,13 @@ from coble.fields import QW
 from coble.heisenberg import HeisenbergElement, theta_ring
 from coble.invariants import InvariantBasis, pinned_basis
 from coble.linalg import ExactMatrix
-from coble.nu import (EigenspaceDimensionError, FixedPlaneChart, S_BASIS,
+from coble.nu import (EigenspaceDimensionError, FixedPlaneChart,
                       all_lift_charts, annexe_charts, annexe_subblock_kernel,
                       assemble_nu, diagonal_filter_pipeline, eigenspace_chart,
-                      fixed_plane_charts, hack_rows, induced_plane_action,
+                      fixed_plane_charts, induced_plane_action,
                       k_eta_generators, matching_lifts, nu_rank_and_kernel,
                       plane_action_preserves_s_span, restrict_sextic)
+from nu_oracle import hack_rows
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +114,12 @@ def test_subblock_rank_and_kernel():
         ["T7", "T8"], ["T10", "T11"], ["T13", "T14"], ["T16", "T17"]]
 
 
+@pytest.mark.parametrize("build", [assemble_nu, annexe_subblock_kernel])
+def test_unknown_fill_convention_is_rejected(build):
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        build(method="bogus")
+
+
 def test_subblock_filters_and_restricts_the_given_basis(basis):
     labels, elements = basis
     keep = [labels.index(t) for t in ("T1", "T7", "T8", "T9", "T10", "T11")]
@@ -132,6 +139,12 @@ def test_full_rank_and_kernel(full_report):
     assert report["rank_nullity_ok"]
     assert report["kernel_iota_anti_invariant"]
     assert report["verdict"].startswith("text: rank 39")
+    # reported only because the modular lower bound and the exactly
+    # verified kernel vectors meet
+    cert = report["rank_certificate"]
+    assert cert["route"] == "modular+kernel"
+    assert cert["rank_mod_p"] == rank
+    assert cert["rank_mod_p"] + cert["kernel_vectors_verified"] == 43
 
 
 def test_hack_route_same_rank(full_report):
