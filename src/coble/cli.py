@@ -20,7 +20,7 @@ from . import enumerative, hesse, invariants, nu, prym
 from .coble_forms import (coble_ring, coble_cubic, eta_plane_expected,
                           quadric_rank, restrict_to_eta_plane,
                           verify_derivative_identity)
-from .fields import Eisenstein
+from .fields import Eisenstein, is_prime
 from .heisenberg import act_on_polynomial, generators, theta_ring
 
 
@@ -124,10 +124,8 @@ def cmd_nu_charts(args, cert):
     charts = nu.fixed_plane_charts(args.mode)
     cert.check("chart count", {"annexe": 40, "all_lifts": 120}[args.mode],
                len(charts), "PAPER" if args.mode == "annexe" else "DERIVED")
-    per_sign_ok = all(
-        [s for s, _ in nu.matching_lifts(ch)].count(1) == 1 and
-        [s for s, _ in nu.matching_lifts(ch)].count(-1) == 1
-        for ch in charts)
+    signs = [[s for s, _ in nu.matching_lifts(ch)] for ch in charts]
+    per_sign_ok = all(s.count(1) == 1 and s.count(-1) == 1 for s in signs)
     cert.check("one matching lift per sign", True, per_sign_ok, "DERIVED")
     cert.outputs["charts"] = [ch.family_tag for ch in charts]
 
@@ -184,8 +182,7 @@ def cmd_enum_degree_dual(args, cert):
 
 def cmd_enum_verlinde(args, cert):
     seq = enumerative.verlinde_sequence(args.kmax)
-    cert.check("dimension at k=1", 9, seq[1] if args.kmax >= 1 else None,
-               "PAPER")
+    cert.check("dimension at k=1", 9, seq[1], "PAPER")
     cert.check("theta degree from finite differences", 2,
                enumerative.theta_degree_from_verlinde(), "PAPER")
     cert.outputs["dimensions"] = seq
@@ -270,6 +267,36 @@ def cmd_verify_all(args, cert):
 
 # ----- argument parsing ----------------------------------------------------
 
+def checked_int(predicate, requirement):
+    """An argparse type: an int satisfying `predicate`; anything else is a
+    usage error (exit 2) saying that the value is not `requirement`."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if not predicate(value):
+            raise argparse.ArgumentTypeError(f"{value} is not {requirement}")
+        return value
+    return parse
+
+
+DEGREE = checked_int(lambda d: d >= 0 and d % 3 == 0, "a multiple of 3 >= 0")
+POSITIVE = checked_int(lambda n: n >= 1, "a positive integer")
+COVER_DEGREE = checked_int(lambda n: n >= 2, "a cover degree >= 2")
+ORACLE_PRIME = checked_int(lambda p: p % 3 == 1 and is_prime(p),
+                           "a prime congruent to 1 mod 3")
+
+
+def fraction_text(text):
+    """An argparse type: a rational number, kept as the text given."""
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
+    return text
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="coble", description="Exact verification of the invariant-form, "
@@ -281,7 +308,7 @@ def build_parser():
     inv = sub.add_parser("invariants").add_subparsers(dest="command",
                                                       required=True)
     p = inv.add_parser("dim", parents=[common])
-    p.add_argument("--degree", type=int, default=6)
+    p.add_argument("--degree", type=DEGREE, default=6)
     p.set_defaults(func=cmd_invariants_dim)
     p = inv.add_parser("basis", parents=[common])
     p.add_argument("--degree", type=int, default=6, choices=(3, 6))
@@ -299,30 +326,30 @@ def build_parser():
 
     hes = sub.add_parser("hesse").add_subparsers(dest="command", required=True)
     p = hes.add_parser("dual", parents=[common])
-    p.add_argument("--lambda", dest="lam", default="2")
-    p.add_argument("--oracle-prime", type=int, default=997)
+    p.add_argument("--lambda", dest="lam", type=fraction_text, default="2")
+    p.add_argument("--oracle-prime", type=ORACLE_PRIME, default=997)
     p.set_defaults(func=cmd_hesse_dual)
 
     enu = sub.add_parser("enum").add_subparsers(dest="command", required=True)
     enu.add_parser("degree-dual", parents=[common]).set_defaults(func=cmd_enum_degree_dual)
     p = enu.add_parser("verlinde", parents=[common])
-    p.add_argument("--kmax", type=int, default=8)
+    p.add_argument("--kmax", type=POSITIVE, default=8)
     p.set_defaults(func=cmd_enum_verlinde)
     enu.add_parser("quadric-count", parents=[common]).set_defaults(func=cmd_enum_quadric_count)
     p = enu.add_parser("zagier", parents=[common])
-    p.add_argument("--h", type=int, default=1)
+    p.add_argument("--h", type=POSITIVE, default=1)
     p.set_defaults(func=cmd_enum_zagier)
 
     pry = sub.add_parser("prym").add_subparsers(dest="command", required=True)
     pry.add_parser("check", parents=[common]).set_defaults(func=cmd_prym_check)
     p = pry.add_parser("genus", parents=[common])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=COVER_DEGREE, required=True)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--t", type=int, default=0)
     p.set_defaults(func=cmd_prym_genus)
 
     p = sub.add_parser("verify-all", parents=[common])
-    p.add_argument("--oracle-prime", type=int, default=997)
+    p.add_argument("--oracle-prime", type=ORACLE_PRIME, default=997)
     p.set_defaults(func=cmd_verify_all, command="verify-all")
     return parser
 

@@ -310,7 +310,7 @@ class PrimeFieldElement:
         return f"{self.value}"
 
 
-def _is_prime(n):
+def is_prime(n):
     if n < 2:
         return False
     for q in range(2, int(math.isqrt(n)) + 1):
@@ -323,7 +323,7 @@ class PrimeField:
     """F_p with p = 1 mod 3; carries the smallest cube root of unity > 1."""
 
     def __init__(self, p):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p % 3 != 1:
             raise ValueError(f"p = {p} must be congruent to 1 mod 3")

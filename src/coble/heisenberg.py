@@ -150,24 +150,31 @@ def generators():
     ]
 
 
+def monomial_action(g):
+    """The action of g on the theta coordinates as a monomial map: entry k is
+    (target index, phase exponent mod 3) with g . Z_k = w^phase * Z_target.
+    This is the printed formula  (t,x,x*) . Z_b = w^t w^(x*.(b-x)) Z_{b-x}."""
+    out = []
+    for b in COORDS:
+        target = add2(b, neg2(g.x))
+        out.append((COORD_INDEX[target], (g.t_exp + dot(g.xstar, target)) % 3))
+    return out
+
+
 def act_on_polynomial(g, p):
-    """Apply (t,x,x*) . Z_b = w^t w^(x*.(b-x)) Z_{b-x} multiplicatively to the
-    theta variables of p; parameter variables pass through unchanged."""
+    """Apply g multiplicatively to the theta variables of p through
+    `monomial_action`; parameter variables pass through unchanged."""
     ring = p.ring
     field = ring.field
     omega = field.omega()  # requires a field containing a cube root of unity
-    # Precompute per-theta-variable images: target index and phase exponent.
-    images = {}
-    for b in COORDS:
-        target = add2(b, neg2(g.x))
-        phase = (g.t_exp + dot(g.xstar, target)) % 3
-        images[ring.index[coord_name(b)]] = (ring.index[coord_name(target)], phase)
+    images = {ring.index[THETA_VARS[k]]: (ring.index[THETA_VARS[target]], phase)
+              for k, (target, phase) in enumerate(monomial_action(g))}
     omega_powers = [field.one(), omega, omega * omega]
     out = {}
     for e, c in p.terms.items():
         new_e = list(e)
         phase = 0
-        for i, (j, ph) in images.items():
+        for i in images:
             new_e[i] = 0
         for i, (j, ph) in images.items():
             if e[i]:
@@ -192,10 +199,8 @@ def action_matrix(g):
 
     zero = QW.zero()
     m = [[zero] * 9 for _ in range(9)]
-    for b in COORDS:
-        target = add2(b, neg2(g.x))
-        phase = (g.t_exp + dot(g.xstar, target)) % 3
-        m[COORD_INDEX[target]][COORD_INDEX[b]] = omega_pow(phase)
+    for k, (target, phase) in enumerate(monomial_action(g)):
+        m[target][k] = omega_pow(phase)
     return ExactMatrix(QW, m)
 
 

@@ -39,25 +39,28 @@ def invariant_dimension(d):
 
 
 def khat_invariant_monomials(d):
-    """All degree-d exponent 9-tuples whose weighted index sum is 0 mod 3."""
+    """All degree-d exponent 9-tuples whose weighted index sum is 0 mod 3, in
+    lexicographic order."""
     out = []
+    exps = [0] * 9
 
-    def rec(pos, remaining, acc):
-        if pos == 8:
-            acc.append(remaining)
-            e = tuple(acc)
-            s0 = sum(k * COORDS[i][0] for i, k in enumerate(e))
-            s1 = sum(k * COORDS[i][1] for i, k in enumerate(e))
-            if s0 % 3 == 0 and s1 % 3 == 0:
-                out.append(e)
-            acc.pop()
+    def rec(pos, remaining, s0, s1):
+        # s0, s1: the weighted index sums of the exponents before pos.
+        if pos == 7:
+            # Z21 takes k and Z22 the rest r - k: the sums gain 2r and
+            # 2r - k, so s0 + 2r must vanish and k is fixed mod 3.
+            if (s0 + 2 * remaining) % 3:
+                return
+            for k in range((s1 + 2 * remaining) % 3, remaining + 1, 3):
+                exps[7], exps[8] = k, remaining - k
+                out.append(tuple(exps))
             return
+        i, j = COORDS[pos]
         for k in range(remaining + 1):
-            acc.append(k)
-            rec(pos + 1, remaining - k, acc)
-            acc.pop()
+            exps[pos] = k
+            rec(pos + 1, remaining - k, s0 + k * i, s1 + k * j)
 
-    rec(0, d, [])
+    rec(0, d, 0, 0)
     return out
 
 

@@ -15,8 +15,10 @@ Mode "all_lifts" instead builds, for every nonzero class eta of A[3] mod +-
 and each of the three central lifts, an adapted basis of the eigenvalue-1
 eigenspace of the 9x9 action matrix, and charts all 120 of them.
 
-Every chart sends each Z_b to w^j * Y_k or to 0, so restriction is a
-monomial map: a term's exponents are re-indexed onto Y0, Y1, Y2 and its
+Every group element sends Z_b to w^phase * Z_target
+(`heisenberg.monomial_action`), so whether a lift fixes a chart is decided
+on exponents mod 3 (`fixes_chart`).  Every chart sends each Z_b to
+w^j * Y_k or to 0, so restriction is a monomial map: a term's exponents are re-indexed onto Y0, Y1, Y2 and its
 Z[w] coefficient, kept as a pair of ints, is multiplied by w^(sum e_b j_b).
 Restricted sextics are coordinatized in the 4-dimensional invariant basis
 S1 = sum Y_i^6, S2 = sum Y_i^3 Y_j^3, S3 = Y0 Y1 Y2 * sum Y_i^3,
@@ -37,8 +39,8 @@ from __future__ import annotations
 from .fields import QW, Eisenstein, omega_pow, zw_pair, zw_rotate
 from .heisenberg import (COORDS, COORD_INDEX, THETA_VARS, Apoint,
                          HeisenbergElement, action_matrix, add2,
-                         apoint_classes_mod_sign, coord_name, dot, neg2,
-                         theta_ring)
+                         apoint_classes_mod_sign, coord_name, dot,
+                         monomial_action, neg2, theta_ring)
 from .invariants import InvariantBasis, iota_act, pinned_basis
 from .linalg import ExactMatrix, certified_rank_and_kernel
 from .poly import NotInSpan, PolyRing, coefficient_in_basis
@@ -224,12 +226,28 @@ def eigenspace_chart(eta, t):
     return chart
 
 
+def fixes_chart(monomial_map, g):
+    """Does g fix each of the three chart vectors, given the chart's
+    `monomial_map`?  With g . Z_b = w^phase Z_target, this holds iff for
+    every b: b and its target both vanish on the plane, or both go to the
+    same Y_k with j_target = j_b + phase (mod 3).  The action matrix and the
+    chart vectors are monomial with entries in {0, w^j}, so this is exactly
+    the matrix test `action_matrix(g).mul_vector(v) == v`, run on exponents
+    mod 3."""
+    for img, (target, phase) in zip(monomial_map, monomial_action(g)):
+        img_t = monomial_map[target]
+        if img is None or img_t is None:
+            if img is not img_t:
+                return False
+        elif img[0] != img_t[0] or (img[1] + phase - img_t[1]) % 3:
+            return False
+    return True
+
+
 def _verify_eigenvectors(chart, g):
-    m = action_matrix(g)
-    for v in chart.basis_vectors():
-        if m.mul_vector(v) != v:
-            raise EigenspaceDimensionError(
-                f"basis vector of {chart.family_tag} is not fixed by {g}")
+    if not fixes_chart(chart.monomial_map(), g):
+        raise EigenspaceDimensionError(
+            f"basis vector of {chart.family_tag} is not fixed by {g}")
 
 
 def all_lift_charts():
@@ -253,25 +271,10 @@ def matching_lifts(chart):
     """All (sign, t) with sign in {+1, -1} such that the chart span is fixed
     pointwise by the lift (t, sign*eta).  Inverse pairs share their fixed
     space, so exactly one t per sign is expected."""
-    vecs = chart.basis_vectors()
-    out = []
-    for sign, a in ((1, chart.eta), (-1, -chart.eta)):
-        for t in range(3):
-            g = HeisenbergElement(t, a.x, a.xstar)
-            m = action_matrix(g)
-            if all(m.mul_vector(v) == v for v in vecs):
-                out.append((sign, t))
-    return out
-
-
-def find_matching_lift(chart):
-    """One lift whose eigenvalue-1 space is the chart span, or None."""
-    matches = matching_lifts(chart)
-    if not matches:
-        return None
-    sign, t = matches[0]
-    a = chart.eta if sign == 1 else -chart.eta
-    return a, t
+    monomial_map = chart.monomial_map()
+    return [(sign, t) for sign, a in ((1, chart.eta), (-1, -chart.eta))
+            for t in range(3)
+            if fixes_chart(monomial_map, HeisenbergElement(t, a.x, a.xstar))]
 
 
 def k_eta_generators(eta):

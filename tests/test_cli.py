@@ -95,10 +95,31 @@ def test_usage_error():
     assert exc.value.code == 2
 
 
-def test_internal_error(capsys):
-    code, out, err = run(capsys, ["invariants", "dim", "--degree", "4"])
+@pytest.mark.parametrize("argv", [
+    ["invariants", "dim", "--degree", "4"],
+    ["invariants", "dim", "--degree", "-3"],
+    ["hesse", "dual", "--lambda", "abc"],
+    ["hesse", "dual", "--oracle-prime", "11"],
+    ["prym", "genus", "--n", "0", "--g", "2"],
+    ["enum", "zagier", "--h", "0"],
+    ["enum", "verlinde", "--kmax", "-1"],
+])
+def test_bad_argument_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
+def test_internal_error(capsys, monkeypatch):
+    def boom(d):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr("coble.invariants.invariant_dimension", boom)
+    code, out, err = run(capsys, ["invariants", "dim", "--degree", "3"])
     assert code == 3
-    assert "internal error" in err
+    assert out == ""
+    assert "internal error" in err and "injected" in err
 
 
 def test_artifact_hash_deterministic(capsys):

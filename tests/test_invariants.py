@@ -1,10 +1,13 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
 from coble.fields import QQ
-from coble.heisenberg import generators, act_on_polynomial, theta_ring
+from coble.heisenberg import COORDS, generators, act_on_polynomial, theta_ring
 from coble.invariants import (DegreeNotDivisibleBy3, InvariantBasis,
                               invariant_basis, invariant_dimension, iota_act,
-                              iota_permutation, iota_split, orbit_count,
+                              iota_permutation, iota_split,
+                              khat_invariant_monomials, orbit_count,
                               pinned_basis)
 from coble.linalg import ExactMatrix
 from coble.poly import _grlex_key
@@ -29,8 +32,20 @@ def test_dimensions():
 
 
 def test_orbit_count_agrees():
-    for d in (3, 6):
+    for d in (3, 6, 9, 12):
         assert orbit_count(d) == invariant_dimension(d)
+    assert (orbit_count(9), orbit_count(12)) == (310, 1570)
+
+
+def test_khat_invariant_monomials_equal_brute_force():
+    for d in range(7):
+        brute = []
+        for support in combinations_with_replacement(range(9), d):
+            e = tuple(support.count(k) for k in range(9))
+            if all(sum(n * COORDS[k][i] for k, n in enumerate(e)) % 3 == 0
+                   for i in (0, 1)):
+                brute.append(e)
+        assert khat_invariant_monomials(d) == sorted(brute), d
 
 
 def test_pinned_basis_is_invariant(ring, basis6):

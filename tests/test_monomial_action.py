@@ -1,0 +1,92 @@
+"""Differential tests of the Heisenberg action as a monomial map on exponents
+mod 3 against the 9x9 action matrix over Q(w): `monomial_action` against
+`action_matrix` and `act_on_polynomial`, and the int chart check
+`nu.fixes_chart` against `action_matrix(g).mul_vector(v) == v`."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from coble import nu
+from coble.fields import OMEGA, QW, omega_pow
+from coble.heisenberg import (COORDS, THETA_VARS, Apoint, HeisenbergElement,
+                              act_on_polynomial, action_matrix,
+                              monomial_action, theta_ring)
+from properties import heisenberg_element
+
+_charts = nu.annexe_charts() + nu.all_lift_charts()
+
+
+@pytest.fixture(scope="module")
+def group():
+    """All 243 elements of H[3]."""
+    return [HeisenbergElement(t, (x0, x1), (u, v))
+            for t in range(3) for x0 in range(3) for x1 in range(3)
+            for u in range(3) for v in range(3)]
+
+
+def matrix_fixes(chart, g):
+    m = action_matrix(g)
+    return all(m.mul_vector(v) == v for v in chart.basis_vectors())
+
+
+def lifts_of_pm_eta(chart):
+    return [HeisenbergElement(t, a.x, a.xstar)
+            for a in (chart.eta, -chart.eta) for t in range(3)]
+
+
+def test_group_has_243_distinct_elements(group):
+    assert len(set(group)) == 243
+
+
+def test_monomial_action_agrees_with_matrix_and_polynomial(group):
+    ring = theta_ring()
+    for g in group:
+        action = monomial_action(g)
+        m = action_matrix(g)
+        assert sorted(target for target, _ in action) == list(range(9))
+        for k, (target, phase) in enumerate(action):
+            assert [m.entries[i][k] for i in range(9)] == \
+                [omega_pow(phase) if i == target else QW.zero() for i in range(9)]
+            image = act_on_polynomial(g, ring.var(THETA_VARS[k]))
+            assert image == omega_pow(phase) * ring.var(THETA_VARS[target])
+
+
+def test_monomial_action_is_the_printed_formula():
+    # (t,x,x*) . Z_b = w^t w^(x*.(b-x)) Z_{b-x}
+    g = HeisenbergElement(1, (1, 0), (0, 1))
+    target, phase = monomial_action(g)[COORDS.index((2, 1))]
+    assert COORDS[target] == (1, 1) and phase == (1 + 1) % 3
+
+
+def test_fixes_chart_equals_matrix_test_on_lifts_of_eta():
+    fixed = 0
+    for chart in _charts:
+        monomial_map = chart.monomial_map()
+        for g in lifts_of_pm_eta(chart):
+            ok = nu.fixes_chart(monomial_map, g)
+            assert ok == matrix_fixes(chart, g), (chart.family_tag, g)
+            fixed += ok
+    # one lift per sign fixes each of the 160 charts
+    assert fixed == 2 * len(_charts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_charts), heisenberg_element)
+def test_fixes_chart_equals_matrix_test_anywhere(chart, g):
+    assert nu.fixes_chart(chart.monomial_map(), g) == matrix_fixes(chart, g)
+
+
+def test_moved_phase_is_caught():
+    """A chart vector with one phase moved by w keeps its support, so only
+    the exponent comparison can reject it.  The lifts translate (x != 0):
+    each chart vector then runs along a cycle Z_b -> Z_{b-x} -> ..."""
+    for eta, t in ((Apoint((1, 0), (0, 1)), 2), (Apoint((0, 1), (1, 1)), 0)):
+        chart = nu.eigenspace_chart(eta, t)
+        g = HeisenbergElement(t, eta.x, eta.xstar)
+        b = next(b for b, img in chart.substitution.items() if img is not None)
+        k, phase = chart.substitution[b]
+        bad = nu.FixedPlaneChart(chart.family_tag, dict(chart.substitution))
+        bad.substitution[b] = (k, phase * OMEGA)
+        assert not matrix_fixes(bad, g)
+        with pytest.raises(nu.EigenspaceDimensionError):
+            nu._verify_eigenvectors(bad, g)
