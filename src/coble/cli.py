@@ -160,8 +160,7 @@ def cmd_hesse_dual(args, cert):
     except hesse.SingularSystem as exc:
         cert.outputs["cusp_system"] = f"singular: {exc}"
     p = args.oracle_prime
-    lam_p = lam.numerator * pow(lam.denominator, -1, p) % p
-    if pow(lam_p, 3, p) == 1:
+    if hesse.singular_mod(lam, p):
         cert.outputs["oracle"] = "skipped_singular_reduction"
     else:
         report = hesse.finite_field_duality_oracle(lam, p)
@@ -225,6 +224,9 @@ def cmd_prym_genus(args, cert):
                    "PAPER")
 
 
+VERIFY_ALL_LAMBDA = 2
+
+
 def cmd_verify_all(args, cert):
     progress("invariant dimensions")
     for d, expected in ((3, 5), (6, 43)):
@@ -249,7 +251,8 @@ def cmd_verify_all(args, cert):
     cert.check("cusp system identities", True,
                all(r.is_zero() for r in hesse.cusp_system_residuals()),
                "PAPER")
-    oracle = hesse.finite_field_duality_oracle(2, args.oracle_prime)
+    oracle = hesse.finite_field_duality_oracle(VERIFY_ALL_LAMBDA,
+                                               args.oracle_prime)
     cert.check("duality oracle", 0, oracle["counterexamples"], "DERIVED")
     progress("enumerative")
     cert.check("dual degree", 6, enumerative.dual_degree_computation(), "PAPER")
@@ -295,6 +298,24 @@ def fraction_text(text):
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
     return text
+
+
+def combination_error(args):
+    """Why arguments that are each valid are not valid together, or None."""
+    if args.func is cmd_hesse_dual and \
+            Fraction(args.lam).denominator % args.oracle_prime == 0:
+        return (f"argument --oracle-prime: {args.oracle_prime} divides the "
+                f"denominator of --lambda {args.lam}")
+    if args.func is cmd_verify_all and \
+            hesse.singular_mod(VERIFY_ALL_LAMBDA, args.oracle_prime):
+        return (f"argument --oracle-prime: the oracle's lambda = "
+                f"{VERIFY_ALL_LAMBDA} is singular mod {args.oracle_prime}")
+    if args.func is cmd_prym_genus:
+        try:
+            prym.genus_of_quotient(args.n, args.g, args.t)
+        except prym.InadmissibleCover as exc:
+            return f"arguments --n, --g, --t: no such cover: {exc}"
+    return None
 
 
 def build_parser():
@@ -357,6 +378,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    error = combination_error(args)
+    if error:
+        parser.error(error)
     label = args.group if args.group == args.command else \
         f"{args.group} {args.command}"
     inputs = {k: jsonable(v) for k, v in vars(args).items()

@@ -89,8 +89,10 @@ def verlinde_v111(m):
 
 
 def verlinde_dimension(k, tolerance=1e-6):
-    """dim H^0 at level k for rank 3, genus 2:  3 ((k+3)/8)^2 V_{1,1,1}(k+3).
-    Returns (float value, nearest integer); integrality enforced for k <= 12."""
+    """dim H^0 at level k for rank 3, genus 2 by the float sum
+    3 ((k+3)/8)^2 V_{1,1,1}(k+3).  Returns (float value, nearest integer);
+    integrality enforced for k <= 12.  A cross-check only: its error grows
+    with k (the rounding is off by one at k = 160)."""
     if k < 0:
         raise ValueError("level must be >= 0")
     m = k + 3
@@ -101,8 +103,25 @@ def verlinde_dimension(k, tolerance=1e-6):
     return value, nearest
 
 
+FLOAT_CHECK_KMAX = 12
+
+
+def verlinde_exact(k):
+    """h^0(L^k) = C(k+8, 8) + C(k+5, 8): the theta map is a double cover of
+    P^8 branched along a sextic in |O(2 delta)|, delta = 3, so
+    h^0(L^k) = h^0(P^8, O(k)) + h^0(P^8, O(k - delta))."""
+    return binomial(k + 8, 8) + binomial(k + 5, 8)
+
+
 def verlinde_sequence(kmax):
-    return [verlinde_dimension(k)[1] for k in range(kmax + 1)]
+    """The exact dimensions for k = 0..kmax; for k <= FLOAT_CHECK_KMAX the
+    rounded float sum must give the same integers."""
+    seq = [verlinde_exact(k) for k in range(kmax + 1)]
+    for k in range(min(kmax, FLOAT_CHECK_KMAX) + 1):
+        if verlinde_dimension(k)[1] != seq[k]:
+            raise NonIntegralDimension(
+                f"k={k}: float sum {verlinde_dimension(k)[0]} != {seq[k]}")
+    return seq
 
 
 def finite_differences(seq):

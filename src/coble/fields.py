@@ -1,5 +1,6 @@
-"""Exact coefficient fields: Q, Q(w) with w a primitive cube root of unity,
-and prime fields F_p (p = 1 mod 3) carrying their own cube root of unity.
+"""Exact coefficient fields: Q and Q(w) with w a primitive cube root of
+unity, plus the integer helpers the prime-field code needs (primality, square
+roots mod p, Bernoulli numbers).
 
 All elements are immutable and hashable.  Rationals are plain
 ``fractions.Fraction`` values; the field objects below exist so that generic
@@ -228,88 +229,6 @@ QQ = RationalField()
 QW = EisensteinField()
 
 
-class PrimeFieldElement:
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        self.value = value % p
-        self.p = p
-
-    def _check(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.p != self.p:
-                raise ValueError("mixed prime fields")
-            return other.value
-        if isinstance(other, int):
-            return other
-        return None
-
-    def __add__(self, other):
-        v = self._check(other)
-        if v is None:
-            return NotImplemented
-        return PrimeFieldElement(self.value + v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._check(other)
-        if v is None:
-            return NotImplemented
-        return PrimeFieldElement(self.value - v, self.p)
-
-    def __rsub__(self, other):
-        v = self._check(other)
-        if v is None:
-            return NotImplemented
-        return PrimeFieldElement(v - self.value, self.p)
-
-    def __mul__(self, other):
-        v = self._check(other)
-        if v is None:
-            return NotImplemented
-        return PrimeFieldElement(self.value * v, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._check(other)
-        if v is None:
-            return NotImplemented
-        return PrimeFieldElement(self.value * pow(v, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        v = self._check(other)
-        if v is None:
-            return NotImplemented
-        return PrimeFieldElement(v * pow(self.value, -1, self.p), self.p)
-
-    def __neg__(self):
-        return PrimeFieldElement(-self.value, self.p)
-
-    def __pow__(self, n):
-        return PrimeFieldElement(pow(self.value, n, self.p), self.p)
-
-    def inverse(self):
-        return PrimeFieldElement(pow(self.value, -1, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, PrimeFieldElement):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value}"
-
-
 def is_prime(n):
     if n < 2:
         return False
@@ -319,55 +238,42 @@ def is_prime(n):
     return True
 
 
-class PrimeField:
-    """F_p with p = 1 mod 3; carries the smallest cube root of unity > 1."""
+def square_root_mod(p):
+    """Tonelli-Shanks for an odd prime p: returns `root`, where root(a) is a
+    square root of a mod p, or None when a is not a square mod p.  The
+    constants of p are found once; each call costs one modular power and at
+    most v^2 / 2 squarings, v the 2-adic valuation of p - 1."""
+    q, v = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        v += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c0 = pow(z, q, p)
+    half_q = (q - 1) // 2
 
-    def __init__(self, p):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if p % 3 != 1:
-            raise ValueError(f"p = {p} must be congruent to 1 mod 3")
-        self.p = p
-        self.omega_value = self._find_omega()
-        self.name = f"GF({p})"
+    def root(a):
+        a %= p
+        if a == 0:
+            return 0
+        x = pow(a, half_q, p)
+        r = a * x % p      # a^((q+1)/2)
+        t = r * x % p      # a^q, of order 2^i with i <= v
+        m, c = v, c0
+        while t != 1:
+            i, t2 = 1, t * t % p
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            if i == m:     # t has the largest possible order: a is no square
+                return None
+            b = pow(c, 1 << (m - i - 1), p)
+            m, c = i, b * b % p
+            t, r = t * c % p, r * b % p
+        return r
 
-    def _find_omega(self):
-        for r in range(2, self.p):
-            if (r * r + r + 1) % self.p == 0:
-                return r
-        raise AssertionError("no cube root of unity found")  # unreachable for p = 1 mod 3
-
-    def zero(self):
-        return PrimeFieldElement(0, self.p)
-
-    def one(self):
-        return PrimeFieldElement(1, self.p)
-
-    def omega(self):
-        return PrimeFieldElement(self.omega_value, self.p)
-
-    def coerce(self, x):
-        if isinstance(x, PrimeFieldElement):
-            if x.p != self.p:
-                raise ValueError("mixed prime fields")
-            return x
-        if isinstance(x, int):
-            return PrimeFieldElement(x, self.p)
-        if isinstance(x, Fraction):
-            return PrimeFieldElement(x.numerator * pow(x.denominator, -1, self.p), self.p)
-        raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
-
-    def coeff_to_json(self, c):
-        return c.value
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
-    def __repr__(self):
-        return self.name
+    return root
 
 
 def binomial(n, k):

@@ -10,16 +10,16 @@ when lam^3 != 1.  The dual curve of a smooth member is the sextic
 in the symmetric basis S1 = sum Y_i^6, S2 = sum_{i<j} Y_i^3 Y_j^3,
 S3 = Y0 Y1 Y2 * sum Y_i^3, S4 = Y0^2 Y1^2 Y2^2.  The coefficients are
 derived twice (closed form and the cusp 3x3 linear system) and certified a
-third time by a brute-force duality scan over small prime fields.
+third time over prime fields: every F_p-point of f_lam is found on the p + 1
+lines through the rational flex (0 : 1 : -1), and its gradient must lie on
+the dual sextic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
-from .fields import QQ, QW, OMEGA, PrimeField
+from .fields import QQ, QW, OMEGA, square_root_mod
 from .linalg import ExactMatrix
 from .poly import PolyRing, Polynomial
 
@@ -71,8 +71,9 @@ def dual_coefficients(lam_poly):
             -3 * lam_poly * (lam_poly ** 3 - 4))
 
 
-def s_basis_y():
-    y0, y1, y2 = (Y_RING.var(n) for n in ("Y0", "Y1", "Y2"))
+def s_basis(ring):
+    """S1..S4 in the variables Y0, Y1, Y2 of `ring`."""
+    y0, y1, y2 = ring.var("Y0"), ring.var("Y1"), ring.var("Y2")
     return [y0 ** 6 + y1 ** 6 + y2 ** 6,
             y0 ** 3 * y1 ** 3 + y0 ** 3 * y2 ** 3 + y1 ** 3 * y2 ** 3,
             y0 * y1 * y2 * (y0 ** 3 + y1 ** 3 + y2 ** 3),
@@ -84,7 +85,7 @@ class DualSextic:
         self.lam = None if lam is None else Fraction(lam)
         lam_poly = Y_RING.var("lam") if lam is None else Y_RING.const(self.lam)
         self.a = dual_coefficients(lam_poly)
-        s1, s2, s3, s4 = s_basis_y()
+        s1, s2, s3, s4 = s_basis(Y_RING)
         self.poly = s1 + self.a[0] * s2 + self.a[1] * s3 + self.a[2] * s4
 
     def coefficient_values(self):
@@ -253,56 +254,101 @@ DEFAULT_ORACLE_PRIMES = (13, 31, 997)
 DEFAULT_ORACLE_LAMBDAS = (2, 3, 5)
 
 
-def finite_field_duality_oracle(lam, p):
-    """Enumerate all F_p-points of f_lam = 0 (O(p^2) scan), check that the
-    gradient of every nonsingular point lies on the dual sextic, and sanity
-    check the point count against the Hasse bound."""
-    field = PrimeField(p)  # validates p prime, p = 1 mod 3
+def reduce_mod(lam, p):
+    """lam mod p; ValueError when p divides its denominator."""
     lam = Fraction(lam)
-    lam_p = lam.numerator * pow(lam.denominator, -1, p) % p
-    if pow(lam_p, 3, p) == 1:
+    return lam.numerator * pow(lam.denominator, -1, p) % p
+
+
+def singular_mod(lam, p):
+    """Whether f_lam reduces to a singular member mod p (lam^3 = 1)."""
+    return pow(reduce_mod(lam, p), 3, p) == 1
+
+
+FLEX = (0, 1, -1)
+
+
+def curve_points(lam_p, p):
+    """Every F_p-point of f_lam (lam = lam_p mod p) once, with its first
+    nonzero coordinate 1.
+
+    The flex FLEX lies on every pencil member, and every other point is
+    Q + s*FLEX for exactly one s in F_p and one Q on the line X1 = 0, which
+    misses FLEX: Q = (1 : 0 : t) or (0 : 0 : 1).  As f(FLEX) = 0,
+
+        f(Q + s FLEX) = f(Q) + s grad f(Q).FLEX + s^2 grad f(FLEX).Q,
+
+    so the points on each of the p + 1 lines through FLEX are the roots of a
+    quadratic in s, found with one square root.  On the tangent at FLEX the
+    quadratic is a nonzero constant; a line inside the curve raises, since a
+    smooth cubic contains none."""
+    root = square_root_mod(p)
+
+    def f(x):
+        x0, x1, x2 = x
+        return (x0 ** 3 + x1 ** 3 + x2 ** 3 - 3 * lam_p * x0 * x1 * x2) % p
+
+    def grad_dot(x, y):
+        x0, x1, x2 = x
+        return ((x0 * x0 - lam_p * x1 * x2) * y[0]
+                + (x1 * x1 - lam_p * x0 * x2) * y[1]
+                + (x2 * x2 - lam_p * x0 * x1) * y[2]) * 3 % p
+
+    yield 0, 1, p - 1
+    for q in [(1, 0, t) for t in range(p)] + [(0, 0, 1)]:
+        a, b, c = f(q), grad_dot(q, FLEX), grad_dot(FLEX, q)
+        if not c:
+            # The tangent at FLEX meets f there three times, so b = 0 as
+            # well, and it holds no other point unless it lies on f.
+            if a:
+                continue
+            raise ValueError(f"the line through {FLEX} and {q} lies on "
+                             f"f_lam mod {p}, lam = {lam_p}")
+        d = root(b * b - 4 * a * c)
+        if d is None:
+            continue
+        inv = pow(2 * c, -1, p)
+        roots = {(d - b) * inv % p, (-d - b) * inv % p}
+        for s in roots:
+            x0, x1, x2 = q[0], (q[1] + s) % p, (q[2] - s) % p
+            if x0:
+                yield 1, x1, x2
+            else:  # x1 = s != 0, since f(0 : 0 : 1) = 1
+                yield 0, 1, x2 * pow(x1, -1, p) % p
+
+
+def finite_field_duality_oracle(lam, p):
+    """Find every F_p-point of f_lam = 0 on the lines through the flex
+    (`curve_points`, O(p) lines), check that the gradient of every
+    nonsingular point lies on the dual sextic, and sanity check the point
+    count against the Hasse bound."""
+    lam = Fraction(lam)
+    if singular_mod(lam, p):
         raise ValueError(f"lam = {lam} is a singular pencil member mod {p}")
-    a1, a2, a3 = (int(a.numerator * pow(a.denominator, -1, p)) % p
-                  for a in (Fraction(4 * lam_p ** 3 - 2),
-                            Fraction(-6 * lam_p ** 2),
-                            Fraction(-3 * lam_p * (lam_p ** 3 - 4))))
+    lam_p = reduce_mod(lam, p)
+    a1, a2, a3 = (a % p for a in dual_coefficients(lam_p))
 
-    def dual_value(g0, g1, g2):
-        c0, c1, c2 = g0 % p, g1 % p, g2 % p
-        cubes = [pow3(c) for c in (c0, c1, c2)]
-        s1 = (pow2(cubes[0]) + pow2(cubes[1]) + pow2(cubes[2])) % p
-        s2 = (cubes[0] * cubes[1] + cubes[0] * cubes[2] + cubes[1] * cubes[2]) % p
+    def dual_value(c0, c1, c2):
+        k0, k1, k2 = c0 ** 3 % p, c1 ** 3 % p, c2 ** 3 % p
         prod = c0 * c1 * c2 % p
-        s3 = prod * (cubes[0] + cubes[1] + cubes[2]) % p
-        s4 = pow2(prod)
-        return (s1 + a1 * s2 + a2 * s3 + a3 * s4) % p
-
-    def pow2(a):
-        return a * a % p
-
-    def pow3(a):
-        return a * a % p * a % p
+        s1 = k0 * k0 + k1 * k1 + k2 * k2
+        s2 = k0 * k1 + k0 * k2 + k1 * k2
+        s3 = prod * (k0 + k1 + k2)
+        return (s1 + a1 * s2 + a2 * s3 + a3 * prod * prod) % p
 
     count = 0
     checked = 0
-    for x0, grid in _projective_charts(p):
-        x1, x2 = grid
-        f = (pow(x0, 3, p) + x1 ** 3 % p + x2 ** 3 % p
-             - 3 * lam_p * x0 % p * x1 % p * x2) % p
-        on = np.nonzero(f == 0)
-        for idx in zip(*on):
-            y1 = int(x1[idx]) if x1.ndim else int(x1)
-            y2 = int(x2[idx]) if x2.ndim else int(x2)
-            count += 1
-            g0 = (3 * x0 * x0 - 3 * lam_p * y1 * y2) % p
-            g1 = (3 * y1 * y1 - 3 * lam_p * x0 * y2) % p
-            g2 = (3 * y2 * y2 - 3 * lam_p * x0 * y1) % p
-            if g0 == 0 and g1 == 0 and g2 == 0:
-                continue  # singular point; excluded from the duality check
-            checked += 1
-            if dual_value(g0, g1, g2) != 0:
-                raise CounterexamplePoint((x0, y1, y2),
-                                          f"dual sextic nonzero (lam={lam}, p={p})")
+    for x0, y1, y2 in curve_points(lam_p, p):
+        count += 1
+        g0 = (3 * x0 * x0 - 3 * lam_p * y1 * y2) % p
+        g1 = (3 * y1 * y1 - 3 * lam_p * x0 * y2) % p
+        g2 = (3 * y2 * y2 - 3 * lam_p * x0 * y1) % p
+        if g0 == 0 and g1 == 0 and g2 == 0:
+            continue  # singular point; excluded from the duality check
+        checked += 1
+        if dual_value(g0, g1, g2) != 0:
+            raise CounterexamplePoint((x0, y1, y2),
+                                      f"dual sextic nonzero (lam={lam}, p={p})")
     hasse_ok = (count - p - 1) ** 2 <= 4 * p
     if not hasse_ok:
         raise CounterexamplePoint((count,), f"Hasse bound violated (lam={lam}, p={p})")
@@ -317,9 +363,7 @@ def run_default_oracle(lams=DEFAULT_ORACLE_LAMBDAS, primes=DEFAULT_ORACLE_PRIMES
     reports = []
     for lam in lams:
         for p in primes:
-            lam_p = (Fraction(lam).numerator
-                     * pow(Fraction(lam).denominator, -1, p)) % p
-            if pow(lam_p, 3, p) == 1:
+            if singular_mod(lam, p):
                 reports.append({"p": p, "lam": str(lam),
                                 "status": "skipped_singular_reduction"})
                 continue
@@ -327,12 +371,3 @@ def run_default_oracle(lams=DEFAULT_ORACLE_LAMBDAS, primes=DEFAULT_ORACLE_PRIMES
             r["status"] = "ok"
             reports.append(r)
     return reports
-
-
-def _projective_charts(p):
-    """Representatives (1 : y : z), (0 : 1 : z), (0 : 0 : 1) as numpy grids."""
-    rng = np.arange(p, dtype=np.int64)
-    y, z = np.meshgrid(rng, rng, indexing="ij")
-    yield 1, (y, z)
-    yield 0, (np.ones(p, dtype=np.int64), rng)
-    yield 0, (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))

@@ -41,6 +41,7 @@ from .heisenberg import (COORDS, COORD_INDEX, THETA_VARS, Apoint,
                          HeisenbergElement, action_matrix, add2,
                          apoint_classes_mod_sign, coord_name, dot,
                          monomial_action, neg2, theta_ring)
+from .hesse import s_basis
 from .invariants import InvariantBasis, iota_act, pinned_basis
 from .linalg import ExactMatrix, certified_rank_and_kernel
 from .poly import NotInSpan, PolyRing, coefficient_in_basis
@@ -51,18 +52,7 @@ class EigenspaceDimensionError(Exception):
 
 
 Y_RING = PolyRing(QW, ("Y0", "Y1", "Y2"))
-
-
-def s_basis(ring=Y_RING):
-    y0, y1, y2 = ring.var("Y0"), ring.var("Y1"), ring.var("Y2")
-    s1 = y0 ** 6 + y1 ** 6 + y2 ** 6
-    s2 = y0 ** 3 * y1 ** 3 + y0 ** 3 * y2 ** 3 + y1 ** 3 * y2 ** 3
-    s3 = y0 * y1 * y2 * (y0 ** 3 + y1 ** 3 + y2 ** 3)
-    s4 = y0 ** 2 * y1 ** 2 * y2 ** 2
-    return [s1, s2, s3, s4]
-
-
-S_BASIS = s_basis()
+S_BASIS = s_basis(Y_RING)
 # Each S_i has coefficient 1 on every monomial of its support.
 S_SUPPORTS = [tuple(s.terms) for s in S_BASIS]
 S_MONOMIALS = frozenset(m for support in S_SUPPORTS for m in support)

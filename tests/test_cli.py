@@ -103,12 +103,17 @@ def test_usage_error():
     ["prym", "genus", "--n", "0", "--g", "2"],
     ["enum", "zagier", "--h", "0"],
     ["enum", "verlinde", "--kmax", "-1"],
+    # each argument valid alone, not together
+    ["hesse", "dual", "--lambda", "1/13", "--oracle-prime", "13"],
+    ["prym", "genus", "--n", "4", "--g", "2", "--t", "1"],
+    ["verify-all", "--oracle-prime", "7"],
 ])
 def test_bad_argument_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "error: argument" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: argument" in captured.err
 
 
 def test_internal_error(capsys, monkeypatch):

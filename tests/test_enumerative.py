@@ -1,13 +1,16 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from coble.enumerative import (HARDCODED_TABLE, IntersectionClass,
+                               NonIntegralDimension,
                                derived_intersection_table, dual_degree_computation,
                                dual_degree_expansion, finite_differences,
                                quadric_dimension_count, ramification_degree,
-                               theta_degree_from_verlinde, theta_degree_from_zagier,
-                               verlinde_dimension, verlinde_sequence,
+                               theta_degree_from_verlinde,
+                               theta_degree_from_zagier, verlinde_dimension,
+                               verlinde_exact, verlinde_sequence,
                                verlinde_v111, zagier_leading_coefficient)
 
 
@@ -46,6 +49,31 @@ def test_verlinde_values():
 def test_verlinde_sequence_frozen():
     assert verlinde_sequence(10) == [1, 9, 45, 166, 504, 1332, 3168, 6930,
                                      14157, 27313, 50193]
+
+
+def test_verlinde_exact_at_large_level():
+    """The rounded float sum gives 24756893689472 here, one too few."""
+    assert verlinde_sequence(160)[160] == 24756893689473
+
+
+def test_verlinde_leading_coefficient_matches_zagier():
+    """C(k+8, 8) + C(k+5, 8) has leading coefficient 2/8!, which is
+    3 v_{1,1,1} / 64."""
+    diffs = [verlinde_exact(k) for k in range(150, 159)]
+    for _ in range(8):
+        diffs = finite_differences(diffs)
+    leading = Fraction(diffs[0], math.factorial(8))
+    assert leading == Fraction(2, math.factorial(8))
+    assert leading == 3 * zagier_leading_coefficient(1) / 64
+
+
+def test_verlinde_float_cross_check_is_live(monkeypatch):
+    exact = verlinde_exact
+    monkeypatch.setattr("coble.enumerative.verlinde_exact",
+                        lambda k: exact(k) + (k == 12))
+    assert verlinde_sequence(11) == [exact(k) for k in range(12)]
+    with pytest.raises(NonIntegralDimension):
+        verlinde_sequence(12)
 
 
 def test_theta_degree_from_verlinde():

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from coble.fields import (OMEGA, QQ, QW, Eisenstein, PrimeField, bernoulli,
-                          binomial, omega_pow, zw_mul, zw_pair,
+from coble.fields import (OMEGA, QQ, QW, Eisenstein, bernoulli, binomial,
+                          omega_pow, square_root_mod, zw_mul, zw_pair,
                           zw_rotate)
 from properties import prop_field_axioms
 
@@ -53,20 +53,21 @@ def test_rational_field():
     assert QQ.coerce(3) == Fraction(3)
 
 
-def test_prime_field_validation():
-    PrimeField(997)
-    with pytest.raises(ValueError):
-        PrimeField(5)       # 5 = 2 mod 3: no cube root of unity
-    with pytest.raises(ValueError):
-        PrimeField(15)      # composite
-
-
-def test_prime_field_omega():
-    f = PrimeField(13)
-    w = f.omega()
-    assert (w * w + w + f.one()) == f.zero()
-    # smallest residue > 1 with w^2 + w + 1 = 0 mod 13 is 3
-    assert w == f.coerce(3)
+@pytest.mark.parametrize("p", [97, 193, 769, 7, 13])
+def test_square_root_mod_equals_brute_force(p):
+    """97, 193 and 769 have p - 1 divisible by 2^5, 2^6 and 2^8, so
+    Tonelli-Shanks runs its inner loop deep; 7 is 3 mod 4."""
+    root = square_root_mod(p)
+    roots = {a: set() for a in range(p)}
+    for x in range(p):
+        roots[x * x % p].add(x)
+    for a in range(p):
+        r = root(a)
+        if roots[a]:
+            assert r in roots[a], (a, r)
+        else:
+            assert r is None, (a, r)
+    assert root(p + 4) in roots[4]
 
 
 def test_bernoulli():

@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from coble.hesse import (DualSextic, HesseCubic,
+from coble.hesse import (Y_RING, DualSextic, HesseCubic,
                          SingularSystem, ZeroGradient, cusp_orbit,
                          cusp_orbit_check, cusp_system_residuals,
                          dual_sextic_closed_form, dual_sextic_from_cusp_system,
                          finite_field_duality_oracle, gradient_map,
                          hessian_determinant_at, inflection_orbit,
                          on_pencil_member, proj_eq, run_default_oracle,
-                         s_basis_y)
+                         s_basis)
 
 
 def test_smoothness():
@@ -18,7 +18,7 @@ def test_smoothness():
 
 
 def test_closed_form_examples():
-    s1, s2, s3, s4 = s_basis_y()
+    s1, s2, s3, s4 = s_basis(Y_RING)
     assert dual_sextic_closed_form(0).poly == s1 - 2 * s2
     assert DualSextic(1).coefficient_values() == (2, -6, 9)
     assert DualSextic(2).coefficient_values()[2] == -24
