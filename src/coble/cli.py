@@ -31,9 +31,10 @@ def jsonable(obj):
         return str(obj) if obj.denominator != 1 else obj.numerator
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set)):
-        return [jsonable(v) for v in sorted(obj) if isinstance(obj, set)] \
-            if isinstance(obj, set) else [jsonable(v) for v in obj]
+    if isinstance(obj, set):
+        obj = sorted(obj)
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
     return str(obj)

@@ -8,9 +8,8 @@ sources; same thing) with five formal parameters beta0..beta4.
 from __future__ import annotations
 
 from .fields import QQ, QW
-from .heisenberg import COORDS, add2, coord_name, neg2, theta_ring
+from .heisenberg import COORDS, add2, coord_name, theta_ring
 from .invariants import F_SEEDS
-from .heisenberg import orbit_sum
 from .linalg import ExactMatrix
 from .poly import PolyRing
 
@@ -144,16 +143,11 @@ def yz_substitution(target):
 
 def quadrics_in_yz():
     """Each Q_b rewritten through the Y/Z chart, over Q."""
-    ring = theta_ring(extra_params=BETAS, field=QQ)
     target = yz_ring()
     sub = yz_substitution(target)
-    qs = {}
-    for b, rows in BARTH_TABLE.items():
-        q = ring.zero()
-        for k, (c1, c2) in enumerate(rows):
-            q = q + ring.var(f"beta{k}") * ring.var(coord_name(c1)) * ring.var(coord_name(c2))
-        qs[b] = q.substitute(sub, target_ring=target)
-    return target, qs
+    quadrics = barth_quadrics(theta_ring(extra_params=BETAS, field=QQ))
+    return target, {b: q.substitute(sub, target_ring=target)
+                    for b, q in quadrics.items()}
 
 
 # The printed 5x5 matrix q_ij(Z): row i lists the coefficient of beta_j.

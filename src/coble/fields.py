@@ -3,9 +3,11 @@ unity, plus the integer helpers the prime-field code needs (primality, square
 roots mod p, Bernoulli numbers).
 
 All elements are immutable and hashable.  Rationals are plain
-``fractions.Fraction`` values; the field objects below exist so that generic
-code (polynomials, matrices) can ask for zero/one and coerce scalars without
-caring which field it is working over.
+``fractions.Fraction`` values.  An element of Q(w) keeps each of its two
+parts as a plain ``int`` when it is integral and as a ``Fraction`` otherwise,
+so arithmetic in Z[w] runs on ints.  The field objects below exist so that
+generic code (polynomials, matrices) can ask for zero/one and coerce scalars
+without caring which field it is working over.
 """
 
 from __future__ import annotations
@@ -14,14 +16,21 @@ import math
 from fractions import Fraction
 
 
+def _part(x):
+    """A rational as a plain int when it is integral, else as a Fraction."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class Eisenstein:
-    """An element a + b*w of Q(w), with w**2 = -1 - w (so w**3 = 1)."""
+    """An element a + b*w of Q(w), with w**2 = -1 - w (so w**3 = 1).  Each
+    part is an int when integral and a Fraction otherwise."""
 
     __slots__ = ("re", "om")
 
     def __init__(self, re=0, om=0):
-        self.re = Fraction(re)
-        self.om = Fraction(om)
+        self.re = re if type(re) is int else _part(re)
+        self.om = om if type(om) is int else _part(om)
 
     def __add__(self, other):
         other = _as_eisenstein(other)
@@ -55,8 +64,9 @@ class Eisenstein:
 
     def inverse(self):
         # Norm N(a + bw) = a^2 - ab + b^2, with conjugate a + b*w^2 = (a-b) - b*w.
+        # The norm is a Fraction, so that two int parts never meet `/`.
         a, b = self.re, self.om
-        n = a * a - a * b + b * b
+        n = Fraction(a * a - a * b + b * b)
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(w)")
         return Eisenstein((a - b) / n, -b / n)
@@ -131,11 +141,9 @@ def omega_pow(k):
 
 
 def zw_pair(c):
-    """An element of Q(w) as the pair (re, om), with each part a plain int
-    when it is integral, so that arithmetic in Z[w] runs on ints."""
-    re, om = c.re, c.om
-    return (re.numerator if re.denominator == 1 else re,
-            om.numerator if om.denominator == 1 else om)
+    """An element of Q(w) as the pair (re, om); a part is an int exactly
+    when it is integral."""
+    return c.re, c.om
 
 
 def zw_mul(x, y):

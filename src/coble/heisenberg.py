@@ -17,8 +17,10 @@ Conventions
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .fields import QW, omega_pow
-from .poly import PolyRing
+from .poly import Polynomial, PolyRing
 
 COORDS = [(i, j) for i in range(3) for j in range(3)]
 COORD_INDEX = {b: k for k, b in enumerate(COORDS)}
@@ -188,7 +190,6 @@ def act_on_polynomial(g, p):
             out[new_e] = s
         elif new_e in out:
             del out[new_e]
-    from .poly import Polynomial
     return Polynomial(ring, out)
 
 
@@ -208,17 +209,24 @@ class NotKhatInvariant(Exception):
     """Seed monomial whose weighted index sum is nonzero mod 3."""
 
 
+# The nine translations Z_b -> Z_{b+shift} of (Z/3)^2, in COORDS order, as
+# index permutations of the nine theta exponents: the translate of e has
+# exponent e[perm[k]] at Z_k.
+TRANSLATIONS = tuple(tuple(COORD_INDEX[add2(b, neg2(shift))] for b in COORDS)
+                     for shift in COORDS)
+
+
+def translation_getters(n):
+    """The nine translations as itemgetters on n-long exponent tuples (theta
+    block first); parameter exponents after the theta block pass through."""
+    tail = tuple(range(9, n))
+    return [itemgetter(*perm, *tail) for perm in TRANSLATIONS]
+
+
 def translate_exps(exps, shift):
-    """Translate a 9-long theta exponent tuple: Z_b -> Z_{b+shift}."""
-    out = [0] * len(exps)
-    for k, e in enumerate(exps):
-        if e:
-            b = COORDS[k]
-            out[COORD_INDEX[add2(b, shift)]] = e
-    # preserve any trailing parameter exponents
-    for k in range(9, len(exps)):
-        out[k] = exps[k]
-    return tuple(out)
+    """Translate a theta exponent tuple: Z_b -> Z_{b+shift}."""
+    perm = TRANSLATIONS[COORD_INDEX[(shift[0] % 3, shift[1] % 3)]]
+    return itemgetter(*perm, *range(9, len(exps)))(exps)
 
 
 def orbit_sum(ring, seed_exps):
@@ -242,9 +250,5 @@ def orbit_sum(ring, seed_exps):
     if s0 % 3 or s1 % 3:
         raise NotKhatInvariant(f"index sum ({s0 % 3},{s1 % 3}) != (0,0)")
     one = ring.field.one()
-    seen = {}
-    for r in range(3):
-        for s in range(3):
-            seen[translate_exps(seed_exps, (r, s))] = one
-    from .poly import Polynomial
-    return Polynomial(ring, seen)
+    return Polynomial(ring, {translate(seed_exps): one
+                             for translate in translation_getters(len(seed_exps))})

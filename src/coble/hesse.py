@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .fields import QQ, QW, OMEGA, square_root_mod
 from .linalg import ExactMatrix
-from .poly import PolyRing, Polynomial
+from .poly import PolyRing
 
 
 class SingularSystem(Exception):
@@ -163,29 +163,32 @@ def proj_eq(p, q):
 
 
 def _proj_normalize(p):
+    """The point p of P^2, coordinates coerced into Q(w), scaled so that its
+    first nonzero coordinate is 1."""
+    p = [QW.coerce(c) for c in p]
     for c in p:
         if c:
-            inv = c.inverse() if hasattr(c, "inverse") else 1 / c
+            inv = c.inverse()
             return tuple(x * inv for x in p)
     raise ValueError("zero point")
 
 
 def plane_orbit(point):
     """Orbit of a projective point of P^2 under the plane Heisenberg group
-    (cyclic coordinate shift and the omega character scaling); coordinates
-    must live in a field containing omega."""
+    (cyclic coordinate shift and the omega character scaling), with
+    normalized Q(w) coordinates; the input coordinates may be ints,
+    Fractions or elements of Q(w)."""
     seen = {}
     stack = [_proj_normalize(point)]
     while stack:
         p = stack.pop()
-        key = tuple((c.re, c.om) if hasattr(c, "re") else c for c in p)
-        if key in seen:
+        if p in seen:
             continue
-        seen[key] = p
+        seen[p] = None
         shift = _proj_normalize((p[2], p[0], p[1]))
         scale = _proj_normalize((p[0], p[1] * OMEGA, p[2] * OMEGA * OMEGA))
         stack.extend([shift, scale])
-    return list(seen.values())
+    return list(seen)
 
 
 def inflection_orbit():

@@ -9,12 +9,11 @@ polynomials.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import itemgetter
 
-from .fields import QQ, binomial
-from .heisenberg import (COORDS, COORD_INDEX, orbit_sum, theta_ring,
-                         translate_exps)
-from .linalg import ExactMatrix
+from .fields import binomial
+from .heisenberg import (COORD_INDEX, COORDS, THETA_VARS, neg2, orbit_sum,
+                         translation_getters)
 from .poly import Polynomial
 
 
@@ -67,15 +66,13 @@ def khat_invariant_monomials(d):
 def orbit_count(d):
     """Number of K-orbits of K^-invariant degree-d monomials (independent
     combinatorial count of the invariant dimension)."""
+    translations = translation_getters(9)
     seen = set()
     count = 0
     for e in khat_invariant_monomials(d):
-        if e in seen:
-            continue
-        count += 1
-        for r in range(3):
-            for s in range(3):
-                seen.add(translate_exps(e, (r, s)))
+        if e not in seen:
+            count += 1
+            seen.update([translate(e) for translate in translations])
     return count
 
 
@@ -200,24 +197,18 @@ def invariant_basis(ring, d):
     return InvariantBasis(d, labels, ordered)
 
 
+# iota as an index permutation of the theta exponents: Z_b -> Z_{-b}.
+IOTA = tuple(COORD_INDEX[neg2(b)] for b in COORDS)
+
+
 def iota_act(p):
-    """The involution Z_{(i,j)} -> Z_{(-i,-j)} on polynomials."""
+    """The involution Z_{(i,j)} -> Z_{(-i,-j)} on polynomials whose ring
+    starts with the theta coordinates; later variables pass through."""
     ring = p.ring
-    perm = {}
-    for b in COORDS:
-        src = ring.index[f"Z{b[0]}{b[1]}"]
-        dst = ring.index[f"Z{(-b[0]) % 3}{(-b[1]) % 3}"]
-        perm[src] = dst
-    out = {}
-    for e, c in p.terms.items():
-        new_e = list(e)
-        for i in perm:
-            new_e[i] = 0
-        for i, j in perm.items():
-            if e[i]:
-                new_e[j] += e[i]
-        out[tuple(new_e)] = c
-    return Polynomial(ring, out)
+    if ring.varnames[:9] != THETA_VARS:
+        raise ValueError(f"not a theta-coordinate ring: {ring}")
+    iota = itemgetter(*IOTA, *range(9, ring.nvars))
+    return Polynomial(ring, {iota(e): c for e, c in p.terms.items()})
 
 
 class IotaSplit:
@@ -240,28 +231,22 @@ def iota_permutation(basis):
 
 
 def iota_split(basis):
-    """Eigenbases of iota on the span of the basis, via exact kernels of
-    (iota -/+ id) in basis coordinates."""
-    n = len(basis.elements)
+    """Eigenbases of iota on the span of the basis, read off the cycles of
+    `iota_permutation`: a fixed T_i spans a +1 line, a 2-cycle (i, j) gives
+    T_i + T_j (+1) and T_i - T_j (-1).  Every vector is checked against
+    `iota_act`."""
     perm = iota_permutation(basis)
-    # Matrix of iota in basis coordinates: column j has 1 in row perm[j].
-    one, zero = Fraction(1), Fraction(0)
-    m = [[zero] * n for _ in range(n)]
-    for j, i in enumerate(perm):
-        m[i][j] = one
-    _, plus_vecs = ExactMatrix(QQ, [[m[i][j] - (one if i == j else zero)
-                                     for j in range(n)]
-                                    for i in range(n)]).rank_and_kernel()
-    _, minus_vecs = ExactMatrix(QQ, [[m[i][j] + (one if i == j else zero)
-                                      for j in range(n)]
-                                     for i in range(n)]).rank_and_kernel()
-
-    def combine(vec):
-        acc = basis.elements[0].ring.zero()
-        for c, p in zip(vec, basis.elements):
-            if c:
-                acc = acc + p * c
-        return acc
-
-    return IotaSplit([combine(v) for v in plus_vecs],
-                     [combine(v) for v in minus_vecs])
+    if any(perm[j] != i for i, j in enumerate(perm)):
+        raise ValueError("iota does not act on the basis as an involution")
+    elements = basis.elements
+    plus, minus = [], []
+    for i, j in enumerate(perm):
+        if i == j:
+            plus.append(elements[i])
+        elif i < j:
+            plus.append(elements[i] + elements[j])
+            minus.append(elements[i] - elements[j])
+    if any(iota_act(v) != v for v in plus) or \
+            any(iota_act(v) != -v for v in minus):
+        raise ValueError("iota split vector is not an eigenvector")
+    return IotaSplit(plus, minus)

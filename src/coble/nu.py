@@ -38,13 +38,12 @@ from __future__ import annotations
 
 from .fields import QW, Eisenstein, omega_pow, zw_pair, zw_rotate
 from .heisenberg import (COORDS, COORD_INDEX, THETA_VARS, Apoint,
-                         HeisenbergElement, action_matrix, add2,
-                         apoint_classes_mod_sign, coord_name, dot,
-                         monomial_action, neg2, theta_ring)
+                         HeisenbergElement, add2, apoint_classes_mod_sign,
+                         coord_name, dot, monomial_action, neg2, theta_ring)
 from .hesse import s_basis
 from .invariants import InvariantBasis, iota_act, pinned_basis
 from .linalg import ExactMatrix, certified_rank_and_kernel
-from .poly import NotInSpan, PolyRing, coefficient_in_basis
+from .poly import NotInSpan, PolyRing
 
 
 class EigenspaceDimensionError(Exception):
@@ -265,72 +264,6 @@ def matching_lifts(chart):
     return [(sign, t) for sign, a in ((1, chart.eta), (-1, -chart.eta))
             for t in range(3)
             if fixes_chart(monomial_map, HeisenbergElement(t, a.x, a.xstar))]
-
-
-def k_eta_generators(eta):
-    """Two classes generating K_eta = <eta>-perp / <eta> (with respect to the
-    commutator pairing)."""
-    from .heisenberg import weil_form
-    span_eta = {(0, 0, 0, 0)}
-    cur = eta
-    for _ in range(2):
-        span_eta.add(cur.key())
-        cur = Apoint(add2(cur.x, eta.x), add2(cur.xstar, eta.xstar))
-    perp = []
-    for x0 in range(3):
-        for x1 in range(3):
-            for u in range(3):
-                for v in range(3):
-                    a = Apoint((x0, x1), (u, v))
-                    if weil_form(a, eta) == 0:
-                        perp.append(a)
-    gens = []
-    generated = set(span_eta)
-    for a in perp:
-        if a.key() in generated:
-            continue
-        gens.append(a)
-        generated = {tuple((k[i] + m * a.key()[i]) % 3 for i in range(4))
-                     for k in generated for m in range(3)}
-        if len(gens) == 2:
-            break
-    return gens
-
-
-def induced_plane_action(chart, g):
-    """The exact 3x3 matrix A with g . v_k = sum_m A[m][k] v_m when g maps
-    the chart plane to itself; None otherwise."""
-    vecs = chart.basis_vectors()
-    b = ExactMatrix(QW, [[vecs[k][i] for k in range(3)] for i in range(9)])
-    m = action_matrix(g)
-    cols = []
-    for v in vecs:
-        c = b.solve(m.mul_vector(v))
-        if c is None:
-            return None
-        cols.append(c)
-    return ExactMatrix(QW, [[cols[k][r] for k in range(3)] for r in range(3)])
-
-
-def plane_action_preserves_s_span(a):
-    """Does the coordinate change Y_m -> sum_k a[m][k] Y_k keep every S_i in
-    span{S1..S4}?  Returns the 4x4 matrix of the induced action, or None."""
-    images = [Y_RING.var(f"Y{k}") for k in range(3)]
-    new_coords = []
-    for mrow in range(3):
-        acc = Y_RING.zero()
-        for k in range(3):
-            if a.entries[mrow][k]:
-                acc = acc + images[k] * a.entries[mrow][k]
-        new_coords.append(acc)
-    sub = {f"Y{m}": new_coords[m] for m in range(3)}
-    cols = []
-    for s in S_BASIS:
-        try:
-            cols.append(coefficient_in_basis(s.substitute(sub), S_BASIS))
-        except NotInSpan:
-            return None
-    return ExactMatrix(QW, [[cols[j][r] for j in range(4)] for r in range(4)])
 
 
 # ----- restriction as a monomial map, coordinates by read-off --------------

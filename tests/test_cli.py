@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from coble.cli import main
+from fractions import Fraction
+
+from coble.cli import jsonable, main
+from coble.fields import Eisenstein
 
 
 def run(capsys, argv):
@@ -131,3 +134,10 @@ def test_artifact_hash_deterministic(capsys):
     _, cert1 = run_json(capsys, ["prym", "check"])
     _, cert2 = run_json(capsys, ["prym", "check"])
     assert cert1["artifact_hash"] == cert2["artifact_hash"]
+
+
+def test_jsonable_sorts_sets():
+    assert jsonable({3, 1, 2}) == [1, 2, 3]
+    assert jsonable({Fraction(1, 2), Fraction(-3)}) == [-3, "1/2"]
+    assert jsonable({"b": {(1, 0), (0, 2)}, "a": (Eisenstein(1, 2),)}) == \
+        {"b": [[0, 2], [1, 0]], "a": [{"re": "1", "om": "2"}]}

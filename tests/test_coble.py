@@ -2,15 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from coble.coble_forms import (barth_quadrics, coble_cubic, coble_ring,
-                               cubic_basis, eta_plane_expected,
-                               minus_space_restriction,
+from coble.coble_forms import (BARTH_TABLE, BETAS, barth_quadrics,
+                               coble_cubic, coble_ring, cubic_basis,
+                               eta_plane_expected, minus_space_restriction,
                                printed_block_span_report, quadric_rank,
-                               restrict_to_eta_plane, steiner_matrix,
-                               verify_derivative_identity)
-from coble.fields import QW, omega_pow
+                               quadrics_in_yz, restrict_to_eta_plane,
+                               steiner_matrix, verify_derivative_identity,
+                               yz_ring, yz_substitution)
+from coble.fields import QQ, QW, omega_pow
 from coble.heisenberg import (HeisenbergElement, act_on_polynomial, add2,
-                              coord_name, dot, generators, neg2)
+                              coord_name, dot, generators, neg2, theta_ring)
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,25 @@ def test_eta_plane_restriction(ring):
 
 def test_quadric_rank(ring):
     assert quadric_rank() == 9
+
+
+def test_quadrics_in_yz_equal_term_by_term_rewrite():
+    """The Y/Z quadrics equal the nine printed quadrics built term by term
+    over Q from BARTH_TABLE and then substituted."""
+    ring = theta_ring(extra_params=BETAS, field=QQ)
+    target = yz_ring()
+    sub = yz_substitution(target)
+    expected = {}
+    for b, rows in BARTH_TABLE.items():
+        q = ring.zero()
+        for k, (c1, c2) in enumerate(rows):
+            q = q + ring.var(f"beta{k}") * ring.var(coord_name(c1)) \
+                * ring.var(coord_name(c2))
+        expected[b] = q.substitute(sub, target_ring=target)
+    got_ring, got = quadrics_in_yz()
+    assert got_ring == target
+    assert list(got) == list(expected)
+    assert got == expected
 
 
 def test_minus_space_span():

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coble.fields import (OMEGA, QQ, QW, Eisenstein, bernoulli, binomial,
-                          omega_pow, square_root_mod, zw_mul, zw_pair,
-                          zw_rotate)
-from properties import prop_field_axioms
+                          format_rational, omega_pow, square_root_mod, zw_mul,
+                          zw_pair, zw_rotate)
+from properties import prop_field_axioms, small_fraction
 
 
 def test_omega_relations():
@@ -42,6 +43,93 @@ def test_eisenstein_inverse():
     assert a * a.inverse() == QW.one()
     with pytest.raises(ZeroDivisionError):
         QW.zero().inverse()
+
+
+# The Fraction-only reference: an element of Q(w) as a pair of Fractions,
+# with the arithmetic, hash, repr and JSON that Eisenstein had when it stored
+# two Fractions.
+
+def ref(x):
+    return Fraction(x.re), Fraction(x.om)
+
+
+def ref_mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c - b * d
+
+
+def ref_inverse(x):
+    a, b = x
+    n = a * a - a * b + b * b
+    return (a - b) / n, -b / n
+
+
+def ref_pow(x, n):
+    acc = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        acc = ref_mul(acc, x)
+    return acc
+
+
+def ref_hash(x):
+    return hash(x[0]) if x[1] == 0 else hash(x)
+
+
+def ref_repr(x):
+    re, om = x
+    if om == 0:
+        return f"{re}"
+    if re == 0:
+        return f"{om}*w"
+    return f"{re}{'+' if om > 0 else ''}{om}*w"
+
+
+def assert_matches_ref(x, expected):
+    """x has the reference's value, hash, repr and JSON, and each part is
+    an int exactly when it is integral (never a float)."""
+    for part, want in zip((x.re, x.om), expected):
+        assert part == want
+        assert type(part) is (int if want.denominator == 1 else Fraction)
+    assert x == Eisenstein(*expected)
+    assert hash(x) == ref_hash(expected)
+    assert repr(x) == ref_repr(expected)
+    assert x.to_json() == {"re": format_rational(expected[0]),
+                           "om": format_rational(expected[1])}
+
+
+qw_part = st.one_of(st.integers(-30, 30), small_fraction)
+qw_element = st.builds(Eisenstein, qw_part, qw_part)
+
+
+@settings(max_examples=300, deadline=None)
+@given(qw_element, qw_element, st.integers(0, 4))
+def test_eisenstein_equals_fraction_reference(x, y, n):
+    rx, ry = ref(x), ref(y)
+    assert_matches_ref(x, rx)
+    assert_matches_ref(x + y, (rx[0] + ry[0], rx[1] + ry[1]))
+    assert_matches_ref(x - y, (rx[0] - ry[0], rx[1] - ry[1]))
+    assert_matches_ref(-x, (-rx[0], -rx[1]))
+    assert_matches_ref(x * y, ref_mul(rx, ry))
+    assert_matches_ref(x ** n, ref_pow(rx, n))
+    assert_matches_ref(3 * x - 1, (3 * rx[0] - 1, 3 * rx[1]))
+    if y:
+        assert_matches_ref(y.inverse(), ref_inverse(ry))
+        assert_matches_ref(x / y, ref_mul(rx, ref_inverse(ry)))
+        assert_matches_ref(2 / y, ref_mul((2, 0), ref_inverse(ry)))
+    assert (x == y) == (rx == ry)
+
+
+def test_eisenstein_inverses_of_small_norms():
+    """Inverses of 2 (norm 4), w (a unit) and 1 - w (norm 3) divide exactly."""
+    for x in (Eisenstein(2), OMEGA, Eisenstein(1, -1), Eisenstein(3, 1)):
+        assert_matches_ref(x.inverse(), ref_inverse(ref(x)))
+        assert x * x.inverse() == QW.one()
+    assert_matches_ref(Eisenstein(2).inverse(), (Fraction(1, 2), Fraction(0)))
+    assert_matches_ref(OMEGA.inverse(), (Fraction(-1), Fraction(-1)))
+    assert_matches_ref(Eisenstein(1, -1).inverse(),
+                       (Fraction(2, 3), Fraction(1, 3)))
+    assert_matches_ref(Eisenstein(1, -1) / Eisenstein(1, -1), (1, 0))
+    assert_matches_ref(Eisenstein(0.5, 2.0), (Fraction(1, 2), Fraction(2)))
 
 
 def test_eisenstein_json():

@@ -1,10 +1,11 @@
 import pytest
 
 from coble.fields import QW, omega_pow
-from coble.heisenberg import (COORDS, IDENTITY, Apoint, HeisenbergElement,
-                              act_on_polynomial, action_matrix,
-                              apoint_classes_mod_sign, generators, group_mul,
-                              orbit_sum, theta_ring, weil_form)
+from coble.heisenberg import (COORD_INDEX, COORDS, IDENTITY, TRANSLATIONS,
+                              Apoint, HeisenbergElement, act_on_polynomial,
+                              action_matrix, add2, apoint_classes_mod_sign,
+                              generators, group_mul, orbit_sum, theta_ring,
+                              translate_exps, translation_getters, weil_form)
 from coble.linalg import ExactMatrix
 from properties import prop_action_composition, prop_eigenvalue_multiplicity
 
@@ -71,6 +72,27 @@ def test_orbit_sum():
     assert len(p.terms) == 9 and all(c == QW.one() for c in p.terms.values())
     for g in generators():
         assert act_on_polynomial(g, p) == p
+
+
+def translate_by_add2(exps, shift):
+    """Z_b -> Z_{b+shift}, entry by entry; trailing exponents pass through."""
+    out = list(exps)
+    for k, b in enumerate(COORDS):
+        out[COORD_INDEX[add2(b, shift)]] = exps[k]
+    return tuple(out)
+
+
+def test_translation_table_equals_add2():
+    exps = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)  # two parameter exponents
+    getters = translation_getters(len(exps))
+    assert len(TRANSLATIONS) == len(getters) == 9
+    for shift, translate in zip(COORDS, getters):
+        expected = translate_by_add2(exps, shift)
+        assert translate(exps) == expected
+        assert translate_exps(exps, shift) == expected
+        assert translate_exps(exps[:9], shift) == expected[:9]
+        assert translate_exps(exps, (shift[0] - 3, shift[1] + 3)) == expected
+    assert translation_getters(9)[0](exps[:9]) == exps[:9]
 
 
 def test_orbit_sum_rejects_noninvariant_seed():

@@ -8,8 +8,9 @@ from coble.hesse import (Y_RING, DualSextic, HesseCubic,
                          dual_sextic_closed_form, dual_sextic_from_cusp_system,
                          finite_field_duality_oracle, gradient_map,
                          hessian_determinant_at, inflection_orbit,
-                         on_pencil_member, proj_eq, run_default_oracle,
-                         s_basis)
+                         on_pencil_member, plane_orbit, proj_eq,
+                         run_default_oracle, s_basis)
+from coble.fields import QW, Eisenstein
 
 
 def test_smoothness():
@@ -52,6 +53,17 @@ def test_inflection_orbit():
     for pt in orbit:
         assert on_pencil_member(pt).is_zero()
         assert hessian_determinant_at(pt).is_zero()
+
+
+def test_plane_orbit_of_rational_input_is_exact():
+    orbit = plane_orbit((1, 2, 3))
+    assert len(orbit) == 9
+    assert orbit == plane_orbit(tuple(QW.coerce(c) for c in (1, 2, 3)))
+    assert orbit == plane_orbit((Fraction(1, 3), Fraction(2, 3), 1))
+    assert all(type(c) is Eisenstein for pt in orbit for c in pt)
+    assert orbit[0] == (1, 2, 3)
+    with pytest.raises(ValueError):
+        plane_orbit((0, 0, 0))
 
 
 def test_cusp_point_identities():

@@ -2,6 +2,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from coble import invariants
 from coble.fields import QQ
 from coble.heisenberg import COORDS, generators, act_on_polynomial, theta_ring
 from coble.invariants import (DegreeNotDivisibleBy3, InvariantBasis,
@@ -11,6 +12,7 @@ from coble.invariants import (DegreeNotDivisibleBy3, InvariantBasis,
                               pinned_basis)
 from coble.linalg import ExactMatrix
 from coble.poly import _grlex_key
+from invariants_oracle import iota_split_by_elimination, orbit_count_entrywise
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +37,11 @@ def test_orbit_count_agrees():
     for d in (3, 6, 9, 12):
         assert orbit_count(d) == invariant_dimension(d)
     assert (orbit_count(9), orbit_count(12)) == (310, 1570)
+
+
+def test_orbit_count_equals_entrywise_route():
+    for d in range(13):
+        assert orbit_count(d) == orbit_count_entrywise(d), d
 
 
 def test_khat_invariant_monomials_equal_brute_force():
@@ -103,3 +110,43 @@ def test_w_vectors_are_anti_invariant(ring, basis6):
                         ("T17", "T16")):
         w = basis6[plus] - basis6[minus]
         assert iota_act(w) == -w
+
+
+def rational_rank(polys):
+    """Rank over Q of polynomials with rational coefficients."""
+    monomials = sorted({m for p in polys for m in p.terms})
+    rows = []
+    for p in polys:
+        assert all(c.om == 0 for c in p.terms.values())
+        rows.append([p.terms[m].re if m in p.terms else 0 for m in monomials])
+    return ExactMatrix(QQ, rows).rank()
+
+
+def test_iota_split_equals_elimination_route(basis6):
+    split = iota_split(basis6)
+    for new, old in zip((split.plus_basis, split.minus_basis),
+                        iota_split_by_elimination(basis6)):
+        assert len(new) == len(old) == rational_rank(new)
+        assert rational_rank(new + old) == len(new)
+
+
+def test_iota_split_rejects_a_non_involution(basis6, monkeypatch):
+    # A repeated element makes iota_permutation send both copies to the
+    # last one, which is no involution.
+    t1 = basis6["T1"]
+    with pytest.raises(ValueError, match="involution"):
+        iota_split(InvariantBasis(6, ["T1", "T1'"], [t1, t1]))
+    monkeypatch.setattr(invariants, "iota_permutation",
+                        lambda basis: [1, 2, 0])
+    with pytest.raises(ValueError, match="involution"):
+        iota_split(InvariantBasis(6, ["T1", "T2", "T3"], basis6.elements[:3]))
+
+
+def test_iota_split_checks_every_vector(basis6, monkeypatch):
+    # Pair two elements that iota fixes: their difference is no -1 vector.
+    perm = iota_permutation(basis6)
+    i, j = [k for k in range(43) if perm[k] == k][:2]
+    perm[i], perm[j] = j, i
+    monkeypatch.setattr(invariants, "iota_permutation", lambda basis: perm)
+    with pytest.raises(ValueError, match="eigenvector"):
+        iota_split(basis6)

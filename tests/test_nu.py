@@ -7,10 +7,10 @@ from coble.linalg import ExactMatrix
 from coble.nu import (EigenspaceDimensionError, FixedPlaneChart,
                       all_lift_charts, annexe_charts, annexe_subblock_kernel,
                       assemble_nu, diagonal_filter_pipeline, eigenspace_chart,
-                      fixed_plane_charts, induced_plane_action,
-                      k_eta_generators, matching_lifts, nu_rank_and_kernel,
-                      plane_action_preserves_s_span, restrict_sextic)
-from nu_oracle import hack_rows
+                      fixed_plane_charts, matching_lifts, nu_rank_and_kernel,
+                      restrict_sextic)
+from nu_oracle import (hack_rows, induced_plane_action, k_eta_generators,
+                       plane_action_preserves_s_span)
 
 
 @pytest.fixture(scope="module")
