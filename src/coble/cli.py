@@ -125,7 +125,7 @@ def cmd_nu_charts(args, cert):
     charts = nu.fixed_plane_charts(args.mode)
     cert.check("chart count", {"annexe": 40, "all_lifts": 120}[args.mode],
                len(charts), "PAPER" if args.mode == "annexe" else "DERIVED")
-    signs = [[s for s, _ in nu.matching_lifts(ch)] for ch in charts]
+    signs = [[s for s, _ in lifts] for lifts in nu.matching_lifts(charts)]
     per_sign_ok = all(s.count(1) == 1 and s.count(-1) == 1 for s in signs)
     cert.check("one matching lift per sign", True, per_sign_ok, "DERIVED")
     cert.outputs["charts"] = [ch.family_tag for ch in charts]
@@ -319,69 +319,78 @@ def combination_error(args):
     return None
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="coble", description="Exact verification of the invariant-form, "
-        "restriction and enumerative computations.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    sub = parser.add_subparsers(dest="group", required=True)
+# group -> command -> (handler, options); a group with no commands, like
+# verify-all, maps straight to its (handler, options).  An option is
+# (flag, argparse keywords); every command also takes --format.
+MODE = ("--mode", {"choices": ("annexe", "all_lifts"), "default": "annexe"})
+ORACLE = ("--oracle-prime", {"type": ORACLE_PRIME, "default": 997})
 
-    inv = sub.add_parser("invariants").add_subparsers(dest="command",
-                                                      required=True)
-    p = inv.add_parser("dim", parents=[common])
-    p.add_argument("--degree", type=DEGREE, default=6)
-    p.set_defaults(func=cmd_invariants_dim)
-    p = inv.add_parser("basis", parents=[common])
-    p.add_argument("--degree", type=int, default=6, choices=(3, 6))
-    p.set_defaults(func=cmd_invariants_basis)
-
-    cob = sub.add_parser("coble").add_subparsers(dest="command", required=True)
-    cob.add_parser("check", parents=[common]).set_defaults(func=cmd_coble_check)
-
-    nus = sub.add_parser("nu").add_subparsers(dest="command", required=True)
-    for name in ("charts", "rank", "kernel"):
-        p = nus.add_parser(name, parents=[common])
-        p.add_argument("--mode", choices=("annexe", "all_lifts"),
-                       default="annexe")
-        p.set_defaults(func=cmd_nu_charts if name == "charts" else cmd_nu_rank)
-
-    hes = sub.add_parser("hesse").add_subparsers(dest="command", required=True)
-    p = hes.add_parser("dual", parents=[common])
-    p.add_argument("--lambda", dest="lam", type=fraction_text, default="2")
-    p.add_argument("--oracle-prime", type=ORACLE_PRIME, default=997)
-    p.set_defaults(func=cmd_hesse_dual)
-
-    enu = sub.add_parser("enum").add_subparsers(dest="command", required=True)
-    enu.add_parser("degree-dual", parents=[common]).set_defaults(func=cmd_enum_degree_dual)
-    p = enu.add_parser("verlinde", parents=[common])
-    p.add_argument("--kmax", type=POSITIVE, default=8)
-    p.set_defaults(func=cmd_enum_verlinde)
-    enu.add_parser("quadric-count", parents=[common]).set_defaults(func=cmd_enum_quadric_count)
-    p = enu.add_parser("zagier", parents=[common])
-    p.add_argument("--h", type=POSITIVE, default=1)
-    p.set_defaults(func=cmd_enum_zagier)
-
-    pry = sub.add_parser("prym").add_subparsers(dest="command", required=True)
-    pry.add_parser("check", parents=[common]).set_defaults(func=cmd_prym_check)
-    p = pry.add_parser("genus", parents=[common])
-    p.add_argument("--n", type=COVER_DEGREE, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--t", type=int, default=0)
-    p.set_defaults(func=cmd_prym_genus)
-
-    p = sub.add_parser("verify-all", parents=[common])
-    p.add_argument("--oracle-prime", type=ORACLE_PRIME, default=997)
-    p.set_defaults(func=cmd_verify_all, command="verify-all")
-    return parser
+COMMANDS = {
+    "invariants": {
+        "dim": (cmd_invariants_dim, [("--degree", {"type": DEGREE, "default": 6})]),
+        "basis": (cmd_invariants_basis,
+                  [("--degree", {"type": int, "default": 6, "choices": (3, 6)})]),
+    },
+    "coble": {"check": (cmd_coble_check, [])},
+    "nu": {"charts": (cmd_nu_charts, [MODE]), "rank": (cmd_nu_rank, [MODE]),
+           "kernel": (cmd_nu_rank, [MODE])},
+    "hesse": {"dual": (cmd_hesse_dual, [
+        ("--lambda", {"dest": "lam", "type": fraction_text, "default": "2"}),
+        ORACLE])},
+    "enum": {
+        "degree-dual": (cmd_enum_degree_dual, []),
+        "verlinde": (cmd_enum_verlinde, [("--kmax", {"type": POSITIVE, "default": 8})]),
+        "quadric-count": (cmd_enum_quadric_count, []),
+        "zagier": (cmd_enum_zagier, [("--h", {"type": POSITIVE, "default": 1})]),
+    },
+    "prym": {
+        "check": (cmd_prym_check, []),
+        "genus": (cmd_prym_genus, [
+            ("--n", {"type": COVER_DEGREE, "required": True}),
+            ("--g", {"type": int, "required": True}),
+            ("--t", {"type": int, "default": 0})]),
+    },
+    "verify-all": (cmd_verify_all, [ORACLE]),
+}
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def split_off(prog, name, choices, argv, **kwargs):
+    """Parse the positional `name` (one of `choices`) off the front of argv
+    with a parser for `prog`; returns it and the arguments after it."""
+    parser = argparse.ArgumentParser(prog=prog, **kwargs)
+    parser.add_argument(name, choices=choices)
+    parser.add_argument("args", nargs=argparse.REMAINDER,
+                        help=f"the arguments of the {name}")
+    ns = parser.parse_args(argv)
+    return getattr(ns, name), ns.args
+
+
+def parse(argv):
+    """The namespace for argv, building only the parsers on its path: the
+    root, the group (when it has commands) and the command."""
+    group, rest = split_off(
+        "coble", "group", COMMANDS, argv, description="Exact verification "
+        "of the invariant-form, restriction and enumerative computations.")
+    entry, command, prog = COMMANDS[group], group, f"coble {group}"
+    if isinstance(entry, dict):
+        command, rest = split_off(prog, "command", entry, rest)
+        entry, prog = entry[command], f"{prog} {command}"
+    func, options = entry
+    parser = argparse.ArgumentParser(prog=prog)
+    parser.add_argument("--format", choices=("json", "text"), default="json")
+    for flag, kwargs in options:
+        parser.add_argument(flag, **kwargs)
+    args = parser.parse_args(rest, argparse.Namespace(group=group,
+                                                      command=command))
+    args.func = func
     error = combination_error(args)
     if error:
         parser.error(error)
+    return args
+
+
+def main(argv=None):
+    args = parse(argv)
     label = args.group if args.group == args.command else \
         f"{args.group} {args.command}"
     inputs = {k: jsonable(v) for k, v in vars(args).items()

@@ -223,12 +223,6 @@ def translation_getters(n):
     return [itemgetter(*perm, *tail) for perm in TRANSLATIONS]
 
 
-def translate_exps(exps, shift):
-    """Translate a theta exponent tuple: Z_b -> Z_{b+shift}."""
-    perm = TRANSLATIONS[COORD_INDEX[(shift[0] % 3, shift[1] % 3)]]
-    return itemgetter(*perm, *range(9, len(exps)))(exps)
-
-
 def orbit_sum(ring, seed_exps):
     """Sum of the distinct K-translates of a seed monomial, coefficient 1.
 

@@ -39,27 +39,31 @@ def invariant_dimension(d):
 
 def khat_invariant_monomials(d):
     """All degree-d exponent 9-tuples whose weighted index sum is 0 mod 3, in
-    lexicographic order."""
+    lexicographic order.
+
+    COORDS runs through three blocks Z0*, Z1*, Z2*.  Block i, with exponents
+    (a, b, c) of total n, adds i*n to the first index sum and b + 2c to the
+    second.  So once Z0* and Z1* are chosen with totals n0 and n1, the Z2*
+    block has total r = d - n0 - n1, the first sum n1 + 2r vanishes iff
+    n1 = 2(d - n0) mod 3, and the Z2* exponents are the triples of total r
+    whose b + 2c cancels the second sum."""
+    # (exponents, total, b + 2c mod 3) of every triple of total <= d.
+    triples = [((a, b, c), a + b + c, (b + 2 * c) % 3)
+               for a in range(d + 1) for b in range(d + 1 - a)
+               for c in range(d + 1 - a - b)]
+    # m = d - n0 -> the Z1* triples of total n1 <= m with n1 = 2m mod 3.
+    middle = [[t for t in triples if t[1] <= m and (t[1] - 2 * m) % 3 == 0]
+              for m in range(d + 1)]
+    last = {}  # (total, b + 2c mod 3) -> the Z2* triples
+    for z, n, j in triples:
+        last.setdefault((n, j), []).append(z)
     out = []
-    exps = [0] * 9
-
-    def rec(pos, remaining, s0, s1):
-        # s0, s1: the weighted index sums of the exponents before pos.
-        if pos == 7:
-            # Z21 takes k and Z22 the rest r - k: the sums gain 2r and
-            # 2r - k, so s0 + 2r must vanish and k is fixed mod 3.
-            if (s0 + 2 * remaining) % 3:
-                return
-            for k in range((s1 + 2 * remaining) % 3, remaining + 1, 3):
-                exps[7], exps[8] = k, remaining - k
-                out.append(tuple(exps))
-            return
-        i, j = COORDS[pos]
-        for k in range(remaining + 1):
-            exps[pos] = k
-            rec(pos + 1, remaining - k, s0 + k * i, s1 + k * j)
-
-    rec(0, d, 0, 0)
+    for z0, n0, j0 in triples:
+        m = d - n0
+        for z1, n1, j1 in middle[m]:
+            head = z0 + z1
+            z2s = last.get((m - n1, -(j0 + j1) % 3), ())
+            out.extend([head + z2 for z2 in z2s])
     return out
 
 

@@ -215,15 +215,15 @@ def eigenspace_chart(eta, t):
     return chart
 
 
-def fixes_chart(monomial_map, g):
-    """Does g fix each of the three chart vectors, given the chart's
-    `monomial_map`?  With g . Z_b = w^phase Z_target, this holds iff for
-    every b: b and its target both vanish on the plane, or both go to the
-    same Y_k with j_target = j_b + phase (mod 3).  The action matrix and the
-    chart vectors are monomial with entries in {0, w^j}, so this is exactly
-    the matrix test `action_matrix(g).mul_vector(v) == v`, run on exponents
-    mod 3."""
-    for img, (target, phase) in zip(monomial_map, monomial_action(g)):
+def fixes_chart(monomial_map, action):
+    """Does the group element g whose `monomial_action` is `action` fix each
+    of the three chart vectors, given the chart's `monomial_map`?  With
+    g . Z_b = w^phase Z_target, this holds iff for every b: b and its target
+    both vanish on the plane, or both go to the same Y_k with
+    j_target = j_b + phase (mod 3).  The action matrix and the chart vectors
+    are monomial with entries in {0, w^j}, so this is exactly the matrix
+    test `action_matrix(g).mul_vector(v) == v`, run on exponents mod 3."""
+    for img, (target, phase) in zip(monomial_map, action):
         img_t = monomial_map[target]
         if img is None or img_t is None:
             if img is not img_t:
@@ -234,7 +234,7 @@ def fixes_chart(monomial_map, g):
 
 
 def _verify_eigenvectors(chart, g):
-    if not fixes_chart(chart.monomial_map(), g):
+    if not fixes_chart(chart.monomial_map(), monomial_action(g)):
         raise EigenspaceDimensionError(
             f"basis vector of {chart.family_tag} is not fixed by {g}")
 
@@ -256,14 +256,23 @@ def fixed_plane_charts(mode="annexe"):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def matching_lifts(chart):
-    """All (sign, t) with sign in {+1, -1} such that the chart span is fixed
-    pointwise by the lift (t, sign*eta).  Inverse pairs share their fixed
-    space, so exactly one t per sign is expected."""
-    monomial_map = chart.monomial_map()
-    return [(sign, t) for sign, a in ((1, chart.eta), (-1, -chart.eta))
-            for t in range(3)
-            if fixes_chart(monomial_map, HeisenbergElement(t, a.x, a.xstar))]
+def matching_lifts(charts):
+    """Per chart, all (sign, t) with sign in {+1, -1} such that the chart
+    span is fixed pointwise by the lift (t, sign*eta).  Inverse pairs share
+    their fixed space, so exactly one t per sign is expected.  The actions
+    of the six lifts of a class eta are built once, for all its charts."""
+    lifts = {}
+    out = []
+    for chart in charts:
+        eta = chart.eta
+        if eta not in lifts:
+            lifts[eta] = [
+                (sign, t, monomial_action(HeisenbergElement(t, a.x, a.xstar)))
+                for sign, a in ((1, eta), (-1, -eta)) for t in range(3)]
+        monomial_map = chart.monomial_map()
+        out.append([(sign, t) for sign, t, action in lifts[eta]
+                    if fixes_chart(monomial_map, action)])
+    return out
 
 
 # ----- restriction as a monomial map, coordinates by read-off --------------

@@ -1,10 +1,14 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from fractions import Fraction
 
-from coble.cli import jsonable, main
+from coble.cli import COMMANDS, jsonable, main
 from coble.fields import Eisenstein
 
 
@@ -141,3 +145,88 @@ def test_jsonable_sorts_sets():
     assert jsonable({Fraction(1, 2), Fraction(-3)}) == [-3, "1/2"]
     assert jsonable({"b": {(1, 0), (0, 2)}, "a": (Eisenstein(1, 2),)}) == \
         {"b": [[0, 2], [1, 0]], "a": [{"re": "1", "om": "2"}]}
+
+
+# Every (group, command) of the table, with the arguments it requires.
+REQUIRED = {("prym", "genus"): ["--n", "3", "--g", "2"]}
+TABLE = [[group, command] for group, entry in COMMANDS.items()
+         if isinstance(entry, dict) for command in entry]
+TABLE += [[group] for group, entry in COMMANDS.items()
+          if not isinstance(entry, dict)]
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """A list that gains one entry per ArgumentParser built."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("path", TABLE, ids=" ".join)
+def test_every_command_builds_only_its_path(capsys, parsers_built, path):
+    argv = path + REQUIRED.get(tuple(path), [])
+    for _ in range(2):  # nothing is kept from one call to the next
+        parsers_built.clear()
+        code, out, _ = run(capsys, argv)
+        assert code in (0, 1), argv
+        assert json.loads(out)["command"] == " ".join(path)
+        assert 1 <= len(parsers_built) <= 3
+        assert parsers_built[-1] == "coble " + " ".join(path)
+
+
+COUNT_PARSERS_AT_IMPORT = """\
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import coble.cli
+print(len(built))
+"""
+
+
+def test_no_parser_is_built_at_import():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", COUNT_PARSERS_AT_IMPORT],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    assert out.strip() == "0"
+
+
+@pytest.mark.parametrize("argv, listed", [
+    (["--help"], ["usage: coble ", *COMMANDS]),
+    (["nu", "--help"], ["usage: coble nu ", "charts", "rank", "kernel"]),
+    (["nu", "charts", "--help"], ["usage: coble nu charts ", "--format",
+                                  "--mode", "annexe", "all_lifts"]),
+])
+def test_help_lists_the_next_step(capsys, argv, listed):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for word in listed:
+        assert word in out, word
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["nu", "bogus"], "invalid choice: 'bogus'"),
+    (["nu"], "required: command"),
+    ([], "required: group"),
+])
+def test_bad_path_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err

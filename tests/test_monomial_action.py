@@ -63,7 +63,7 @@ def test_fixes_chart_equals_matrix_test_on_lifts_of_eta():
     for chart in _charts:
         monomial_map = chart.monomial_map()
         for g in lifts_of_pm_eta(chart):
-            ok = nu.fixes_chart(monomial_map, g)
+            ok = nu.fixes_chart(monomial_map, monomial_action(g))
             assert ok == matrix_fixes(chart, g), (chart.family_tag, g)
             fixed += ok
     # one lift per sign fixes each of the 160 charts
@@ -73,7 +73,8 @@ def test_fixes_chart_equals_matrix_test_on_lifts_of_eta():
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(_charts), heisenberg_element)
 def test_fixes_chart_equals_matrix_test_anywhere(chart, g):
-    assert nu.fixes_chart(chart.monomial_map(), g) == matrix_fixes(chart, g)
+    assert nu.fixes_chart(chart.monomial_map(), monomial_action(g)) == \
+        matrix_fixes(chart, g)
 
 
 def test_moved_phase_is_caught():
