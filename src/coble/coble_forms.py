@@ -77,12 +77,12 @@ def barth_quadrics(ring=None):
     return out
 
 
-def verify_derivative_identity(ring=None):
-    """dF_beta/dZ_b = 3 Q_b for all b, and sum_b Z_b Q_b = F_beta.
+def verify_derivative_identity(f):
+    """dF_beta/dZ_b = 3 Q_b for all b, and sum_b Z_b Q_b = F_beta, for the
+    Coble cubic f = coble_cubic(ring).
 
     Returns a dict of residual polynomials (all zero on success)."""
-    ring = ring or coble_ring()
-    f = coble_cubic(ring)
+    ring = f.ring
     quadrics = barth_quadrics(ring)
     residuals = {}
     for b, q in quadrics.items():
@@ -99,11 +99,10 @@ def verify_derivative_identity(ring=None):
     return residuals
 
 
-def restrict_to_eta_plane(ring=None):
-    """Restriction of F_beta to the plane fixed by the lift (1, 00, 10):
-    the coordinates Z_ij with i != 0 vanish there."""
-    ring = ring or coble_ring()
-    f = coble_cubic(ring)
+def restrict_to_eta_plane(f):
+    """Restriction of the Coble cubic f = coble_cubic(ring) to the plane
+    fixed by the lift (1, 00, 10): the coordinates Z_ij with i != 0 vanish
+    there."""
     assignment = {coord_name(b): 0 for b in COORDS if b[0] != 0}
     return f.substitute(assignment)
 

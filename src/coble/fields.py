@@ -246,42 +246,16 @@ def is_prime(n):
     return True
 
 
-def square_root_mod(p):
-    """Tonelli-Shanks for an odd prime p: returns `root`, where root(a) is a
-    square root of a mod p, or None when a is not a square mod p.  The
-    constants of p are found once; each call costs one modular power and at
-    most v^2 / 2 squarings, v the 2-adic valuation of p - 1."""
-    q, v = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        v += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c0 = pow(z, q, p)
-    half_q = (q - 1) // 2
-
-    def root(a):
-        a %= p
-        if a == 0:
-            return 0
-        x = pow(a, half_q, p)
-        r = a * x % p      # a^((q+1)/2)
-        t = r * x % p      # a^q, of order 2^i with i <= v
-        m, c = v, c0
-        while t != 1:
-            i, t2 = 1, t * t % p
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            if i == m:     # t has the largest possible order: a is no square
-                return None
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c = i, b * b % p
-            t, r = t * c % p, r * b % p
-        return r
-
-    return root
+def square_roots(p):
+    """The square roots mod an odd prime p as a table: roots[a] is an x with
+    x * x = a mod p, or None when a is not a square.  Every nonzero square
+    is x * x for one x in 1..(p - 1) / 2, so one pass over those x fills it;
+    the table holds p entries."""
+    roots = [None] * p
+    roots[0] = 0
+    for x in range(1, p // 2 + 1):
+        roots[x * x % p] = x
+    return roots
 
 
 def binomial(n, k):

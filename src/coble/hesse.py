@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import QQ, QW, OMEGA, square_root_mod
+from .fields import QQ, QW, OMEGA, square_roots
 from .linalg import ExactMatrix
 from .poly import PolyRing
 
@@ -80,12 +80,16 @@ def s_basis(ring):
             y0 ** 2 * y1 ** 2 * y2 ** 2]
 
 
+# S1..S4 over Y_RING, built once and shared by every DualSextic.
+S_BASIS = s_basis(Y_RING)
+
+
 class DualSextic:
     def __init__(self, lam=None):
         self.lam = None if lam is None else Fraction(lam)
         lam_poly = Y_RING.var("lam") if lam is None else Y_RING.const(self.lam)
         self.a = dual_coefficients(lam_poly)
-        s1, s2, s3, s4 = s_basis(Y_RING)
+        s1, s2, s3, s4 = S_BASIS
         self.poly = s1 + self.a[0] * s2 + self.a[1] * s3 + self.a[2] * s4
 
     def coefficient_values(self):
@@ -282,74 +286,69 @@ def curve_points(lam_p, p):
         f(Q + s FLEX) = f(Q) + s grad f(Q).FLEX + s^2 grad f(FLEX).Q,
 
     so the points on each of the p + 1 lines through FLEX are the roots of a
-    quadratic in s, found with one square root.  On the tangent at FLEX the
-    quadratic is a nonzero constant; a line inside the curve raises, since a
-    smooth cubic contains none."""
-    root = square_root_mod(p)
-
-    def f(x):
-        x0, x1, x2 = x
-        return (x0 ** 3 + x1 ** 3 + x2 ** 3 - 3 * lam_p * x0 * x1 * x2) % p
-
-    def grad_dot(x, y):
-        x0, x1, x2 = x
-        return ((x0 * x0 - lam_p * x1 * x2) * y[0]
-                + (x1 * x1 - lam_p * x0 * x2) * y[1]
-                + (x2 * x2 - lam_p * x0 * x1) * y[2]) * 3 % p
-
+    quadratic a + b s + c s^2.  For Q = (1 : 0 : t) it has a = 1 + t^3,
+    b = -3 t (lam + t) = -t c and c = 3 (lam + t), so its roots are
+    s = t/2 +- e with (2 c e)^2 = b^2 - 4 a c, and its points are
+    (1 : t/2 + e : t/2 - e) and the swap of the last two coordinates.  The
+    square root is read from a table of all square roots mod p
+    (`fields.square_roots`), built once per call, so memory is O(p): at most
+    3079 entries for the benchmark's primes, about 0.1M at p = 100003.  On
+    the tangent at FLEX the quadratic is a nonzero constant; a line inside
+    the curve raises, since a smooth cubic contains none."""
+    roots = square_roots(p)
+    half = (p + 1) // 2
     yield 0, 1, p - 1
-    for q in [(1, 0, t) for t in range(p)] + [(0, 0, 1)]:
-        a, b, c = f(q), grad_dot(q, FLEX), grad_dot(FLEX, q)
+    for t in range(p):
+        a = (1 + t * t * t) % p
+        c = 3 * (lam_p + t) % p
         if not c:
             # The tangent at FLEX meets f there three times, so b = 0 as
             # well, and it holds no other point unless it lies on f.
             if a:
                 continue
-            raise ValueError(f"the line through {FLEX} and {q} lies on "
-                             f"f_lam mod {p}, lam = {lam_p}")
-        d = root(b * b - 4 * a * c)
+            raise ValueError(f"the line through {FLEX} and {(1, 0, t)} lies "
+                             f"on f_lam mod {p}, lam = {lam_p}")
+        d = roots[(t * t * c - 4 * a) * c % p]  # b^2 - 4 a c, as b = -t c
         if d is None:
             continue
-        inv = pow(2 * c, -1, p)
-        roots = {(d - b) * inv % p, (-d - b) * inv % p}
-        for s in roots:
-            x0, x1, x2 = q[0], (q[1] + s) % p, (q[2] - s) % p
-            if x0:
-                yield 1, x1, x2
-            else:  # x1 = s != 0, since f(0 : 0 : 1) = 1
-                yield 0, 1, x2 * pow(x1, -1, p) % p
+        h = t * half
+        e = d * pow(2 * c, -1, p)
+        yield 1, (h + e) % p, (h - e) % p
+        if d:
+            yield 1, (h - e) % p, (h + e) % p
+    # Q = (0 : 0 : 1): a = 1, b = -3, c = 3, and s != 0 as a != 0.
+    d = roots[-3 % p]
+    if d is not None:
+        inv6 = pow(6, -1, p)
+        for s in {(3 + d) * inv6 % p, (3 - d) * inv6 % p}:
+            yield 0, 1, (1 - s) * pow(s, -1, p) % p
 
 
 def finite_field_duality_oracle(lam, p):
     """Find every F_p-point of f_lam = 0 on the lines through the flex
-    (`curve_points`, O(p) lines), check that the gradient of every
-    nonsingular point lies on the dual sextic, and sanity check the point
-    count against the Hasse bound."""
+    (`curve_points`: p + 1 lines, one table of square roots mod p), check
+    that the gradient of every nonsingular point lies on the dual sextic,
+    and sanity check the point count against the Hasse bound."""
     lam = Fraction(lam)
     if singular_mod(lam, p):
         raise ValueError(f"lam = {lam} is a singular pencil member mod {p}")
     lam_p = reduce_mod(lam, p)
     a1, a2, a3 = (a % p for a in dual_coefficients(lam_p))
-
-    def dual_value(c0, c1, c2):
-        k0, k1, k2 = c0 ** 3 % p, c1 ** 3 % p, c2 ** 3 % p
-        prod = c0 * c1 * c2 % p
-        s1 = k0 * k0 + k1 * k1 + k2 * k2
-        s2 = k0 * k1 + k0 * k2 + k1 * k2
-        s3 = prod * (k0 + k1 + k2)
-        return (s1 + a1 * s2 + a2 * s3 + a3 * prod * prod) % p
-
     count = 0
     checked = 0
     for x0, y1, y2 in curve_points(lam_p, p):
         count += 1
-        g0 = (3 * x0 * x0 - 3 * lam_p * y1 * y2) % p
-        g1 = (3 * y1 * y1 - 3 * lam_p * x0 * y2) % p
-        g2 = (3 * y2 * y2 - 3 * lam_p * x0 * y1) % p
-        if g0 == 0 and g1 == 0 and g2 == 0:
+        g0 = 3 * (x0 * x0 - lam_p * y1 * y2) % p
+        g1 = 3 * (y1 * y1 - lam_p * x0 * y2) % p
+        g2 = 3 * (y2 * y2 - lam_p * x0 * y1) % p
+        if not (g0 or g1 or g2):
             continue  # singular point; excluded from the duality check
         checked += 1
-        if dual_value(g0, g1, g2) != 0:
+        # F_lam(g) = S1 + a1 S2 + a2 S3 + a3 S4 at g, from its cubes k_i
+        k0, k1, k2 = g0 * g0 * g0 % p, g1 * g1 * g1 % p, g2 * g2 * g2 % p
+        m = g0 * g1 * g2 % p
+        if (k0 * k0 + k1 * k1 + k2 * k2 + a1 * (k0 * k1 + k0 * k2 + k1 * k2)
+                + m * (a2 * (k0 + k1 + k2) + a3 * m)) % p:
             raise CounterexamplePoint((x0, y1, y2),
                                       f"dual sextic nonzero (lam={lam}, p={p})")
     hasse_ok = (count - p - 1) ** 2 <= 4 * p

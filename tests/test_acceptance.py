@@ -59,14 +59,14 @@ def test_criterion_02_basis_reproduction():
 def test_criterion_03_coble_identities():
     def body():
         ring = coble_ring()
-        residuals = verify_derivative_identity(ring)
+        f = coble_cubic(ring)
+        residuals = verify_derivative_identity(f)
         assert all(p.is_zero() for p in residuals.values()), \
             [k for k, p in residuals.items() if not p.is_zero()]
-        f = coble_cubic(ring)
         assert all(act_on_polynomial(g, f) == f for g in generators())
         from coble.invariants import iota_act
         assert iota_act(f) == f
-        assert restrict_to_eta_plane(ring) == eta_plane_expected(ring)
+        assert restrict_to_eta_plane(f) == eta_plane_expected(ring)
     _criterion(3, "cubic derivative/decomposition identities and restriction",
                10, body)
 

@@ -34,7 +34,8 @@ def assert_walk_equals_scan(lam, p):
 
 @pytest.mark.parametrize("lam", LAMBDAS, ids=str)
 def test_line_walk_equals_scan(lam):
-    pairs = [p for p in SMALL_PRIMES if smooth_mod(lam, p)]
+    # 103 is the one `cli-mix` oracle prime above SMALL_PRIMES
+    pairs = [p for p in SMALL_PRIMES + [103] if smooth_mod(lam, p)]
     assert len(pairs) >= len(SMALL_PRIMES) - 3
     for p in pairs:
         assert_walk_equals_scan(lam, p)
@@ -48,6 +49,16 @@ def test_line_walk_equals_scan_drawn(a, b, p):
     assert_walk_equals_scan(lam, p)
 
 
+@pytest.mark.parametrize("lam", [2, Fraction(-49, 15)], ids=str)
+def test_line_walk_equals_point_scan_at_1033(lam):
+    """1033 is the smallest `hesse-oracle` prime of seed 1; only the point
+    sets are compared, the O(p^2) scan evaluating a cubic per point."""
+    lam_p = hesse.reduce_mod(lam, 1033)
+    walked = list(hesse.curve_points(lam_p, 1033))
+    assert len(walked) == len(set(walked))
+    assert set(walked) == hesse_oracle.point_set(lam_p, 1033)
+
+
 def gauss_count(p):
     """Points of x^3 + y^3 + z^3 over F_p, p = 1 mod 3, after Gauss
     (Ireland-Rosen, ch. 8): p + 1 + L with 4p = L^2 + 27 M^2, L = 1 mod 3."""
@@ -59,7 +70,7 @@ def gauss_count(p):
     raise AssertionError(f"no representation of 4 * {p}")
 
 
-@pytest.mark.parametrize("p", [7, 13, 997, 3001, 100003])
+@pytest.mark.parametrize("p", [7, 13, 997, 3001, 3079, 100003])
 def test_fermat_cubic_count_matches_gauss(p):
     report = hesse.finite_field_duality_oracle(0, p)
     assert report["points"] == report["checked"] == gauss_count(p)
@@ -79,6 +90,25 @@ def test_wrong_dual_coefficient_is_caught(monkeypatch):
     assert x[0] == 1 or x[:2] == (0, 1)
     assert hesse.HesseCubic(2).poly.evaluate(
         {"X0": x[0], "X1": x[1], "X2": x[2], "lam": 2}) % 97 == 0
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_wrong_dual_coefficient_is_caught_mod_1033(monkeypatch, i):
+    """Each of a1, a2, a3 off by one is caught at p = 1033, the smallest
+    `hesse-oracle` prime of seed 1."""
+    true_coefficients = hesse.dual_coefficients
+
+    def perturbed(lam):
+        a = list(true_coefficients(lam))
+        a[i] += 1
+        return tuple(a)
+
+    monkeypatch.setattr(hesse, "dual_coefficients", perturbed)
+    with pytest.raises(hesse.CounterexamplePoint) as exc:
+        hesse.finite_field_duality_oracle(2, 1033)
+    x = exc.value.point
+    assert hesse.HesseCubic(2).poly.evaluate(
+        {"X0": x[0], "X1": x[1], "X2": x[2], "lam": 2}) % 1033 == 0
 
 
 def test_line_inside_the_curve_raises():
