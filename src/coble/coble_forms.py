@@ -77,13 +77,13 @@ def barth_quadrics(ring=None):
     return out
 
 
-def verify_derivative_identity(f):
+def verify_derivative_identity(f, quadrics=None):
     """dF_beta/dZ_b = 3 Q_b for all b, and sum_b Z_b Q_b = F_beta, for the
-    Coble cubic f = coble_cubic(ring).
+    Coble cubic f = coble_cubic(ring) and its quadrics = barth_quadrics(ring).
 
     Returns a dict of residual polynomials (all zero on success)."""
     ring = f.ring
-    quadrics = barth_quadrics(ring)
+    quadrics = quadrics or barth_quadrics(ring)
     residuals = {}
     for b, q in quadrics.items():
         residuals[f"dF/d{coord_name(b)} - 3*Q"] = \
@@ -291,10 +291,10 @@ def printed_block_span_report():
     return base_rank, verdicts
 
 
-def quadric_rank():
-    """Exact rank of the nine Q_b as a linear system (beta formal)."""
-    ring = coble_ring()
-    qs = barth_quadrics(ring)
+def quadric_rank(qs=None):
+    """Exact rank of the nine Q_b (`barth_quadrics`) as a linear system
+    (beta formal)."""
+    qs = qs or barth_quadrics()
     polys = [qs[b] for b in sorted(qs)]
     monos = sorted({m for p in polys for m in p.terms})
     zero = QW.zero()

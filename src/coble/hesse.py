@@ -118,14 +118,14 @@ def cusp_system(lam):
 
 
 def dual_sextic_from_cusp_system(lam):
+    """(a1, a2, a3) from one elimination of the augmented 3x4 system, which
+    is singular exactly when its pivots are not the three a-columns."""
     rows, rhs = cusp_system(lam)
-    m = ExactMatrix(QQ, [[Fraction(c) for c in r] for r in rows])
-    if m.rank() < 3:
+    reduced, pivots = ExactMatrix(QQ, [[Fraction(c) for c in r] + [Fraction(b)]
+                                       for r, b in zip(rows, rhs)]).rref()
+    if pivots != [0, 1, 2]:
         raise SingularSystem(f"cusp system is singular at lam = {lam}")
-    sol = m.solve([Fraction(c) for c in rhs])
-    if sol is None:
-        raise SingularSystem(f"cusp system is inconsistent at lam = {lam}")
-    return tuple(sol)
+    return tuple(row[3] for row in reduced)
 
 
 def cusp_system_residuals():

@@ -18,15 +18,17 @@ eigenspace of the 9x9 action matrix, and charts all 120 of them.
 Every group element sends Z_b to w^phase * Z_target
 (`heisenberg.monomial_action`), so whether a lift fixes a chart is decided
 on exponents mod 3 (`fixes_chart`).  Every chart sends each Z_b to
-w^j * Y_k or to 0, so restriction is a monomial map: a term's exponents are re-indexed onto Y0, Y1, Y2 and its
-Z[w] coefficient, kept as a pair of ints, is multiplied by w^(sum e_b j_b).
-Restricted sextics are coordinatized in the 4-dimensional invariant basis
-S1 = sum Y_i^6, S2 = sum Y_i^3 Y_j^3, S3 = Y0 Y1 Y2 * sum Y_i^3,
-S4 = Y0^2 Y1^2 Y2^2, whose monomial supports are disjoint: each coordinate
-is read off its support, and the whole restriction is checked to be that
-combination.  A second row extraction (the coefficients of Y0^2, Y0^3,
-Y0^4, Y0^6 after setting Y1 = Y2 = 1, i.e. coefficient sums by Y0-degree)
-replicates the source computation and must give the same rank.
+w^j * Y_k or to 0, so restriction is a monomial map: with one int weight
+per Z_b (Y_k and j in bit fields), a term's image is sum e_b * weight_b
+over its nonzero exponents, whose w-field picks its Z[w] coefficient times
+w^j (`chart_coordinates`).  Restricted sextics are coordinatized in the
+4-dimensional invariant basis S1 = sum Y_i^6, S2 = sum Y_i^3 Y_j^3,
+S3 = Y0 Y1 Y2 * sum Y_i^3, S4 = Y0^2 Y1^2 Y2^2, whose monomial supports are
+disjoint: each coordinate is read at one monomial of its support, and one
+dict comparison checks that the restriction is that combination.  A
+second row extraction (the coefficients of Y0^2, Y0^3, Y0^4, Y0^6 after
+setting Y1 = Y2 = 1, i.e. coefficient sums by Y0-degree) replicates the
+source computation and must give the same rank.
 
 The nu matrix is integral in Z[w].  Its rank is certified by
 `linalg.certified_rank_and_kernel`: the rank mod a prime p = 1 mod 3 is a
@@ -37,7 +39,7 @@ bound, and exact elimination over Q(w) runs only when the two do not meet.
 from __future__ import annotations
 
 from .fields import QW, Eisenstein, omega_pow, zw_pair, zw_rotate
-from .heisenberg import (COORDS, COORD_INDEX, THETA_VARS, Apoint,
+from .heisenberg import (COORDS, THETA_VARS, Apoint,
                          HeisenbergElement, add2, apoint_classes_mod_sign,
                          coord_name, dot, monomial_action, neg2, theta_ring)
 from .hesse import s_basis
@@ -52,9 +54,6 @@ class EigenspaceDimensionError(Exception):
 
 Y_RING = PolyRing(QW, ("Y0", "Y1", "Y2"))
 S_BASIS = s_basis(Y_RING)
-# Each S_i has coefficient 1 on every monomial of its support.
-S_SUPPORTS = [tuple(s.terms) for s in S_BASIS]
-S_MONOMIALS = frozenset(m for support in S_SUPPORTS for m in support)
 
 DIAGONAL_RS = [(0, 1), (1, 0), (1, 1), (1, 2)]
 
@@ -98,29 +97,6 @@ class FixedPlaneChart:
         self.substitution = substitution
         self.eta = eta
         self.lift_t = lift_t
-
-    def basis_vectors(self):
-        """Three 9-long coefficient vectors over Q(w)."""
-        vecs = [[QW.zero()] * 9 for _ in range(3)]
-        for b, img in self.substitution.items():
-            if img is not None:
-                k, phase = img
-                vecs[k][COORD_INDEX[b]] = phase
-        return vecs
-
-    def assignment(self, ring):
-        """Variable assignment restricting a theta polynomial, images in Y_RING."""
-        sub = {}
-        for b, img in self.substitution.items():
-            if img is None:
-                sub[coord_name(b)] = Y_RING.zero()
-            else:
-                k, phase = img
-                sub[coord_name(b)] = Y_RING.var(f"Y{k}") * phase
-        return sub
-
-    def restrict(self, p):
-        return p.substitute(self.assignment(p.ring), target_ring=Y_RING)
 
     def monomial_map(self):
         """Per theta coordinate, in ring order: None when it vanishes on the
@@ -277,60 +253,90 @@ def matching_lifts(charts):
 
 # ----- restriction as a monomial map, coordinates by read-off --------------
 
-def zw_terms(p):
-    """The terms of a theta polynomial as (exponents, Z[w] pair)."""
-    if p.ring.varnames != THETA_VARS:
-        raise ValueError(f"not a theta-coordinate polynomial: {p.ring}")
-    return [(e, zw_pair(QW.coerce(c))) for e, c in p.terms.items()]
+# A term's image on a chart packs into one int: the exponents of Y0, Y1, Y2
+# and the exponent of w in four FIELD-bit fields, and the VANISH bit above
+# them, set when a coordinate that vanishes on the plane occurs.
+FIELD = 8
+PHASE = 3 * FIELD
+Y_MASK = (1 << PHASE) - 1
+VANISH = 1 << (4 * FIELD)
+ZERO = (0, 0)
+# The packed monomials of each S_i, which has coefficient 1 on each of them.
+S_KEYS = [tuple(sum(e << FIELD * k for k, e in enumerate(m)) for m in s.terms)
+          for s in S_BASIS]
+S_MONOMIALS = frozenset(key for keys in S_KEYS for key in keys)
 
 
-def restrict_terms(terms, monomial_map):
-    """Restrict (exponents, pair) terms through a chart's monomial map; the
-    result maps Y-exponents to pairs (zero pairs may remain)."""
-    out = {}
-    for exps, c in terms:
-        y = [0, 0, 0]
-        j = 0
-        for e, img in zip(exps, monomial_map):
-            if e:
-                if img is None:
-                    break
-                y[img[0]] += e
-                j += e * img[1]
-        else:
-            y = tuple(y)
-            c = zw_rotate(c, j % 3)
-            old = out.get(y)
-            out[y] = c if old is None else (old[0] + c[0], old[1] + c[1])
+def packed_terms(elements):
+    """Each theta polynomial's terms as (the (coordinate index, exponent)
+    pairs of its nonzero exponents, its Z[w] coefficient times 1, w, w^2 as
+    pairs).  Raises ValueError when a term's degree could overflow a field:
+    the w-exponent of its image is at most twice its degree."""
+    out = []
+    for p in elements:
+        if p.ring.varnames != THETA_VARS:
+            raise ValueError(f"not a theta-coordinate polynomial: {p.ring}")
+        terms = []
+        for exps, c in p.terms.items():
+            if 2 * sum(exps) >= 1 << FIELD:
+                raise ValueError(f"a term of degree {sum(exps)} overflows the "
+                                 f"{FIELD}-bit fields of a restriction")
+            pair = zw_pair(QW.coerce(c))
+            terms.append((tuple((b, e) for b, e in enumerate(exps) if e),
+                          tuple(zw_rotate(pair, j) for j in range(3))))
+        out.append(terms)
+    return out
+
+
+def chart_coordinates(chart, packed):
+    """The S1..S4 coordinates, as Z[w] pairs, of every element of `packed`
+    (from `packed_terms`) restricted to the chart.  Z_b -> w^j Y_k weighs a
+    1 in Y_k's field plus j in the phase field, and VANISH if Z_b is 0; a
+    term's image is the sum of its exponents times these weights."""
+    weight = [VANISH if img is None else (1 << FIELD * img[0]) + (img[1] << PHASE)
+              for img in chart.monomial_map()]
+    out = []
+    for terms in packed:
+        res = {}
+        for exps, rotations in terms:
+            image = 0
+            for i, e in exps:
+                image += e * weight[i]
+            if image >= VANISH:
+                continue
+            a, b = rotations[(image >> PHASE) % 3]
+            key = image & Y_MASK
+            old = res.get(key)
+            res[key] = (a, b) if old is None else (old[0] + a, old[1] + b)
+        out.append(s_coordinates(res))
     return out
 
 
 def s_coordinates(res):
-    """S1..S4 coordinates of a restriction, one read off each support.
-    Raises NotInSpan unless every monomial of a support carries the same
-    coefficient and no monomial outside the supports survives."""
-    coords = []
-    for support in S_SUPPORTS:
-        values = {res.get(m, (0, 0)) for m in support}
-        if len(values) != 1:
+    """S1..S4 coordinates of a restriction (packed Y-exponent -> pair),
+    read at one monomial per support.  Raises NotInSpan unless the nonzero
+    entries are exactly that combination of S1..S4."""
+    coords = [res.get(keys[0], ZERO) for keys in S_KEYS]
+    live = {key: c for key, c in res.items() if c != ZERO}
+    if live != {key: c for c, keys in zip(coords, S_KEYS) if c != ZERO
+                for key in keys}:
+        if live.keys() <= S_MONOMIALS:
             raise NotInSpan("restriction is not a combination of S1..S4")
-        coords.append(values.pop())
-    if any((a or b) and m not in S_MONOMIALS for m, (a, b) in res.items()):
         raise NotInSpan("restriction has a monomial outside S1..S4")
     return coords
 
 
-def hack_coordinates(res):
-    """The source computation's rows, after the same span check: the
-    coefficients of Y0^2, Y0^3, Y0^4, Y0^6 once Y1 = Y2 = 1, i.e. the
-    coefficient sums by Y0-degree.  On the span of S1..S4 these sums are
-    (a4, 2 a2, a3, a1): S2 has two monomials of Y0-degree 3, the other
-    S_i one monomial each of Y0-degree 2, 4 or 6."""
-    a1, (re, om), a3, a4 = s_coordinates(res)
+def hack_coordinates(coords):
+    """The source computation's rows: the coefficients of Y0^2, Y0^3, Y0^4,
+    Y0^6 once Y1 = Y2 = 1, i.e. the coefficient sums by Y0-degree.  On the
+    span of S1..S4 these sums are (a4, 2 a2, a3, a1): S2 has two monomials
+    of Y0-degree 3, the other S_i one monomial each of Y0-degree 2, 4 or
+    6."""
+    a1, (re, om), a3, a4 = coords
     return [a4, (2 * re, 2 * om), a3, a1]
 
 
-READ_OFF = {"sbasis": s_coordinates, "hack": hack_coordinates}
+READ_OFF = {"sbasis": list, "hack": hack_coordinates}
 
 
 def _read_off(method):
@@ -338,12 +344,6 @@ def _read_off(method):
         return READ_OFF[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}") from None
-
-
-def restrict_sextic(p, chart):
-    """Coordinates of the restriction in the S1..S4 basis."""
-    res = restrict_terms(zw_terms(p), chart.monomial_map())
-    return [Eisenstein(*c) for c in s_coordinates(res)]
 
 
 class NuMatrix:
@@ -358,7 +358,7 @@ class NuMatrix:
 def _nu_matrix(charts, elements, read_off, progress=None):
     """The restriction matrix: per chart, four rows holding the read-off
     coordinates of every element's restriction."""
-    terms = [zw_terms(p) for p in elements]
+    packed = packed_terms(elements)
     entries = {}  # one Eisenstein per distinct pair
 
     def qw(c):
@@ -371,8 +371,7 @@ def _nu_matrix(charts, elements, read_off, progress=None):
     for ci, chart in enumerate(charts):
         if progress:
             progress(f"chart {ci + 1}/{len(charts)} ({chart.family_tag})")
-        monomial_map = chart.monomial_map()
-        block = [read_off(restrict_terms(t, monomial_map)) for t in terms]
+        block = [read_off(c) for c in chart_coordinates(chart, packed)]
         rows.extend([qw(col[r]) for col in block] for r in range(4))
     return ExactMatrix(QW, rows)
 

@@ -178,10 +178,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     def sorted_terms(self):
         """Terms in graded-lex order (canonical, byte-stable)."""
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]))

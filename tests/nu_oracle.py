@@ -1,17 +1,53 @@
 """The generic Q(w) route to nu, kept as the reference the production route
-is compared against: restriction by polynomial substitution
-(`FixedPlaneChart.restrict`), coordinates by an exact solve
+is compared against: restriction by polynomial substitution (`restrict`,
+through the chart's basis vectors), coordinates by an exact solve
 (`coefficient_in_basis`) or by the source computation's substitution
 Y1 = Y2 = 1, and exact elimination (`ExactMatrix.rank_and_kernel`).  Also
 the K_eta action on a chart plane, by exact 9x9 and 3x3 matrices, used to
 check that it keeps the span of S1..S4.
 """
 
-from coble.fields import QW
-from coble.heisenberg import Apoint, action_matrix, add2, weil_form
+from coble import nu
+from coble.fields import QW, Eisenstein
+from coble.heisenberg import (COORD_INDEX, Apoint, action_matrix, add2,
+                              coord_name, weil_form)
 from coble.linalg import ExactMatrix
 from coble.nu import S_BASIS, Y_RING
 from coble.poly import NotInSpan, coefficient_in_basis
+
+
+def basis_vectors(chart):
+    """The chart's three 9-long coefficient vectors over Q(w)."""
+    vecs = [[QW.zero()] * 9 for _ in range(3)]
+    for b, img in chart.substitution.items():
+        if img is not None:
+            k, phase = img
+            vecs[k][COORD_INDEX[b]] = phase
+    return vecs
+
+
+def assignment(chart):
+    """The variable assignment restricting a theta polynomial to the chart,
+    images in Y_RING."""
+    sub = {}
+    for b, img in chart.substitution.items():
+        if img is None:
+            sub[coord_name(b)] = Y_RING.zero()
+        else:
+            k, phase = img
+            sub[coord_name(b)] = Y_RING.var(f"Y{k}") * phase
+    return sub
+
+
+def restrict(chart, p):
+    """The theta polynomial p restricted to the chart, by substitution."""
+    return p.substitute(assignment(chart), target_ring=Y_RING)
+
+
+def production_coordinates(p, chart, method="sbasis"):
+    """The production route's coordinates of p on one chart, as Q(w)."""
+    coords = nu.chart_coordinates(chart, nu.packed_terms([p]))[0]
+    return [Eisenstein(*c) for c in nu.READ_OFF[method](coords)]
 
 
 def hack_rows(res):
@@ -32,7 +68,7 @@ def coordinates(res, method):
 
 def restrictions(charts, elements):
     """Every element restricted to every chart, chart by chart."""
-    return [[chart.restrict(p) for p in elements] for chart in charts]
+    return [[restrict(chart, p) for p in elements] for chart in charts]
 
 
 def nu_matrix(restricted, method):
@@ -76,7 +112,7 @@ def k_eta_generators(eta):
 def induced_plane_action(chart, g):
     """The exact 3x3 matrix A with g . v_k = sum_m A[m][k] v_m when g maps
     the chart plane to itself; None otherwise."""
-    vecs = chart.basis_vectors()
+    vecs = basis_vectors(chart)
     b = ExactMatrix(QW, [[vecs[k][i] for k in range(3)] for i in range(9)])
     m = action_matrix(g)
     cols = []

@@ -8,6 +8,7 @@ import pytest
 
 from fractions import Fraction
 
+from coble import cli, coble_forms
 from coble.cli import COMMANDS, jsonable, main
 from coble.fields import Eisenstein
 
@@ -32,6 +33,21 @@ def test_invariants_dim(capsys):
         set(cert["checks"][0])
     assert {"command", "inputs", "checks", "outputs", "timing_ms",
             "artifact_hash"} <= set(cert)
+
+
+def test_coble_check_builds_the_quadrics_once(capsys, monkeypatch):
+    rings = []
+    build = coble_forms.barth_quadrics
+
+    def counting(ring=None):
+        rings.append(ring)
+        return build(ring)
+
+    for module in (cli, coble_forms):
+        monkeypatch.setattr(module, "barth_quadrics", counting)
+    code, cert = run_json(capsys, ["coble", "check"])
+    assert code == 0 and all(c["pass"] for c in cert["checks"])
+    assert rings == [coble_forms.coble_ring()]
 
 
 def test_invariants_basis(capsys):

@@ -11,6 +11,7 @@ from coble.hesse import (Y_RING, DualSextic, HesseCubic,
                          on_pencil_member, plane_orbit, proj_eq,
                          run_default_oracle, s_basis)
 from coble.fields import QW, Eisenstein
+from coble.linalg import ExactMatrix
 
 
 def test_smoothness():
@@ -34,6 +35,23 @@ def test_cusp_system_matches_closed_form():
 def test_cusp_system_singular_at_zero():
     with pytest.raises(SingularSystem):
         dual_sextic_from_cusp_system(0)
+
+
+def test_cusp_system_is_eliminated_once(monkeypatch):
+    shapes = []
+    rref = ExactMatrix.rref
+
+    def counting(self):
+        shapes.append((self.rows, self.cols))
+        return rref(self)
+
+    monkeypatch.setattr(ExactMatrix, "rref", counting)
+    assert dual_sextic_from_cusp_system(2) == DualSextic(2).coefficient_values()
+    assert shapes == [(3, 4)]
+    shapes.clear()
+    with pytest.raises(SingularSystem, match="singular at lam = 0"):
+        dual_sextic_from_cusp_system(0)
+    assert shapes == [(3, 4)]
 
 
 def test_cusp_system_identities():

@@ -11,6 +11,7 @@ from coble.fields import OMEGA, QW, omega_pow
 from coble.heisenberg import (COORDS, THETA_VARS, Apoint, HeisenbergElement,
                               act_on_polynomial, action_matrix,
                               monomial_action, theta_ring)
+from nu_oracle import basis_vectors
 from properties import heisenberg_element
 
 _charts = nu.annexe_charts() + nu.all_lift_charts()
@@ -26,7 +27,7 @@ def group():
 
 def matrix_fixes(chart, g):
     m = action_matrix(g)
-    return all(m.mul_vector(v) == v for v in chart.basis_vectors())
+    return all(m.mul_vector(v) == v for v in basis_vectors(chart))
 
 
 def lifts_of_pm_eta(chart):

@@ -7,10 +7,10 @@ from coble.linalg import ExactMatrix
 from coble.nu import (EigenspaceDimensionError, FixedPlaneChart,
                       all_lift_charts, annexe_charts, annexe_subblock_kernel,
                       assemble_nu, diagonal_filter_pipeline, eigenspace_chart,
-                      fixed_plane_charts, matching_lifts, nu_rank_and_kernel,
-                      restrict_sextic)
-from nu_oracle import (hack_rows, induced_plane_action, k_eta_generators,
-                       plane_action_preserves_s_span)
+                      fixed_plane_charts, matching_lifts, nu_rank_and_kernel)
+from nu_oracle import (basis_vectors, hack_rows, induced_plane_action,
+                       k_eta_generators, plane_action_preserves_s_span,
+                       production_coordinates, restrict)
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +68,12 @@ def test_every_chart_is_an_eigenplane(charts):
 
 def test_restrict_t1_on_diagonal(ring, basis, charts):
     labels, elements = basis
-    coords = restrict_sextic(elements[labels.index("T1")], charts[0])
+    coords = production_coordinates(elements[labels.index("T1")], charts[0])
     assert coords == [QW.one(), QW.zero(), QW.zero(), QW.zero()]
 
 
 def test_restrict_zero(ring, charts):
-    assert restrict_sextic(ring.zero(), charts[0]) == [QW.zero()] * 4
+    assert production_coordinates(ring.zero(), charts[0]) == [QW.zero()] * 4
 
 
 def test_kernel_candidates_restrict_to_zero(ring, basis, charts):
@@ -82,7 +82,7 @@ def test_kernel_candidates_restrict_to_zero(ring, basis, charts):
                         ("T17", "T16")):
         w = elements[labels.index(plus)] - elements[labels.index(minus)]
         for chart in charts:
-            assert chart.restrict(w).is_zero(), (plus, minus, chart.family_tag)
+            assert restrict(chart, w).is_zero(), (plus, minus, chart.family_tag)
 
 
 def test_hack_rows_agree_with_s_coordinates(ring, basis, charts):
@@ -91,10 +91,10 @@ def test_hack_rows_agree_with_s_coordinates(ring, basis, charts):
     labels, elements = basis
     for chart in charts[::7]:
         for p in elements[::6]:
-            res = chart.restrict(p)
+            res = restrict(chart, p)
             if res.is_zero():
                 continue
-            a1, a2, a3, a4 = restrict_sextic(p, chart)
+            a1, a2, a3, a4 = production_coordinates(p, chart)
             assert hack_rows(res) == [a4, 2 * a2, a3, a1]
 
 
@@ -166,10 +166,10 @@ def test_eigenspace_charts_match_annexe(charts):
     for ch in lifted:
         by_eta.setdefault(ch.eta.key(), []).append(ch)
     for chart in charts:
-        span = ExactMatrix(QW, chart.basis_vectors())
+        span = ExactMatrix(QW, basis_vectors(chart))
         matches = 0
         for cand in by_eta[chart.eta.key()]:
-            joint = ExactMatrix(QW, chart.basis_vectors() + cand.basis_vectors())
+            joint = ExactMatrix(QW, basis_vectors(chart) + basis_vectors(cand))
             if joint.rank() == 3:
                 matches += 1
         assert matches == 1, chart.family_tag

@@ -23,11 +23,6 @@ _labels, _elements = pinned_basis(theta_ring(), 6)
 _charts = nu.annexe_charts() + nu.all_lift_charts()
 
 
-def fast_coordinates(p, chart, method):
-    res = nu.restrict_terms(nu.zw_terms(p), chart.monomial_map())
-    return [Eisenstein(*c) for c in nu.READ_OFF[method](res)]
-
-
 @pytest.fixture(scope="module")
 def oracle():
     """The oracle's annexe nu matrix in both conventions, built once."""
@@ -54,8 +49,11 @@ def test_oracle_elimination_agrees_with_certificate(oracle):
     assert report["rank_certificate"]["route"] == "modular+kernel"
 
 
-_combination = st.dictionaries(st.integers(0, 42), st.integers(-9, 9),
-                               min_size=1, max_size=6)
+# Coefficients a + b*w, so that restriction rotates pairs with a w-part.
+_combination = st.dictionaries(
+    st.integers(0, 42),
+    st.builds(Eisenstein, st.integers(-9, 9), st.integers(-9, 9)),
+    min_size=1, max_size=6)
 
 
 @settings(max_examples=200, deadline=None)
@@ -64,29 +62,47 @@ def test_coordinates_match_oracle_on_random_combinations(coeffs, chart):
     p = theta_ring().zero()
     for i, c in coeffs.items():
         p = p + c * _elements[i]
-    res = chart.restrict(p)
+    res = nu_oracle.restrict(chart, p)
     for method in METHODS:
-        assert fast_coordinates(p, chart, method) == \
+        assert nu_oracle.production_coordinates(p, chart, method) == \
             nu_oracle.coordinates(res, method), (method, chart.family_tag)
 
 
 def test_non_invariant_sextic_is_not_in_span():
     ring = theta_ring()
-    p = ring.var("Z00") ** 5 * ring.var("Z01")
-    raised = 0
-    for chart in _charts:
-        res = chart.restrict(p)
-        if res.is_zero():
-            for method in METHODS:
-                assert fast_coordinates(p, chart, method) == [QW.zero()] * 4
-            continue
-        raised += 1
-        with pytest.raises(NotInSpan):
-            nu_oracle.coordinates(res, "sbasis")
-        for method in METHODS:
+    z00, z01 = ring.var("Z00"), ring.var("Z01")
+    # Z00^5 Z01 leaves the supports of S1..S4 on some charts; Z00^6 lands on
+    # one monomial of the S1 support, so the support carries unequal values.
+    for p, message in ((z00 ** 5 * z01, None),
+                       (z00 ** 6, "not a combination of S1..S4")):
+        raised = 0
+        for chart in _charts:
+            res = nu_oracle.restrict(chart, p)
+            if res.is_zero():
+                for method in METHODS:
+                    assert nu_oracle.production_coordinates(p, chart, method) \
+                        == [QW.zero()] * 4
+                continue
+            raised += 1
             with pytest.raises(NotInSpan):
-                fast_coordinates(p, chart, method)
-    assert raised > 0
+                nu_oracle.coordinates(res, "sbasis")
+            for method in METHODS:
+                with pytest.raises(NotInSpan, match=message):
+                    nu_oracle.production_coordinates(p, chart, method)
+        assert raised > 0, p
+
+
+def test_over_degree_term_is_refused_before_packing():
+    # The w-exponent of a term's image is at most twice its degree and must
+    # fit its field: degree 127 packs, degree 128 does not.
+    ring = theta_ring()
+    z00, z01 = ring.var("Z00"), ring.var("Z01")
+    fits = z00 ** 126 * z01
+    assert 2 * 127 < 1 << nu.FIELD <= 2 * 128
+    with pytest.raises(NotInSpan, match="outside S1..S4"):
+        nu.chart_coordinates(_charts[4], nu.packed_terms([fits]))
+    with pytest.raises(ValueError, match="degree 128 overflows"):
+        nu.packed_terms([_elements[0], fits * z01])
 
 
 def _with_column(matrix, label, column):
