@@ -7,28 +7,26 @@ Chart conventions (mode "annexe")
 * 4 "diagonal" charts: for (r,s) in (0,1),(1,0),(1,1),(1,2) the coordinates
   Z_ij with r*i + s*j != 0 mod 3 vanish on the plane; the three survivors
   become Y0, Y1, Y2 in row-major order.
-* 36 substitution charts: for each shift direction d in 01, 10, 11, 12 and
-  each character (u,v), the phase tables below (copied bit for bit from the
-  source computation) express every Z_ij as w^k * Y_m.
+* 36 shift charts: for each shift direction d in 01, 10, 11, 12 and each
+  character (u,v), the phase tables below (copied bit for bit from the
+  source computation) send every Z_ij to w^j * Y_k.
 
 Mode "all_lifts" instead builds, for every nonzero class eta of A[3] mod +-
 and each of the three central lifts, an adapted basis of the eigenvalue-1
 eigenspace of the 9x9 action matrix, and charts all 120 of them.
 
-Every group element sends Z_b to w^phase * Z_target
-(`heisenberg.monomial_action`), so whether a lift fixes a chart is decided
-on exponents mod 3 (`fixes_chart`).  Every chart sends each Z_b to
-w^j * Y_k or to 0, so restriction is a monomial map: with one int weight
-per Z_b (Y_k and j in bit fields), a term's image is sum e_b * weight_b
-over its nonzero exponents, whose w-field picks its Z[w] coefficient times
-w^j (`chart_coordinates`).  Restricted sextics are coordinatized in the
-4-dimensional invariant basis S1 = sum Y_i^6, S2 = sum Y_i^3 Y_j^3,
-S3 = Y0 Y1 Y2 * sum Y_i^3, S4 = Y0^2 Y1^2 Y2^2, whose monomial supports are
-disjoint: each coordinate is read at one monomial of its support, and one
-dict comparison checks that the restriction is that combination.  A
-second row extraction (the coefficients of Y0^2, Y0^3, Y0^4, Y0^6 after
-setting Y1 = Y2 = 1, i.e. coefficient sums by Y0-degree) replicates the
-source computation and must give the same rank.
+Every chart sends each Z_b to w^j * Y_k or to 0 and is stored as that
+monomial map (`FixedPlaneChart.images`).  Every group element sends Z_b to
+w^phase * Z_target (`heisenberg.monomial_action`), so whether a lift fixes
+a chart is decided on exponents mod 3 (`fixes_chart`).  Restriction is
+read off the same map: with one int weight per Z_b (Y_k and j in bit
+fields), a term's image is sum e_b * weight_b over its nonzero exponents,
+whose w-field picks its Z[w] coefficient times w^j (`chart_coordinates`).
+Restricted sextics are coordinatized in the 4-dimensional invariant basis
+S1 = sum Y_i^6, S2 = sum Y_i^3 Y_j^3, S3 = Y0 Y1 Y2 * sum Y_i^3,
+S4 = Y0^2 Y1^2 Y2^2, whose monomial supports are disjoint: each coordinate
+is read at one monomial of its support, and one dict comparison checks that
+the restriction is that combination.
 
 The nu matrix is integral in Z[w].  Its rank is certified by
 `linalg.certified_rank_and_kernel`: the rank mod a prime p = 1 mod 3 is a
@@ -38,7 +36,7 @@ bound, and exact elimination over Q(w) runs only when the two do not meet.
 
 from __future__ import annotations
 
-from .fields import QW, Eisenstein, omega_pow, zw_pair, zw_rotate
+from .fields import QW, Eisenstein, zw_pair, zw_rotate
 from .heisenberg import (COORDS, THETA_VARS, Apoint,
                          HeisenbergElement, add2, apoint_classes_mod_sign,
                          coord_name, dot, monomial_action, neg2, theta_ring)
@@ -57,8 +55,8 @@ S_BASIS = s_basis(Y_RING)
 
 DIAGONAL_RS = [(0, 1), (1, 0), (1, 1), (1, 2)]
 
-# Substitution tables: family direction -> {(i,j): (y_index, weights)} where
-# the phase is w**(u*w1 + v*w2) for chart character (u,v).
+# Phase tables: family direction -> {(i,j): (k, (w1, w2))}: Z_ij -> w^j Y_k
+# with j = u*w1 + v*w2 mod 3 for chart character (u,v).
 SHIFT_TABLES = {
     (0, 1): {
         (0, 0): (0, (0, 0)), (0, 1): (0, (0, 0)), (0, 2): (0, (0, 1)),
@@ -85,35 +83,15 @@ SHIFT_TABLES = {
 FAMILY_ORDER = [(0, 1), (1, 0), (1, 1), (1, 2)]
 
 
-_OMEGA_EXPONENT = {(1, 0): 0, (0, 1): 1, (-1, -1): 2}
-
-
 class FixedPlaneChart:
-    """A plane of fixed points: parametrization Z_b = sum_k basis[k][b] Y_k."""
+    """A plane of fixed points as a monomial map: `images` holds, per theta
+    coordinate in `COORDS` order, None when it vanishes on the plane, else
+    (k, j) with Z_b -> w^j * Y_k."""
 
-    def __init__(self, family_tag, substitution, eta=None, lift_t=None):
+    def __init__(self, family_tag, images, eta=None):
         self.family_tag = family_tag
-        # substitution: coord b -> None (vanishes) or (y_index, Eisenstein phase)
-        self.substitution = substitution
+        self.images = images
         self.eta = eta
-        self.lift_t = lift_t
-
-    def monomial_map(self):
-        """Per theta coordinate, in ring order: None when it vanishes on the
-        plane, else (k, j) with Z_b -> w^j * Y_k."""
-        out = []
-        for b in COORDS:
-            img = self.substitution[b]
-            if img is None:
-                out.append(None)
-                continue
-            k, phase = img
-            j = _OMEGA_EXPONENT.get(zw_pair(QW.coerce(phase)))
-            if j is None:
-                raise ValueError(f"{self.family_tag}: phase {phase!r} of "
-                                 f"Z{b[0]}{b[1]} is not a power of w")
-            out.append((k, j))
-        return out
 
     def __repr__(self):
         return f"FixedPlaneChart({self.family_tag})"
@@ -121,25 +99,20 @@ class FixedPlaneChart:
 
 def _diagonal_chart(r, s):
     survivors = [b for b in COORDS if (r * b[0] + s * b[1]) % 3 == 0]
-    sub = {}
-    for b in COORDS:
-        if b in survivors:
-            sub[b] = (survivors.index(b), QW.one())
-        else:
-            sub[b] = None
+    images = tuple((survivors.index(b), 0) if b in survivors else None
+                   for b in COORDS)
     eta = Apoint((0, 0), (r, s)).canonical_mod_sign()
-    return FixedPlaneChart(f"diagonal({r},{s})", sub, eta=eta, lift_t=0)
+    return FixedPlaneChart(f"diagonal({r},{s})", images, eta=eta)
 
 
 def _shift_chart(direction, u, v):
     table = SHIFT_TABLES[direction]
-    sub = {}
-    for b, (k, (w1, w2)) in table.items():
-        sub[b] = (k, omega_pow(u * w1 + v * w2))
+    images = tuple((k, (u * w1 + v * w2) % 3)
+                   for k, (w1, w2) in (table[b] for b in COORDS))
     # The plane is fixed by lifts with translation part -direction.
     eta = Apoint(neg2(direction), (u, v)).canonical_mod_sign()
     d = f"{direction[0]}{direction[1]}"
-    return FixedPlaneChart(f"shift({d},u={u},v={v})", sub, eta=eta)
+    return FixedPlaneChart(f"shift({d},u={u},v={v})", images, eta=eta)
 
 
 def annexe_charts():
@@ -163,7 +136,7 @@ def eigenspace_chart(eta, t):
         if len(survivors) != 3:
             raise EigenspaceDimensionError(f"{eta}, t={t}")
         for k, b in enumerate(survivors):
-            sub[b] = (k, QW.one())
+            sub[b] = (k, 0)
     else:
         # Group coordinates into the three <x>-cosets; each contributes one
         # eigenvalue-1 vector, with phases fixed by the cycle recurrence.
@@ -181,26 +154,26 @@ def eigenspace_chart(eta, t):
             alpha = 0  # exponent of w; alpha_0 = 1
             point = c
             for m in range(3):
-                sub[point] = (k, omega_pow(alpha))
+                sub[point] = (k, alpha % 3)
                 # alpha_{m+1} = alpha_m * w^-(t + x*.(c + m x))
                 alpha -= t + dot(eta.xstar, point)
                 point = add2(point, x)
-    chart = FixedPlaneChart(f"lift(x={eta.x},xstar={eta.xstar},t={t})", sub,
-                            eta=eta, lift_t=t)
+    chart = FixedPlaneChart(f"lift(x={eta.x},xstar={eta.xstar},t={t})",
+                            tuple(sub[b] for b in COORDS), eta=eta)
     _verify_eigenvectors(chart, g)
     return chart
 
 
-def fixes_chart(monomial_map, action):
+def fixes_chart(images, action):
     """Does the group element g whose `monomial_action` is `action` fix each
-    of the three chart vectors, given the chart's `monomial_map`?  With
+    of the three chart vectors, given the chart's `images`?  With
     g . Z_b = w^phase Z_target, this holds iff for every b: b and its target
     both vanish on the plane, or both go to the same Y_k with
     j_target = j_b + phase (mod 3).  The action matrix and the chart vectors
     are monomial with entries in {0, w^j}, so this is exactly the matrix
     test `action_matrix(g).mul_vector(v) == v`, run on exponents mod 3."""
-    for img, (target, phase) in zip(monomial_map, action):
-        img_t = monomial_map[target]
+    for img, (target, phase) in zip(images, action):
+        img_t = images[target]
         if img is None or img_t is None:
             if img is not img_t:
                 return False
@@ -210,7 +183,7 @@ def fixes_chart(monomial_map, action):
 
 
 def _verify_eigenvectors(chart, g):
-    if not fixes_chart(chart.monomial_map(), monomial_action(g)):
+    if not fixes_chart(chart.images, monomial_action(g)):
         raise EigenspaceDimensionError(
             f"basis vector of {chart.family_tag} is not fixed by {g}")
 
@@ -245,9 +218,8 @@ def matching_lifts(charts):
             lifts[eta] = [
                 (sign, t, monomial_action(HeisenbergElement(t, a.x, a.xstar)))
                 for sign, a in ((1, eta), (-1, -eta)) for t in range(3)]
-        monomial_map = chart.monomial_map()
         out.append([(sign, t) for sign, t, action in lifts[eta]
-                    if fixes_chart(monomial_map, action)])
+                    if fixes_chart(chart.images, action)])
     return out
 
 
@@ -294,7 +266,7 @@ def chart_coordinates(chart, packed):
     1 in Y_k's field plus j in the phase field, and VANISH if Z_b is 0; a
     term's image is the sum of its exponents times these weights."""
     weight = [VANISH if img is None else (1 << FIELD * img[0]) + (img[1] << PHASE)
-              for img in chart.monomial_map()]
+              for img in chart.images]
     out = []
     for terms in packed:
         res = {}
@@ -326,37 +298,15 @@ def s_coordinates(res):
     return coords
 
 
-def hack_coordinates(coords):
-    """The source computation's rows: the coefficients of Y0^2, Y0^3, Y0^4,
-    Y0^6 once Y1 = Y2 = 1, i.e. the coefficient sums by Y0-degree.  On the
-    span of S1..S4 these sums are (a4, 2 a2, a3, a1): S2 has two monomials
-    of Y0-degree 3, the other S_i one monomial each of Y0-degree 2, 4 or
-    6."""
-    a1, (re, om), a3, a4 = coords
-    return [a4, (2 * re, 2 * om), a3, a1]
-
-
-READ_OFF = {"sbasis": list, "hack": hack_coordinates}
-
-
-def _read_off(method):
-    try:
-        return READ_OFF[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}") from None
-
-
 class NuMatrix:
-    def __init__(self, matrix, charts, labels, method, elements):
+    def __init__(self, matrix, labels, elements):
         self.matrix = matrix          # ExactMatrix over Q(w), 4 rows per chart
-        self.charts = charts
         self.labels = labels          # column labels T1..T43
-        self.method = method
         self.elements = elements      # the column sextics
 
 
-def _nu_matrix(charts, elements, read_off, progress=None):
-    """The restriction matrix: per chart, four rows holding the read-off
+def _nu_matrix(charts, elements, progress=None):
+    """The restriction matrix: per chart, four rows holding the S1..S4
     coordinates of every element's restriction."""
     packed = packed_terms(elements)
     entries = {}  # one Eisenstein per distinct pair
@@ -371,7 +321,7 @@ def _nu_matrix(charts, elements, read_off, progress=None):
     for ci, chart in enumerate(charts):
         if progress:
             progress(f"chart {ci + 1}/{len(charts)} ({chart.family_tag})")
-        block = [read_off(c) for c in chart_coordinates(chart, packed)]
+        block = chart_coordinates(chart, packed)
         rows.extend([qw(col[r]) for col in block] for r in range(4))
     return ExactMatrix(QW, rows)
 
@@ -383,13 +333,11 @@ def _basis_or_pinned(basis):
     return basis
 
 
-def assemble_nu(mode="annexe", method="sbasis", basis=None, progress=None):
+def assemble_nu(mode="annexe", basis=None, progress=None):
     """Stack the per-chart coordinate rows of all 43 basis sextics."""
-    read_off = _read_off(method)
     basis = _basis_or_pinned(basis)
-    charts = fixed_plane_charts(mode)
-    matrix = _nu_matrix(charts, basis.elements, read_off, progress)
-    return NuMatrix(matrix, charts, basis.labels, method, basis.elements)
+    matrix = _nu_matrix(fixed_plane_charts(mode), basis.elements, progress)
+    return NuMatrix(matrix, basis.labels, basis.elements)
 
 
 # ----- the Annexe's filter pipeline ---------------------------------------
@@ -409,16 +357,14 @@ def diagonal_filter_pipeline(basis=None):
     return counts, surviving
 
 
-def annexe_subblock_kernel(basis=None, method="sbasis"):
+def annexe_subblock_kernel(basis=None):
     """The 36 shift charts restricted to the 30 filter survivors: certified
     rank and kernel, with kernel vectors re-expressed as T-label
     differences."""
-    read_off = _read_off(method)
     basis = _basis_or_pinned(basis)
     counts, surviving = diagonal_filter_pipeline(basis)
     labels = [basis.labels[i] for i in surviving]
-    m = _nu_matrix(annexe_charts()[4:], [basis.elements[i] for i in surviving],
-                   read_off)
+    m = _nu_matrix(annexe_charts()[4:], [basis.elements[i] for i in surviving])
     rank, kernel, _ = certified_rank_and_kernel(m, candidate_sets(labels))
     kernel_labels = [{labels[j]: c for j, c in enumerate(v) if c}
                      for v in kernel]
@@ -427,13 +373,13 @@ def annexe_subblock_kernel(basis=None, method="sbasis"):
 
 # ----- full resolution ----------------------------------------------------
 
-def _kernel_span_equals(field, kernel, candidates, n):
+def _kernel_span_equals(kernel, candidates):
     """Do the kernel vectors span the same space as the candidate vectors?"""
     if len(kernel) != len(candidates):
         return False
     if not kernel:
         return True
-    joint = ExactMatrix(field, kernel + candidates)
+    joint = ExactMatrix(QW, kernel + candidates)
     return joint.rank() == len(kernel)
 
 
@@ -464,12 +410,12 @@ def candidate_sets(labels):
             for pairs in (TEXT_KERNEL_PAIRS, ANNEXE_KERNEL_PAIRS)]
 
 
-def nu_rank_and_kernel(mode="annexe", method="sbasis", progress=None):
+def nu_rank_and_kernel(mode="annexe", progress=None):
     """Certified rank and kernel of the assembled nu matrix plus a report
     that resolves the rank-39 (4-element kernel) versus rank-40 (3-element
     kernel) discrepancy, certifies iota-anti-invariance of every kernel
     element and says how the rank was proven (`rank_certificate`)."""
-    nu = assemble_nu(mode=mode, method=method, progress=progress)
+    nu = assemble_nu(mode=mode, progress=progress)
     labels, elements = nu.labels, nu.elements
     text, annexe = candidate_sets(labels)
     rank, kernel, certificate = certified_rank_and_kernel(nu.matrix,
@@ -485,9 +431,9 @@ def nu_rank_and_kernel(mode="annexe", method="sbasis", progress=None):
 
     anti = all(iota_act(combine(v)) == -combine(v) for v in kernel)
 
-    if _kernel_span_equals(QW, kernel, text, 43):
+    if _kernel_span_equals(kernel, text):
         verdict = "text: rank 39, kernel {T8-T7, T11-T10, T14-T13, T17-T16}"
-    elif _kernel_span_equals(QW, kernel, annexe, 43):
+    elif _kernel_span_equals(kernel, annexe):
         verdict = "annexe: rank 40, kernel {T11-T10, T14-T13, T17-T16}"
     else:
         verdict = "neither printed kernel"
@@ -495,7 +441,6 @@ def nu_rank_and_kernel(mode="annexe", method="sbasis", progress=None):
     kernel_labels = [{labels[j]: c for j, c in enumerate(v) if c} for v in kernel]
     report = {
         "mode": mode,
-        "method": method,
         "rows": nu.matrix.rows,
         "rank": rank,
         "kernel_dimension": len(kernel),

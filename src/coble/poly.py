@@ -39,20 +39,6 @@ class PolyRing:
         exps[self.index[name]] = 1
         return Polynomial(self, {tuple(exps): self.field.one()})
 
-    def monomial(self, exps, coeff=1):
-        """exps: dict name -> exponent, or a dense tuple."""
-        coeff = self.field.coerce(coeff)
-        if not coeff:
-            return self.zero()
-        if isinstance(exps, dict):
-            dense = [0] * self.nvars
-            for name, e in exps.items():
-                dense[self.index[name]] = e
-            exps = tuple(dense)
-        else:
-            exps = tuple(exps)
-        return Polynomial(self, {exps: coeff})
-
     def from_terms(self, terms):
         out = {}
         for exps, c in terms.items():
@@ -173,11 +159,6 @@ class Polynomial:
 
     # -- structure ---------------------------------------------------------
 
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def sorted_terms(self):
         """Terms in graded-lex order (canonical, byte-stable)."""
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]))
@@ -190,14 +171,6 @@ class Polynomial:
                 dense[self.ring.index[name]] = e
             exps = tuple(dense)
         return self.terms.get(tuple(exps), self.ring.field.zero())
-
-    def variables(self):
-        used = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(self.ring.varnames[i])
-        return used
 
     # -- calculus / substitution -------------------------------------------
 

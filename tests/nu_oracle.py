@@ -2,15 +2,20 @@
 is compared against: restriction by polynomial substitution (`restrict`,
 through the chart's basis vectors), coordinates by an exact solve
 (`coefficient_in_basis`) or by the source computation's substitution
-Y1 = Y2 = 1, and exact elimination (`ExactMatrix.rank_and_kernel`).  Also
-the K_eta action on a chart plane, by exact 9x9 and 3x3 matrices, used to
-check that it keeps the span of S1..S4.
+Y1 = Y2 = 1, and exact elimination (`ExactMatrix.rank_and_kernel`).  This
+is the only replication of the source's row convention: production reads
+S1..S4 only, and `source_rows` maps those to the source's rows.  Also the
+K_eta action on a chart plane, by exact 9x9 and 3x3 matrices, used to check
+that it keeps the span of S1..S4.
 """
 
+from functools import cache
+
 from coble import nu
-from coble.fields import QW, Eisenstein
-from coble.heisenberg import (COORD_INDEX, Apoint, action_matrix, add2,
-                              coord_name, weil_form)
+from coble.fields import QW, Eisenstein, omega_pow
+from coble.heisenberg import (COORDS, Apoint, action_matrix, add2, coord_name,
+                              theta_ring, weil_form)
+from coble.invariants import pinned_basis
 from coble.linalg import ExactMatrix
 from coble.nu import S_BASIS, Y_RING
 from coble.poly import NotInSpan, coefficient_in_basis
@@ -19,10 +24,10 @@ from coble.poly import NotInSpan, coefficient_in_basis
 def basis_vectors(chart):
     """The chart's three 9-long coefficient vectors over Q(w)."""
     vecs = [[QW.zero()] * 9 for _ in range(3)]
-    for b, img in chart.substitution.items():
+    for i, img in enumerate(chart.images):
         if img is not None:
-            k, phase = img
-            vecs[k][COORD_INDEX[b]] = phase
+            k, j = img
+            vecs[k][i] = omega_pow(j)
     return vecs
 
 
@@ -30,12 +35,12 @@ def assignment(chart):
     """The variable assignment restricting a theta polynomial to the chart,
     images in Y_RING."""
     sub = {}
-    for b, img in chart.substitution.items():
+    for b, img in zip(COORDS, chart.images):
         if img is None:
             sub[coord_name(b)] = Y_RING.zero()
         else:
-            k, phase = img
-            sub[coord_name(b)] = Y_RING.var(f"Y{k}") * phase
+            k, j = img
+            sub[coord_name(b)] = Y_RING.var(f"Y{k}") * omega_pow(j)
     return sub
 
 
@@ -44,10 +49,33 @@ def restrict(chart, p):
     return p.substitute(assignment(chart), target_ring=Y_RING)
 
 
+def source_rows(coords):
+    """The source computation's rows from S1..S4 coordinates (a1, a2, a3,
+    a4): on the span of S1..S4 the coefficient sums by Y0-degree 2, 3, 4, 6
+    are (a4, 2 a2, a3, a1), since S2 has two monomials of Y0-degree 3 and
+    the other S_i one monomial each of Y0-degree 2, 4 or 6."""
+    a1, a2, a3, a4 = coords
+    return [a4, 2 * a2, a3, a1]
+
+
+def source_matrix(matrix):
+    """An S1..S4 nu matrix (four rows per chart) in the source computation's
+    rows, column by column through `source_rows`."""
+    rows = []
+    for i in range(0, matrix.rows, 4):
+        block = matrix.entries[i:i + 4]
+        cols = [source_rows([row[j] for row in block])
+                for j in range(matrix.cols)]
+        rows.extend([col[r] for col in cols] for r in range(4))
+    return ExactMatrix(QW, rows)
+
+
 def production_coordinates(p, chart, method="sbasis"):
-    """The production route's coordinates of p on one chart, as Q(w)."""
-    coords = nu.chart_coordinates(chart, nu.packed_terms([p]))[0]
-    return [Eisenstein(*c) for c in nu.READ_OFF[method](coords)]
+    """The production route's coordinates of p on one chart, as Q(w): S1..S4,
+    or for method "hack" the source computation's rows."""
+    coords = [Eisenstein(*c)
+              for c in nu.chart_coordinates(chart, nu.packed_terms([p]))[0]]
+    return source_rows(coords) if method == "hack" else coords
 
 
 def hack_rows(res):
@@ -69,6 +97,14 @@ def coordinates(res, method):
 def restrictions(charts, elements):
     """Every element restricted to every chart, chart by chart."""
     return [[restrict(chart, p) for p in elements] for chart in charts]
+
+
+@cache
+def annexe_restrictions():
+    """The pinned T1..T43 restricted to the 40 annexe charts, built once per
+    process for every test that needs them (tuples, so none can edit them)."""
+    return tuple(map(tuple, restrictions(nu.annexe_charts(),
+                                         pinned_basis(theta_ring(), 6)[1])))
 
 
 def nu_matrix(restricted, method):

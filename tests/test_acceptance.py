@@ -17,6 +17,7 @@ from coble.fields import QW
 from coble.heisenberg import act_on_polynomial, generators, theta_ring
 from coble.linalg import ExactMatrix
 
+import nu_oracle
 from nu_oracle import restrict
 from properties import ALL_SUITES
 
@@ -95,7 +96,7 @@ def test_criterion_04_chart_table_replication():
         # Bound without elimination.  The four differences T8-T7, T11-T10,
         # T14-T13, T17-T16 have disjoint supports inside the survivors and
         # each restricts to zero on every shift chart.  Restriction and both
-        # fill conventions are linear, so they are four independent kernel
+        # row conventions are linear, so they are four independent kernel
         # vectors of the 144x30 subblock, whose rank is therefore <= 26.
         pair_labels = [t for pair in nu.TEXT_KERNEL_PAIRS for t in pair]
         assert len(set(pair_labels)) == 8
@@ -112,9 +113,18 @@ def test_criterion_04_chart_table_replication():
         printed = nu.candidate_vectors(survivors,
                                        PRINTED_SUBBLOCK_KERNEL_PAIRS)
         t8_minus_t7 = nu.candidate_vectors(survivors, [("T8", "T7")])
-        for method in ("sbasis", "hack"):
-            sub_counts, rank, kernel, _ = nu.annexe_subblock_kernel(
-                method=method)
+
+        def source_subblock():
+            # the source computation's rows, on its literal replication
+            sub_counts, sub_surviving = nu.diagonal_filter_pipeline()
+            shift_blocks = nu_oracle.annexe_restrictions()[4:]
+            m = nu_oracle.nu_matrix([[block[i] for i in sub_surviving]
+                                     for block in shift_blocks], "hack")
+            return (sub_counts, *m.rank_and_kernel(), None)
+
+        for method, subblock in (("sbasis", nu.annexe_subblock_kernel),
+                                 ("hack", source_subblock)):
+            sub_counts, rank, kernel, _ = subblock()
             assert sub_counts == counts
             # The exact certificate: elimination attains the bound, and the
             # kernel is the span of the four differences.

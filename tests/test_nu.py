@@ -1,16 +1,17 @@
 import pytest
 
 from coble.fields import QW
-from coble.heisenberg import HeisenbergElement, theta_ring
+from coble.heisenberg import COORDS, HeisenbergElement, theta_ring
 from coble.invariants import InvariantBasis, pinned_basis
 from coble.linalg import ExactMatrix
 from coble.nu import (EigenspaceDimensionError, FixedPlaneChart,
                       all_lift_charts, annexe_charts, annexe_subblock_kernel,
                       assemble_nu, diagonal_filter_pipeline, eigenspace_chart,
                       fixed_plane_charts, matching_lifts, nu_rank_and_kernel)
-from nu_oracle import (basis_vectors, hack_rows, induced_plane_action,
-                       k_eta_generators, plane_action_preserves_s_span,
-                       production_coordinates, restrict)
+from nu_oracle import (annexe_restrictions, basis_vectors, hack_rows,
+                       induced_plane_action, k_eta_generators, nu_matrix,
+                       plane_action_preserves_s_span, production_coordinates,
+                       restrict)
 
 
 @pytest.fixture(scope="module")
@@ -46,18 +47,28 @@ def test_diagonal_chart_01(charts):
     # (r,s) = (0,1): survivors are Z00, Z10, Z20 (j = 0)
     chart = charts[0]
     assert chart.family_tag == "diagonal(0,1)"
-    live = {b: img for b, img in chart.substitution.items() if img is not None}
+    live = {b: img for b, img in zip(COORDS, chart.images) if img is not None}
     assert set(live) == {(0, 0), (1, 0), (2, 0)}
-    assert all(phase == QW.one() for _, phase in live.values())
+    assert all(j == 0 for _, j in live.values())
 
 
 def test_shift_chart_trivial_character(charts):
     # family (01) with (u,v) = (0,0): all phases 1
     chart = charts[4]
     assert chart.family_tag == "shift(01,u=0,v=0)"
-    for b, img in chart.substitution.items():
+    for img in chart.images:
         assert img is not None
-        assert img[1] == QW.one()
+        assert img[1] == 0
+
+
+def test_every_chart_is_a_monomial_map_onto_the_plane():
+    # each Z_b goes to w^j Y_k (k, j in 0..2) or to 0, and every Y_k is hit
+    for chart in annexe_charts() + all_lift_charts():
+        assert isinstance(chart.images, tuple) and len(chart.images) == 9
+        live = [img for img in chart.images if img is not None]
+        assert all(k in range(3) and j in range(3) for k, j in live), \
+            chart.family_tag
+        assert {k for k, _ in live} == {0, 1, 2}, chart.family_tag
 
 
 def test_every_chart_is_an_eigenplane(charts):
@@ -114,12 +125,6 @@ def test_subblock_rank_and_kernel():
         ["T7", "T8"], ["T10", "T11"], ["T13", "T14"], ["T16", "T17"]]
 
 
-@pytest.mark.parametrize("build", [assemble_nu, annexe_subblock_kernel])
-def test_unknown_fill_convention_is_rejected(build):
-    with pytest.raises(ValueError, match="unknown method 'bogus'"):
-        build(method="bogus")
-
-
 def test_subblock_filters_and_restricts_the_given_basis(basis):
     labels, elements = basis
     keep = [labels.index(t) for t in ("T1", "T7", "T8", "T9", "T10", "T11")]
@@ -148,8 +153,9 @@ def test_full_rank_and_kernel(full_report):
 
 
 def test_hack_route_same_rank(full_report):
+    # the source computation's rows, on its literal replication
     rank, _, _ = full_report
-    assert assemble_nu(method="hack").matrix.rank() == rank
+    assert nu_matrix(annexe_restrictions(), "hack").rank() == rank
 
 
 def test_column_rank_equals_row_rank(full_report):
@@ -190,8 +196,9 @@ def test_eigenspace_dimension_guard():
     # basis vector must be caught by the eigenvector verification
     chart = eigenspace_chart(Apoint((0, 0), (1, 0)), 1)
     g = HeisenbergElement(1, (0, 0), (1, 0))
-    bad = FixedPlaneChart(chart.family_tag, dict(chart.substitution))
-    bad.substitution[(0, 2)] = (0, QW.one())  # pollute the first vector
+    images = list(chart.images)
+    images[COORDS.index((0, 2))] = (0, 0)  # pollute the first vector
+    bad = FixedPlaneChart(chart.family_tag, tuple(images))
     from coble.nu import _verify_eigenvectors
     with pytest.raises(EigenspaceDimensionError):
         _verify_eigenvectors(bad, g)
