@@ -271,25 +271,32 @@ def cmd_verify_all(args, cert):
 
 # ----- argument parsing ----------------------------------------------------
 
-def checked_int(predicate, requirement):
-    """An argparse type: an int satisfying `predicate`; anything else is a
-    usage error (exit 2) saying that the value is not `requirement`."""
+def checked_int(*checks):
+    """An argparse type: an int passing each (predicate, requirement) check
+    in turn; the first that fails is a usage error (exit 2) saying that the
+    value is not its requirement."""
     def parse(text):
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-        if not predicate(value):
-            raise argparse.ArgumentTypeError(f"{value} is not {requirement}")
+        for predicate, requirement in checks:
+            if not predicate(value):
+                raise argparse.ArgumentTypeError(f"{value} is not {requirement}")
         return value
     return parse
 
 
-DEGREE = checked_int(lambda d: d >= 0 and d % 3 == 0, "a multiple of 3 >= 0")
-POSITIVE = checked_int(lambda n: n >= 1, "a positive integer")
-COVER_DEGREE = checked_int(lambda n: n >= 2, "a cover degree >= 2")
-ORACLE_PRIME = checked_int(lambda p: p % 3 == 1 and is_prime(p),
-                           "a prime congruent to 1 mod 3")
+DEGREE = checked_int((lambda d: d >= 0 and d % 3 == 0, "a multiple of 3 >= 0"))
+POSITIVE = checked_int((lambda n: n >= 1, "a positive integer"))
+COVER_DEGREE = checked_int((lambda n: n >= 2, "a cover degree >= 2"))
+# The oracle scans p + 1 lines with a table of p square roots, so its time
+# and memory grow with p; the bound is checked before the trial division of
+# `is_prime`, which is slow for large p.
+ORACLE_PRIME_MAX = 10 ** 7
+ORACLE_PRIME = checked_int(
+    (lambda p: p <= ORACLE_PRIME_MAX, f"at most {ORACLE_PRIME_MAX}"),
+    (lambda p: p % 3 == 1 and is_prime(p), "a prime congruent to 1 mod 3"))
 
 
 def fraction_text(text):
@@ -365,15 +372,28 @@ def split_off(prog, name, choices, argv, **kwargs):
     return getattr(ns, name), ns.args
 
 
+def look_up(table, argv):
+    """(argv[0], argv[1:]) when argv[0] names an entry of table, else None.
+    A "--" right after the name is a miss too: argparse would take it with
+    the name, so only `split_off` gives what follows."""
+    if argv and argv[0] in table and argv[1:2] != ["--"]:
+        return argv[0], argv[1:]
+    return None
+
+
 def parse(argv):
-    """The namespace for argv, building only the parsers on its path: the
-    root, the group (when it has commands) and the command."""
-    group, rest = split_off(
+    """The namespace for argv.  A valid path is looked up in COMMANDS, so
+    only the command's parser is built; where a lookup misses (help, an
+    unknown or missing name, an option or "--" in the way), that level's
+    `split_off` parser runs and reports or skips what argparse would."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    group, rest = look_up(COMMANDS, argv) or split_off(
         "coble", "group", COMMANDS, argv, description="Exact verification "
         "of the invariant-form, restriction and enumerative computations.")
     entry, command, prog = COMMANDS[group], group, f"coble {group}"
     if isinstance(entry, dict):
-        command, rest = split_off(prog, "command", entry, rest)
+        command, rest = look_up(entry, rest) or split_off(
+            prog, "command", entry, rest)
         entry, prog = entry[command], f"{prog} {command}"
     func, options = entry
     parser = argparse.ArgumentParser(prog=prog)

@@ -67,17 +67,21 @@ def khat_invariant_monomials(d):
     return out
 
 
+def orbit_representatives(d):
+    """The first K^-invariant degree-d monomial of each K-orbit, in the
+    order of `khat_invariant_monomials`."""
+    translations = translation_getters(9)
+    seen = set()
+    for e in khat_invariant_monomials(d):
+        if e not in seen:
+            seen.update([translate(e) for translate in translations])
+            yield e
+
+
 def orbit_count(d):
     """Number of K-orbits of K^-invariant degree-d monomials (independent
     combinatorial count of the invariant dimension)."""
-    translations = translation_getters(9)
-    seen = set()
-    count = 0
-    for e in khat_invariant_monomials(d):
-        if e not in seen:
-            count += 1
-            seen.update([translate(e) for translate in translations])
-    return count
+    return sum(1 for _ in orbit_representatives(d))
 
 
 # Seed table for the degree-6 basis, in the pinned order T1..T43.  Each entry
@@ -173,19 +177,12 @@ class InvariantBasis:
 
 
 def invariant_basis(ring, d):
-    """Enumerate, orbit-sum and deduplicate; result must match the invariant
+    """One orbit sum per K-orbit; the result must match the invariant
     dimension and (for d in {3, 6}) equal the pinned basis as a set."""
     if d not in (3, 6):
         raise ValueError("explicit bases supported for degrees 3 and 6 only")
-    polys = []
-    seen_terms = set()
-    for e in khat_invariant_monomials(d):
-        p = orbit_sum(ring, e + (0,) * (ring.nvars - 9))
-        tkey = frozenset(p.terms)
-        if tkey in seen_terms:
-            continue
-        seen_terms.add(tkey)
-        polys.append(p)
+    tail = (0,) * (ring.nvars - 9)
+    polys = [orbit_sum(ring, e + tail) for e in orbit_representatives(d)]
     expected = invariant_dimension(d)
     if len(polys) != expected:
         raise InternalCountMismatch(

@@ -8,6 +8,8 @@ polynomial equality.
 
 from __future__ import annotations
 
+from operator import add
+
 
 class NotInSpan(Exception):
     """Raised when a polynomial does not lie in the span of a given basis."""
@@ -116,7 +118,7 @@ class Polynomial:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 s = out.get(e)
                 s = c if s is None else s + c
@@ -136,8 +138,9 @@ class Polynomial:
         while n:
             if n & 1:
                 acc = acc * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return acc
 
     def __eq__(self, other):

@@ -1,13 +1,14 @@
 """The per-element and elimination routes of `coble.invariants`, kept as the
 references the production routes are compared against: `orbit_count`
-translates each exponent entry by entry with `add2`, and `iota_split` takes
-exact kernels of (iota -/+ id) in basis coordinates over Q.
+translates each exponent entry by entry with `add2`, the orbit sums are
+de-duplicated by their term sets, and `iota_split` takes exact kernels of
+(iota -/+ id) in basis coordinates over Q.
 """
 
 from fractions import Fraction
 
 from coble.fields import QQ
-from coble.heisenberg import COORD_INDEX, COORDS, add2
+from coble.heisenberg import COORD_INDEX, COORDS, add2, orbit_sum
 from coble.invariants import iota_permutation, khat_invariant_monomials
 from coble.linalg import ExactMatrix
 
@@ -32,6 +33,20 @@ def orbit_count_entrywise(d):
         for shift in COORDS:
             seen.add(translate_entrywise(e, shift))
     return count
+
+
+def distinct_orbit_sums(ring, d):
+    """The orbit sum of every K^-invariant degree-d monomial, in enumeration
+    order, keeping the first of each distinct term set."""
+    polys = []
+    seen_terms = set()
+    for e in khat_invariant_monomials(d):
+        p = orbit_sum(ring, e + (0,) * (ring.nvars - 9))
+        key = frozenset(p.terms)
+        if key not in seen_terms:
+            seen_terms.add(key)
+            polys.append(p)
+    return polys
 
 
 def iota_split_by_elimination(basis):

@@ -139,6 +139,35 @@ def test_bad_argument_is_a_usage_error(capsys, argv):
     assert captured.out == "" and "error: argument" in captured.err
 
 
+BOUNDED_MAIN = """\
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from coble.cli import main
+start = time.monotonic()
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, time.monotonic() - start]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["hesse", "dual", "--oracle-prime", str(2 ** 61 - 1)],
+    ["verify-all", "--oracle-prime", "100000081"],
+])
+def test_oracle_prime_above_the_bound_is_a_usage_error(argv):
+    # Both are primes = 1 mod 3: 2^61 - 1 used to stall in trial division,
+    # 100000081 to exhaust memory in the oracle's table of square roots.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", BOUNDED_MAIN, *argv],
+                          env=env, capture_output=True, text=True, timeout=10)
+    code, seconds = json.loads(done.stdout)
+    assert code == 2 and seconds < 1
+    assert f"{argv[-1]} is not at most {cli.ORACLE_PRIME_MAX}" in done.stderr
+
+
 def test_internal_error(capsys, monkeypatch):
     def boom(d):
         raise RuntimeError("injected")
@@ -193,8 +222,37 @@ def test_every_command_builds_only_its_path(capsys, parsers_built, path):
         code, out, _ = run(capsys, argv)
         assert code in (0, 1), argv
         assert json.loads(out)["command"] == " ".join(path)
-        assert 1 <= len(parsers_built) <= 3
-        assert parsers_built[-1] == "coble " + " ".join(path)
+        assert parsers_built == ["coble " + " ".join(path)]
+
+
+def outcome(capsys, argv):
+    """vars(parse(argv)), or the exit code and output of a parse that exits."""
+    try:
+        return vars(cli.parse(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("path", TABLE, ids=" ".join)
+def test_lookup_equals_the_split_off_route(capsys, monkeypatch, path):
+    argvs = [path + REQUIRED.get(tuple(path), []) + tail
+             for tail in ([], ["--format", "text"], ["--help"], ["--"],
+                          ["--", "--format", "text"], ["extra"])]
+    argvs += [path[:k] + ["--"] + path[k:] for k in range(len(path) + 1)]
+    found = [outcome(capsys, argv) for argv in argvs]
+    # The reference: every lookup misses, so each level's split_off runs.
+    monkeypatch.setattr(cli, "look_up", lambda table, argv: None)
+    assert found == [outcome(capsys, argv) for argv in argvs]
+
+
+@pytest.mark.parametrize("argv", [["--", "nu", "charts"],
+                                  ["nu", "--", "charts"]])
+def test_double_dash_before_a_name_falls_back(capsys, parsers_built, argv):
+    code, cert = run_json(capsys, argv)
+    assert code == 0 and cert["command"] == "nu charts"
+    assert len(cert["outputs"]["charts"]) == 40
+    assert parsers_built[-1] == "coble nu charts" and len(parsers_built) == 2
 
 
 COUNT_PARSERS_AT_IMPORT = """\

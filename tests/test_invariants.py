@@ -4,7 +4,8 @@ import pytest
 
 from coble import invariants
 from coble.fields import QQ
-from coble.heisenberg import COORDS, generators, act_on_polynomial, theta_ring
+from coble.heisenberg import (COORDS, generators, act_on_polynomial,
+                              orbit_sum, theta_ring)
 from coble.invariants import (DegreeNotDivisibleBy3, InvariantBasis,
                               invariant_basis, invariant_dimension, iota_act,
                               iota_permutation, iota_split,
@@ -12,7 +13,8 @@ from coble.invariants import (DegreeNotDivisibleBy3, InvariantBasis,
                               pinned_basis)
 from coble.linalg import ExactMatrix
 from coble.poly import _grlex_key
-from invariants_oracle import iota_split_by_elimination, orbit_count_entrywise
+from invariants_oracle import (distinct_orbit_sums, iota_split_by_elimination,
+                               orbit_count_entrywise)
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +44,28 @@ def test_orbit_count_agrees():
 def test_orbit_count_equals_entrywise_route():
     for d in range(13):
         assert orbit_count(d) == orbit_count_entrywise(d), d
+
+
+def test_orbit_representatives_give_the_distinct_orbit_sums(ring):
+    for d in (3, 6, 9):
+        sums = [orbit_sum(ring, e) for e in invariants.orbit_representatives(d)]
+        assert sums == distinct_orbit_sums(ring, d), d
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_basis_takes_one_orbit_sum_per_orbit(ring, monkeypatch, d):
+    pinned = pinned_basis(ring, d)
+    monkeypatch.setattr(invariants, "pinned_basis", lambda ring, d: pinned)
+    seeds = []
+
+    def counting(ring, seed):
+        seeds.append(seed)
+        return orbit_sum(ring, seed)
+
+    monkeypatch.setattr(invariants, "orbit_sum", counting)
+    basis = invariant_basis(ring, d)
+    assert len(seeds) == invariant_dimension(d)
+    assert basis.elements == pinned[1]
 
 
 def test_khat_invariant_monomials_equal_brute_force():

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from coble.fields import OMEGA, QQ, QW
-from coble.poly import NotInSpan, PolyRing, coefficient_in_basis
+from coble.poly import NotInSpan, Polynomial, PolyRing, coefficient_in_basis
 from properties import prop_euler_homogeneous, prop_leibniz
 
 
@@ -19,6 +20,24 @@ def test_arithmetic(ring):
     assert p - p == ring.zero()
     assert (p * 0).is_zero()
     assert 3 * x - x == 2 * x
+
+
+def test_power_stops_squaring_after_the_last_bit(ring, monkeypatch):
+    x, y = ring.var("x"), ring.var("y")
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    for n in range(9):
+        calls.clear()
+        power = (x + y) ** n
+        assert len(calls) == bin(n).count("1") + max(n.bit_length() - 1, 0), n
+        assert power.terms == {(k, n - k): Fraction(comb(n, k))
+                               for k in range(n + 1)}, n
 
 
 def test_partial_derivative(ring):
