@@ -8,8 +8,8 @@ sources; same thing) with five formal parameters beta0..beta4.
 from __future__ import annotations
 
 from .fields import QQ, QW
-from .heisenberg import COORDS, add2, coord_name, theta_ring
-from .invariants import F_SEEDS
+from .heisenberg import COORDS, coord_name, theta_ring
+from .invariants import pinned_basis
 from .linalg import ExactMatrix
 from .poly import PolyRing
 
@@ -22,23 +22,12 @@ def coble_ring():
 
 def cubic_basis(ring=None):
     """F0..F4 as the *literal* printed sums over all nine translates:
-    F_i = sum_b X_b X_{mu+b} X_{-mu+b}.  For i >= 1 the translation orbit has
-    a stabilizer of order 3, so each distinct monomial appears with
-    coefficient 3; this is exactly what makes dF_beta/dX_b = 3 Q_b an
-    identity.  (The normalized orbit sums are these divided by the stabilizer
-    order.)"""
-    ring = ring or coble_ring()
-    out = []
-    for seed in F_SEEDS:
-        f = ring.zero()
-        for r in range(3):
-            for s in range(3):
-                m = ring.one()
-                for b, e in seed.items():
-                    m = m * ring.var(coord_name(add2(b, (r, s)))) ** e
-                f = f + m
-        out.append(f)
-    return out
+    F_i = sum_b X_b X_{mu+b} X_{-mu+b}.  Each is its orbit sum (the pinned
+    basis) times the order 9 / #terms of its stabilizer: for i >= 1 that is
+    3, so each distinct monomial has coefficient 3; this is exactly what
+    makes dF_beta/dX_b = 3 Q_b an identity."""
+    return [9 // len(f.terms) * f
+            for f in pinned_basis(ring or coble_ring(), 3)[1]]
 
 
 def coble_cubic(ring=None):
@@ -85,16 +74,13 @@ def verify_derivative_identity(f, quadrics=None):
     ring = f.ring
     quadrics = quadrics or barth_quadrics(ring)
     residuals = {}
+    acc = euler = ring.zero()
     for b, q in quadrics.items():
-        residuals[f"dF/d{coord_name(b)} - 3*Q"] = \
-            f.partial_derivative(coord_name(b)) - 3 * q
-    acc = ring.zero()
-    for b, q in quadrics.items():
-        acc = acc + ring.var(coord_name(b)) * q
+        z, df = ring.var(coord_name(b)), f.partial_derivative(coord_name(b))
+        residuals[f"dF/d{coord_name(b)} - 3*Q"] = df - 3 * q
+        acc = acc + z * q
+        euler = euler + z * df
     residuals["sum Z_b*Q_b - F"] = acc - f
-    euler = ring.zero()
-    for b in COORDS:
-        euler = euler + ring.var(coord_name(b)) * f.partial_derivative(coord_name(b))
     residuals["Euler: sum Z_b*dF/dZ_b - 3F"] = euler - 3 * f
     return residuals
 

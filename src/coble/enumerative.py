@@ -70,7 +70,9 @@ def dual_degree_computation():
     """The degree of the dual hypersurface: evaluates to 6; the derived
     table must agree with the frozen one entry by entry."""
     table = derived_intersection_table()
-    assert table == HARDCODED_TABLE, (table, HARDCODED_TABLE)
+    if table != HARDCODED_TABLE:
+        raise ValueError(f"derived table {table} differs from the frozen "
+                         f"{HARDCODED_TABLE}")
     return dual_degree_expansion().evaluate(table)
 
 

@@ -2,9 +2,8 @@
 the nine-dimensional theta representation, plus the involution split.
 
 The degree-6 basis T1..T43 is pinned to a fixed seed table (the order used in
-the source computation) so that certificates are comparable line by line; the
-independent orbit-enumeration path must reproduce the same set of
-polynomials.
+the source computation) so that certificates are comparable line by line;
+the orbit enumeration puts each of its orbit sums in the slot of its seed.
 """
 
 from __future__ import annotations
@@ -33,7 +32,8 @@ def invariant_dimension(d):
     c_d = binomial(d // 3 + 2, 2)
     total = 80 * c_d + binomial(d + 8, 8)
     q, r = divmod(total, 81)
-    assert r == 0, "trace-formula sum is not divisible by 81"
+    if r:
+        raise InternalCountMismatch("trace-formula sum is not divisible by 81")
     return q
 
 
@@ -143,24 +143,29 @@ F_SEEDS = [
 ]
 
 
-def _seed_to_dense(ring, seed):
-    dense = [0] * ring.nvars
+def _seed_table(degree):
+    """(labels, seeds) of the pinned basis of the given degree."""
+    if degree == 3:
+        return [f"F{i}" for i in range(5)], F_SEEDS
+    if degree == 6:
+        return [f"T{i}" for i in range(1, 44)], T_SEEDS
+    raise ValueError("pinned bases exist for degrees 3 and 6 only")
+
+
+def _seed_exponents(seed):
+    """A seed dict as its exponent tuple on the theta block."""
+    dense = [0] * 9
     for b, e in seed.items():
-        dense[ring.index[f"Z{b[0]}{b[1]}"]] = e
+        dense[COORD_INDEX[b]] = e
     return tuple(dense)
 
 
 def pinned_basis(ring, degree):
-    """The labeled bases from the fixed seed tables: (labels, polynomials)."""
-    if degree == 3:
-        seeds, prefix = F_SEEDS, "F"
-        labels = [f"F{i}" for i in range(5)]
-    elif degree == 6:
-        seeds, prefix = T_SEEDS, "T"
-        labels = [f"T{i}" for i in range(1, 44)]
-    else:
-        raise ValueError("pinned bases exist for degrees 3 and 6 only")
-    return labels, [orbit_sum(ring, _seed_to_dense(ring, s)) for s in seeds]
+    """The labeled bases from the fixed seed tables: (labels, polynomials).
+    The ring must start with the theta coordinates."""
+    labels, seeds = _seed_table(degree)
+    tail = (0,) * (ring.nvars - 9)
+    return labels, [orbit_sum(ring, _seed_exponents(s) + tail) for s in seeds]
 
 
 class InvariantBasis:
@@ -177,25 +182,29 @@ class InvariantBasis:
 
 
 def invariant_basis(ring, d):
-    """One orbit sum per K-orbit; the result must match the invariant
-    dimension and (for d in {3, 6}) equal the pinned basis as a set."""
-    if d not in (3, 6):
-        raise ValueError("explicit bases supported for degrees 3 and 6 only")
+    """One orbit sum per K-orbit, in the slot of its seed in the pinned
+    table.  `orbit_representatives` meets each orbit first at its least
+    translate, so that is the key of each seed; there must be one seed per
+    orbit and `invariant_dimension(d)` orbits."""
+    labels, seeds = _seed_table(d)
+    translations = translation_getters(9)
+    slots = {min(translate(e) for translate in translations): i
+             for i, e in enumerate(map(_seed_exponents, seeds))}
     tail = (0,) * (ring.nvars - 9)
-    polys = [orbit_sum(ring, e + tail) for e in orbit_representatives(d)]
-    expected = invariant_dimension(d)
-    if len(polys) != expected:
-        raise InternalCountMismatch(
-            f"got {len(polys)} distinct orbit sums, expected {expected}")
-    labels, pinned = pinned_basis(ring, d)
-    pinned_keys = {frozenset(p.terms): i for i, p in enumerate(pinned)}
-    ordered = [None] * expected
-    for p in polys:
-        i = pinned_keys.get(frozenset(p.terms))
+    elements = [None] * len(seeds)
+    for e in orbit_representatives(d):
+        i = slots.pop(e, None)
         if i is None:
-            raise InternalCountMismatch("orbit sum not found in the pinned table")
-        ordered[i] = p
-    return InvariantBasis(d, labels, ordered)
+            raise InternalCountMismatch(f"no seed for the orbit of {e}")
+        elements[i] = orbit_sum(ring, e + tail)
+    if slots:
+        raise InternalCountMismatch(
+            f"{len(slots)} seeds have no orbit representative")
+    expected = invariant_dimension(d)
+    if len(elements) != expected:
+        raise InternalCountMismatch(
+            f"got {len(elements)} distinct orbit sums, expected {expected}")
+    return InvariantBasis(d, labels, elements)
 
 
 # iota as an index permutation of the theta exponents: Z_b -> Z_{-b}.

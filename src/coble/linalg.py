@@ -6,8 +6,8 @@ are deterministic.  Kernel bases come out echelon-normalized: one vector per
 free column, with entry 1 in that column.
 
 `certified_rank_and_kernel` proves the rank of an integral matrix over Q(w)
-without eliminating over Q(w) when a modular lower bound and exactly checked
-kernel vectors meet, and eliminates exactly otherwise.
+without eliminating over Q(w) when a modular lower bound and the candidate
+kernel vectors that check exactly meet, and eliminates exactly otherwise.
 """
 
 from __future__ import annotations
@@ -156,44 +156,44 @@ def _is_integral(pairs):
     return all(type(a) is int and type(b) is int for a, b in pairs)
 
 
-def certified_rank_and_kernel(matrix, candidate_sets):
+def certified_rank_and_kernel(matrix, candidates):
     """Rank and kernel basis of an ExactMatrix over Q(w), with a certificate
     of how they were obtained.
 
     Lower bound: for an integral matrix, reduction Z[w] -> F_p (p =
     RANK_PRIME) sending w to RANK_OMEGA is a ring homomorphism, so rank
     mod p <= rank.
-    Upper bound: the largest candidate set (lists of integral vectors over
-    Q(w)) whose vectors satisfy A v = 0 exactly in Z[w] and are independent
-    (their rank mod p is their number) gives rank <= cols - #set.  When the
-    bounds meet, the rank is proven and that set is a kernel basis (route
-    "modular+kernel"); otherwise rank and kernel come from exact elimination
-    over Q(w) (route "exact-Qw").  Returns (rank, kernel, certificate); the
-    certificate gives the prime, the rank mod p (None for a non-integral
-    matrix), the size of the largest candidate set verified exactly, and
-    the route.
+    Upper bound: the candidate vectors over Q(w) that are integral and
+    satisfy A v = 0 exactly in Z[w] are kept if they are independent (their
+    rank mod p is their number; otherwise none is kept), and give
+    rank <= cols - #kept.  When the bounds meet, the rank is proven and the
+    kept vectors are a kernel basis (route "modular+kernel"); otherwise rank
+    and kernel come from exact elimination over Q(w) (route "exact-Qw").
+    Returns (rank, kernel, certificate); the certificate gives the prime,
+    the rank mod p (None for a non-integral matrix), the number of
+    candidates kept and the route.
     """
     if matrix.field != QW:
         raise ValueError(f"certified rank needs a matrix over {QW}, "
                          f"not {matrix.field}")
     rows = [[zw_pair(x) for x in row] for row in matrix.entries]
-    rank_p, verified, best = None, 0, []
+    rank_p, kernel = None, []
     if all(_is_integral(row) for row in rows):
         p, r = RANK_PRIME, RANK_OMEGA
 
         def mod_p(vec):
             return [(a + b * r) % p for a, b in vec]
 
-        for cands in candidate_sets:
-            vecs = [[zw_pair(x) for x in v] for v in cands]
-            if (len(vecs) > verified and all(map(_is_integral, vecs))
-                    and all(_annihilates(rows, v) for v in vecs)
-                    and rank_mod_p(map(mod_p, vecs), p) == len(vecs)):
-                verified, best = len(vecs), cands
+        vecs = [[zw_pair(x) for x in v] for v in candidates]
+        kept = [i for i, v in enumerate(vecs)
+                if _is_integral(v) and _annihilates(rows, v)]
+        if rank_mod_p((mod_p(vecs[i]) for i in kept), p) == len(kept):
+            kernel = [list(candidates[i]) for i in kept]
         rank_p = rank_mod_p(map(mod_p, rows), p,
-                            stop_at=matrix.cols - verified)
+                            stop_at=matrix.cols - len(kernel))
+    verified = len(kernel)
     if rank_p is not None and rank_p + verified == matrix.cols:
-        rank, kernel, route = rank_p, [list(v) for v in best], "modular+kernel"
+        rank, route = rank_p, "modular+kernel"
     else:
         rank, kernel = matrix.rank_and_kernel()
         route = "exact-Qw"

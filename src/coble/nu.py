@@ -30,8 +30,10 @@ the restriction is that combination.
 
 The nu matrix is integral in Z[w].  Its rank is certified by
 `linalg.certified_rank_and_kernel`: the rank mod a prime p = 1 mod 3 is a
-lower bound, the printed kernel vectors, checked exactly, give the upper
-bound, and exact elimination over Q(w) runs only when the two do not meet.
+lower bound, the printed text kernel vectors that check exactly give the
+upper bound, and exact elimination over Q(w) runs only when the two do not
+meet.  Either way the kernel is an echelon-normalized basis, so which
+printed kernel it is is decided by list equality (`kernel_verdict`).
 """
 
 from __future__ import annotations
@@ -365,7 +367,8 @@ def annexe_subblock_kernel(basis=None):
     counts, surviving = diagonal_filter_pipeline(basis)
     labels = [basis.labels[i] for i in surviving]
     m = _nu_matrix(annexe_charts()[4:], [basis.elements[i] for i in surviving])
-    rank, kernel, _ = certified_rank_and_kernel(m, candidate_sets(labels))
+    rank, kernel, _ = certified_rank_and_kernel(
+        m, candidate_vectors(labels, TEXT_KERNEL_PAIRS))
     kernel_labels = [{labels[j]: c for j, c in enumerate(v) if c}
                      for v in kernel]
     return counts, rank, kernel, kernel_labels
@@ -373,24 +376,16 @@ def annexe_subblock_kernel(basis=None):
 
 # ----- full resolution ----------------------------------------------------
 
-def _kernel_span_equals(kernel, candidates):
-    """Do the kernel vectors span the same space as the candidate vectors?"""
-    if len(kernel) != len(candidates):
-        return False
-    if not kernel:
-        return True
-    joint = ExactMatrix(QW, kernel + candidates)
-    return joint.rank() == len(kernel)
-
-
 def candidate_vectors(labels, pairs):
-    """Vectors for differences T_a - T_b given as (a_label, b_label) pairs."""
+    """Vectors T_a - T_b over the columns `labels`, for the (a_label,
+    b_label) pairs whose labels are both present."""
     out = []
     for plus, minus in pairs:
-        v = [QW.zero()] * len(labels)
-        v[labels.index(plus)] = QW.one()
-        v[labels.index(minus)] = -QW.one()
-        out.append(v)
+        if plus in labels and minus in labels:
+            v = [QW.zero()] * len(labels)
+            v[labels.index(plus)] = QW.one()
+            v[labels.index(minus)] = -QW.one()
+            out.append(v)
     return out
 
 
@@ -398,16 +393,16 @@ ANNEXE_KERNEL_PAIRS = [("T11", "T10"), ("T14", "T13"), ("T17", "T16")]
 TEXT_KERNEL_PAIRS = [("T8", "T7")] + ANNEXE_KERNEL_PAIRS
 
 
-def candidate_sets(labels):
-    """The printed kernels (text, then annexe) as candidate vectors over the
-    columns `labels`, each keeping the pairs whose labels are both present.
-    The pairs are disjoint and, in the pinned order, the larger label of
-    each comes later, so a set that spans the kernel is its
-    echelon-normalized basis, the one exact elimination returns."""
-    present = set(labels)
-    return [candidate_vectors(labels, [pair for pair in pairs
-                                       if set(pair) <= present])
-            for pairs in (TEXT_KERNEL_PAIRS, ANNEXE_KERNEL_PAIRS)]
+def kernel_verdict(labels, kernel):
+    """Which printed kernel `kernel` is, by list equality.  Each kernel
+    `certified_rank_and_kernel` returns (a sub-list of the printed text
+    pairs, or exact elimination's) is echelon-normalized, and so is each
+    printed list: its pairs are disjoint, the larger label later."""
+    if kernel == candidate_vectors(labels, TEXT_KERNEL_PAIRS):
+        return "text: rank 39, kernel {T8-T7, T11-T10, T14-T13, T17-T16}"
+    if kernel == candidate_vectors(labels, ANNEXE_KERNEL_PAIRS):
+        return "annexe: rank 40, kernel {T11-T10, T14-T13, T17-T16}"
+    return "neither printed kernel"
 
 
 def nu_rank_and_kernel(mode="annexe", progress=None):
@@ -417,9 +412,8 @@ def nu_rank_and_kernel(mode="annexe", progress=None):
     element and says how the rank was proven (`rank_certificate`)."""
     nu = assemble_nu(mode=mode, progress=progress)
     labels, elements = nu.labels, nu.elements
-    text, annexe = candidate_sets(labels)
-    rank, kernel, certificate = certified_rank_and_kernel(nu.matrix,
-                                                          [text, annexe])
+    rank, kernel, certificate = certified_rank_and_kernel(
+        nu.matrix, candidate_vectors(labels, TEXT_KERNEL_PAIRS))
     ring = elements[0].ring
 
     def combine(vec):
@@ -431,13 +425,6 @@ def nu_rank_and_kernel(mode="annexe", progress=None):
 
     anti = all(iota_act(combine(v)) == -combine(v) for v in kernel)
 
-    if _kernel_span_equals(kernel, text):
-        verdict = "text: rank 39, kernel {T8-T7, T11-T10, T14-T13, T17-T16}"
-    elif _kernel_span_equals(kernel, annexe):
-        verdict = "annexe: rank 40, kernel {T11-T10, T14-T13, T17-T16}"
-    else:
-        verdict = "neither printed kernel"
-
     kernel_labels = [{labels[j]: c for j, c in enumerate(v) if c} for v in kernel]
     report = {
         "mode": mode,
@@ -447,7 +434,7 @@ def nu_rank_and_kernel(mode="annexe", progress=None):
         "kernel": kernel_labels,
         "rank_nullity_ok": rank + len(kernel) == nu.matrix.cols,
         "kernel_iota_anti_invariant": anti,
-        "verdict": verdict,
+        "verdict": kernel_verdict(labels, kernel),
         "rank_certificate": certificate,
     }
     return rank, kernel, report

@@ -145,7 +145,8 @@ def polarization_beta_solve():
         raise NonUnique("constraint is vacuous")
     beta = solutions
     phi = phi_matrix(beta)
-    assert residual(beta) == IntMatrix2.zero()
+    if residual(beta) != IntMatrix2.zero():
+        raise NoSolution(f"beta = {beta} leaves a nonzero residual")
     kernel = {v for v in _three_torsion()
               if phi.apply(v)[0] % 3 == 0 and phi.apply(v)[1] % 3 == 0}
     expected = {(x % 3, (-x) % 3) for x in range(3)}

@@ -2,7 +2,8 @@
 is compared against: restriction by polynomial substitution (`restrict`,
 through the chart's basis vectors), coordinates by an exact solve
 (`coefficient_in_basis`) or by the source computation's substitution
-Y1 = Y2 = 1, and exact elimination (`ExactMatrix.rank_and_kernel`).  This
+Y1 = Y2 = 1, exact elimination (`ExactMatrix.rank_and_kernel`), and the
+verdict by exact span comparison with the printed kernels.  This
 is the only replication of the source's row convention: production reads
 S1..S4 only, and `source_rows` maps those to the source's rows.  Also the
 K_eta action on a chart plane, by exact 9x9 and 3x3 matrices, used to check
@@ -114,6 +115,27 @@ def nu_matrix(restricted, method):
         cols = [coordinates(res, method) for res in block]
         rows.extend([col[r] for col in cols] for r in range(4))
     return ExactMatrix(QW, rows)
+
+
+def kernel_span_equals(kernel, candidates):
+    """Do the kernel vectors span the same space as the candidate vectors?"""
+    if len(kernel) != len(candidates):
+        return False
+    if not kernel:
+        return True
+    joint = ExactMatrix(QW, kernel + candidates)
+    return joint.rank() == len(kernel)
+
+
+def span_verdict(labels, kernel):
+    """The verdict of `nu.nu_rank_and_kernel`, by span comparison."""
+    if kernel_span_equals(kernel, nu.candidate_vectors(
+            labels, nu.TEXT_KERNEL_PAIRS)):
+        return "text: rank 39, kernel {T8-T7, T11-T10, T14-T13, T17-T16}"
+    if kernel_span_equals(kernel, nu.candidate_vectors(
+            labels, nu.ANNEXE_KERNEL_PAIRS)):
+        return "annexe: rank 40, kernel {T11-T10, T14-T13, T17-T16}"
+    return "neither printed kernel"
 
 
 def k_eta_generators(eta):

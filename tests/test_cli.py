@@ -8,7 +8,7 @@ import pytest
 
 from fractions import Fraction
 
-from coble import cli, coble_forms
+from coble import cli, coble_forms, hesse
 from coble.cli import COMMANDS, jsonable, main
 from coble.fields import Eisenstein
 
@@ -94,6 +94,30 @@ def test_hesse_dual_singular_reduction_skips(capsys):
                                    "--oracle-prime", "13"])
     assert code == 0
     assert cert["outputs"]["oracle"] == "skipped_singular_reduction"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["hesse", "dual"], "duality oracle mod 997"),
+    (["verify-all"], "duality oracle"),
+])
+def test_duality_counterexample_is_a_failed_check(capsys, monkeypatch, argv,
+                                                  name):
+    # (1 : 5 : 7) is no point of f_2 mod 997 and its gradient misses the
+    # dual sextic: the oracle raises at it, and the check records that.
+    points = hesse.curve_points
+
+    def one_more(lam_p, p):
+        yield from points(lam_p, p)
+        yield 1, 5, 7
+
+    monkeypatch.setattr(hesse, "curve_points", one_more)
+    code, out, err = run(capsys, argv)
+    assert code == 1 and "internal error" not in err
+    failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == [name]
+    assert failed[0]["expected"] == 0
+    assert failed[0]["actual"].startswith("dual sextic nonzero")
+    assert failed[0]["actual"].endswith("at (1, 5, 7)")
 
 
 def test_nu_charts(capsys):

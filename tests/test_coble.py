@@ -10,8 +10,11 @@ from coble.coble_forms import (BARTH_TABLE, BETAS, barth_quadrics,
                                steiner_matrix, verify_derivative_identity,
                                yz_ring, yz_substitution)
 from coble.fields import QQ, QW, omega_pow
-from coble.heisenberg import (HeisenbergElement, act_on_polynomial, add2,
-                              coord_name, dot, generators, neg2, theta_ring)
+from coble.heisenberg import (COORDS, HeisenbergElement, act_on_polynomial,
+                              add2, coord_name, dot, generators, neg2,
+                              theta_ring)
+from coble.invariants import F_SEEDS
+from coble.poly import Polynomial
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +32,42 @@ def test_cubic_term_counts(ring):
         assert all(c == QW.coerce(3) for c in f.terms.values())
     f_beta = coble_cubic(ring)
     assert len(f_beta.terms) == 9 + 4 * 3
+
+
+def literal_cubic_basis(ring):
+    """F0..F4 multiplied out over all nine translates of their seeds, one
+    variable at a time: the printed sums, term by term."""
+    out = []
+    for seed in F_SEEDS:
+        f = ring.zero()
+        for shift in COORDS:
+            m = ring.one()
+            for b, e in seed.items():
+                m = m * ring.var(coord_name(add2(b, shift))) ** e
+            f = f + m
+        out.append(f)
+    return out
+
+
+def test_cubic_basis_equals_the_literal_sums(ring):
+    assert cubic_basis(ring) == literal_cubic_basis(ring)
+
+
+def test_derivative_identity_differentiates_each_coordinate_once(
+        ring, monkeypatch):
+    calls = []
+    derive = Polynomial.partial_derivative
+
+    def counting(p, name):
+        calls.append(name)
+        return derive(p, name)
+
+    monkeypatch.setattr(Polynomial, "partial_derivative", counting)
+    residuals = verify_derivative_identity(coble_cubic(ring))
+    assert sorted(calls) == [coord_name(b) for b in COORDS]
+    assert list(residuals) == [f"dF/d{coord_name(b)} - 3*Q" for b in COORDS] \
+        + ["sum Z_b*Q_b - F", "Euler: sum Z_b*dF/dZ_b - 3F"]
+    assert all(p.is_zero() for p in residuals.values())
 
 
 def test_derivative_identities(ring):

@@ -6,8 +6,9 @@ from coble import invariants
 from coble.fields import QQ
 from coble.heisenberg import (COORDS, generators, act_on_polynomial,
                               orbit_sum, theta_ring)
-from coble.invariants import (DegreeNotDivisibleBy3, InvariantBasis,
-                              invariant_basis, invariant_dimension, iota_act,
+from coble.invariants import (DegreeNotDivisibleBy3, InternalCountMismatch,
+                              InvariantBasis, invariant_basis,
+                              invariant_dimension, iota_act,
                               iota_permutation, iota_split,
                               khat_invariant_monomials, orbit_count,
                               pinned_basis)
@@ -54,8 +55,6 @@ def test_orbit_representatives_give_the_distinct_orbit_sums(ring):
 
 @pytest.mark.parametrize("d", [3, 6])
 def test_basis_takes_one_orbit_sum_per_orbit(ring, monkeypatch, d):
-    pinned = pinned_basis(ring, d)
-    monkeypatch.setattr(invariants, "pinned_basis", lambda ring, d: pinned)
     seeds = []
 
     def counting(ring, seed):
@@ -65,7 +64,23 @@ def test_basis_takes_one_orbit_sum_per_orbit(ring, monkeypatch, d):
     monkeypatch.setattr(invariants, "orbit_sum", counting)
     basis = invariant_basis(ring, d)
     assert len(seeds) == invariant_dimension(d)
-    assert basis.elements == pinned[1]
+    assert basis.elements == pinned_basis(ring, d)[1]
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda seeds: seeds[1:], "no seed for the orbit"),
+    (lambda seeds: seeds + [{(0, 0): 6}], "1 seeds have no orbit"),
+])
+def test_basis_needs_one_seed_per_orbit(ring, monkeypatch, tamper, message):
+    monkeypatch.setattr(invariants, "F_SEEDS", tamper(invariants.F_SEEDS))
+    with pytest.raises(InternalCountMismatch, match=message):
+        invariant_basis(ring, 3)
+
+
+def test_basis_size_must_be_the_dimension(ring, monkeypatch):
+    monkeypatch.setattr(invariants, "invariant_dimension", lambda d: 6)
+    with pytest.raises(InternalCountMismatch, match="got 5 distinct"):
+        invariant_basis(ring, 3)
 
 
 def test_khat_invariant_monomials_equal_brute_force():

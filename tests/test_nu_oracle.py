@@ -113,14 +113,36 @@ def _with_column(matrix, label, column):
     return ExactMatrix(QW, rows)
 
 
+def _text_candidates():
+    return nu.candidate_vectors(_labels, nu.TEXT_KERNEL_PAIRS)
+
+
+def _t7_plus_t10(matrix, label):
+    # The column `label` := T7 + T10.
+    j7, j10 = _labels.index("T7"), _labels.index("T10")
+    return _with_column(matrix, label,
+                        [row[j7] + row[j10] for row in matrix.entries])
+
+
+def _independent(matrix):
+    # One entry of T8 moved by w: rank 40, the annexe kernel.
+    j8 = _labels.index("T8")
+    column = [row[j8] for row in matrix.entries]
+    column[5] = column[5] + OMEGA
+    return _with_column(matrix, "T8", column)
+
+
+PERTURBATIONS = {"dependent": lambda m: _t7_plus_t10(m, "T8"),
+                 "independent": _independent,
+                 "t11_moved": lambda m: _t7_plus_t10(m, "T11")}
+
+
 def test_dependent_perturbation_falls_back_to_elimination(annexe_nu):
     # T8 := T7 + T10 keeps the rank at 39 but moves the kernel off T8-T7:
     # only the three annexe vectors verify, and 39 + 3 < 43.
-    m = annexe_nu.matrix
-    j7, j10 = _labels.index("T7"), _labels.index("T10")
-    perturbed = _with_column(m, "T8", [row[j7] + row[j10] for row in m.entries])
-    rank, kernel, cert = certified_rank_and_kernel(
-        perturbed, nu.candidate_sets(_labels))
+    perturbed = PERTURBATIONS["dependent"](annexe_nu.matrix)
+    rank, kernel, cert = certified_rank_and_kernel(perturbed,
+                                                   _text_candidates())
     assert cert == {"prime": RANK_PRIME, "rank_mod_p": 39,
                     "kernel_vectors_verified": 3, "route": "exact-Qw"}
     assert (rank, kernel) == perturbed.rank_and_kernel()
@@ -128,18 +150,41 @@ def test_dependent_perturbation_falls_back_to_elimination(annexe_nu):
 
 
 def test_independent_perturbation_is_certified_by_the_annexe_kernel(annexe_nu):
-    # One entry of T8 moved by w: rank 40, proven by the annexe vectors, and
-    # the certified kernel is the one exact elimination gives.
-    m = annexe_nu.matrix
-    j8 = _labels.index("T8")
-    column = [row[j8] for row in m.entries]
-    column[5] = column[5] + OMEGA
-    perturbed = _with_column(m, "T8", column)
-    rank, kernel, cert = certified_rank_and_kernel(
-        perturbed, nu.candidate_sets(_labels))
+    # Rank 40, proven by the annexe vectors, and the certified kernel is the
+    # one exact elimination gives.
+    perturbed = PERTURBATIONS["independent"](annexe_nu.matrix)
+    rank, kernel, cert = certified_rank_and_kernel(perturbed,
+                                                   _text_candidates())
     assert cert["route"] == "modular+kernel"
     assert cert["kernel_vectors_verified"] == 3
     assert (rank, kernel) == perturbed.rank_and_kernel() and rank == 40
+
+
+def test_each_printed_vector_is_kept_on_its_own(annexe_nu):
+    # With T11 := T10 + T7 no printed kernel verifies as a whole, but the
+    # three other pairs do; the rank stays 39, so elimination decides.
+    perturbed = PERTURBATIONS["t11_moved"](annexe_nu.matrix)
+    rank, kernel, cert = certified_rank_and_kernel(perturbed,
+                                                   _text_candidates())
+    assert cert == {"prime": RANK_PRIME, "rank_mod_p": 39,
+                    "kernel_vectors_verified": 3, "route": "exact-Qw"}
+    assert (rank, kernel) == perturbed.rank_and_kernel()
+    assert rank == 39
+
+
+@pytest.mark.parametrize("case", ["annexe", "all_lifts", "dependent",
+                                  "independent", "t11_moved", "elimination"])
+def test_verdict_by_list_equality_agrees_with_span_comparison(annexe_nu, case):
+    if case in ("annexe", "all_lifts"):
+        _, kernel, report = nu.nu_rank_and_kernel(mode=case)
+        assert report["verdict"] == nu.kernel_verdict(_labels, kernel)
+    elif case == "elimination":
+        kernel = annexe_nu.matrix.rank_and_kernel()[1]
+    else:
+        kernel = certified_rank_and_kernel(
+            PERTURBATIONS[case](annexe_nu.matrix), _text_candidates())[1]
+    assert nu.kernel_verdict(_labels, kernel) == \
+        nu_oracle.span_verdict(_labels, kernel)
 
 
 def test_rank_prime_and_omega():
@@ -155,11 +200,11 @@ def test_rank_prime_and_omega():
 ])
 def test_rank_drop_mod_p_falls_back(entry):
     m = ExactMatrix(QW, [[entry, 0, 0], [0, 1, 1]])
-    candidates = [[[QW.zero(), -QW.one(), QW.one()]]]
+    candidates = [[QW.zero(), -QW.one(), QW.one()]]
     rank, kernel, cert = certified_rank_and_kernel(m, candidates)
     assert cert == {"prime": RANK_PRIME, "rank_mod_p": 1,
                     "kernel_vectors_verified": 1, "route": "exact-Qw"}
-    assert (rank, kernel) == m.rank_and_kernel() == (2, candidates[0])
+    assert (rank, kernel) == m.rank_and_kernel() == (2, candidates)
 
 
 @pytest.mark.parametrize("entry, rank_mod_p", [
@@ -176,6 +221,15 @@ def test_prime_drop_and_rational_entries_fall_back(entry, rank_mod_p):
 def test_kernel_candidates_must_annihilate():
     m = ExactMatrix(QW, [[1, 1], [1, 1]])
     wrong = [[QW.one(), QW.one()]]
-    rank, kernel, cert = certified_rank_and_kernel(m, [wrong])
+    rank, kernel, cert = certified_rank_and_kernel(m, wrong)
     assert cert["kernel_vectors_verified"] == 0 and cert["route"] == "exact-Qw"
     assert rank == 1 and kernel == [[-QW.one(), QW.one()]]
+
+
+def test_dependent_candidates_are_all_dropped():
+    # Both copies annihilate, but together they are no independent set.
+    m = ExactMatrix(QW, [[1, 1], [1, 1]])
+    twice = [[-QW.one(), QW.one()]] * 2
+    rank, kernel, cert = certified_rank_and_kernel(m, twice)
+    assert cert["kernel_vectors_verified"] == 0 and cert["route"] == "exact-Qw"
+    assert rank == 1 and kernel == twice[:1]
