@@ -259,10 +259,15 @@ def cmd_verify_all(args, cert):
                all(r.is_zero() for r in hesse.cusp_system_residuals()),
                "PAPER")
     try:
-        found = hesse.finite_field_duality_oracle(
-            VERIFY_ALL_LAMBDA, args.oracle_prime)["counterexamples"]
+        report = hesse.finite_field_duality_oracle(VERIFY_ALL_LAMBDA,
+                                                   args.oracle_prime)
     except hesse.CounterexamplePoint as exc:
         found = str(exc)
+    else:
+        n, p = report["points"], report["p"]
+        found = report["counterexamples"] if report["hasse_ok"] else (
+            f"Hasse bound violated (lam={report['lam']}, p={p}): N = {n} "
+            f"points, (N - p - 1)^2 = {(n - p - 1) ** 2} > 4p = {4 * p}")
     cert.check("duality oracle", 0, found, "DERIVED")
     progress("enumerative")
     cert.check("dual degree", 6, enumerative.dual_degree_computation(), "PAPER")
@@ -299,6 +304,7 @@ def checked_int(*checks):
 DEGREE = checked_int((lambda d: d >= 0 and d % 3 == 0, "a multiple of 3 >= 0"))
 POSITIVE = checked_int((lambda n: n >= 1, "a positive integer"))
 COVER_DEGREE = checked_int((lambda n: n >= 2, "a cover degree >= 2"))
+SET_SIZE = checked_int((lambda n: n >= 0, "a set size >= 0"))
 # The oracle scans p + 1 lines with a table of p square roots, so its time
 # and memory grow with p; the bound is checked before the trial division of
 # `is_prime`, which is slow for large p.
@@ -364,7 +370,7 @@ COMMANDS = {
         "genus": (cmd_prym_genus, [
             ("--n", {"type": COVER_DEGREE, "required": True}),
             ("--g", {"type": int, "required": True}),
-            ("--t", {"type": int, "default": 0})]),
+            ("--t", {"type": SET_SIZE, "default": 0})]),
     },
     "verify-all": (cmd_verify_all, [ORACLE]),
 }

@@ -327,8 +327,10 @@ def curve_points(lam_p, p):
 def finite_field_duality_oracle(lam, p):
     """Find every F_p-point of f_lam = 0 on the lines through the flex
     (`curve_points`: p + 1 lines, one table of square roots mod p), check
-    that the gradient of every nonsingular point lies on the dual sextic,
-    and sanity check the point count against the Hasse bound."""
+    that the gradient of every nonsingular point lies on the dual sextic
+    (raising `CounterexamplePoint` at the first that does not), and report
+    whether the point count N meets the Hasse bound (N - p - 1)^2 <= 4p.
+    A count outside it is no point, so it is reported, not raised."""
     lam = Fraction(lam)
     if singular_mod(lam, p):
         raise ValueError(f"lam = {lam} is a singular pencil member mod {p}")
@@ -351,11 +353,8 @@ def finite_field_duality_oracle(lam, p):
                 + m * (a2 * (k0 + k1 + k2) + a3 * m)) % p:
             raise CounterexamplePoint((x0, y1, y2),
                                       f"dual sextic nonzero (lam={lam}, p={p})")
-    hasse_ok = (count - p - 1) ** 2 <= 4 * p
-    if not hasse_ok:
-        raise CounterexamplePoint((count,), f"Hasse bound violated (lam={lam}, p={p})")
-    return {"p": p, "lam": str(lam), "points": count,
-            "checked": checked, "hasse_ok": hasse_ok, "counterexamples": 0}
+    return {"p": p, "lam": str(lam), "points": count, "checked": checked,
+            "hasse_ok": (count - p - 1) ** 2 <= 4 * p, "counterexamples": 0}
 
 
 def run_default_oracle(lams=DEFAULT_ORACLE_LAMBDAS, primes=DEFAULT_ORACLE_PRIMES):

@@ -2,18 +2,21 @@
 sextics to them, and the assembled restriction map nu with a certified rank
 and kernel.
 
-Chart conventions (mode "annexe")
----------------------------------
-* 4 "diagonal" charts: for (r,s) in (0,1),(1,0),(1,1),(1,2) the coordinates
+Chart conventions
+-----------------
+One constructor, `eigenspace_chart(eta, t)`, builds every chart: an adapted
+basis of the fixed plane of the lift (t, x, x*) of a nonzero class eta of
+A[3] mod +-, one vector per <x>-orbit of the coordinates whose phases close
+up.  Mode "all_lifts" charts all three lifts of all 40 classes (120 charts).
+Mode "annexe" charts the t = 0 lift of each class (40 charts) under the
+Annexe's names, in their order:
+* 4 "diagonal" charts diagonal(r,s), x = 0 and x* = (r,s): the coordinates
   Z_ij with r*i + s*j != 0 mod 3 vanish on the plane; the three survivors
   become Y0, Y1, Y2 in row-major order.
-* 36 shift charts: for each shift direction d in 01, 10, 11, 12 and each
-  character (u,v), the phase tables below (copied bit for bit from the
-  source computation) send every Z_ij to w^j * Y_k.
-
-Mode "all_lifts" instead builds, for every nonzero class eta of A[3] mod +-
-and each of the three central lifts, an adapted basis of the eigenvalue-1
-eigenspace of the 9x9 action matrix, and charts all 120 of them.
+* 36 shift charts shift(d,u=u,v=v), x = d in 01, 10, 11, 12 and
+  x* = -(u,v): each <d>-orbit goes to one Y_k with phases w^j.
+The Annexe's printed phase tables are kept in `tests/nu_oracle.py`, where
+they are checked to give exactly these charts.
 
 Every chart sends each Z_b to w^j * Y_k or to 0 and is stored as that
 monomial map (`FixedPlaneChart.images`).  Every group element sends Z_b to
@@ -39,9 +42,9 @@ printed kernel it is is decided by list equality (`kernel_verdict`).
 from __future__ import annotations
 
 from .fields import QW, Eisenstein, zw_pair, zw_rotate
-from .heisenberg import (COORDS, THETA_VARS, Apoint,
-                         HeisenbergElement, add2, apoint_classes_mod_sign,
-                         coord_name, dot, monomial_action, neg2, theta_ring)
+from .heisenberg import (COORD_INDEX, COORDS, THETA_VARS, HeisenbergElement,
+                         add2, apoint_classes_mod_sign, dot, monomial_action,
+                         neg2, theta_ring)
 from .hesse import s_basis
 from .invariants import InvariantBasis, iota_act, pinned_basis
 from .linalg import ExactMatrix, certified_rank_and_kernel
@@ -54,35 +57,6 @@ class EigenspaceDimensionError(Exception):
 
 Y_RING = PolyRing(QW, ("Y0", "Y1", "Y2"))
 S_BASIS = s_basis(Y_RING)
-
-DIAGONAL_RS = [(0, 1), (1, 0), (1, 1), (1, 2)]
-
-# Phase tables: family direction -> {(i,j): (k, (w1, w2))}: Z_ij -> w^j Y_k
-# with j = u*w1 + v*w2 mod 3 for chart character (u,v).
-SHIFT_TABLES = {
-    (0, 1): {
-        (0, 0): (0, (0, 0)), (0, 1): (0, (0, 0)), (0, 2): (0, (0, 1)),
-        (1, 0): (1, (0, 0)), (1, 1): (1, (1, 0)), (1, 2): (1, (2, 1)),
-        (2, 0): (2, (0, 0)), (2, 1): (2, (2, 0)), (2, 2): (2, (1, 1)),
-    },
-    (1, 0): {
-        (0, 0): (0, (0, 0)), (1, 0): (0, (0, 0)), (2, 0): (0, (1, 0)),
-        (0, 1): (1, (0, 0)), (1, 1): (1, (0, 1)), (2, 1): (1, (1, 2)),
-        (0, 2): (2, (0, 0)), (1, 2): (2, (0, 2)), (2, 2): (2, (1, 1)),
-    },
-    (1, 1): {
-        (0, 0): (0, (0, 0)), (1, 1): (0, (0, 0)), (2, 2): (0, (1, 1)),
-        (0, 1): (1, (0, 0)), (1, 2): (1, (0, 1)), (2, 0): (1, (1, 0)),
-        (0, 2): (2, (0, 0)), (2, 1): (2, (1, 2)), (1, 0): (2, (0, 2)),
-    },
-    (1, 2): {
-        (0, 0): (0, (0, 0)), (1, 2): (0, (0, 0)), (2, 1): (0, (1, 2)),
-        (0, 1): (1, (0, 0)), (1, 0): (1, (0, 1)), (2, 2): (1, (1, 1)),
-        (0, 2): (2, (0, 0)), (1, 1): (2, (0, 2)), (2, 0): (2, (1, 0)),
-    },
-}
-
-FAMILY_ORDER = [(0, 1), (1, 0), (1, 1), (1, 2)]
 
 
 class FixedPlaneChart:
@@ -99,70 +73,47 @@ class FixedPlaneChart:
         return f"FixedPlaneChart({self.family_tag})"
 
 
-def _diagonal_chart(r, s):
-    survivors = [b for b in COORDS if (r * b[0] + s * b[1]) % 3 == 0]
-    images = tuple((survivors.index(b), 0) if b in survivors else None
-                   for b in COORDS)
-    eta = Apoint((0, 0), (r, s)).canonical_mod_sign()
-    return FixedPlaneChart(f"diagonal({r},{s})", images, eta=eta)
-
-
-def _shift_chart(direction, u, v):
-    table = SHIFT_TABLES[direction]
-    images = tuple((k, (u * w1 + v * w2) % 3)
-                   for k, (w1, w2) in (table[b] for b in COORDS))
-    # The plane is fixed by lifts with translation part -direction.
-    eta = Apoint(neg2(direction), (u, v)).canonical_mod_sign()
-    d = f"{direction[0]}{direction[1]}"
-    return FixedPlaneChart(f"shift({d},u={u},v={v})", images, eta=eta)
-
-
 def annexe_charts():
-    """The 40 charts in pinned order: diagonals, then shift families with
-    (u, v) row-major."""
-    charts = [_diagonal_chart(r, s) for r, s in DIAGONAL_RS]
-    for direction in FAMILY_ORDER:
-        for u in range(3):
-            for v in range(3):
-                charts.append(_shift_chart(direction, u, v))
-    return charts
+    """The 40 charts of the Annexe, in the order of their names: the t = 0
+    lift chart of each class eta, named diagonal(r,s) when x = 0 and
+    x* = (r,s), else shift(x0x1,u=u,v=v) with (u, v) = -x*."""
+    charts = []
+    for eta in apoint_classes_mod_sign():
+        chart = eigenspace_chart(eta, 0)
+        x, (u, v) = eta.x, neg2(eta.xstar)
+        chart.family_tag = ("diagonal({},{})".format(*eta.xstar) if x == (0, 0)
+                            else f"shift({x[0]}{x[1]},u={u},v={v})")
+        charts.append(chart)
+    return sorted(charts, key=lambda chart: chart.family_tag)
 
 
 def eigenspace_chart(eta, t):
-    """Adapted eigenvalue-1 chart for the lift (t, x, x*) of eta."""
-    g = HeisenbergElement(t, eta.x, eta.xstar)
-    x = eta.x
-    sub = {b: None for b in COORDS}
-    if x == (0, 0):
-        survivors = [b for b in COORDS if (t + dot(eta.xstar, b)) % 3 == 0]
-        if len(survivors) != 3:
-            raise EigenspaceDimensionError(f"{eta}, t={t}")
-        for k, b in enumerate(survivors):
-            sub[b] = (k, 0)
-    else:
-        # Group coordinates into the three <x>-cosets; each contributes one
-        # eigenvalue-1 vector, with phases fixed by the cycle recurrence.
-        seen = set()
-        reps = []
-        for b in COORDS:
-            if b in seen:
-                continue
-            cyc = [b, add2(b, x), add2(b, add2(x, x))]
-            seen.update(cyc)
-            reps.append(b)
-        if len(reps) != 3:
-            raise EigenspaceDimensionError(f"{eta}, t={t}")
-        for k, c in enumerate(reps):
-            alpha = 0  # exponent of w; alpha_0 = 1
-            point = c
-            for m in range(3):
-                sub[point] = (k, alpha % 3)
-                # alpha_{m+1} = alpha_m * w^-(t + x*.(c + m x))
-                alpha -= t + dot(eta.xstar, point)
-                point = add2(point, x)
+    """Adapted eigenvalue-1 chart for the lift g = (t, x, x*) of eta.  g sends
+    Z_(c+x) to w^(t + x*.c) Z_c, so a fixed vector sum alpha_b Z_b has
+    alpha_(c+x) = alpha_c w^-(t + x*.c).  Walking each <x>-orbit of the
+    coordinates from its first member (alpha = 1) gives one fixed vector
+    when the accumulated phase returns to 0 mod 3.  For x = 0 each orbit is
+    one Z_b, kept when t + x*.b = 0; for x != 0 all three cosets of <x> are
+    kept, as the phases over a coset sum to 3t + 3 x*.(c + x) = 0."""
+    images = [None] * 9
+    seen = set()
+    k = 0
+    for c in COORDS:
+        orbit, alpha, b = [], 0, c
+        while b not in seen:
+            seen.add(b)
+            orbit.append((COORD_INDEX[b], alpha))
+            alpha = (alpha - t - dot(eta.xstar, b)) % 3
+            b = add2(b, eta.x)
+        if orbit and alpha == 0:
+            for i, j in orbit:
+                images[i] = (k, j)
+            k += 1
+    if k != 3:
+        raise EigenspaceDimensionError(f"{eta}, t={t}")
     chart = FixedPlaneChart(f"lift(x={eta.x},xstar={eta.xstar},t={t})",
-                            tuple(sub[b] for b in COORDS), eta=eta)
-    _verify_eigenvectors(chart, g)
+                            tuple(images), eta=eta)
+    _verify_eigenvectors(chart, HeisenbergElement(t, eta.x, eta.xstar))
     return chart
 
 
@@ -307,10 +258,9 @@ class NuMatrix:
         self.elements = elements      # the column sextics
 
 
-def _nu_matrix(charts, elements, progress=None):
+def _nu_matrix(charts, packed, progress=None):
     """The restriction matrix: per chart, four rows holding the S1..S4
-    coordinates of every element's restriction."""
-    packed = packed_terms(elements)
+    coordinates of every element of `packed` (from `packed_terms`)."""
     entries = {}  # one Eisenstein per distinct pair
 
     def qw(c):
@@ -338,25 +288,31 @@ def _basis_or_pinned(basis):
 def assemble_nu(mode="annexe", basis=None, progress=None):
     """Stack the per-chart coordinate rows of all 43 basis sextics."""
     basis = _basis_or_pinned(basis)
-    matrix = _nu_matrix(fixed_plane_charts(mode), basis.elements, progress)
+    matrix = _nu_matrix(fixed_plane_charts(mode), packed_terms(basis.elements),
+                        progress)
     return NuMatrix(matrix, basis.labels, basis.elements)
 
 
 # ----- the Annexe's filter pipeline ---------------------------------------
 
+def _diagonal_filter(diagonal_charts, packed):
+    """Keep, chart after chart, the elements of `packed` whose S1..S4
+    coordinates there are all zero: `s_coordinates` checks that the whole
+    restriction is that combination, so exactly those restrict to zero."""
+    surviving = list(range(len(packed)))
+    counts = []
+    for chart in diagonal_charts:
+        coords = chart_coordinates(chart, [packed[i] for i in surviving])
+        surviving = [i for i, c in zip(surviving, coords) if c == [ZERO] * 4]
+        counts.append(len(surviving))
+    return counts, surviving
+
+
 def diagonal_filter_pipeline(basis=None):
     """Apply the four diagonal filters cumulatively; return the list of
     surviving-count stages and the indices (0-based) of the 30 survivors."""
-    elements = _basis_or_pinned(basis).elements
-    surviving = list(range(len(elements)))
-    counts = []
-    for r, s in DIAGONAL_RS:
-        zero_sub = {coord_name(b): 0 for b in COORDS
-                    if (r * b[0] + s * b[1]) % 3 != 0}
-        surviving = [i for i in surviving
-                     if elements[i].substitute(zero_sub).is_zero()]
-        counts.append(len(surviving))
-    return counts, surviving
+    packed = packed_terms(_basis_or_pinned(basis).elements)
+    return _diagonal_filter(annexe_charts()[:4], packed)
 
 
 def annexe_subblock_kernel(basis=None):
@@ -364,9 +320,11 @@ def annexe_subblock_kernel(basis=None):
     rank and kernel, with kernel vectors re-expressed as T-label
     differences."""
     basis = _basis_or_pinned(basis)
-    counts, surviving = diagonal_filter_pipeline(basis)
+    charts = annexe_charts()
+    packed = packed_terms(basis.elements)
+    counts, surviving = _diagonal_filter(charts[:4], packed)
     labels = [basis.labels[i] for i in surviving]
-    m = _nu_matrix(annexe_charts()[4:], [basis.elements[i] for i in surviving])
+    m = _nu_matrix(charts[4:], [packed[i] for i in surviving])
     rank, kernel, _ = certified_rank_and_kernel(
         m, candidate_vectors(labels, TEXT_KERNEL_PAIRS))
     kernel_labels = [{labels[j]: c for j, c in enumerate(v) if c}

@@ -7,7 +7,10 @@ verdict by exact span comparison with the printed kernels.  This
 is the only replication of the source's row convention: production reads
 S1..S4 only, and `source_rows` maps those to the source's rows.  Also the
 K_eta action on a chart plane, by exact 9x9 and 3x3 matrices, used to check
-that it keeps the span of S1..S4.
+that it keeps the span of S1..S4.  And the Annexe's printed charts (its
+diagonal rule and phase tables, transcribed) with its diagonal filter by
+zero substitution, which production derives as the t = 0 lift charts and
+reads off the packed restriction.
 """
 
 from functools import cache
@@ -15,11 +18,85 @@ from functools import cache
 from coble import nu
 from coble.fields import QW, Eisenstein, omega_pow
 from coble.heisenberg import (COORDS, Apoint, action_matrix, add2, coord_name,
-                              theta_ring, weil_form)
+                              neg2, theta_ring, weil_form)
 from coble.invariants import pinned_basis
 from coble.linalg import ExactMatrix
 from coble.nu import S_BASIS, Y_RING
 from coble.poly import NotInSpan, coefficient_in_basis
+
+
+DIAGONAL_RS = [(0, 1), (1, 0), (1, 1), (1, 2)]
+
+# Phase tables: family direction -> {(i,j): (k, (w1, w2))}: Z_ij -> w^j Y_k
+# with j = u*w1 + v*w2 mod 3 for chart character (u,v).
+SHIFT_TABLES = {
+    (0, 1): {
+        (0, 0): (0, (0, 0)), (0, 1): (0, (0, 0)), (0, 2): (0, (0, 1)),
+        (1, 0): (1, (0, 0)), (1, 1): (1, (1, 0)), (1, 2): (1, (2, 1)),
+        (2, 0): (2, (0, 0)), (2, 1): (2, (2, 0)), (2, 2): (2, (1, 1)),
+    },
+    (1, 0): {
+        (0, 0): (0, (0, 0)), (1, 0): (0, (0, 0)), (2, 0): (0, (1, 0)),
+        (0, 1): (1, (0, 0)), (1, 1): (1, (0, 1)), (2, 1): (1, (1, 2)),
+        (0, 2): (2, (0, 0)), (1, 2): (2, (0, 2)), (2, 2): (2, (1, 1)),
+    },
+    (1, 1): {
+        (0, 0): (0, (0, 0)), (1, 1): (0, (0, 0)), (2, 2): (0, (1, 1)),
+        (0, 1): (1, (0, 0)), (1, 2): (1, (0, 1)), (2, 0): (1, (1, 0)),
+        (0, 2): (2, (0, 0)), (2, 1): (2, (1, 2)), (1, 0): (2, (0, 2)),
+    },
+    (1, 2): {
+        (0, 0): (0, (0, 0)), (1, 2): (0, (0, 0)), (2, 1): (0, (1, 2)),
+        (0, 1): (1, (0, 0)), (1, 0): (1, (0, 1)), (2, 2): (1, (1, 1)),
+        (0, 2): (2, (0, 0)), (1, 1): (2, (0, 2)), (2, 0): (2, (1, 0)),
+    },
+}
+
+FAMILY_ORDER = [(0, 1), (1, 0), (1, 1), (1, 2)]
+
+
+def _diagonal_chart(r, s):
+    survivors = [b for b in COORDS if (r * b[0] + s * b[1]) % 3 == 0]
+    images = tuple((survivors.index(b), 0) if b in survivors else None
+                   for b in COORDS)
+    eta = Apoint((0, 0), (r, s)).canonical_mod_sign()
+    return nu.FixedPlaneChart(f"diagonal({r},{s})", images, eta=eta)
+
+
+def _shift_chart(direction, u, v):
+    table = SHIFT_TABLES[direction]
+    images = tuple((k, (u * w1 + v * w2) % 3)
+                   for k, (w1, w2) in (table[b] for b in COORDS))
+    # The plane is fixed by lifts with translation part -direction.
+    eta = Apoint(neg2(direction), (u, v)).canonical_mod_sign()
+    d = f"{direction[0]}{direction[1]}"
+    return nu.FixedPlaneChart(f"shift({d},u={u},v={v})", images, eta=eta)
+
+
+def printed_annexe_charts():
+    """The 40 charts as the Annexe prints them: diagonals, then shift
+    families with (u, v) row-major."""
+    charts = [_diagonal_chart(r, s) for r, s in DIAGONAL_RS]
+    for direction in FAMILY_ORDER:
+        for u in range(3):
+            for v in range(3):
+                charts.append(_shift_chart(direction, u, v))
+    return charts
+
+
+def substitution_filter(elements):
+    """The Annexe's diagonal filters, applied cumulatively by substituting 0
+    for the coordinates off each diagonal plane: the surviving count after
+    each filter and the indices of the survivors."""
+    surviving = list(range(len(elements)))
+    counts = []
+    for r, s in DIAGONAL_RS:
+        zero_sub = {coord_name(b): 0 for b in COORDS
+                    if (r * b[0] + s * b[1]) % 3 != 0}
+        surviving = [i for i in surviving
+                     if elements[i].substitute(zero_sub).is_zero()]
+        counts.append(len(surviving))
+    return counts, surviving
 
 
 def basis_vectors(chart):

@@ -1,10 +1,12 @@
 """Shared hypothesis property suites (200 randomized cases each).
 
-Each suite is a plain callable built with @given, so the unit test modules
-and the acceptance gate can both execute it.
+Each suite is a plain callable built with @given.  The unit test of its
+module and acceptance criterion 11 both call it through `run_once`, so one
+test run executes each suite once, whichever of the two comes first.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from hypothesis import given, settings, strategies as st
 
@@ -116,3 +118,10 @@ def prop_rank_nullity_random(entries):
 ALL_SUITES = [prop_field_axioms, prop_leibniz, prop_euler_homogeneous,
               prop_action_composition, prop_eigenvalue_multiplicity,
               prop_rank_nullity_random]
+
+
+@cache
+def run_once(suite):
+    """Run `suite` unless it already passed in this process.  A failure is
+    not cached: it is raised again, by a fresh run, to every caller."""
+    suite()

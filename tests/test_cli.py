@@ -120,6 +120,35 @@ def test_duality_counterexample_is_a_failed_check(capsys, monkeypatch, argv,
     assert failed[0]["actual"].endswith("at (1, 5, 7)")
 
 
+def no_points(monkeypatch):
+    # 0 points mod 997 is far outside the Hasse bound (0 - 998)^2 <= 4 * 997
+    monkeypatch.setattr(hesse, "curve_points", lambda lam_p, p: iter(()))
+
+
+def test_hasse_violation_fails_the_hasse_check(capsys, monkeypatch):
+    no_points(monkeypatch)
+    code, out, err = run(capsys, ["hesse", "dual"])
+    assert code == 1 and "internal error" not in err
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["duality oracle mod 997"]["pass"]
+    assert checks["duality oracle mod 997"]["actual"] == 0
+    hasse = checks["Hasse bound mod 997"]
+    assert (hasse["expected"], hasse["actual"], hasse["pass"]) == \
+        (True, False, False)
+    assert json.loads(out)["outputs"]["oracle"]["points"] == 0
+
+
+def test_hasse_violation_fails_the_verify_all_oracle(capsys, monkeypatch):
+    no_points(monkeypatch)
+    code, out, err = run(capsys, ["verify-all"])
+    assert code == 1 and "internal error" not in err
+    failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["duality oracle"]
+    assert failed[0]["actual"] == (
+        "Hasse bound violated (lam=2, p=997): N = 0 points, "
+        "(N - p - 1)^2 = 996004 > 4p = 3988")
+
+
 def test_nu_charts(capsys):
     code, cert = run_json(capsys, ["nu", "charts"])
     assert code == 0
@@ -154,6 +183,8 @@ def test_usage_error():
     ["hesse", "dual", "--lambda", "1/13", "--oracle-prime", "13"],
     ["prym", "genus", "--n", "4", "--g", "2", "--t", "1"],
     ["verify-all", "--oracle-prime", "7"],
+    # |T| is a set size: a negative one gave a genus before
+    ["prym", "genus", "--n", "2", "--g", "2", "--t", "-2"],
 ])
 def test_bad_argument_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from coble.fields import (OMEGA, QQ, QW, Eisenstein, bernoulli, binomial,
                           format_rational, omega_pow, square_roots, zw_mul,
                           zw_pair, zw_rotate)
-from properties import prop_field_axioms, small_fraction
+from properties import prop_field_axioms, run_once, small_fraction
 
 
 def test_omega_relations():
@@ -167,4 +167,4 @@ def test_binomial():
 
 
 def test_field_axioms_suite():
-    prop_field_axioms()
+    run_once(prop_field_axioms)

@@ -7,7 +7,8 @@ from coble.heisenberg import (COORD_INDEX, COORDS, IDENTITY, TRANSLATIONS,
                               generators, group_mul, orbit_sum, theta_ring,
                               translation_getters, weil_form)
 from coble.linalg import ExactMatrix
-from properties import prop_action_composition, prop_eigenvalue_multiplicity
+from properties import (prop_action_composition, prop_eigenvalue_multiplicity,
+                        run_once)
 
 
 def test_action_on_coordinate():
@@ -101,8 +102,8 @@ def test_orbit_sum_rejects_noninvariant_seed():
 
 
 def test_action_composition_suite():
-    prop_action_composition()
+    run_once(prop_action_composition)
 
 
 def test_eigenvalue_multiplicity_suite():
-    prop_eigenvalue_multiplicity()
+    run_once(prop_eigenvalue_multiplicity)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from coble.fields import OMEGA, OMEGA2, QQ, QW
 from coble.linalg import ExactMatrix
-from properties import prop_rank_nullity_random
+from properties import prop_rank_nullity_random, run_once
 
 
 def test_identity_rank():
@@ -50,4 +50,4 @@ def test_transpose_and_vector():
 
 
 def test_rank_nullity_suite():
-    prop_rank_nullity_random()
+    run_once(prop_rank_nullity_random)

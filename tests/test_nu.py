@@ -3,15 +3,14 @@ import pytest
 from coble.fields import QW
 from coble.heisenberg import COORDS, HeisenbergElement, theta_ring
 from coble.invariants import InvariantBasis, pinned_basis
-from coble.linalg import ExactMatrix
 from coble.nu import (EigenspaceDimensionError, FixedPlaneChart,
                       all_lift_charts, annexe_charts, annexe_subblock_kernel,
                       assemble_nu, diagonal_filter_pipeline, eigenspace_chart,
                       fixed_plane_charts, matching_lifts, nu_rank_and_kernel)
-from nu_oracle import (annexe_restrictions, basis_vectors, hack_rows,
-                       induced_plane_action, k_eta_generators, nu_matrix,
-                       plane_action_preserves_s_span, production_coordinates,
-                       restrict)
+from nu_oracle import (annexe_restrictions, hack_rows, induced_plane_action,
+                       k_eta_generators, nu_matrix,
+                       plane_action_preserves_s_span, printed_annexe_charts,
+                       production_coordinates, restrict, substitution_filter)
 
 
 @pytest.fixture(scope="module")
@@ -165,20 +164,27 @@ def test_column_rank_equals_row_rank(full_report):
 
 
 def test_eigenspace_charts_match_annexe(charts):
-    # for each annexe chart, one of the three lifts of its class reproduces
-    # the same plane, up to choice of adapted basis
-    lifted = all_lift_charts()
-    by_eta = {}
-    for ch in lifted:
-        by_eta.setdefault(ch.eta.key(), []).append(ch)
-    for chart in charts:
-        span = ExactMatrix(QW, basis_vectors(chart))
-        matches = 0
-        for cand in by_eta[chart.eta.key()]:
-            joint = ExactMatrix(QW, basis_vectors(chart) + basis_vectors(cand))
-            if joint.rank() == 3:
-                matches += 1
-        assert matches == 1, chart.family_tag
+    # the same monomial map, not only the same plane: each annexe chart is
+    # the transcribed table and the t = 0 lift chart of its class
+    printed = printed_annexe_charts()
+    assert [c.family_tag for c in charts] == [c.family_tag for c in printed]
+    for chart, table in zip(charts, printed):
+        assert chart.eta == table.eta, chart.family_tag
+        assert chart.images == table.images, chart.family_tag
+        assert chart.images == eigenspace_chart(chart.eta, 0).images, \
+            chart.family_tag
+
+
+def test_diagonal_filter_matches_zero_substitution(basis):
+    labels, elements = basis
+    assert diagonal_filter_pipeline() == substitution_filter(elements)
+    keep = [labels.index(t) for t in ("T1", "T2", "T7", "T8", "T9", "T20",
+                                      "T30", "T43")]
+    sub = InvariantBasis(6, [labels[i] for i in keep],
+                         [elements[i] for i in keep])
+    counts, surviving = diagonal_filter_pipeline(sub)
+    assert (counts, surviving) == substitution_filter(sub.elements)
+    assert counts[0] < len(keep) and counts[-1] > 0
 
 
 def test_k_eta_action_preserves_s_span(charts):

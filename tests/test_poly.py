@@ -5,7 +5,7 @@ import pytest
 
 from coble.fields import OMEGA, QQ, QW
 from coble.poly import NotInSpan, Polynomial, PolyRing, coefficient_in_basis
-from properties import prop_euler_homogeneous, prop_leibniz
+from properties import prop_euler_homogeneous, prop_leibniz, run_once
 
 
 @pytest.fixture
@@ -94,8 +94,8 @@ def test_coefficient_in_basis(ring):
 
 
 def test_leibniz_suite():
-    prop_leibniz()
+    run_once(prop_leibniz)
 
 
 def test_euler_suite():
-    prop_euler_homogeneous()
+    run_once(prop_euler_homogeneous)
