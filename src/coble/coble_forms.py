@@ -242,14 +242,9 @@ def printed_yz_block_polys(ring=None):
     """The printed Q1..Q9 in Y/Z coordinates, as polynomials."""
     ring = ring or yz_ring()
     polys = []
-    for yrow, zrow in zip(EVEN_Y_ROWS, STEINER_ROWS):
-        q = ring.zero()
+    for yrow, q in zip(EVEN_Y_ROWS, steiner_row_polys(ring)):
         for j, (a, b) in enumerate(yrow):
             q = q + ring.var(f"beta{j}") * ring.var(f"Y{a}") * ring.var(f"Y{b}")
-        for j, ent in enumerate(zrow):
-            if ent is not None:
-                sgn, (a, b) = ent
-                q = q + sgn * ring.var(f"beta{j}") * ring.var(f"W{a}") * ring.var(f"W{b}")
         polys.append(q)
     for row in MIXED_ROWS:
         q = ring.zero()

@@ -173,8 +173,6 @@ def format_rational(q):
 class RationalField:
     """The rationals, elements are fractions.Fraction."""
 
-    name = "QQ"
-
     def zero(self):
         return Fraction(0)
 
@@ -201,8 +199,6 @@ class RationalField:
 
 class EisensteinField:
     """Q(w), w^2 + w + 1 = 0."""
-
-    name = "QQ(w)"
 
     def zero(self):
         return Eisenstein(0)

@@ -1,18 +1,24 @@
-"""The Hesse pencil of plane cubics, the closed-form dual sextic, the cusp
-linear system, and an independent finite-field duality oracle.
+"""The Hesse pencil of plane cubics, its dual sextic, the cusp linear
+system, and an independent finite-field duality oracle.
 
-The pencil is f_lam = X0^3 + X1^3 + X2^3 - 3*lam*X0*X1*X2, smooth exactly
-when lam^3 != 1.  The dual curve of a smooth member is the sextic
-
-    F_lam = S1 + a1*S2 + a2*S3 + a3*S4,
-    a1 = 4*lam^3 - 2,  a2 = -6*lam^2,  a3 = -3*lam*(lam^3 - 4),
-
-in the symmetric basis S1 = sum Y_i^6, S2 = sum_{i<j} Y_i^3 Y_j^3,
-S3 = Y0 Y1 Y2 * sum Y_i^3, S4 = Y0^2 Y1^2 Y2^2.  The coefficients are
-derived twice (closed form and the cusp 3x3 linear system) and certified a
-third time over prime fields: every F_p-point of f_lam is found on the p + 1
-lines through the rational flex (0 : 1 : -1), and its gradient must lie on
-the dual sextic.
+The three printed formulas are each written once, as functions of lam that
+take numbers or polynomials alike:
+- `pencil`: f_lam = X0^3 + X1^3 + X2^3 - 3*lam*X0*X1*X2, smooth exactly
+  when lam^3 != 1;
+- `dual_sextic`: the dual of a smooth member, F_lam = S1 + a1*S2 + a2*S3 +
+  a3*S4 with a1 = 4*lam^3 - 2, a2 = -6*lam^2, a3 = -3*lam*(lam^3 - 4)
+  (`dual_coefficients`), S1 = sum Y_i^6, S2 = sum_{i<j} Y_i^3 Y_j^3,
+  S3 = Y0 Y1 Y2 * sum Y_i^3, S4 = Y0^2 Y1^2 Y2^2;
+- `cusp_system`: the 3x3 linear system in (a1, a2, a3) saying that
+  (lam : 1 : 1) is a cusp of F_lam.
+The formal cubic `PENCIL`, the gradient, the Hessian, the cusp residuals
+(row . a - rhs at formal lam) and the cusp certificate derive from them.
+The coefficients come twice (closed form, one elimination of the cusp
+system) and are certified a third time over prime fields: every F_p-point
+of f_lam is found on the p + 1 lines through the rational flex (0 : 1 : -1),
+and its gradient must lie on the dual sextic.  That loop inlines f_lam and
+F_lam mod p on ints; `tests/hesse_oracle.py` checks it against its own
+transcription.
 """
 
 from __future__ import annotations
@@ -40,35 +46,23 @@ class CounterexamplePoint(Exception):
 
 X_RING = PolyRing(QQ, ("X0", "X1", "X2", "lam"))
 Y_RING = PolyRing(QQ, ("Y0", "Y1", "Y2", "lam"))
+X_NAMES = ("X0", "X1", "X2")
 
 
-def _x(i):
-    return X_RING.var(f"X{i}")
+def pencil(x0, x1, x2, lam):
+    """f_lam at (x0 : x1 : x2); numbers or polynomials of one ring."""
+    return x0 ** 3 + x1 ** 3 + x2 ** 3 - 3 * lam * x0 * x1 * x2
 
 
-class HesseCubic:
-    """f_lam; lam is a Fraction, or None for the formal parameter."""
-
-    def __init__(self, lam=None):
-        self.lam = None if lam is None else Fraction(lam)
-        lam_poly = X_RING.var("lam") if lam is None else X_RING.const(self.lam)
-        x0, x1, x2 = _x(0), _x(1), _x(2)
-        self.poly = x0 ** 3 + x1 ** 3 + x2 ** 3 - 3 * lam_poly * x0 * x1 * x2
-
-    def is_smooth(self):
-        if self.lam is None:
-            raise ValueError("smoothness needs a numeric lam")
-        return self.lam ** 3 != 1
-
-    def gradient(self):
-        return [self.poly.partial_derivative(f"X{i}") for i in range(3)]
+# f_lam over X_RING with lam formal.
+PENCIL = pencil(*(X_RING.var(v) for v in X_RING.varnames))
 
 
-def dual_coefficients(lam_poly):
-    """(a1, a2, a3) with lam_poly a Polynomial, Fraction or int."""
-    return (4 * lam_poly ** 3 - 2,
-            -6 * lam_poly ** 2,
-            -3 * lam_poly * (lam_poly ** 3 - 4))
+def dual_coefficients(lam):
+    """(a1, a2, a3) with lam a Polynomial, Fraction or int."""
+    return (4 * lam ** 3 - 2,
+            -6 * lam ** 2,
+            -3 * lam * (lam ** 3 - 4))
 
 
 def s_basis(ring):
@@ -80,76 +74,59 @@ def s_basis(ring):
             y0 ** 2 * y1 ** 2 * y2 ** 2]
 
 
-# S1..S4 over Y_RING, built once and shared by every DualSextic.
+# S1..S4 over Y_RING, built once and shared by every dual sextic.
 S_BASIS = s_basis(Y_RING)
 
 
-class DualSextic:
-    def __init__(self, lam=None):
-        self.lam = None if lam is None else Fraction(lam)
-        lam_poly = Y_RING.var("lam") if lam is None else Y_RING.const(self.lam)
-        self.a = dual_coefficients(lam_poly)
-        s1, s2, s3, s4 = S_BASIS
-        self.poly = s1 + self.a[0] * s2 + self.a[1] * s3 + self.a[2] * s4
-
-    def coefficient_values(self):
-        """(a1, a2, a3) as Fractions (numeric lam only)."""
-        if self.lam is None:
-            raise ValueError("formal lam has polynomial coefficients")
-        return tuple(dual_coefficients(self.lam))
-
-
-def dual_sextic_closed_form(lam=None):
-    return DualSextic(lam)
+def dual_sextic(lam):
+    """F_lam over Y_RING; lam a number, or Y_RING.var("lam") for the
+    formal sextic."""
+    s1, s2, s3, s4 = S_BASIS
+    a1, a2, a3 = dual_coefficients(lam)
+    return s1 + a1 * s2 + a2 * s3 + a3 * s4
 
 
 def cusp_system(lam):
     """The 3x3 linear system in (a1, a2, a3) expressing that (lam:1:1) is a
     cusp of the dual sextic, as printed: rows are the coefficients and the
     right-hand side moves the a-free terms across."""
-    lam = Fraction(lam)
     rows = [
         [6 * lam ** 2, 4 * lam ** 3 + 2, 2 * lam],
         [3 * (lam ** 3 + 1), lam * (lam ** 3 + 5), 2 * lam ** 2],
         [9 * lam ** 2, 4 * lam ** 3 + 5, 4 * lam],
     ]
-    rhs = [-6 * lam ** 5, Fraction(-6), Fraction(0)]
+    rhs = [-6 * lam ** 5, -6, 0]
     return rows, rhs
 
 
 def dual_sextic_from_cusp_system(lam):
     """(a1, a2, a3) from one elimination of the augmented 3x4 system, which
     is singular exactly when its pivots are not the three a-columns."""
-    rows, rhs = cusp_system(lam)
-    reduced, pivots = ExactMatrix(QQ, [[Fraction(c) for c in r] + [Fraction(b)]
-                                       for r, b in zip(rows, rhs)]).rref()
+    rows, rhs = cusp_system(Fraction(lam))
+    reduced, pivots = ExactMatrix(QQ, [row + [Fraction(b)]
+                                       for row, b in zip(rows, rhs)]).rref()
     if pivots != [0, 1, 2]:
         raise SingularSystem(f"cusp system is singular at lam = {lam}")
     return tuple(row[3] for row in reduced)
 
 
 def cusp_system_residuals():
-    """Substitute the closed-form coefficients into the three printed cusp
-    equations with lam formal; all residuals must be identically zero."""
-    ring = PolyRing(QQ, ("lam",))
-    lam = ring.var("lam")
-    a1, a2, a3 = dual_coefficients(lam)
-    return [
-        6 * lam ** 5 + 6 * a1 * lam ** 2 + a2 * (4 * lam ** 3 + 2) + 2 * a3 * lam,
-        6 + 3 * a1 * (lam ** 3 + 1) + a2 * lam * (lam ** 3 + 5) + 2 * a3 * lam ** 2,
-        9 * a1 * lam ** 2 + a2 * (4 * lam ** 3 + 5) + 4 * a3 * lam,
-    ]
+    """row . a - rhs for the three printed cusp equations, with the
+    closed-form coefficients a and lam formal; all must be identically
+    zero."""
+    lam = PolyRing(QQ, ("lam",)).var("lam")
+    a = dual_coefficients(lam)
+    rows, rhs = cusp_system(lam)
+    return [row[0] * a[0] + row[1] * a[1] + row[2] * a[2] - b
+            for row, b in zip(rows, rhs)]
 
 
 def gradient_map(lam, point):
-    """D(X) = (3X0^2 - 3 lam X1 X2, 3X1^2 - 3 lam X0 X2, 3X2^2 - 3 lam X0 X1)."""
-    lam = Fraction(lam)
-    x0, x1, x2 = point
-    g = (3 * x0 * x0 - 3 * lam * x1 * x2,
-         3 * x1 * x1 - 3 * lam * x0 * x2,
-         3 * x2 * x2 - 3 * lam * x0 * x1)
+    """D(X) = grad f_lam at X, the partials of `PENCIL` evaluated exactly."""
+    at = dict(zip(X_NAMES, point), lam=Fraction(lam))
+    g = tuple(PENCIL.partial_derivative(v).evaluate(at) for v in X_NAMES)
     if not any(g):
-        raise ZeroGradient(f"singular point {point} at lam = {lam}")
+        raise ZeroGradient(f"singular point {point} at lam = {at['lam']}")
     return g
 
 
@@ -205,24 +182,24 @@ def inflection_orbit():
     return orbit
 
 
+def _at_point(poly, point):
+    """poly with X0, X1, X2 set to the Q(omega) coordinates of point: a
+    polynomial in the formal lam over Q(omega)."""
+    return poly.substitute(dict(zip(X_NAMES, point)),
+                           target_ring=PolyRing(QW, ("lam",)))
+
+
 def on_pencil_member(point):
-    """Evaluate f_lam at a Q(omega) point with lam formal: the residual
-    polynomial in lam (zero iff the point lies on every pencil member)."""
-    ring = PolyRing(QW, ("lam",))
-    lam = ring.var("lam")
-    x0, x1, x2 = (ring.const(c) for c in point)
-    return x0 ** 3 + x1 ** 3 + x2 ** 3 - 3 * lam * x0 * x1 * x2
+    """f_lam at a Q(omega) point with lam formal: the residual polynomial in
+    lam (zero iff the point lies on every pencil member)."""
+    return _at_point(PENCIL, point)
 
 
 def hessian_determinant_at(point):
     """det of the matrix of second partials of f_lam, evaluated at a
     Q(omega) point, as a polynomial in the formal lam."""
-    ring = PolyRing(QW, ("lam",))
-    lam = ring.var("lam")
-    x = [ring.const(c) for c in point]
-    h = [[6 * x[0], -3 * lam * x[2], -3 * lam * x[1]],
-         [-3 * lam * x[2], 6 * x[1], -3 * lam * x[0]],
-         [-3 * lam * x[1], -3 * lam * x[0], 6 * x[2]]]
+    h = [[_at_point(PENCIL.partial_derivative(a).partial_derivative(b), point)
+          for b in X_NAMES] for a in X_NAMES]
     return (h[0][0] * (h[1][1] * h[2][2] - h[1][2] * h[2][1])
             - h[0][1] * (h[1][0] * h[2][2] - h[1][2] * h[2][0])
             + h[0][2] * (h[1][0] * h[2][1] - h[1][1] * h[2][0]))
@@ -232,14 +209,13 @@ def cusp_orbit_check():
     """Certify (lam : 1 : 1) as a cusp of the dual sextic, identically in
     lam: both partials vanish there, and the printed restriction to
     Y1 = Y2 = 1 vanishes to order >= 3 at Y0 = lam."""
-    dual = DualSextic(None)
     lam = Y_RING.var("lam")
+    dual = dual_sextic(lam)
     at_cusp = {"Y0": lam, "Y1": 1, "Y2": 1}
     report = {}
     for v in ("Y0", "Y1", "Y2"):
-        report[f"d/d{v}"] = dual.poly.partial_derivative(v).substitute(at_cusp)
-    restriction = dual.poly.substitute({"Y1": 1, "Y2": 1})
-    r = restriction
+        report[f"d/d{v}"] = dual.partial_derivative(v).substitute(at_cusp)
+    r = dual.substitute({"Y1": 1, "Y2": 1})
     for order in (0, 1, 2):
         report[f"restriction_order_{order}"] = r.substitute({"Y0": lam})
         r = r.partial_derivative("Y0")

@@ -69,10 +69,6 @@ class IntMatrix2:
         (a, b), (c, d) = self.rows
         return a * d - b * c
 
-    def mod(self, n):
-        (a, b), (c, d) = self.rows
-        return IntMatrix2(a % n, b % n, c % n, d % n)
-
     def apply(self, v):
         (a, b), (c, d) = self.rows
         return (a * v[0] + b * v[1], c * v[0] + d * v[1])
@@ -160,9 +156,12 @@ def _three_torsion():
 
 def genus_of_quotient(n, g, t_size=0):
     """Genus of the quotient curve: (n-1)(g-1)/2 for n odd;
-    (n/2)(g-1) + 1 - |T|/2 for n even (|T| even, result >= 0)."""
+    (n/2)(g-1) + 1 - |T|/2 for n even (|T| even, result >= 0).  |T| is a
+    set size, so a negative one is no cover for any n."""
     if n < 2:
         raise ValueError("cover degree must be >= 2")
+    if t_size < 0:
+        raise InadmissibleCover(f"|T| = {t_size} must be >= 0")
     if n % 2:
         value = Fraction((n - 1) * (g - 1), 2)
     else:

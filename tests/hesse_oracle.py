@@ -8,7 +8,7 @@ exactly over Q before reducing it mod p and is meant for p <= 103;
 
 from fractions import Fraction
 
-from coble.hesse import DualSextic, reduce_mod
+from coble.hesse import dual_sextic, reduce_mod
 
 
 def representatives(p):
@@ -34,7 +34,7 @@ def scan(lam, p):
     dual sextic does not vanish on."""
     lam = Fraction(lam)
     lam_p = reduce_mod(lam, p)
-    sextic = DualSextic(lam).poly
+    sextic = dual_sextic(lam)
     points, checked, counterexamples = point_set(lam_p, p), 0, []
     for x0, x1, x2 in points:
         g = ((3 * x0 * x0 - 3 * lam_p * x1 * x2) % p,

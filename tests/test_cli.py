@@ -240,6 +240,34 @@ def test_artifact_hash_deterministic(capsys):
     assert cert1["artifact_hash"] == cert2["artifact_hash"]
 
 
+# Certificates pinned by their artifact_hash: a deliberate change to one of
+# these certificates must update its hash here.
+PINNED_HASHES = [
+    (["verify-all"],
+     "6ee3442417cf3a0b955d730d1605fe372af6a4182fe43e252b9e7b968a77e99b"),
+    (["hesse", "dual"],
+     "408da8dade095bc07483d7ca5a9246aff252e9e0c79d8f2c2561f82fdea64cf3"),
+    (["hesse", "dual", "--lambda", "7/3", "--oracle-prime", "97"],
+     "e18f833b7669459e288480b0c201dfe22cc7217e3ffd3fed16ef8bfd134c3cd7"),
+    (["hesse", "dual", "--lambda=-5/11", "--oracle-prime", "31"],
+     "82dc9e33a9425b5bf5814fa2d4a9f02ebbe991260d447976780a261e04c60e08"),
+    (["coble", "check"],
+     "b21979b3825257f5796b290392f5b487ae797a423062e2cae197fbcc68eb54a3"),
+    (["nu", "kernel", "--mode", "all_lifts"],
+     "dd6736a3c38712cafc5339acf202012df6cf67b86efaf00a97247e6b8f4c0d57"),
+    (["invariants", "basis", "--degree", "6"],
+     "16e518904e94d6057f7973e7b7ae3f021cc444e97a6588b9772356ebf6117ea7"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_HASHES,
+                         ids=[" ".join(argv) for argv, _ in PINNED_HASHES])
+def test_certificate_hash_is_pinned(capsys, argv, digest):
+    code, cert = run_json(capsys, argv)
+    assert code == 0
+    assert cert["artifact_hash"] == digest
+
+
 def test_jsonable_sorts_sets():
     assert jsonable({3, 1, 2}) == [1, 2, 3]
     assert jsonable({Fraction(1, 2), Fraction(-3)}) == [-3, "1/2"]

@@ -2,34 +2,63 @@ from fractions import Fraction
 
 import pytest
 
-from coble.hesse import (Y_RING, DualSextic, HesseCubic,
-                         SingularSystem, ZeroGradient, cusp_orbit,
-                         cusp_orbit_check, cusp_system_residuals,
-                         dual_sextic_closed_form, dual_sextic_from_cusp_system,
+from coble.hesse import (PENCIL, X_RING, Y_RING, SingularSystem, ZeroGradient,
+                         cusp_orbit, cusp_orbit_check, cusp_system,
+                         cusp_system_residuals,
+                         dual_coefficients, dual_sextic,
+                         dual_sextic_from_cusp_system,
                          finite_field_duality_oracle, gradient_map,
                          hessian_determinant_at, inflection_orbit,
                          on_pencil_member, plane_orbit, proj_eq,
                          run_default_oracle, s_basis)
-from coble.fields import QW, Eisenstein
+from coble.fields import QQ, QW, Eisenstein
 from coble.linalg import ExactMatrix
+from coble.poly import PolyRing
+
+RATIONALS = (0, 1, 2, -1, Fraction(7, 3), Fraction(-5, 11), Fraction(1, 2))
+
+
+def quartics_in_gradient_ideal(lam):
+    """The rank of the 18 products (partial of f_lam) * (quadric monomial)
+    in the 15 quartic monomials; 15 means every quartic, so the partials
+    have no common zero and f_lam is smooth."""
+    f = PENCIL.substitute({"lam": lam})
+    names = ("X0", "X1", "X2")
+    quadrics = [X_RING.var(a) * X_RING.var(b)
+                for i, a in enumerate(names) for b in names[i:]]
+    products = [f.partial_derivative(v) * m for v in names for m in quadrics]
+    quartics = sorted({e for p in products for e in p.terms})
+    assert len(quartics) == 15
+    return ExactMatrix(QQ, [[p.coeff(e) for e in quartics]
+                            for p in products]).rank()
 
 
 def test_smoothness():
-    assert HesseCubic(2).is_smooth()
-    assert not HesseCubic(1).is_smooth()
+    """f_2 is smooth; f_1 is singular at (1 : 1 : 1)."""
+    assert quartics_in_gradient_ideal(2) == 15
+    assert quartics_in_gradient_ideal(1) < 15
+    assert PENCIL.evaluate({"X0": 1, "X1": 1, "X2": 1, "lam": 1}) == 0
+    with pytest.raises(ZeroGradient):
+        gradient_map(1, (1, 1, 1))
 
 
 def test_closed_form_examples():
     s1, s2, s3, s4 = s_basis(Y_RING)
-    assert dual_sextic_closed_form(0).poly == s1 - 2 * s2
-    assert DualSextic(1).coefficient_values() == (2, -6, 9)
-    assert DualSextic(2).coefficient_values()[2] == -24
+    assert dual_sextic(0) == s1 - 2 * s2
+    assert dual_coefficients(Fraction(1)) == (2, -6, 9)
+    assert dual_coefficients(Fraction(2))[2] == -24
+
+
+@pytest.mark.parametrize("q", RATIONALS, ids=str)
+def test_numeric_sextic_is_the_formal_one_at_q(q):
+    formal = dual_sextic(Y_RING.var("lam"))
+    assert dual_sextic(q) == formal.substitute({"lam": q})
 
 
 def test_cusp_system_matches_closed_form():
     for lam in (2, 3, 5, Fraction(7, 3), -1):
         assert dual_sextic_from_cusp_system(lam) == \
-            DualSextic(lam).coefficient_values()
+            dual_coefficients(Fraction(lam))
 
 
 def test_cusp_system_singular_at_zero():
@@ -46,7 +75,7 @@ def test_cusp_system_is_eliminated_once(monkeypatch):
         return rref(self)
 
     monkeypatch.setattr(ExactMatrix, "rref", counting)
-    assert dual_sextic_from_cusp_system(2) == DualSextic(2).coefficient_values()
+    assert dual_sextic_from_cusp_system(2) == dual_coefficients(Fraction(2))
     assert shapes == [(3, 4)]
     shapes.clear()
     with pytest.raises(SingularSystem, match="singular at lam = 0"):
@@ -54,8 +83,47 @@ def test_cusp_system_is_eliminated_once(monkeypatch):
     assert shapes == [(3, 4)]
 
 
+def hand_expanded_cusp_equations(lam, a1, a2, a3):
+    """The three printed cusp equations with the a-free terms on the left,
+    expanded by hand."""
+    return [
+        6 * lam ** 5 + 6 * a1 * lam ** 2 + a2 * (4 * lam ** 3 + 2) + 2 * a3 * lam,
+        6 + 3 * a1 * (lam ** 3 + 1) + a2 * lam * (lam ** 3 + 5) + 2 * a3 * lam ** 2,
+        9 * a1 * lam ** 2 + a2 * (4 * lam ** 3 + 5) + 4 * a3 * lam,
+    ]
+
+
 def test_cusp_system_identities():
-    assert all(r.is_zero() for r in cusp_system_residuals())
+    residuals = cusp_system_residuals()
+    assert all(r.is_zero() for r in residuals)
+    lam = PolyRing(QQ, ("lam",)).var("lam")
+    assert residuals == hand_expanded_cusp_equations(lam, *dual_coefficients(lam))
+
+
+def test_cusp_rows_are_the_hand_expansion_term_for_term():
+    """At a = (lam + 1, lam^2, 3 lam - 2), which solves none of the
+    equations, row . a - rhs equals the hand expansion term for term."""
+    ring = PolyRing(QQ, ("lam",))
+    lam = ring.var("lam")
+    a = (lam + 1, lam ** 2, 3 * lam - 2)
+    rows, rhs = cusp_system(lam)
+    derived = [row[0] * a[0] + row[1] * a[1] + row[2] * a[2] - b
+               for row, b in zip(rows, rhs)]
+    assert derived == hand_expanded_cusp_equations(lam, *a)
+    assert all(derived)
+
+
+def explicit_gradient(lam, x0, x1, x2):
+    return (3 * x0 ** 2 - 3 * lam * x1 * x2,
+            3 * x1 ** 2 - 3 * lam * x0 * x2,
+            3 * x2 ** 2 - 3 * lam * x0 * x1)
+
+
+@pytest.mark.parametrize("lam", RATIONALS, ids=str)
+def test_gradient_map_is_the_explicit_gradient(lam):
+    for point in ((1, 0, 0), (0, 1, -1), (1, 2, 3), (Fraction(1, 2), -3, 5),
+                  (Fraction(-2, 7), Fraction(3, 4), 1)):
+        assert gradient_map(lam, point) == explicit_gradient(lam, *point)
 
 
 def test_gradient_map():
@@ -123,7 +191,7 @@ def test_duality_check_is_not_vacuous():
     """The dual sextic does not vanish on gradients of off-curve points, so
     the oracle's membership test is a live check."""
     lam = Fraction(2)
-    sextic = DualSextic(lam).poly
+    sextic = dual_sextic(lam)
     grad = gradient_map(lam, (1, 1, 0))  # (1:1:0) is not on the curve
     value = sextic.evaluate(
         {"Y0": grad[0], "Y1": grad[1], "Y2": grad[2], "lam": lam})

@@ -88,7 +88,7 @@ def test_wrong_dual_coefficient_is_caught(monkeypatch):
         hesse.finite_field_duality_oracle(2, 97)
     x = exc.value.point
     assert x[0] == 1 or x[:2] == (0, 1)
-    assert hesse.HesseCubic(2).poly.evaluate(
+    assert hesse.PENCIL.evaluate(
         {"X0": x[0], "X1": x[1], "X2": x[2], "lam": 2}) % 97 == 0
 
 
@@ -107,7 +107,7 @@ def test_wrong_dual_coefficient_is_caught_mod_1033(monkeypatch, i):
     with pytest.raises(hesse.CounterexamplePoint) as exc:
         hesse.finite_field_duality_oracle(2, 1033)
     x = exc.value.point
-    assert hesse.HesseCubic(2).poly.evaluate(
+    assert hesse.PENCIL.evaluate(
         {"X0": x[0], "X1": x[1], "X2": x[2], "lam": 2}) % 1033 == 0
 
 

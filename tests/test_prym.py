@@ -48,6 +48,14 @@ def test_genus_formula_even():
         genus_of_quotient(2, 3, t_size=3)  # odd branch count
 
 
+@pytest.mark.parametrize("n, g, t_size", [(2, 2, -2), (4, 2, -4), (2, 3, -1),
+                                          (3, 2, -2), (5, 3, -1)])
+def test_negative_set_size_is_no_cover(n, g, t_size):
+    # (2, 2, -2) and (4, 2, -4) gave genera 3 and 5 before
+    with pytest.raises(InadmissibleCover, match="must be >= 0"):
+        genus_of_quotient(n, g, t_size)
+
+
 def test_genus_formula_fractional():
     from fractions import Fraction
     with pytest.raises(NonIntegralGenus):
