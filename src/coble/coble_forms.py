@@ -2,15 +2,17 @@
 the involution eigencoordinate (Y/Z) rewriting, and the Steiner matrix.
 
 Coordinates here are the theta variables Z00..Z22 (written X_b in degree-3
-sources; same thing) with five formal parameters beta0..beta4.
+sources; same thing) with five formal parameters beta0..beta4.  F_beta is
+restricted to a fixed plane as the sextics are, by `nu.chart_coordinates`.
 """
 
 from __future__ import annotations
 
 from .fields import QQ, QW
-from .heisenberg import COORDS, coord_name, theta_ring
+from .heisenberg import Apoint, coord_name, theta_ring
 from .invariants import pinned_basis
 from .linalg import ExactMatrix
+from .nu import PENCIL_TARGET, chart_coordinates, eigenspace_chart, packed_terms
 from .poly import PolyRing
 
 BETAS = tuple(f"beta{i}" for i in range(5))
@@ -85,19 +87,17 @@ def verify_derivative_identity(f, quadrics=None):
     return residuals
 
 
-def restrict_to_eta_plane(f):
-    """Restriction of the Coble cubic f = coble_cubic(ring) to the plane
-    fixed by the lift (1, 00, 10): the coordinates Z_ij with i != 0 vanish
-    there."""
-    assignment = {coord_name(b): 0 for b in COORDS if b[0] != 0}
-    return f.substitute(assignment)
+# F_beta restricted to the plane Z_ij = 0 (i != 0) as printed, beta0 sum Y^3 +
+# 3 beta1 Y0Y1Y2: the pencil coordinates of F0..F4, as Z[w] pairs.
+ETA_PLANE = [[(1, 0), (0, 0)], [(0, 0), (3, 0)]] + [[(0, 0), (0, 0)]] * 3
 
 
-def eta_plane_expected(ring=None):
-    ring = ring or coble_ring()
-    z0, z1, z2 = (ring.var(n) for n in ("Z00", "Z01", "Z02"))
-    b0, b1 = ring.var("beta0"), ring.var("beta1")
-    return b0 * (z0 ** 3 + z1 ** 3 + z2 ** 3) + 3 * b1 * z0 * z1 * z2
+def eta_plane_coordinates():
+    """F0..F4 read off that plane, the chart of the lift (0, 00, 10), which
+    sends Z0j to Yj; raises NotInSpan for a restriction off the pencil."""
+    chart = eigenspace_chart(Apoint((0, 0), (1, 0)), 0)
+    return chart_coordinates(chart, packed_terms(cubic_basis(theta_ring())),
+                             PENCIL_TARGET)
 
 
 # ----- Y/Z eigencoordinates ------------------------------------------------

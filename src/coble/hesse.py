@@ -11,10 +11,11 @@ take numbers or polynomials alike:
   S3 = Y0 Y1 Y2 * sum Y_i^3, S4 = Y0^2 Y1^2 Y2^2;
 - `cusp_system`: the 3x3 linear system in (a1, a2, a3) saying that
   (lam : 1 : 1) is a cusp of F_lam.
-The formal cubic `PENCIL`, the gradient, the Hessian, the cusp residuals
-(row . a - rhs at formal lam) and the cusp certificate derive from them.
-The coefficients come twice (closed form, one elimination of the cusp
-system) and are certified a third time over prime fields: every F_p-point
+The formal cubic `PENCIL`, the Hessian, the cusp residuals (row . a - rhs
+at formal lam) and the cusp certificate derive from them.
+The coefficients come three times (closed form; the discriminant of f_lam
+on a line, from `pencil` alone; one elimination of the cusp system, which
+is singular at lam = 0) and are certified over prime fields: every F_p-point
 of f_lam is found on the p + 1 lines through the rational flex (0 : 1 : -1),
 and its gradient must lie on the dual sextic.  That loop inlines f_lam and
 F_lam mod p on ints; `tests/hesse_oracle.py` checks it against its own
@@ -24,17 +25,14 @@ transcription.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .fields import QQ, QW, OMEGA, square_roots
 from .linalg import ExactMatrix
-from .poly import PolyRing
+from .poly import NotInSpan, PolyRing
 
 
 class SingularSystem(Exception):
-    pass
-
-
-class ZeroGradient(Exception):
     pass
 
 
@@ -46,6 +44,7 @@ class CounterexamplePoint(Exception):
 
 X_RING = PolyRing(QQ, ("X0", "X1", "X2", "lam"))
 Y_RING = PolyRing(QQ, ("Y0", "Y1", "Y2", "lam"))
+LINE_RING = PolyRing(QQ, ("s", "t", "Y0", "Y1", "Y2", "lam"))
 X_NAMES = ("X0", "X1", "X2")
 
 
@@ -86,6 +85,32 @@ def dual_sextic(lam):
     return s1 + a1 * s2 + a2 * s3 + a3 * s4
 
 
+@cache
+def dual_coefficients_from_discriminant(cubic):
+    """(a1, a2, a3), polynomials in lam over Y_RING, from the pencil `cubic`
+    alone, once per pencil and process.  On the line Y . x = 0 the cubic
+    cubic(Y2 s, Y2 t, -(Y0 s + Y1 t), lam) = a s^3 + b s^2 t + c s t^2 + d t^3
+    has discriminant (4 (b^2 - 3ac)(c^2 - 3bd) - (bc - 9ad)^2) / 3 =
+    -27 Y2^6 F_lam(Y).  Each a_i is read at one monomial of Y2^6 S_(i+1);
+    raises NotInSpan unless that holds identically in lam."""
+    s, t, y0, y1, y2, lam = (LINE_RING.var(v) for v in LINE_RING.varnames)
+    g = cubic(y2 * s, y2 * t, -(y0 * s + y1 * t), lam)
+    a, b, c, d = (Y_RING.from_terms({e[2:]: x for e, x in g.terms.items()
+                                     if e[0] == k}) for k in (3, 2, 1, 0))
+    p, q, r = b * b - 3 * a * c, b * c - 9 * a * d, c * c - 3 * b * d
+    disc3 = 4 * p * r - q * q  # 3 times the discriminant
+    a1, a2, a3 = (Y_RING.from_terms({(0, 0, 0, e[3]): x / -81
+                                     for e, x in disc3.terms.items()
+                                     if e[:3] == (m[0], m[1], m[2] + 6)})
+                  for m in (next(iter(si.terms)) for si in S_BASIS[1:]))
+    s1, s2, s3, s4 = S_BASIS
+    sextic = s1 + a1 * s2 + a2 * s3 + a3 * s4
+    if disc3 != -81 * Y_RING.var("Y2") ** 6 * sextic:
+        raise NotInSpan("the discriminant of f_lam on a line is not "
+                        "-27 Y2^6 (S1 + a1 S2 + a2 S3 + a3 S4)")
+    return a1, a2, a3
+
+
 def cusp_system(lam):
     """The 3x3 linear system in (a1, a2, a3) expressing that (lam:1:1) is a
     cusp of the dual sextic, as printed: rows are the coefficients and the
@@ -119,28 +144,6 @@ def cusp_system_residuals():
     rows, rhs = cusp_system(lam)
     return [row[0] * a[0] + row[1] * a[1] + row[2] * a[2] - b
             for row, b in zip(rows, rhs)]
-
-
-def gradient_map(lam, point):
-    """D(X) = grad f_lam at X, the partials of `PENCIL` evaluated exactly."""
-    at = dict(zip(X_NAMES, point), lam=Fraction(lam))
-    g = tuple(PENCIL.partial_derivative(v).evaluate(at) for v in X_NAMES)
-    if not any(g):
-        raise ZeroGradient(f"singular point {point} at lam = {at['lam']}")
-    return g
-
-
-def proj_eq(p, q):
-    """Projective equality of coordinate tuples over any common field."""
-    n = len(p)
-    for i in range(n):
-        if bool(p[i]) != bool(q[i]):
-            return False
-    for i in range(n):
-        if p[i]:
-            # compare q * p[i] with p * q[i]
-            return all(q[j] * p[i] == p[j] * q[i] for j in range(n))
-    return False
 
 
 def _proj_normalize(p):

@@ -5,14 +5,14 @@ each column is the first (lowest-index) row with a nonzero entry, so results
 are deterministic.  Kernel bases come out echelon-normalized: one vector per
 free column, with entry 1 in that column.
 
-`certified_rank_and_kernel` proves the rank of an integral matrix over Q(w)
-without eliminating over Q(w) when a modular lower bound and the candidate
-kernel vectors that check exactly meet, and eliminates exactly otherwise.
+`certified_rank_and_kernel` proves the rank of a matrix of (re, om) pairs
+over Q(w) from a modular lower bound and the candidate kernel vectors that
+check exactly; only where they do not meet does it build an `ExactMatrix`.
 """
 
 from __future__ import annotations
 
-from .fields import QW, zw_mul, zw_pair
+from .fields import QW, Eisenstein, zw_mul, zw_pair
 
 # The prime of the modular rank bound and the image of w in F_p: p = 1 mod 3,
 # and RANK_OMEGA is a root of r^2 + r + 1 mod p.
@@ -156,9 +156,10 @@ def _is_integral(pairs):
     return all(type(a) is int and type(b) is int for a, b in pairs)
 
 
-def certified_rank_and_kernel(matrix, candidates):
-    """Rank and kernel basis of an ExactMatrix over Q(w), with a certificate
-    of how they were obtained.
+def certified_rank_and_kernel(rows, candidates):
+    """Rank and kernel basis of the matrix over Q(w) whose `rows` hold
+    (re, om) pairs, with a certificate of how they were obtained; the
+    candidates and the kernel are vectors of Q(w) elements.
 
     Lower bound: for an integral matrix, reduction Z[w] -> F_p (p =
     RANK_PRIME) sending w to RANK_OMEGA is a ring homomorphism, so rank
@@ -173,10 +174,7 @@ def certified_rank_and_kernel(matrix, candidates):
     the rank mod p (None for a non-integral matrix), the number of
     candidates kept and the route.
     """
-    if matrix.field != QW:
-        raise ValueError(f"certified rank needs a matrix over {QW}, "
-                         f"not {matrix.field}")
-    rows = [[zw_pair(x) for x in row] for row in matrix.entries]
+    cols = len(rows[0]) if rows else 0
     rank_p, kernel = None, []
     if all(_is_integral(row) for row in rows):
         p, r = RANK_PRIME, RANK_OMEGA
@@ -189,13 +187,13 @@ def certified_rank_and_kernel(matrix, candidates):
                 if _is_integral(v) and _annihilates(rows, v)]
         if rank_mod_p((mod_p(vecs[i]) for i in kept), p) == len(kept):
             kernel = [list(candidates[i]) for i in kept]
-        rank_p = rank_mod_p(map(mod_p, rows), p,
-                            stop_at=matrix.cols - len(kernel))
+        rank_p = rank_mod_p(map(mod_p, rows), p, stop_at=cols - len(kernel))
     verified = len(kernel)
-    if rank_p is not None and rank_p + verified == matrix.cols:
+    if rank_p is not None and rank_p + verified == cols:
         rank, route = rank_p, "modular+kernel"
     else:
-        rank, kernel = matrix.rank_and_kernel()
+        rank, kernel = ExactMatrix(QW, [[Eisenstein(*c) for c in row]
+                                        for row in rows]).rank_and_kernel()
         route = "exact-Qw"
     return rank, kernel, {"prime": RANK_PRIME, "rank_mod_p": rank_p,
                           "kernel_vectors_verified": verified, "route": route}

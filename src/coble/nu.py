@@ -25,38 +25,36 @@ a chart is decided on exponents mod 3 (`fixes_chart`).  Restriction is
 read off the same map: with one int weight per Z_b (Y_k and j in bit
 fields), a term's image is sum e_b * weight_b over its nonzero exponents,
 whose w-field picks its Z[w] coefficient times w^j (`chart_coordinates`).
-Restricted sextics are coordinatized in the 4-dimensional invariant basis
-S1 = sum Y_i^6, S2 = sum Y_i^3 Y_j^3, S3 = Y0 Y1 Y2 * sum Y_i^3,
-S4 = Y0^2 Y1^2 Y2^2, whose monomial supports are disjoint: each coordinate
-is read at one monomial of its support, and one dict comparison checks that
-the restriction is that combination.
+This is the one restriction to a fixed plane, read in a `Target` basis
+with disjoint monomial supports: each coordinate at one monomial of its
+support, and one dict comparison checks the whole restriction (`read_off`).
+The sextics are read in S1 = sum Y_i^6, S2 = sum Y_i^3 Y_j^3,
+S3 = Y0 Y1 Y2 * sum Y_i^3, S4 = Y0^2 Y1^2 Y2^2 (`S_TARGET`), the Coble
+cubic's F0..F4 in the Hesse pencil's sum Y^3, Y0Y1Y2 (`PENCIL_TARGET`).
 
-The nu matrix is integral in Z[w].  Its rank is certified by
-`linalg.certified_rank_and_kernel`: the rank mod a prime p = 1 mod 3 is a
-lower bound, the printed text kernel vectors that check exactly give the
-upper bound, and exact elimination over Q(w) runs only when the two do not
-meet.  Either way the kernel is an echelon-normalized basis, so which
-printed kernel it is is decided by list equality (`kernel_verdict`).
+The nu matrix is integral in Z[w], kept as rows of (re, om) int pairs up
+to its rank certificate, `linalg.certified_rank_and_kernel`: the rank mod a
+prime p = 1 mod 3 is a lower bound, the printed text kernel vectors that
+check exactly give the upper bound, and exact elimination over Q(w) runs
+only when the two do not meet.  Either way the kernel is an
+echelon-normalized basis, so which printed kernel it is is decided by list
+equality (`kernel_verdict`).
 """
 
 from __future__ import annotations
 
-from .fields import QW, Eisenstein, zw_pair, zw_rotate
+from .fields import QW, zw_pair, zw_rotate
 from .heisenberg import (COORD_INDEX, COORDS, THETA_VARS, HeisenbergElement,
                          add2, apoint_classes_mod_sign, dot, monomial_action,
                          neg2, theta_ring)
-from .hesse import s_basis
+from .hesse import PENCIL, S_BASIS
 from .invariants import InvariantBasis, iota_act, pinned_basis
-from .linalg import ExactMatrix, certified_rank_and_kernel
-from .poly import NotInSpan, PolyRing
+from .linalg import certified_rank_and_kernel
+from .poly import NotInSpan
 
 
 class EigenspaceDimensionError(Exception):
     pass
-
-
-Y_RING = PolyRing(QW, ("Y0", "Y1", "Y2"))
-S_BASIS = s_basis(Y_RING)
 
 
 class FixedPlaneChart:
@@ -143,11 +141,8 @@ def _verify_eigenvectors(chart, g):
 
 def all_lift_charts():
     """120 charts: every nonzero class mod +- with each of its 3 lifts."""
-    charts = []
-    for eta in apoint_classes_mod_sign():
-        for t in range(3):
-            charts.append(eigenspace_chart(eta, t))
-    return charts
+    return [eigenspace_chart(eta, t)
+            for eta in apoint_classes_mod_sign() for t in range(3)]
 
 
 def fixed_plane_charts(mode="annexe"):
@@ -186,10 +181,22 @@ PHASE = 3 * FIELD
 Y_MASK = (1 << PHASE) - 1
 VANISH = 1 << (4 * FIELD)
 ZERO = (0, 0)
-# The packed monomials of each S_i, which has coefficient 1 on each of them.
-S_KEYS = [tuple(sum(e << FIELD * k for k, e in enumerate(m)) for m in s.terms)
-          for s in S_BASIS]
-S_MONOMIALS = frozenset(key for keys in S_KEYS for key in keys)
+
+
+class Target:
+    """A basis of forms in Y0, Y1, Y2 by its name and its forms' disjoint
+    supports, each monomial (its first three exponents) with coefficient 1."""
+
+    def __init__(self, name, supports):
+        self.name = name
+        self.keys = [tuple(sum(e << FIELD * k for k, e in enumerate(m[:3]))
+                           for m in support) for support in supports]
+
+
+# The pencil's forms are its terms grouped by power of lam.
+S_TARGET = Target("S1..S4", (s.terms for s in S_BASIS))
+PENCIL_TARGET = Target("sum Y^3, Y0Y1Y2",
+                       ([m for m in PENCIL.terms if m[-1] == k] for k in (0, 1)))
 
 
 def packed_terms(elements):
@@ -213,8 +220,8 @@ def packed_terms(elements):
     return out
 
 
-def chart_coordinates(chart, packed):
-    """The S1..S4 coordinates, as Z[w] pairs, of every element of `packed`
+def chart_coordinates(chart, packed, target):
+    """The `target` coordinates, as Z[w] pairs, of every element of `packed`
     (from `packed_terms`) restricted to the chart.  Z_b -> w^j Y_k weighs a
     1 in Y_k's field plus j in the phase field, and VANISH if Z_b is 0; a
     term's image is the sum of its exponents times these weights."""
@@ -233,49 +240,46 @@ def chart_coordinates(chart, packed):
             key = image & Y_MASK
             old = res.get(key)
             res[key] = (a, b) if old is None else (old[0] + a, old[1] + b)
-        out.append(s_coordinates(res))
+        out.append(read_off(res, target))
     return out
 
 
-def s_coordinates(res):
-    """S1..S4 coordinates of a restriction (packed Y-exponent -> pair),
-    read at one monomial per support.  Raises NotInSpan unless the nonzero
-    entries are exactly that combination of S1..S4."""
-    coords = [res.get(keys[0], ZERO) for keys in S_KEYS]
+def read_off(res, target):
+    """The coordinates in `target` of a restriction (packed Y-exponent ->
+    pair), read at one monomial per support.  Raises NotInSpan unless the
+    nonzero entries are exactly that combination of the target's forms."""
+    coords = [res.get(keys[0], ZERO) for keys in target.keys]
     live = {key: c for key, c in res.items() if c != ZERO}
-    if live != {key: c for c, keys in zip(coords, S_KEYS) if c != ZERO
+    if live != {key: c for c, keys in zip(coords, target.keys) if c != ZERO
                 for key in keys}:
-        if live.keys() <= S_MONOMIALS:
-            raise NotInSpan("restriction is not a combination of S1..S4")
-        raise NotInSpan("restriction has a monomial outside S1..S4")
+        if live.keys() <= {key for keys in target.keys for key in keys}:
+            raise NotInSpan(f"restriction is not a combination of {target.name}")
+        raise NotInSpan(f"restriction has a monomial outside {target.name}")
     return coords
 
 
-class NuMatrix:
-    def __init__(self, matrix, labels, elements):
-        self.matrix = matrix          # ExactMatrix over Q(w), 4 rows per chart
-        self.labels = labels          # column labels T1..T43
-        self.elements = elements      # the column sextics
-
-
 def _nu_matrix(charts, packed, progress=None):
-    """The restriction matrix: per chart, four rows holding the S1..S4
-    coordinates of every element of `packed` (from `packed_terms`)."""
-    entries = {}  # one Eisenstein per distinct pair
-
-    def qw(c):
-        x = entries.get(c)
-        if x is None:
-            x = entries[c] = Eisenstein(*c)
-        return x
-
+    """The restriction matrix as rows of Z[w] pairs: per chart, four rows
+    holding the S1..S4 coordinates of every element of `packed` (from
+    `packed_terms`)."""
     rows = []
     for ci, chart in enumerate(charts):
         if progress:
             progress(f"chart {ci + 1}/{len(charts)} ({chart.family_tag})")
-        block = chart_coordinates(chart, packed)
-        rows.extend([qw(col[r]) for col in block] for r in range(4))
-    return ExactMatrix(QW, rows)
+        rows.extend(map(list, zip(*chart_coordinates(chart, packed, S_TARGET))))
+    return rows
+
+
+def _certified_kernel(charts, packed, labels, progress=None):
+    """Certified rank, kernel, kernel as {label: coefficient} dicts and rank
+    certificate of the nu matrix of `packed` on `charts` (columns `labels`),
+    with the printed text pairs as kernel candidates."""
+    rank, kernel, certificate = certified_rank_and_kernel(
+        _nu_matrix(charts, packed, progress),
+        candidate_vectors(labels, TEXT_KERNEL_PAIRS))
+    kernel_labels = [{labels[j]: c for j, c in enumerate(v) if c}
+                     for v in kernel]
+    return rank, kernel, kernel_labels, certificate
 
 
 def _basis_or_pinned(basis):
@@ -285,24 +289,17 @@ def _basis_or_pinned(basis):
     return basis
 
 
-def assemble_nu(mode="annexe", basis=None, progress=None):
-    """Stack the per-chart coordinate rows of all 43 basis sextics."""
-    basis = _basis_or_pinned(basis)
-    matrix = _nu_matrix(fixed_plane_charts(mode), packed_terms(basis.elements),
-                        progress)
-    return NuMatrix(matrix, basis.labels, basis.elements)
-
-
 # ----- the Annexe's filter pipeline ---------------------------------------
 
 def _diagonal_filter(diagonal_charts, packed):
     """Keep, chart after chart, the elements of `packed` whose S1..S4
-    coordinates there are all zero: `s_coordinates` checks that the whole
+    coordinates there are all zero: `read_off` checks that the whole
     restriction is that combination, so exactly those restrict to zero."""
     surviving = list(range(len(packed)))
     counts = []
     for chart in diagonal_charts:
-        coords = chart_coordinates(chart, [packed[i] for i in surviving])
+        coords = chart_coordinates(chart, [packed[i] for i in surviving],
+                                   S_TARGET)
         surviving = [i for i, c in zip(surviving, coords) if c == [ZERO] * 4]
         counts.append(len(surviving))
     return counts, surviving
@@ -323,12 +320,9 @@ def annexe_subblock_kernel(basis=None):
     charts = annexe_charts()
     packed = packed_terms(basis.elements)
     counts, surviving = _diagonal_filter(charts[:4], packed)
-    labels = [basis.labels[i] for i in surviving]
-    m = _nu_matrix(charts[4:], [packed[i] for i in surviving])
-    rank, kernel, _ = certified_rank_and_kernel(
-        m, candidate_vectors(labels, TEXT_KERNEL_PAIRS))
-    kernel_labels = [{labels[j]: c for j, c in enumerate(v) if c}
-                     for v in kernel]
+    rank, kernel, kernel_labels, _ = _certified_kernel(
+        charts[4:], [packed[i] for i in surviving],
+        [basis.labels[i] for i in surviving])
     return counts, rank, kernel, kernel_labels
 
 
@@ -368,29 +362,23 @@ def nu_rank_and_kernel(mode="annexe", progress=None):
     that resolves the rank-39 (4-element kernel) versus rank-40 (3-element
     kernel) discrepancy, certifies iota-anti-invariance of every kernel
     element and says how the rank was proven (`rank_certificate`)."""
-    nu = assemble_nu(mode=mode, progress=progress)
-    labels, elements = nu.labels, nu.elements
-    rank, kernel, certificate = certified_rank_and_kernel(
-        nu.matrix, candidate_vectors(labels, TEXT_KERNEL_PAIRS))
-    ring = elements[0].ring
+    labels, elements = pinned_basis(theta_ring(), 6)
+    charts = fixed_plane_charts(mode)
+    rank, kernel, kernel_labels, certificate = _certified_kernel(
+        charts, packed_terms(elements), labels, progress)
 
     def combine(vec):
-        acc = ring.zero()
-        for c, p in zip(vec, elements):
-            if c:
-                acc = acc + c * p
-        return acc
+        return sum((c * p for c, p in zip(vec, elements) if c),
+                   elements[0].ring.zero())
 
     anti = all(iota_act(combine(v)) == -combine(v) for v in kernel)
-
-    kernel_labels = [{labels[j]: c for j, c in enumerate(v) if c} for v in kernel]
     report = {
         "mode": mode,
-        "rows": nu.matrix.rows,
+        "rows": 4 * len(charts),
         "rank": rank,
         "kernel_dimension": len(kernel),
         "kernel": kernel_labels,
-        "rank_nullity_ok": rank + len(kernel) == nu.matrix.cols,
+        "rank_nullity_ok": rank + len(kernel) == len(labels),
         "kernel_iota_anti_invariant": anti,
         "verdict": kernel_verdict(labels, kernel),
         "rank_certificate": certificate,

@@ -3,12 +3,40 @@ the production line walk (`hesse.curve_points`) is compared against: every
 point of P^2(F_p) is tested in the representatives (1 : y : z), (0 : 1 : z),
 (0 : 0 : 1), which is O(p^2) work.  `scan` evaluates the dual sextic
 exactly over Q before reducing it mod p and is meant for p <= 103;
-`point_set` alone takes about half a second at p = 1033.
+`point_set` alone takes about half a second at p = 1033.  Also the exact
+gradient map of the pencil, whose image is the dual curve, and projective
+equality of points.
 """
 
 from fractions import Fraction
 
-from coble.hesse import dual_sextic, reduce_mod
+from coble.hesse import PENCIL, X_NAMES, dual_sextic, reduce_mod
+
+
+class ZeroGradient(Exception):
+    pass
+
+
+def gradient_map(lam, point):
+    """D(X) = grad f_lam at X, the partials of `PENCIL` evaluated exactly."""
+    at = dict(zip(X_NAMES, point), lam=Fraction(lam))
+    g = tuple(PENCIL.partial_derivative(v).evaluate(at) for v in X_NAMES)
+    if not any(g):
+        raise ZeroGradient(f"singular point {point} at lam = {at['lam']}")
+    return g
+
+
+def proj_eq(p, q):
+    """Projective equality of coordinate tuples over any common field."""
+    n = len(p)
+    for i in range(n):
+        if bool(p[i]) != bool(q[i]):
+            return False
+    for i in range(n):
+        if p[i]:
+            # compare q * p[i] with p * q[i]
+            return all(q[j] * p[i] == p[j] * q[i] for j in range(n))
+    return False
 
 
 def representatives(p):

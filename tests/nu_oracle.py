@@ -10,19 +10,29 @@ K_eta action on a chart plane, by exact 9x9 and 3x3 matrices, used to check
 that it keeps the span of S1..S4.  And the Annexe's printed charts (its
 diagonal rule and phase tables, transcribed) with its diagonal filter by
 zero substitution, which production derives as the t = 0 lift charts and
-reads off the packed restriction.
+reads off the packed restriction.  And the Coble cubic restricted by
+substitution to the plane where the Z_ij with i != 0 vanish, the reference
+for its read-off in the Hesse pencil's basis.  The rings here are the
+oracle's own: production restricts into no polynomial ring.
 """
 
 from functools import cache
 
 from coble import nu
+from coble.coble_forms import coble_cubic
 from coble.fields import QW, Eisenstein, omega_pow
 from coble.heisenberg import (COORDS, Apoint, action_matrix, add2, coord_name,
                               neg2, theta_ring, weil_form)
+from coble.hesse import s_basis
 from coble.invariants import pinned_basis
 from coble.linalg import ExactMatrix
-from coble.nu import S_BASIS, Y_RING
-from coble.poly import NotInSpan, coefficient_in_basis
+from coble.poly import NotInSpan, PolyRing, coefficient_in_basis
+
+Y_RING = PolyRing(QW, ("Y0", "Y1", "Y2"))
+S_BASIS = s_basis(Y_RING)
+_y0, _y1, _y2 = (Y_RING.var(f"Y{k}") for k in range(3))
+# The forms of the Hesse pencil, sum Y^3 and Y0Y1Y2.
+PENCIL_BASIS = [_y0 ** 3 + _y1 ** 3 + _y2 ** 3, _y0 * _y1 * _y2]
 
 
 DIAGONAL_RS = [(0, 1), (1, 0), (1, 1), (1, 2)]
@@ -127,6 +137,24 @@ def restrict(chart, p):
     return p.substitute(assignment(chart), target_ring=Y_RING)
 
 
+def eta_plane_restriction(ring):
+    """F_beta = coble_cubic(ring) with the Z_ij, i != 0, set to 0 by
+    substitution."""
+    return coble_cubic(ring).substitute(
+        {coord_name(b): 0 for b in COORDS if b[0] != 0})
+
+
+def eta_plane_cubic(ring, coords):
+    """sum_i beta_i (A_i (Z00^3 + Z01^3 + Z02^3) + B_i Z00 Z01 Z02) in
+    `ring`, for the Z[w] pairs (A_i, B_i) of `coords`, one per F0..F4."""
+    z0, z1, z2 = (ring.var(n) for n in ("Z00", "Z01", "Z02"))
+    pencil = [z0 ** 3 + z1 ** 3 + z2 ** 3, z0 * z1 * z2]
+    acc = ring.zero()
+    for i, c in enumerate(coords):
+        acc = acc + ring.var(f"beta{i}") * in_basis(c, pencil)
+    return acc
+
+
 def source_rows(coords):
     """The source computation's rows from S1..S4 coordinates (a1, a2, a3,
     a4): on the span of S1..S4 the coefficient sums by Y0-degree 2, 3, 4, 6
@@ -134,6 +162,19 @@ def source_rows(coords):
     the other S_i one monomial each of Y0-degree 2, 4 or 6."""
     a1, a2, a3, a4 = coords
     return [a4, 2 * a2, a3, a1]
+
+
+def qw_matrix(rows):
+    """The ExactMatrix over Q(w) of rows of (re, om) pairs."""
+    return ExactMatrix(QW, [[Eisenstein(*c) for c in row] for row in rows])
+
+
+def in_basis(coords, basis):
+    """The polynomial with Z[w]-pair coordinates `coords` in `basis`."""
+    acc = basis[0].ring.zero()
+    for c, b in zip(coords, basis):
+        acc = acc + Eisenstein(*c) * b
+    return acc
 
 
 def source_matrix(matrix):
@@ -151,8 +192,8 @@ def source_matrix(matrix):
 def production_coordinates(p, chart, method="sbasis"):
     """The production route's coordinates of p on one chart, as Q(w): S1..S4,
     or for method "hack" the source computation's rows."""
-    coords = [Eisenstein(*c)
-              for c in nu.chart_coordinates(chart, nu.packed_terms([p]))[0]]
+    coords = [Eisenstein(*c) for c in nu.chart_coordinates(
+        chart, nu.packed_terms([p]), nu.S_TARGET)[0]]
     return source_rows(coords) if method == "hack" else coords
 
 

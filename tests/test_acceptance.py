@@ -10,8 +10,8 @@ import time
 from fractions import Fraction
 
 from coble import enumerative, hesse, invariants, nu, prym
-from coble.coble_forms import (coble_cubic, coble_ring, eta_plane_expected,
-                               quadric_rank, restrict_to_eta_plane,
+from coble.coble_forms import (ETA_PLANE, coble_cubic, coble_ring,
+                               eta_plane_coordinates, quadric_rank,
                                verify_derivative_identity)
 from coble.fields import QW
 from coble.heisenberg import act_on_polynomial, generators, theta_ring
@@ -68,7 +68,11 @@ def test_criterion_03_coble_identities():
         assert all(act_on_polynomial(g, f) == f for g in generators())
         from coble.invariants import iota_act
         assert iota_act(f) == f
-        assert restrict_to_eta_plane(f) == eta_plane_expected(ring)
+        # the plane through the read-off, the substitution its reference
+        coords = eta_plane_coordinates()
+        assert coords == ETA_PLANE
+        assert nu_oracle.eta_plane_cubic(ring, coords) == \
+            nu_oracle.eta_plane_restriction(ring)
     _criterion(3, "cubic derivative/decomposition identities and restriction",
                10, body)
 

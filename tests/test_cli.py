@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,9 +9,10 @@ import pytest
 
 from fractions import Fraction
 
-from coble import cli, coble_forms, hesse
+from coble import cli, coble_forms, hesse, linalg
 from coble.cli import COMMANDS, jsonable, main
 from coble.fields import Eisenstein
+from coble.poly import Polynomial
 
 
 def run(capsys, argv):
@@ -87,6 +89,20 @@ def test_hesse_dual_with_small_oracle(capsys):
                                    "--oracle-prime", "13"])
     assert code == 0
     assert cert["outputs"]["oracle"]["points"] == 18
+
+
+def test_closed_form_is_checked_against_the_pencil(capsys, monkeypatch):
+    # The check's actual value derives from `pencil` alone, so a wrong
+    # pencil fails it; with the closed form on both sides it passed.
+    pencil = hesse.pencil
+    monkeypatch.setattr(hesse, "pencil",
+                        lambda x0, x1, x2, lam: pencil(x0, x1, x2, lam + 1))
+    code, out, err = run(capsys, ["hesse", "dual", "--lambda", "7/3"])
+    assert code == 1 and "internal error" not in err
+    failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["closed-form coefficients"]
+    assert failed[0]["expected"] == \
+        [str(a) for a in hesse.dual_coefficients(Fraction(7, 3))]
 
 
 def test_hesse_dual_singular_reduction_skips(capsys):
@@ -223,6 +239,24 @@ def test_oracle_prime_above_the_bound_is_a_usage_error(argv):
     assert f"{argv[-1]} is not at most {cli.ORACLE_PRIME_MAX}" in done.stderr
 
 
+@pytest.mark.parametrize("argv, bound", [
+    (["invariants", "dim", "--degree"], cli.DEGREE_MAX),
+    (["enum", "verlinde", "--kmax"], cli.KMAX_MAX),
+    (["enum", "zagier", "--h"], cli.H_MAX),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else str(x))
+def test_size_argument_is_bounded(capsys, argv, bound):
+    # The bound itself parses; one more is a usage error, found before any
+    # work is done.
+    assert vars(cli.parse(argv + [str(bound)]))[argv[-1][2:]] == bound
+    for value in (bound + 1, bound + 3):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [str(value)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{value} is not at most {bound}" in captured.err
+
+
 def test_internal_error(capsys, monkeypatch):
     def boom(d):
         raise RuntimeError("injected")
@@ -266,6 +300,48 @@ def test_certificate_hash_is_pinned(capsys, argv, digest):
     code, cert = run_json(capsys, argv)
     assert code == 0
     assert cert["artifact_hash"] == digest
+
+
+def refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return refused
+
+
+@pytest.mark.parametrize("argv", [["verify-all"]] + [
+    ["nu", command, "--mode", mode] for command in ("rank", "kernel")
+    for mode in ("annexe", "all_lifts")], ids=" ".join)
+def test_certificates_build_no_exact_matrix(capsys, monkeypatch, argv):
+    # nu's rows stay Z[w] pairs up to the modular rank certificate.
+    monkeypatch.setattr(linalg.ExactMatrix, "__init__",
+                        refuse("ExactMatrix.__init__"))
+    code, out, err = run(capsys, argv)
+    assert code == 0 and "internal error" not in err, err
+    assert all(c["pass"] for c in json.loads(out)["checks"])
+
+
+def cli_mix_commands():
+    """Every distinct argument list of the benchmark's cli-mix plans for
+    seeds 1 to 3 (perfbench/workloads.py)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return sorted({tuple(argv) for seed in (1, 2, 3)
+                   for argv in workloads.plan_cli_mix(seed)})
+
+
+def test_cli_mix_commands_substitute_nothing(capsys, monkeypatch):
+    # Restriction to a fixed plane is the packed read-off, for the Coble
+    # cubic as for nu's sextics.
+    monkeypatch.setattr(Polynomial, "substitute",
+                        refuse("Polynomial.substitute"))
+    commands = cli_mix_commands()
+    assert ("coble", "check") in commands
+    for argv in commands:
+        code, _, err = run(capsys, list(argv))
+        assert code == 0 and "internal error" not in err, (argv, err)
 
 
 def test_jsonable_sorts_sets():

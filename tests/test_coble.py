@@ -2,19 +2,21 @@ from fractions import Fraction
 
 import pytest
 
-from coble.coble_forms import (BARTH_TABLE, BETAS, barth_quadrics,
+from coble.coble_forms import (BARTH_TABLE, BETAS, ETA_PLANE, barth_quadrics,
                                coble_cubic, coble_ring, cubic_basis,
-                               eta_plane_expected, minus_space_restriction,
+                               eta_plane_coordinates, minus_space_restriction,
                                printed_block_span_report, quadric_rank,
-                               quadrics_in_yz, restrict_to_eta_plane,
-                               steiner_matrix, verify_derivative_identity,
-                               yz_ring, yz_substitution)
+                               quadrics_in_yz, steiner_matrix,
+                               verify_derivative_identity, yz_ring,
+                               yz_substitution)
 from coble.fields import QQ, QW, omega_pow
 from coble.heisenberg import (COORDS, HeisenbergElement, act_on_polynomial,
                               add2, coord_name, dot, generators, neg2,
                               theta_ring)
 from coble.invariants import F_SEEDS
 from coble.poly import Polynomial
+
+import nu_oracle
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +96,16 @@ def test_quadric_equivariance(ring):
 
 
 def test_eta_plane_restriction(ring):
-    assert restrict_to_eta_plane(coble_cubic(ring)) == eta_plane_expected(ring)
+    # The read-off gives the printed coordinates and agrees with the
+    # substitution, which gives the printed beta0 sum Z^3 + 3 beta1 Z00 Z01 Z02.
+    coords = eta_plane_coordinates()
+    assert coords == ETA_PLANE
+    restricted = nu_oracle.eta_plane_restriction(ring)
+    assert nu_oracle.eta_plane_cubic(ring, coords) == restricted
+    z0, z1, z2 = (ring.var(n) for n in ("Z00", "Z01", "Z02"))
+    b0, b1 = ring.var("beta0"), ring.var("beta1")
+    assert restricted == \
+        b0 * (z0 ** 3 + z1 ** 3 + z2 ** 3) + 3 * b1 * z0 * z1 * z2
 
 
 def test_quadric_rank(ring):

@@ -2,18 +2,21 @@ from fractions import Fraction
 
 import pytest
 
-from coble.hesse import (PENCIL, X_RING, Y_RING, SingularSystem, ZeroGradient,
+from coble import hesse
+from coble.hesse import (PENCIL, X_RING, Y_RING, SingularSystem,
                          cusp_orbit, cusp_orbit_check, cusp_system,
                          cusp_system_residuals,
-                         dual_coefficients, dual_sextic,
+                         dual_coefficients, dual_coefficients_from_discriminant,
+                         dual_sextic,
                          dual_sextic_from_cusp_system,
-                         finite_field_duality_oracle, gradient_map,
+                         finite_field_duality_oracle,
                          hessian_determinant_at, inflection_orbit,
-                         on_pencil_member, plane_orbit, proj_eq,
+                         on_pencil_member, plane_orbit,
                          run_default_oracle, s_basis)
 from coble.fields import QQ, QW, Eisenstein
 from coble.linalg import ExactMatrix
-from coble.poly import PolyRing
+from coble.poly import NotInSpan, PolyRing
+from hesse_oracle import ZeroGradient, gradient_map, proj_eq
 
 RATIONALS = (0, 1, 2, -1, Fraction(7, 3), Fraction(-5, 11), Fraction(1, 2))
 
@@ -53,6 +56,19 @@ def test_closed_form_examples():
 def test_numeric_sextic_is_the_formal_one_at_q(q):
     formal = dual_sextic(Y_RING.var("lam"))
     assert dual_sextic(q) == formal.substitute({"lam": q})
+
+
+def test_discriminant_gives_the_closed_form():
+    # Identically in lam: also at lam = 0, where the cusp system is singular.
+    assert dual_coefficients_from_discriminant(hesse.pencil) == \
+        dual_coefficients(Y_RING.var("lam"))
+
+
+def test_discriminant_refuses_a_cubic_off_the_pencil():
+    # f_lam + X0^2 X1 is no Hesse cubic: its dual is no S1..S4 combination.
+    with pytest.raises(NotInSpan, match="discriminant"):
+        dual_coefficients_from_discriminant(
+            lambda x0, x1, x2, lam: hesse.pencil(x0, x1, x2, lam) + x0 * x0 * x1)
 
 
 def test_cusp_system_matches_closed_form():

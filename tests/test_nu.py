@@ -3,14 +3,16 @@ import pytest
 from coble.fields import QW
 from coble.heisenberg import COORDS, HeisenbergElement, theta_ring
 from coble.invariants import InvariantBasis, pinned_basis
-from coble.nu import (EigenspaceDimensionError, FixedPlaneChart,
+from coble.nu import (EigenspaceDimensionError, FixedPlaneChart, _nu_matrix,
                       all_lift_charts, annexe_charts, annexe_subblock_kernel,
-                      assemble_nu, diagonal_filter_pipeline, eigenspace_chart,
-                      fixed_plane_charts, matching_lifts, nu_rank_and_kernel)
+                      diagonal_filter_pipeline, eigenspace_chart,
+                      fixed_plane_charts, matching_lifts, nu_rank_and_kernel,
+                      packed_terms)
 from nu_oracle import (annexe_restrictions, hack_rows, induced_plane_action,
                        k_eta_generators, nu_matrix,
                        plane_action_preserves_s_span, printed_annexe_charts,
-                       production_coordinates, restrict, substitution_filter)
+                       production_coordinates, qw_matrix, restrict,
+                       substitution_filter)
 
 
 @pytest.fixture(scope="module")
@@ -157,10 +159,10 @@ def test_hack_route_same_rank(full_report):
     assert nu_matrix(annexe_restrictions(), "hack").rank() == rank
 
 
-def test_column_rank_equals_row_rank(full_report):
+def test_column_rank_equals_row_rank(full_report, basis, charts):
     rank, _, _ = full_report
-    nu = assemble_nu()
-    assert nu.matrix.transpose().rank() == rank
+    rows = _nu_matrix(charts, packed_terms(basis[1]))
+    assert qw_matrix(rows).transpose().rank() == rank
 
 
 def test_eigenspace_charts_match_annexe(charts):

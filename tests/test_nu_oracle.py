@@ -1,8 +1,10 @@
-"""Differential tests of the production nu route (monomial maps, read-off
-coordinates, certified rank) against the generic Q(w) route in
-`nu_oracle`, and tests that the rank certificate falls back to exact
-elimination whenever its bounds do not meet."""
+"""Differential tests of the production restriction route (monomial maps,
+read-off coordinates, certified rank) against the generic Q(w) route in
+`nu_oracle`, for nu's sextics and for the Coble cubic's F0..F4, and tests
+that the rank certificate falls back to exact elimination whenever its
+bounds do not meet."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 import nu_oracle
 from coble import nu
-from coble.fields import OMEGA, QW, Eisenstein
-from coble.heisenberg import theta_ring
+from coble.coble_forms import cubic_basis
+from coble.fields import QW, Eisenstein
+from coble.heisenberg import Apoint, theta_ring
 from coble.invariants import pinned_basis
-from coble.linalg import (RANK_OMEGA, RANK_PRIME, ExactMatrix,
-                          certified_rank_and_kernel)
+from coble.linalg import RANK_OMEGA, RANK_PRIME, certified_rank_and_kernel
 from coble.poly import NotInSpan
 
 METHODS = ("sbasis", "hack")
@@ -32,13 +34,14 @@ def oracle():
 
 
 @pytest.fixture(scope="module")
-def annexe_nu():
-    return nu.assemble_nu()
+def annexe_rows():
+    """The production annexe nu matrix, rows of Z[w] pairs."""
+    return nu._nu_matrix(nu.annexe_charts(), nu.packed_terms(_elements))
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_annexe_matrix_equals_oracle(oracle, annexe_nu, method):
-    fast = annexe_nu.matrix
+def test_annexe_matrix_equals_oracle(oracle, annexe_rows, method):
+    fast = nu_oracle.qw_matrix(annexe_rows)
     if method == "hack":
         fast = nu_oracle.source_matrix(fast)
     assert (fast.rows, fast.cols) == (160, 43)
@@ -94,6 +97,64 @@ def test_non_invariant_sextic_is_not_in_span():
         assert raised > 0, p
 
 
+@pytest.mark.parametrize("target, basis", [
+    (nu.S_TARGET, nu_oracle.S_BASIS),
+    (nu.PENCIL_TARGET, nu_oracle.PENCIL_BASIS)], ids=["S1..S4", "pencil"])
+def test_target_supports_are_the_basis_forms(target, basis):
+    # Each target is its forms' supports, disjoint, with coefficient 1.
+    mask = (1 << nu.FIELD) - 1
+    keys = [key for support in target.keys for key in support]
+    assert len(set(keys)) == len(keys)
+    assert [nu_oracle.Y_RING.from_terms(
+        {tuple(key >> nu.FIELD * k & mask for k in range(3)): 1
+         for key in support}) for support in target.keys] == basis
+
+
+_cubics = cubic_basis(theta_ring())
+_ETA_CHART = nu.eigenspace_chart(Apoint((0, 0), (1, 0)), 0)
+
+
+def _pencil_coordinates(p, chart):
+    return nu.chart_coordinates(chart, nu.packed_terms([p]),
+                                nu.PENCIL_TARGET)[0]
+
+
+def test_cubic_read_off_equals_substitution_on_every_chart():
+    # F0..F4 restrict into the Hesse pencil on each of the 160 charts.
+    assert len(_charts) == 160
+    packed = nu.packed_terms(_cubics)
+    for chart in _charts:
+        coords = nu.chart_coordinates(chart, packed, nu.PENCIL_TARGET)
+        for f, c in zip(_cubics, coords):
+            assert nu_oracle.in_basis(c, nu_oracle.PENCIL_BASIS) == \
+                nu_oracle.restrict(chart, f), chart.family_tag
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(Eisenstein, st.integers(-9, 9), st.integers(-9, 9)),
+                min_size=5, max_size=5),
+       st.sampled_from(_charts))
+def test_cubic_read_off_matches_oracle_on_random_combinations(coeffs, chart):
+    p = theta_ring().zero()
+    for c, f in zip(coeffs, _cubics):
+        p = p + c * f
+    assert nu_oracle.in_basis(_pencil_coordinates(p, chart),
+                              nu_oracle.PENCIL_BASIS) == \
+        nu_oracle.restrict(chart, p), chart.family_tag
+
+
+def test_cubic_outside_the_pencil_is_not_in_span():
+    # On the chart Z00, Z01, Z02 -> Y0, Y1, Y2: Z00^2 Z01 leaves the two
+    # supports, Z00^3 lands on one monomial of the sum Y^3 support.
+    ring = theta_ring()
+    z00, z01 = ring.var("Z00"), ring.var("Z01")
+    for p, message in (
+            (z00 ** 2 * z01, "has a monomial outside sum Y^3, Y0Y1Y2"),
+            (z00 ** 3, "is not a combination of sum Y^3, Y0Y1Y2")):
+        with pytest.raises(NotInSpan, match=re.escape(message)):
+            _pencil_coordinates(p, _ETA_CHART)
+
+
 def test_over_degree_term_is_refused_before_packing():
     # The w-exponent of a term's image is at most twice its degree and must
     # fit its field: degree 127 packs, degree 128 does not.
@@ -102,34 +163,33 @@ def test_over_degree_term_is_refused_before_packing():
     fits = z00 ** 126 * z01
     assert 2 * 127 < 1 << nu.FIELD <= 2 * 128
     with pytest.raises(NotInSpan, match="outside S1..S4"):
-        nu.chart_coordinates(_charts[4], nu.packed_terms([fits]))
+        nu.chart_coordinates(_charts[4], nu.packed_terms([fits]), nu.S_TARGET)
     with pytest.raises(ValueError, match="degree 128 overflows"):
         nu.packed_terms([_elements[0], fits * z01])
 
 
-def _with_column(matrix, label, column):
+def _with_column(rows, label, column):
     j = _labels.index(label)
-    rows = [row[:j] + [x] + row[j + 1:] for row, x in zip(matrix.entries, column)]
-    return ExactMatrix(QW, rows)
+    return [row[:j] + [x] + row[j + 1:] for row, x in zip(rows, column)]
 
 
 def _text_candidates():
     return nu.candidate_vectors(_labels, nu.TEXT_KERNEL_PAIRS)
 
 
-def _t7_plus_t10(matrix, label):
+def _t7_plus_t10(rows, label):
     # The column `label` := T7 + T10.
     j7, j10 = _labels.index("T7"), _labels.index("T10")
-    return _with_column(matrix, label,
-                        [row[j7] + row[j10] for row in matrix.entries])
+    return _with_column(rows, label, [
+        (row[j7][0] + row[j10][0], row[j7][1] + row[j10][1]) for row in rows])
 
 
-def _independent(matrix):
+def _independent(rows):
     # One entry of T8 moved by w: rank 40, the annexe kernel.
     j8 = _labels.index("T8")
-    column = [row[j8] for row in matrix.entries]
-    column[5] = column[5] + OMEGA
-    return _with_column(matrix, "T8", column)
+    column = [row[j8] for row in rows]
+    column[5] = (column[5][0], column[5][1] + 1)
+    return _with_column(rows, "T8", column)
 
 
 PERTURBATIONS = {"dependent": lambda m: _t7_plus_t10(m, "T8"),
@@ -137,52 +197,55 @@ PERTURBATIONS = {"dependent": lambda m: _t7_plus_t10(m, "T8"),
                  "t11_moved": lambda m: _t7_plus_t10(m, "T11")}
 
 
-def test_dependent_perturbation_falls_back_to_elimination(annexe_nu):
+def test_dependent_perturbation_falls_back_to_elimination(annexe_rows):
     # T8 := T7 + T10 keeps the rank at 39 but moves the kernel off T8-T7:
     # only the three annexe vectors verify, and 39 + 3 < 43.
-    perturbed = PERTURBATIONS["dependent"](annexe_nu.matrix)
+    perturbed = PERTURBATIONS["dependent"](annexe_rows)
     rank, kernel, cert = certified_rank_and_kernel(perturbed,
                                                    _text_candidates())
     assert cert == {"prime": RANK_PRIME, "rank_mod_p": 39,
                     "kernel_vectors_verified": 3, "route": "exact-Qw"}
-    assert (rank, kernel) == perturbed.rank_and_kernel()
+    assert (rank, kernel) == nu_oracle.qw_matrix(perturbed).rank_and_kernel()
     assert rank == 39
 
 
-def test_independent_perturbation_is_certified_by_the_annexe_kernel(annexe_nu):
+def test_independent_perturbation_is_certified_by_the_annexe_kernel(
+        annexe_rows):
     # Rank 40, proven by the annexe vectors, and the certified kernel is the
     # one exact elimination gives.
-    perturbed = PERTURBATIONS["independent"](annexe_nu.matrix)
+    perturbed = PERTURBATIONS["independent"](annexe_rows)
     rank, kernel, cert = certified_rank_and_kernel(perturbed,
                                                    _text_candidates())
     assert cert["route"] == "modular+kernel"
     assert cert["kernel_vectors_verified"] == 3
-    assert (rank, kernel) == perturbed.rank_and_kernel() and rank == 40
+    assert (rank, kernel) == \
+        nu_oracle.qw_matrix(perturbed).rank_and_kernel() and rank == 40
 
 
-def test_each_printed_vector_is_kept_on_its_own(annexe_nu):
+def test_each_printed_vector_is_kept_on_its_own(annexe_rows):
     # With T11 := T10 + T7 no printed kernel verifies as a whole, but the
     # three other pairs do; the rank stays 39, so elimination decides.
-    perturbed = PERTURBATIONS["t11_moved"](annexe_nu.matrix)
+    perturbed = PERTURBATIONS["t11_moved"](annexe_rows)
     rank, kernel, cert = certified_rank_and_kernel(perturbed,
                                                    _text_candidates())
     assert cert == {"prime": RANK_PRIME, "rank_mod_p": 39,
                     "kernel_vectors_verified": 3, "route": "exact-Qw"}
-    assert (rank, kernel) == perturbed.rank_and_kernel()
+    assert (rank, kernel) == nu_oracle.qw_matrix(perturbed).rank_and_kernel()
     assert rank == 39
 
 
 @pytest.mark.parametrize("case", ["annexe", "all_lifts", "dependent",
                                   "independent", "t11_moved", "elimination"])
-def test_verdict_by_list_equality_agrees_with_span_comparison(annexe_nu, case):
+def test_verdict_by_list_equality_agrees_with_span_comparison(annexe_rows,
+                                                              case):
     if case in ("annexe", "all_lifts"):
         _, kernel, report = nu.nu_rank_and_kernel(mode=case)
         assert report["verdict"] == nu.kernel_verdict(_labels, kernel)
     elif case == "elimination":
-        kernel = annexe_nu.matrix.rank_and_kernel()[1]
+        kernel = nu_oracle.qw_matrix(annexe_rows).rank_and_kernel()[1]
     else:
         kernel = certified_rank_and_kernel(
-            PERTURBATIONS[case](annexe_nu.matrix), _text_candidates())[1]
+            PERTURBATIONS[case](annexe_rows), _text_candidates())[1]
     assert nu.kernel_verdict(_labels, kernel) == \
         nu_oracle.span_verdict(_labels, kernel)
 
@@ -193,43 +256,49 @@ def test_rank_prime_and_omega():
     assert r != 1 and (r * r + r + 1) % p == 0
 
 
+# Matrices as rows of (re, om) pairs, the shape `certified_rank_and_kernel`
+# takes.
+ONE, NIL = (1, 0), (0, 0)
+
+
 @pytest.mark.parametrize("entry", [
-    Eisenstein(0, RANK_PRIME),  # p*w, divisible by p in Z[w]
+    (0, RANK_PRIME),  # p*w, divisible by p in Z[w]
     # w - r, a prime above p sent to 0 by the reduction w -> r
-    Eisenstein(-RANK_OMEGA, 1),
+    (-RANK_OMEGA, 1),
 ])
 def test_rank_drop_mod_p_falls_back(entry):
-    m = ExactMatrix(QW, [[entry, 0, 0], [0, 1, 1]])
+    rows = [[entry, NIL, NIL], [NIL, ONE, ONE]]
     candidates = [[QW.zero(), -QW.one(), QW.one()]]
-    rank, kernel, cert = certified_rank_and_kernel(m, candidates)
+    rank, kernel, cert = certified_rank_and_kernel(rows, candidates)
     assert cert == {"prime": RANK_PRIME, "rank_mod_p": 1,
                     "kernel_vectors_verified": 1, "route": "exact-Qw"}
-    assert (rank, kernel) == m.rank_and_kernel() == (2, candidates)
+    assert (rank, kernel) == nu_oracle.qw_matrix(rows).rank_and_kernel() \
+        == (2, candidates)
 
 
 @pytest.mark.parametrize("entry, rank_mod_p", [
-    (Eisenstein(RANK_PRIME), 1),       # the prime divides it
-    (Eisenstein(Fraction(1, 2)), None),  # not integral: no modular bound
+    ((RANK_PRIME, 0), 1),       # the prime divides it
+    ((Fraction(1, 2), 0), None),  # not integral: no modular bound
 ])
 def test_prime_drop_and_rational_entries_fall_back(entry, rank_mod_p):
-    m = ExactMatrix(QW, [[entry, 1], [0, 1]])
-    rank, kernel, cert = certified_rank_and_kernel(m, [])
+    rows = [[entry, ONE], [NIL, ONE]]
+    rank, kernel, cert = certified_rank_and_kernel(rows, [])
     assert cert["rank_mod_p"] == rank_mod_p and cert["route"] == "exact-Qw"
     assert (rank, kernel) == (2, [])
 
 
 def test_kernel_candidates_must_annihilate():
-    m = ExactMatrix(QW, [[1, 1], [1, 1]])
+    rows = [[ONE, ONE], [ONE, ONE]]
     wrong = [[QW.one(), QW.one()]]
-    rank, kernel, cert = certified_rank_and_kernel(m, wrong)
+    rank, kernel, cert = certified_rank_and_kernel(rows, wrong)
     assert cert["kernel_vectors_verified"] == 0 and cert["route"] == "exact-Qw"
     assert rank == 1 and kernel == [[-QW.one(), QW.one()]]
 
 
 def test_dependent_candidates_are_all_dropped():
     # Both copies annihilate, but together they are no independent set.
-    m = ExactMatrix(QW, [[1, 1], [1, 1]])
+    rows = [[ONE, ONE], [ONE, ONE]]
     twice = [[-QW.one(), QW.one()]] * 2
-    rank, kernel, cert = certified_rank_and_kernel(m, twice)
+    rank, kernel, cert = certified_rank_and_kernel(rows, twice)
     assert cert["kernel_vectors_verified"] == 0 and cert["route"] == "exact-Qw"
     assert rank == 1 and kernel == twice[:1]
