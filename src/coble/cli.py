@@ -332,6 +332,24 @@ def fraction_text(text):
     return text
 
 
+def join_fractions(argv, flags):
+    """argv with each option of `flags` joined to a rational number that
+    follows it, as flag=value: argparse alone reads a value such as -5/11
+    as an option, so `--lambda -5/11` would be a usage error."""
+    out = []
+    for token in argv:
+        if out and out[-1] in flags:
+            try:
+                fraction_text(token)
+            except argparse.ArgumentTypeError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def combination_error(args):
     """Why arguments that are each valid are not valid together, or None."""
     if args.func is cmd_hesse_dual and \
@@ -424,6 +442,8 @@ def parse(argv):
     parser.add_argument("--format", choices=("json", "text"), default="json")
     for flag, kwargs in options:
         parser.add_argument(flag, **kwargs)
+    rest = join_fractions(rest, {flag for flag, kwargs in options
+                                 if kwargs.get("type") is fraction_text})
     args = parser.parse_args(rest, argparse.Namespace(group=group,
                                                       command=command))
     args.func = func

@@ -22,12 +22,15 @@ Every chart sends each Z_b to w^j * Y_k or to 0 and is stored as that
 monomial map (`FixedPlaneChart.images`).  Every group element sends Z_b to
 w^phase * Z_target (`heisenberg.monomial_action`), so whether a lift fixes
 a chart is decided on exponents mod 3 (`fixes_chart`).  Restriction is
-read off the same map: with one int weight per Z_b (Y_k and j in bit
-fields), a term's image is sum e_b * weight_b over its nonzero exponents,
-whose w-field picks its Z[w] coefficient times w^j (`chart_coordinates`).
-This is the one restriction to a fixed plane, read in a `Target` basis
-with disjoint monomial supports: each coordinate at one monomial of its
-support, and one dict comparison checks the whole restriction (`read_off`).
+read off the same map, for every term of a list of polynomials at once: a
+`Packing` holds per Z_b one big int of every term's exponent, one 64-bit
+slot per term, and with one int weight per Z_b (Y_k and j in bit fields)
+the sum of columns times weights is every term's image, whose w field
+picks its Z[w] coefficient times w^j (`target_rows`).  This is the one
+restriction to a fixed plane, read in a `Target` basis with disjoint
+monomial supports: a slot map sends each (element, target monomial) to an
+accumulator, each coordinate is read at its form's first monomial, and
+list-slice comparisons check every restriction against its combination.
 The sextics are read in S1 = sum Y_i^6, S2 = sum Y_i^3 Y_j^3,
 S3 = Y0 Y1 Y2 * sum Y_i^3, S4 = Y0^2 Y1^2 Y2^2 (`S_TARGET`), the Coble
 cubic's F0..F4 in the Hesse pencil's sum Y^3, Y0Y1Y2 (`PENCIL_TARGET`).
@@ -42,6 +45,8 @@ equality (`kernel_verdict`).
 """
 
 from __future__ import annotations
+
+import sys
 
 from .fields import QW, zw_pair, zw_rotate
 from .heisenberg import (COORD_INDEX, COORDS, THETA_VARS, HeisenbergElement,
@@ -173,13 +178,21 @@ def matching_lifts(charts):
 
 # ----- restriction as a monomial map, coordinates by read-off --------------
 
-# A term's image on a chart packs into one int: the exponents of Y0, Y1, Y2
-# and the exponent of w in four FIELD-bit fields, and the VANISH bit above
-# them, set when a coordinate that vanishes on the plane occurs.
+# A term's image on a chart packs into one 64-bit slot: the exponents of Y0,
+# Y1, Y2 and of w in four FIELD-bit fields, the number of its coordinates
+# that vanish on the plane in the VANISH field above them, and its element's
+# index in the top INDEX_BITS.  No field carries into the next while a
+# term's degree is below 2^(FIELD - 1), as its w-exponent is at most twice
+# its degree.
 FIELD = 8
 PHASE = 3 * FIELD
-Y_MASK = (1 << PHASE) - 1
-VANISH = 1 << (4 * FIELD)
+VANISH = 1 << 4 * FIELD
+INDEX = 5 * FIELD
+INDEX_BITS = 64 - INDEX
+VANISHED = (1 << INDEX) - VANISH
+W_MASK = (1 << FIELD) - 1
+# A slot's key, its element index and Y-exponents, is all but its w field.
+KEY_MASK = ~(W_MASK << PHASE)
 ZERO = (0, 0)
 
 
@@ -199,83 +212,150 @@ PENCIL_TARGET = Target("sum Y^3, Y0Y1Y2",
                        ([m for m in PENCIL.terms if m[-1] == k] for k in (0, 1)))
 
 
+class Packing:
+    """The terms of `count` theta polynomials, packed for restriction to any
+    chart: `columns[b]` holds each term's exponent of Z_b in the term's
+    slot, `index` its element's index in the INDEX field, and `rotations`
+    its Z[w] coefficient times 1, w, w^2 as pairs."""
+
+    def __init__(self, count, columns, index, rotations):
+        self.count = count
+        self.columns = columns
+        self.index = index
+        self.rotations = rotations
+        self.layouts = {}
+
+    def layout(self, target):
+        """Where `target`'s coordinates accumulate, built once per target:
+        one block of `count` accumulators per target monomial, in the order
+        of `target.keys`.  Returns the slot map (a slot's key -> its
+        accumulator), the number of accumulators, each form's block at its
+        first monomial, and (block, first block) for every other monomial."""
+        if target not in self.layouts:
+            n = self.count
+            slot_map, firsts, checks, q = {}, [], [], 0
+            for support in target.keys:
+                first = slice(q * n, q * n + n)
+                firsts.append(first)
+                for key in support:
+                    block = slice(q * n, q * n + n)
+                    if block != first:
+                        checks.append((block, first))
+                    slot_map.update((e << INDEX | key, q * n + e)
+                                    for e in range(n))
+                    q += 1
+            self.layouts[target] = slot_map, q * n, firsts, checks
+        return self.layouts[target]
+
+
 def packed_terms(elements):
-    """Each theta polynomial's terms as (the (coordinate index, exponent)
-    pairs of its nonzero exponents, its Z[w] coefficient times 1, w, w^2 as
-    pairs).  Raises ValueError when a term's degree could overflow a field:
-    the w-exponent of its image is at most twice its degree."""
-    out = []
+    """Every term of the theta polynomials `elements`, packed (`Packing`).
+    Raises ValueError, before any packing, when there are more elements
+    than the INDEX field numbers or a term's degree could overflow a
+    field."""
+    if len(elements) > 1 << INDEX_BITS:
+        raise ValueError(f"{len(elements)} elements overflow the "
+                         f"{INDEX_BITS}-bit index field of a restriction")
     for p in elements:
         if p.ring.varnames != THETA_VARS:
             raise ValueError(f"not a theta-coordinate polynomial: {p.ring}")
-        terms = []
-        for exps, c in p.terms.items():
+        for exps in p.terms:
             if 2 * sum(exps) >= 1 << FIELD:
                 raise ValueError(f"a term of degree {sum(exps)} overflows the "
                                  f"{FIELD}-bit fields of a restriction")
-            pair = zw_pair(QW.coerce(c))
-            terms.append((tuple((b, e) for b, e in enumerate(exps) if e),
-                          tuple(zw_rotate(pair, j) for j in range(3))))
-        out.append(terms)
-    return out
+    terms = [(i, exps, c) for i, p in enumerate(elements)
+             for exps, c in p.terms.items()]
+    columns = [bytearray(8 * len(terms)) for _ in THETA_VARS]
+    rotations = []
+    for t, (_, exps, c) in enumerate(terms):
+        for b, e in enumerate(exps):
+            if e:
+                columns[b][8 * t] = e
+        pair = zw_pair(QW.coerce(c))
+        rotations.append(tuple(zw_rotate(pair, j) for j in range(3)))
+    index = b"".join((i << INDEX).to_bytes(8, "little") for i, _, _ in terms)
+    return Packing(len(elements),
+                   [int.from_bytes(col, "little") for col in columns],
+                   int.from_bytes(index, "little"), rotations)
 
 
-def chart_coordinates(chart, packed, target):
-    """The `target` coordinates, as Z[w] pairs, of every element of `packed`
-    (from `packed_terms`) restricted to the chart.  Z_b -> w^j Y_k weighs a
-    1 in Y_k's field plus j in the phase field, and VANISH if Z_b is 0; a
-    term's image is the sum of its exponents times these weights."""
+def target_rows(chart, packing, target):
+    """Per form of `target`, the coordinate as a Z[w] pair of every element
+    of `packing` restricted to the chart.  Z_b -> w^j Y_k weighs a 1 in
+    Y_k's field plus j in the w field, and VANISH if Z_b is 0, so all of the
+    terms' images come from one sum of columns times weights.  Raises
+    NotInSpan unless each restriction is exactly the combination of the
+    target's forms read at their first monomials."""
     weight = [VANISH if img is None else (1 << FIELD * img[0]) + (img[1] << PHASE)
               for img in chart.images]
-    out = []
-    for terms in packed:
-        res = {}
-        for exps, rotations in terms:
-            image = 0
-            for i, e in exps:
-                image += e * weight[i]
-            if image >= VANISH:
-                continue
-            a, b = rotations[(image >> PHASE) % 3]
-            key = image & Y_MASK
-            old = res.get(key)
-            res[key] = (a, b) if old is None else (old[0] + a, old[1] + b)
-        out.append(read_off(res, target))
-    return out
+    images = sum((col * w for col, w in zip(packing.columns, weight)),
+                 packing.index)
+    slots = memoryview(images.to_bytes(8 * len(packing.rotations),
+                                       sys.byteorder)).cast("Q")
+    if sys.byteorder == "big":  # the native bytes put the last slot first
+        slots = slots[::-1]
+    slot_map, size, firsts, checks = packing.layout(target)
+    re, om = [0] * size, [0] * size
+    outside = {}
+    accumulator = slot_map.get
+    for v, rotations in zip(slots, packing.rotations):
+        i = accumulator(v & KEY_MASK)
+        if i is not None:
+            a, b = rotations[(v >> PHASE & W_MASK) % 3]
+            re[i] += a
+            om[i] += b
+        elif not v & VANISHED:
+            a, b = rotations[(v >> PHASE & W_MASK) % 3]
+            old = outside.get(v & KEY_MASK, ZERO)
+            outside[v & KEY_MASK] = (old[0] + a, old[1] + b)
+    if any(c != ZERO for c in outside.values()) or any(
+            re[block] != re[first] or om[block] != om[first]
+            for block, first in checks):
+        raise NotInSpan(_span_failure(re, om, outside, checks, target.name))
+    pairs = {ZERO: ZERO}
+    rows = []
+    for first in firsts:
+        row = list(zip(re[first], om[first]))
+        rows.append(list(map(pairs.setdefault, row, row)))
+    return rows
 
 
-def read_off(res, target):
-    """The coordinates in `target` of a restriction (packed Y-exponent ->
-    pair), read at one monomial per support.  Raises NotInSpan unless the
-    nonzero entries are exactly that combination of the target's forms."""
-    coords = [res.get(keys[0], ZERO) for keys in target.keys]
-    live = {key: c for key, c in res.items() if c != ZERO}
-    if live != {key: c for c, keys in zip(coords, target.keys) if c != ZERO
-                for key in keys}:
-        if live.keys() <= {key for keys in target.keys for key in keys}:
-            raise NotInSpan(f"restriction is not a combination of {target.name}")
-        raise NotInSpan(f"restriction has a monomial outside {target.name}")
-    return coords
+def _span_failure(re, om, outside, checks, name):
+    """Why the first element whose restriction is off the target fails: a
+    live monomial outside every support, else unequal values on one."""
+    failed = {key >> INDEX: "has a monomial outside"
+              for key, c in outside.items() if c != ZERO}
+    for block, first in checks:
+        for i, (x, y) in enumerate(zip(zip(re[block], om[block]),
+                                       zip(re[first], om[first]))):
+            if x != y:
+                failed.setdefault(i, "is not a combination of")
+    return f"restriction {failed[min(failed)]} {name}"
 
 
-def _nu_matrix(charts, packed, progress=None):
+def chart_coordinates(chart, packing, target):
+    """The `target` coordinates, as Z[w] pairs, of each element of `packing`
+    restricted to the chart (see `target_rows`)."""
+    return [list(c) for c in zip(*target_rows(chart, packing, target))]
+
+
+def _nu_matrix(charts, packing, progress=None):
     """The restriction matrix as rows of Z[w] pairs: per chart, four rows
-    holding the S1..S4 coordinates of every element of `packed` (from
-    `packed_terms`)."""
+    holding the S1..S4 coordinates of every element of `packing`."""
     rows = []
     for ci, chart in enumerate(charts):
         if progress:
             progress(f"chart {ci + 1}/{len(charts)} ({chart.family_tag})")
-        rows.extend(map(list, zip(*chart_coordinates(chart, packed, S_TARGET))))
+        rows.extend(target_rows(chart, packing, S_TARGET))
     return rows
 
 
-def _certified_kernel(charts, packed, labels, progress=None):
+def _certified_kernel(charts, packing, labels, progress=None):
     """Certified rank, kernel, kernel as {label: coefficient} dicts and rank
-    certificate of the nu matrix of `packed` on `charts` (columns `labels`),
+    certificate of the nu matrix of `packing` on `charts` (columns `labels`),
     with the printed text pairs as kernel candidates."""
     rank, kernel, certificate = certified_rank_and_kernel(
-        _nu_matrix(charts, packed, progress),
+        _nu_matrix(charts, packing, progress),
         candidate_vectors(labels, TEXT_KERNEL_PAIRS))
     kernel_labels = [{labels[j]: c for j, c in enumerate(v) if c}
                      for v in kernel]
@@ -291,16 +371,16 @@ def _basis_or_pinned(basis):
 
 # ----- the Annexe's filter pipeline ---------------------------------------
 
-def _diagonal_filter(diagonal_charts, packed):
-    """Keep, chart after chart, the elements of `packed` whose S1..S4
-    coordinates there are all zero: `read_off` checks that the whole
+def _diagonal_filter(diagonal_charts, packing):
+    """Keep, chart after chart, the elements of `packing` whose S1..S4
+    coordinates there are all zero: the read-off checks that each whole
     restriction is that combination, so exactly those restrict to zero."""
-    surviving = list(range(len(packed)))
+    surviving = list(range(packing.count))
     counts = []
     for chart in diagonal_charts:
-        coords = chart_coordinates(chart, [packed[i] for i in surviving],
-                                   S_TARGET)
-        surviving = [i for i, c in zip(surviving, coords) if c == [ZERO] * 4]
+        rows = target_rows(chart, packing, S_TARGET)
+        surviving = [i for i in surviving
+                     if all(row[i] == ZERO for row in rows)]
         counts.append(len(surviving))
     return counts, surviving
 
@@ -318,10 +398,10 @@ def annexe_subblock_kernel(basis=None):
     differences."""
     basis = _basis_or_pinned(basis)
     charts = annexe_charts()
-    packed = packed_terms(basis.elements)
-    counts, surviving = _diagonal_filter(charts[:4], packed)
+    counts, surviving = _diagonal_filter(charts[:4],
+                                         packed_terms(basis.elements))
     rank, kernel, kernel_labels, _ = _certified_kernel(
-        charts[4:], [packed[i] for i in surviving],
+        charts[4:], packed_terms([basis.elements[i] for i in surviving]),
         [basis.labels[i] for i in surviving])
     return counts, rank, kernel, kernel_labels
 

@@ -133,11 +133,13 @@ class Polynomial:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        acc = self.ring.one()
+        if n == 0:
+            return self.ring.one()
+        acc = None
         base = self
         while n:
             if n & 1:
-                acc = acc * base
+                acc = base if acc is None else acc * base
             n >>= 1
             if n:
                 base = base * base

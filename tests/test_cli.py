@@ -191,6 +191,9 @@ def test_usage_error():
     ["invariants", "dim", "--degree", "4"],
     ["invariants", "dim", "--degree", "-3"],
     ["hesse", "dual", "--lambda", "abc"],
+    # a missing value stays one, whatever follows
+    ["hesse", "dual", "--lambda", "--format", "json"],
+    ["hesse", "dual", "--lambda", "-x"],
     ["hesse", "dual", "--oracle-prime", "11"],
     ["prym", "genus", "--n", "0", "--g", "2"],
     ["enum", "zagier", "--h", "0"],
@@ -300,6 +303,16 @@ def test_certificate_hash_is_pinned(capsys, argv, digest):
     code, cert = run_json(capsys, argv)
     assert code == 0
     assert cert["artifact_hash"] == digest
+
+
+def test_negative_fraction_after_lambda_is_its_value(capsys):
+    # argparse alone reads the -5/11 of `--lambda -5/11` as an option.
+    joined = ["hesse", "dual", "--lambda=-5/11", "--oracle-prime", "31"]
+    code, cert = run_json(capsys, ["hesse", "dual", "--lambda", "-5/11",
+                                   "--oracle-prime", "31"])
+    assert code == 0
+    assert [cert["artifact_hash"]] == [digest for argv, digest in PINNED_HASHES
+                                       if argv == joined]
 
 
 def refuse(name):

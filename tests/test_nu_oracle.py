@@ -4,6 +4,7 @@ read-off coordinates, certified rank) against the generic Q(w) route in
 that the rank certificate falls back to exact elimination whenever its
 bounds do not meet."""
 
+import hashlib
 import re
 from fractions import Fraction
 
@@ -166,6 +167,97 @@ def test_over_degree_term_is_refused_before_packing():
         nu.chart_coordinates(_charts[4], nu.packed_terms([fits]), nu.S_TARGET)
     with pytest.raises(ValueError, match="degree 128 overflows"):
         nu.packed_terms([_elements[0], fits * z01])
+
+
+_T = dict(zip(_labels, _elements))
+_W = Eisenstein(0, 1)
+# Elements of the span of T1..T43 over Q(w), packed together: Q(w) parts
+# that are Fractions, parts above 2^64, T6 + w T7 + w^2 T8 (T6, T7, T8 share
+# coordinates on many charts, which cancel as 1 + w + w^2 = 0), a repeated
+# element and the zero element.
+_SEVERAL = [
+    Eisenstein(Fraction(1, 3), Fraction(-2, 7)) * _T["T5"]
+    + Fraction(5, 2) * _T["T20"],
+    Eisenstein(10 ** 30, -10 ** 30) * _T["T1"]
+    + Eisenstein(-10 ** 30, 7) * _T["T8"] + _T["T43"],
+    _T["T6"] + _W * _T["T7"] + _W * _W * _T["T8"],
+    theta_ring().zero(),
+    _T["T43"],
+]
+_SEVERAL.append(_SEVERAL[0])
+
+
+def test_one_pass_restriction_of_several_elements_matches_oracle():
+    packing = nu.packed_terms(_SEVERAL)
+    alone = [nu.packed_terms([p]) for p in _SEVERAL]
+    t6 = nu.packed_terms([_T["T6"]])
+    cancelled = huge = fractional = 0
+    for chart in _charts:
+        coords = nu.chart_coordinates(chart, packing, nu.S_TARGET)
+        assert len(coords) == len(_SEVERAL)
+        for p, c, single in zip(_SEVERAL, coords, alone):
+            assert c == nu.chart_coordinates(chart, single, nu.S_TARGET)[0]
+            assert [Eisenstein(*x) for x in c] == nu_oracle.coordinates(
+                nu_oracle.restrict(chart, p), "sbasis"), chart.family_tag
+            assert all(x is nu.ZERO for x in c if x == nu.ZERO)
+        fractional += any(type(part) is Fraction
+                          for x in coords[0] for part in x)
+        big = [part for x in coords[1] for part in x]
+        assert all(type(part) is int for part in big)
+        huge += any(abs(part) >= 1 << 64 for part in big)
+        cancelled += sum(x is nu.ZERO and y != nu.ZERO for x, y in zip(
+            coords[2], nu.chart_coordinates(chart, t6, nu.S_TARGET)[0]))
+        assert coords[3] == [nu.ZERO] * 4
+    assert fractional > 0 and huge > 0 and cancelled > 0
+
+
+def test_first_failing_element_names_the_failure():
+    # Z00^6 lands on one monomial of the S1 support on every chart that
+    # keeps Z00; Z00^5 Z01 leaves the supports where Z00 and Z01 go to
+    # different Y_k.  A packing fails as its first failing element does.
+    ring = theta_ring()
+    z00, z01 = ring.var("Z00"), ring.var("Z01")
+    combination, outside = z00 ** 6, z00 ** 5 * z01
+    chart = _ETA_CHART
+    for first, second, message in (
+            (combination, outside, "is not a combination of S1..S4"),
+            (outside, combination, "has a monomial outside S1..S4")):
+        with pytest.raises(NotInSpan, match=message):
+            nu.chart_coordinates(chart, nu.packed_terms([_T["T1"], first]),
+                                 nu.S_TARGET)
+        with pytest.raises(NotInSpan, match=message):
+            nu.chart_coordinates(
+                chart, nu.packed_terms([_T["T1"], first, second]),
+                nu.S_TARGET)
+
+
+def test_element_count_beyond_the_index_field_is_refused(monkeypatch):
+    # Each slot numbers its element in the top INDEX_BITS bits of 64.
+    assert nu.INDEX + nu.INDEX_BITS == 64
+    monkeypatch.setattr(nu, "INDEX_BITS", 2)
+    assert nu.packed_terms([_elements[0]] * 4).count == 4
+    with pytest.raises(ValueError, match="5 elements overflow the 2-bit "
+                       "index field"):
+        nu.packed_terms([_elements[0]] * 5)
+
+
+# sha256 of repr(rows) of the nu matrix on each mode, unchanged since the
+# rows became Z[w] int pairs read off the packed restriction.
+NU_ROWS_SHA256 = {
+    "annexe": "df63e7c7212d5f1aa7b336cfcec4062d15005f58ffd5088ed7fa037405503f77",
+    "all_lifts":
+        "466d7329d9c837977536c56332afc7fc788fb31e71c3c9d26afe140f783c6c2e",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(NU_ROWS_SHA256))
+def test_nu_rows_are_int_pairs_and_pinned(mode):
+    rows = nu._nu_matrix(nu.fixed_plane_charts(mode),
+                         nu.packed_terms(_elements))
+    assert len(rows) == 4 * len(nu.fixed_plane_charts(mode))
+    assert all(type(part) is int for row in rows for x in row for part in x)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        NU_ROWS_SHA256[mode]
 
 
 def _with_column(rows, label, column):

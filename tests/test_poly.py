@@ -32,10 +32,16 @@ def test_power_stops_squaring_after_the_last_bit(ring, monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(Polynomial, "__mul__", counting)
+    # The product starts from the first factor, not from 1.
+    for n, products in ((0, 0), (1, 0), (3, 2), (8, 3)):
+        calls.clear()
+        (x + y) ** n
+        assert len(calls) == products, n
     for n in range(9):
         calls.clear()
         power = (x + y) ** n
-        assert len(calls) == bin(n).count("1") + max(n.bit_length() - 1, 0), n
+        assert len(calls) == (bin(n).count("1") + n.bit_length() - 2
+                              if n else 0), n
         assert power.terms == {(k, n - k): Fraction(comb(n, k))
                                for k in range(n + 1)}, n
 
