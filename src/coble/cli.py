@@ -168,8 +168,9 @@ def cmd_hesse_dual(args, cert):
     except hesse.SingularSystem as exc:
         cert.outputs["cusp_system"] = f"singular: {exc}"
     p = args.oracle_prime
-    if hesse.singular_mod(lam, p):
-        cert.outputs["oracle"] = "skipped_singular_reduction"
+    skip = hesse.oracle_skip(lam, p)
+    if skip:
+        cert.outputs["oracle"] = skip
     else:
         try:
             report = hesse.finite_field_duality_oracle(lam, p)

@@ -11,15 +11,20 @@ take numbers or polynomials alike:
   S3 = Y0 Y1 Y2 * sum Y_i^3, S4 = Y0^2 Y1^2 Y2^2;
 - `cusp_system`: the 3x3 linear system in (a1, a2, a3) saying that
   (lam : 1 : 1) is a cusp of F_lam.
-The formal cubic `PENCIL`, the Hessian, the cusp residuals (row . a - rhs
-at formal lam) and the cusp certificate derive from them.
+The formal cubic `PENCIL`, the cusp residuals (row . a - rhs at formal
+lam) and the cusp certificate derive from them.
 The coefficients come three times (closed form; the discriminant of f_lam
 on a line, from `pencil` alone; one elimination of the cusp system, which
 is singular at lam = 0) and are certified over prime fields: every F_p-point
 of f_lam is found on the p + 1 lines through the rational flex (0 : 1 : -1),
-and its gradient must lie on the dual sextic.  That loop inlines f_lam and
-F_lam mod p on ints; `tests/hesse_oracle.py` checks it against its own
-transcription.
+and its gradient must lie on the dual sextic.  Each line yields one
+projective representative, (2c : tc + d : tc - d) on the line through
+(1 : 0 : t), with no inverse mod p, and it is checked once for itself and
+its X1 <-> X2 twin: f_lam and F_lam are both symmetric in the last two
+coordinates.  That loop inlines f_lam and F_lam mod p on ints;
+`tests/hesse_oracle.py` checks it against its own transcription, and holds
+the plane Heisenberg orbits of the flexes and cusps, which no certificate
+uses.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .fields import QQ, QW, OMEGA, square_roots
+from .fields import QQ, square_roots
 from .linalg import ExactMatrix
 from .poly import NotInSpan, PolyRing
 
@@ -45,7 +50,6 @@ class CounterexamplePoint(Exception):
 X_RING = PolyRing(QQ, ("X0", "X1", "X2", "lam"))
 Y_RING = PolyRing(QQ, ("Y0", "Y1", "Y2", "lam"))
 LINE_RING = PolyRing(QQ, ("s", "t", "Y0", "Y1", "Y2", "lam"))
-X_NAMES = ("X0", "X1", "X2")
 
 
 def pencil(x0, x1, x2, lam):
@@ -146,68 +150,6 @@ def cusp_system_residuals():
             for row, b in zip(rows, rhs)]
 
 
-def _proj_normalize(p):
-    """The point p of P^2, coordinates coerced into Q(w), scaled so that its
-    first nonzero coordinate is 1."""
-    p = [QW.coerce(c) for c in p]
-    for c in p:
-        if c:
-            inv = c.inverse()
-            return tuple(x * inv for x in p)
-    raise ValueError("zero point")
-
-
-def plane_orbit(point):
-    """Orbit of a projective point of P^2 under the plane Heisenberg group
-    (cyclic coordinate shift and the omega character scaling), with
-    normalized Q(w) coordinates; the input coordinates may be ints,
-    Fractions or elements of Q(w)."""
-    seen = {}
-    stack = [_proj_normalize(point)]
-    while stack:
-        p = stack.pop()
-        if p in seen:
-            continue
-        seen[p] = None
-        shift = _proj_normalize((p[2], p[0], p[1]))
-        scale = _proj_normalize((p[0], p[1] * OMEGA, p[2] * OMEGA * OMEGA))
-        stack.extend([shift, scale])
-    return list(seen)
-
-
-def inflection_orbit():
-    """The nine inflection points of every pencil member: the plane
-    Heisenberg orbit of (0 : 1 : -1), with exact Q(omega) coordinates."""
-    base = (QW.zero(), QW.one(), -QW.one())
-    orbit = plane_orbit(base)
-    if len(orbit) != 9:
-        raise AssertionError(f"inflection orbit has size {len(orbit)}")
-    return orbit
-
-
-def _at_point(poly, point):
-    """poly with X0, X1, X2 set to the Q(omega) coordinates of point: a
-    polynomial in the formal lam over Q(omega)."""
-    return poly.substitute(dict(zip(X_NAMES, point)),
-                           target_ring=PolyRing(QW, ("lam",)))
-
-
-def on_pencil_member(point):
-    """f_lam at a Q(omega) point with lam formal: the residual polynomial in
-    lam (zero iff the point lies on every pencil member)."""
-    return _at_point(PENCIL, point)
-
-
-def hessian_determinant_at(point):
-    """det of the matrix of second partials of f_lam, evaluated at a
-    Q(omega) point, as a polynomial in the formal lam."""
-    h = [[_at_point(PENCIL.partial_derivative(a).partial_derivative(b), point)
-          for b in X_NAMES] for a in X_NAMES]
-    return (h[0][0] * (h[1][1] * h[2][2] - h[1][2] * h[2][1])
-            - h[0][1] * (h[1][0] * h[2][2] - h[1][2] * h[2][0])
-            + h[0][2] * (h[1][0] * h[2][1] - h[1][1] * h[2][0]))
-
-
 def cusp_orbit_check():
     """Certify (lam : 1 : 1) as a cusp of the dual sextic, identically in
     lam: both partials vanish there, and the printed restriction to
@@ -223,15 +165,6 @@ def cusp_orbit_check():
         report[f"restriction_order_{order}"] = r.substitute({"Y0": lam})
         r = r.partial_derivative("Y0")
     return report
-
-
-def cusp_orbit(lam):
-    """The nine cusp candidates: the plane Heisenberg orbit of the dual
-    point (lam : 1 : 1); reports whether they are distinct."""
-    lam = Fraction(lam)
-    base = (QW.coerce(lam), QW.one(), QW.one())
-    orbit = plane_orbit(base)
-    return orbit, len(orbit) == 9
 
 
 # ----- finite-field oracle -------------------------------------------------
@@ -251,12 +184,27 @@ def singular_mod(lam, p):
     return pow(reduce_mod(lam, p), 3, p) == 1
 
 
+def oracle_skip(lam, p):
+    """Why the oracle does not apply to f_lam mod p, or None when it does:
+    "skipped_singular_member" when f_lam is singular over Q (lam^3 = 1,
+    that is lam = 1: three lines), "skipped_singular_reduction" when only
+    its reduction is (lam^3 = 1 mod p, as for lam = 3 mod 13)."""
+    if Fraction(lam) == 1:
+        return "skipped_singular_member"
+    if singular_mod(lam, p):
+        return "skipped_singular_reduction"
+    return None
+
+
 FLEX = (0, 1, -1)
 
 
 def curve_points(lam_p, p):
-    """Every F_p-point of f_lam (lam = lam_p mod p) once, with its first
-    nonzero coordinate 1.
+    """Every F_p-point of f_lam (lam = lam_p mod p), as one projective
+    representative (x0, y1, y2, n) per line through FLEX: it stands for
+    n in {1, 2} points, itself and, when n = 2, its X1 <-> X2 twin
+    (x0 : y2 : y1), another point of f_lam, which is symmetric in X1 and
+    X2.
 
     The flex FLEX lies on every pencil member, and every other point is
     Q + s*FLEX for exactly one s in F_p and one Q on the line X1 = 0, which
@@ -267,16 +215,22 @@ def curve_points(lam_p, p):
     so the points on each of the p + 1 lines through FLEX are the roots of a
     quadratic a + b s + c s^2.  For Q = (1 : 0 : t) it has a = 1 + t^3,
     b = -3 t (lam + t) = -t c and c = 3 (lam + t), so its roots are
-    s = t/2 +- e with (2 c e)^2 = b^2 - 4 a c, and its points are
-    (1 : t/2 + e : t/2 - e) and the swap of the last two coordinates.  The
+    s = (t c +- d) / (2 c) with d^2 = b^2 - 4 a c, and its points
+    (1 : s : t - s) are (2 c : t c + d : t c - d) and the twin: scaled by
+    2 c, no line needs an inverse.  For Q = (0 : 0 : 1), a = 1, b = -3 and
+    c = 3, so s = (3 +- d) / 6 with d^2 = -3, and (0 : s : 1 - s) is
+    (0 : 3 + d : 3 - d), again with its twin.  Either twin is the same
+    point exactly when d = 0, where n = 1; FLEX itself has n = 1.  The
     square root is read from a table of all square roots mod p
     (`fields.square_roots`), built once per call, so memory is O(p): at most
     3079 entries for the benchmark's primes, about 0.1M at p = 100003.  On
     the tangent at FLEX the quadratic is a nonzero constant; a line inside
-    the curve raises, since a smooth cubic contains none."""
+    the curve raises, since a smooth cubic contains none, and so does
+    p = 2, where 2 c = 0."""
+    if p == 2:
+        raise ValueError("the line walk needs an odd prime, not 2")
     roots = square_roots(p)
-    half = (p + 1) // 2
-    yield 0, 1, p - 1
+    yield 0, 1, p - 1, 1
     for t in range(p):
         a = (1 + t * t * t) % p
         c = 3 * (lam_p + t) % p
@@ -287,29 +241,35 @@ def curve_points(lam_p, p):
                 continue
             raise ValueError(f"the line through {FLEX} and {(1, 0, t)} lies "
                              f"on f_lam mod {p}, lam = {lam_p}")
-        d = roots[(t * t * c - 4 * a) * c % p]  # b^2 - 4 a c, as b = -t c
-        if d is None:
-            continue
-        h = t * half
-        e = d * pow(2 * c, -1, p)
-        yield 1, (h + e) % p, (h - e) % p
-        if d:
-            yield 1, (h - e) % p, (h + e) % p
-    # Q = (0 : 0 : 1): a = 1, b = -3, c = 3, and s != 0 as a != 0.
-    d = roots[-3 % p]
+        tc = t * c
+        d = roots[(t * tc - 4 * a) * c % p]  # b^2 - 4 a c, as b = -t c
+        if d is not None:
+            yield 2 * c % p, (tc + d) % p, (tc - d) % p, 2 if d else 1
+    d = roots[-3 % p]  # Q = (0 : 0 : 1)
     if d is not None:
-        inv6 = pow(6, -1, p)
-        for s in {(3 + d) * inv6 % p, (3 - d) * inv6 % p}:
-            yield 0, 1, (1 - s) * pow(s, -1, p) % p
+        yield 0, (3 + d) % p, (3 - d) % p, 2 if d else 1
+
+
+def _normalized(point, p):
+    """The point of P^2(F_p) with its first nonzero coordinate 1."""
+    inv = pow(next(x for x in point if x % p), -1, p)
+    return tuple(x * inv % p for x in point)
 
 
 def finite_field_duality_oracle(lam, p):
     """Find every F_p-point of f_lam = 0 on the lines through the flex
     (`curve_points`: p + 1 lines, one table of square roots mod p), check
     that the gradient of every nonsingular point lies on the dual sextic
-    (raising `CounterexamplePoint` at the first that does not), and report
-    whether the point count N meets the Hasse bound (N - p - 1)^2 <= 4p.
-    A count outside it is no point, so it is reported, not raised."""
+    (raising `CounterexamplePoint` at the first that does not, normalized
+    to first nonzero coordinate 1), and report whether the point count N
+    meets the Hasse bound (N - p - 1)^2 <= 4p.  A count outside it is no
+    point, so it is reported, not raised.
+
+    Each representative of `curve_points` is checked once and counts for
+    its n points.  That is exact: the gradient at the X1 <-> X2 twin is
+    (g0, g2, g1), the residual below is symmetric in g1 and g2, as S1..S4
+    are, and it is homogeneous, so its zero test holds for every scaling of
+    the point."""
     lam = Fraction(lam)
     if singular_mod(lam, p):
         raise ValueError(f"lam = {lam} is a singular pencil member mod {p}")
@@ -317,35 +277,35 @@ def finite_field_duality_oracle(lam, p):
     a1, a2, a3 = (a % p for a in dual_coefficients(lam_p))
     count = 0
     checked = 0
-    for x0, y1, y2 in curve_points(lam_p, p):
-        count += 1
+    for x0, y1, y2, n in curve_points(lam_p, p):
+        count += n
         g0 = 3 * (x0 * x0 - lam_p * y1 * y2) % p
         g1 = 3 * (y1 * y1 - lam_p * x0 * y2) % p
         g2 = 3 * (y2 * y2 - lam_p * x0 * y1) % p
         if not (g0 or g1 or g2):
             continue  # singular point; excluded from the duality check
-        checked += 1
+        checked += n
         # F_lam(g) = S1 + a1 S2 + a2 S3 + a3 S4 at g, from its cubes k_i
         k0, k1, k2 = g0 * g0 * g0 % p, g1 * g1 * g1 % p, g2 * g2 * g2 % p
         m = g0 * g1 * g2 % p
         if (k0 * k0 + k1 * k1 + k2 * k2 + a1 * (k0 * k1 + k0 * k2 + k1 * k2)
                 + m * (a2 * (k0 + k1 + k2) + a3 * m)) % p:
-            raise CounterexamplePoint((x0, y1, y2),
+            raise CounterexamplePoint(_normalized((x0, y1, y2), p),
                                       f"dual sextic nonzero (lam={lam}, p={p})")
     return {"p": p, "lam": str(lam), "points": count, "checked": checked,
             "hasse_ok": (count - p - 1) ** 2 <= 4 * p, "counterexamples": 0}
 
 
 def run_default_oracle(lams=DEFAULT_ORACLE_LAMBDAS, primes=DEFAULT_ORACLE_PRIMES):
-    """Run the duality oracle over the default grid.  Pairs whose reduction
-    is a singular pencil member (lam^3 = 1 mod p) violate the oracle's
-    precondition and are reported as skipped, not failed."""
+    """Run the duality oracle over the default grid.  Pairs where f_lam or
+    its reduction is singular violate the oracle's precondition and are
+    reported as skipped (`oracle_skip`), not failed."""
     reports = []
     for lam in lams:
         for p in primes:
-            if singular_mod(lam, p):
-                reports.append({"p": p, "lam": str(lam),
-                                "status": "skipped_singular_reduction"})
+            skip = oracle_skip(lam, p)
+            if skip:
+                reports.append({"p": p, "lam": str(lam), "status": skip})
                 continue
             r = finite_field_duality_oracle(lam, p)
             r["status"] = "ok"

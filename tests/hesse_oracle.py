@@ -3,14 +3,20 @@ the production line walk (`hesse.curve_points`) is compared against: every
 point of P^2(F_p) is tested in the representatives (1 : y : z), (0 : 1 : z),
 (0 : 0 : 1), which is O(p^2) work.  `scan` evaluates the dual sextic
 exactly over Q before reducing it mod p and is meant for p <= 103;
-`point_set` alone takes about half a second at p = 1033.  Also the exact
-gradient map of the pencil, whose image is the dual curve, and projective
-equality of points.
+`point_set` alone takes about half a second at p = 1033.  `expand` turns
+the walk's representatives back into the points they stand for.  Also the
+exact gradient map of the pencil, whose image is the dual curve, projective
+equality of points, and the plane Heisenberg orbits of the flexes and of
+the cusps over Q(w), which no certificate uses.
 """
 
 from fractions import Fraction
 
-from coble.hesse import PENCIL, X_NAMES, dual_sextic, reduce_mod
+from coble.fields import OMEGA, QW
+from coble.hesse import PENCIL, dual_sextic, reduce_mod
+from coble.poly import PolyRing
+
+X_NAMES = ("X0", "X1", "X2")
 
 
 class ZeroGradient(Exception):
@@ -76,3 +82,96 @@ def scan(lam, p):
         if reduce_mod(value, p):
             counterexamples.append((x0, x1, x2))
     return points, checked, counterexamples
+
+
+def normalize_mod(point, p):
+    """The point of P^2(F_p) with its first nonzero coordinate 1."""
+    point = [x % p for x in point]
+    lead = next(x for x in point if x)
+    inv = pow(lead, p - 2, p)
+    return tuple(x * inv % p for x in point)
+
+
+def expand(representatives, p):
+    """The points that `hesse.curve_points` representatives stand for, in
+    walk order and normalized: each (x0, y1, y2, n) gives (x0 : y1 : y2)
+    and, when n = 2, its X1 <-> X2 twin (x0 : y2 : y1)."""
+    points = []
+    for x0, y1, y2, n in representatives:
+        points.append(normalize_mod((x0, y1, y2), p))
+        if n == 2:
+            points.append(normalize_mod((x0, y2, y1), p))
+    return points
+
+
+# ----- plane Heisenberg orbits over Q(w) -----------------------------------
+
+def _proj_normalize(p):
+    """The point p of P^2, coordinates coerced into Q(w), scaled so that its
+    first nonzero coordinate is 1."""
+    p = [QW.coerce(c) for c in p]
+    for c in p:
+        if c:
+            inv = c.inverse()
+            return tuple(x * inv for x in p)
+    raise ValueError("zero point")
+
+
+def plane_orbit(point):
+    """Orbit of a projective point of P^2 under the plane Heisenberg group
+    (cyclic coordinate shift and the omega character scaling), with
+    normalized Q(w) coordinates; the input coordinates may be ints,
+    Fractions or elements of Q(w)."""
+    seen = {}
+    stack = [_proj_normalize(point)]
+    while stack:
+        p = stack.pop()
+        if p in seen:
+            continue
+        seen[p] = None
+        shift = _proj_normalize((p[2], p[0], p[1]))
+        scale = _proj_normalize((p[0], p[1] * OMEGA, p[2] * OMEGA * OMEGA))
+        stack.extend([shift, scale])
+    return list(seen)
+
+
+def inflection_orbit():
+    """The nine inflection points of every pencil member: the plane
+    Heisenberg orbit of (0 : 1 : -1), with exact Q(omega) coordinates."""
+    base = (QW.zero(), QW.one(), -QW.one())
+    orbit = plane_orbit(base)
+    if len(orbit) != 9:
+        raise AssertionError(f"inflection orbit has size {len(orbit)}")
+    return orbit
+
+
+def _at_point(poly, point):
+    """poly with X0, X1, X2 set to the Q(omega) coordinates of point: a
+    polynomial in the formal lam over Q(omega)."""
+    return poly.substitute(dict(zip(X_NAMES, point)),
+                           target_ring=PolyRing(QW, ("lam",)))
+
+
+def on_pencil_member(point):
+    """f_lam at a Q(omega) point with lam formal: the residual polynomial in
+    lam (zero iff the point lies on every pencil member)."""
+    return _at_point(PENCIL, point)
+
+
+def hessian_determinant_at(point):
+    """det of the matrix of second partials of f_lam, evaluated at a
+    Q(omega) point, as a polynomial in the formal lam."""
+    h = [[_at_point(PENCIL.partial_derivative(a).partial_derivative(b), point)
+          for b in X_NAMES] for a in X_NAMES]
+    return (h[0][0] * (h[1][1] * h[2][2] - h[1][2] * h[2][1])
+            - h[0][1] * (h[1][0] * h[2][2] - h[1][2] * h[2][0])
+            + h[0][2] * (h[1][0] * h[2][1] - h[1][1] * h[2][0]))
+
+
+def cusp_orbit(lam):
+    """The nine cusp candidates: the plane Heisenberg orbit of the dual
+    point (lam : 1 : 1); reports whether they are distinct."""
+    lam = Fraction(lam)
+    base = (QW.coerce(lam), QW.one(), QW.one())
+    orbit = plane_orbit(base)
+    return orbit, len(orbit) == 9

@@ -112,6 +112,16 @@ def test_hesse_dual_singular_reduction_skips(capsys):
     assert cert["outputs"]["oracle"] == "skipped_singular_reduction"
 
 
+def test_hesse_dual_singular_member_skips(capsys):
+    # f_1 is three lines over Q, not only mod p: a label of its own.
+    for p in ("13", "997"):
+        code, cert = run_json(capsys, ["hesse", "dual", "--lambda", "1",
+                                       "--oracle-prime", p])
+        assert code == 0
+        assert cert["outputs"]["oracle"] == "skipped_singular_member"
+        assert cert["outputs"]["cusp_system"].startswith("singular")
+
+
 @pytest.mark.parametrize("argv, name", [
     (["hesse", "dual"], "duality oracle mod 997"),
     (["verify-all"], "duality oracle"),
@@ -124,7 +134,7 @@ def test_duality_counterexample_is_a_failed_check(capsys, monkeypatch, argv,
 
     def one_more(lam_p, p):
         yield from points(lam_p, p)
-        yield 1, 5, 7
+        yield 1, 5, 7, 1
 
     monkeypatch.setattr(hesse, "curve_points", one_more)
     code, out, err = run(capsys, argv)

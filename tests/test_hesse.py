@@ -4,19 +4,19 @@ import pytest
 
 from coble import hesse
 from coble.hesse import (PENCIL, X_RING, Y_RING, SingularSystem,
-                         cusp_orbit, cusp_orbit_check, cusp_system,
+                         cusp_orbit_check, cusp_system,
                          cusp_system_residuals,
                          dual_coefficients, dual_coefficients_from_discriminant,
                          dual_sextic,
                          dual_sextic_from_cusp_system,
                          finite_field_duality_oracle,
-                         hessian_determinant_at, inflection_orbit,
-                         on_pencil_member, plane_orbit,
                          run_default_oracle, s_basis)
 from coble.fields import QQ, QW, Eisenstein
 from coble.linalg import ExactMatrix
 from coble.poly import NotInSpan, PolyRing
-from hesse_oracle import ZeroGradient, gradient_map, proj_eq
+from hesse_oracle import (ZeroGradient, cusp_orbit, gradient_map,
+                          hessian_determinant_at, inflection_orbit,
+                          on_pencil_member, plane_orbit, proj_eq)
 
 RATIONALS = (0, 1, 2, -1, Fraction(7, 3), Fraction(-5, 11), Fraction(1, 2))
 

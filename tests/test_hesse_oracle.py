@@ -1,7 +1,8 @@
 """Tests of the Hesse duality oracle's line walk: differential against the
-brute-force scan in `hesse_oracle`, an independent exact point count at
-lam = 0, and checks that a wrong dual sextic or a reducible member is
-caught."""
+brute-force scan in `hesse_oracle`, with each representative expanded to
+the points it stands for, an independent exact point count at lam = 0,
+and checks that a wrong dual sextic or a reducible member is caught, also
+when the oracle checks one point of each X1 <-> X2 pair."""
 
 import math
 from fractions import Fraction
@@ -22,11 +23,22 @@ def smooth_mod(lam, p):
     return lam.denominator % p != 0 and pow(hesse.reduce_mod(lam, p), 3, p) != 1
 
 
+def walked_points(lam_p, p):
+    """The expanded walk, after checking that n = 2 exactly when a
+    representative's X1 <-> X2 twin is a different point."""
+    walk = list(hesse.curve_points(lam_p, p))
+    for x0, y1, y2, n in walk:
+        twins = {hesse_oracle.normalize_mod(q, p)
+                 for q in ((x0, y1, y2), (x0, y2, y1))}
+        assert n == len(twins), (lam_p, p, (x0, y1, y2, n))
+    walked = hesse_oracle.expand(walk, p)
+    assert len(walked) == len(set(walked)), (lam_p, p)
+    return set(walked)
+
+
 def assert_walk_equals_scan(lam, p):
-    walked = list(hesse.curve_points(hesse.reduce_mod(lam, p), p))
     points, checked, counterexamples = hesse_oracle.scan(lam, p)
-    assert len(walked) == len(set(walked)), (lam, p)
-    assert set(walked) == points, (lam, p)
+    assert walked_points(hesse.reduce_mod(lam, p), p) == points, (lam, p)
     report = hesse.finite_field_duality_oracle(lam, p)
     assert (report["points"], report["checked"]) == (len(points), checked)
     assert counterexamples == []
@@ -54,9 +66,7 @@ def test_line_walk_equals_point_scan_at_1033(lam):
     """1033 is the smallest `hesse-oracle` prime of seed 1; only the point
     sets are compared, the O(p^2) scan evaluating a cubic per point."""
     lam_p = hesse.reduce_mod(lam, 1033)
-    walked = list(hesse.curve_points(lam_p, 1033))
-    assert len(walked) == len(set(walked))
-    assert set(walked) == hesse_oracle.point_set(lam_p, 1033)
+    assert walked_points(lam_p, 1033) == hesse_oracle.point_set(lam_p, 1033)
 
 
 def gauss_count(p):
@@ -76,26 +86,8 @@ def test_fermat_cubic_count_matches_gauss(p):
     assert report["points"] == report["checked"] == gauss_count(p)
 
 
-def test_wrong_dual_coefficient_is_caught(monkeypatch):
-    true_coefficients = hesse.dual_coefficients
-
-    def perturbed(lam):
-        a1, a2, a3 = true_coefficients(lam)
-        return a1 + 1, a2, a3
-
-    monkeypatch.setattr(hesse, "dual_coefficients", perturbed)
-    with pytest.raises(hesse.CounterexamplePoint) as exc:
-        hesse.finite_field_duality_oracle(2, 97)
-    x = exc.value.point
-    assert x[0] == 1 or x[:2] == (0, 1)
-    assert hesse.PENCIL.evaluate(
-        {"X0": x[0], "X1": x[1], "X2": x[2], "lam": 2}) % 97 == 0
-
-
-@pytest.mark.parametrize("i", range(3))
-def test_wrong_dual_coefficient_is_caught_mod_1033(monkeypatch, i):
-    """Each of a1, a2, a3 off by one is caught at p = 1033, the smallest
-    `hesse-oracle` prime of seed 1."""
+def perturb(monkeypatch, i):
+    """Put a_(i+1) of the dual sextic off by one."""
     true_coefficients = hesse.dual_coefficients
 
     def perturbed(lam):
@@ -104,14 +96,72 @@ def test_wrong_dual_coefficient_is_caught_mod_1033(monkeypatch, i):
         return tuple(a)
 
     monkeypatch.setattr(hesse, "dual_coefficients", perturbed)
+
+
+def test_wrong_dual_coefficient_is_caught(monkeypatch):
+    perturb(monkeypatch, 0)
+    with pytest.raises(hesse.CounterexamplePoint) as exc:
+        hesse.finite_field_duality_oracle(2, 97)
+    x = exc.value.point
+    assert x[0] == 1 or x[:2] == (0, 1)
+    assert x == hesse_oracle.normalize_mod(x, 97)
+    assert hesse.PENCIL.evaluate(
+        {"X0": x[0], "X1": x[1], "X2": x[2], "lam": 2}) % 97 == 0
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_wrong_dual_coefficient_is_caught_mod_1033(monkeypatch, i):
+    """Each of a1, a2, a3 off by one is caught at p = 1033, the smallest
+    `hesse-oracle` prime of seed 1."""
+    perturb(monkeypatch, i)
     with pytest.raises(hesse.CounterexamplePoint) as exc:
         hesse.finite_field_duality_oracle(2, 1033)
     x = exc.value.point
+    assert x == hesse_oracle.normalize_mod(x, 1033)
     assert hesse.PENCIL.evaluate(
         {"X0": x[0], "X1": x[1], "X2": x[2], "lam": 2}) % 1033 == 0
+
+
+@pytest.mark.parametrize("lam", [2, Fraction(-7, 3)], ids=str)
+def test_counterexamples_are_closed_under_the_twin_swap(monkeypatch, lam):
+    """With a1 off by one, the scan's counterexamples come in X1 <-> X2
+    pairs at every p <= 103, so the oracle, which checks one point of each
+    pair, loses none; it raises at one of them."""
+    perturb(monkeypatch, 0)
+    for p in [p for p in SMALL_PRIMES + [103] if smooth_mod(lam, p)]:
+        found = set(hesse_oracle.scan(lam, p)[2])
+        assert found, (lam, p)
+        assert {hesse_oracle.normalize_mod((x0, x2, x1), p)
+                for x0, x1, x2 in found} == found, (lam, p)
+        with pytest.raises(hesse.CounterexamplePoint) as exc:
+            hesse.finite_field_duality_oracle(lam, p)
+        assert exc.value.point in found, (lam, p)
+
+
+def test_oracle_calls_pow_a_fixed_number_of_times(monkeypatch):
+    # The representatives are scaled so that no line needs an inverse.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(hesse, "pow", counting, raising=False)
+    counts = []
+    for p in (97, 1033):
+        calls.clear()
+        hesse.finite_field_duality_oracle(Fraction(-7, 3), p)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 3
 
 
 def test_line_inside_the_curve_raises():
     """f_1 mod 13 contains the line X0 + X1 + X2 = 0 through the flex."""
     with pytest.raises(ValueError, match="lies on"):
         list(hesse.curve_points(1, 13))
+
+
+def test_walk_refuses_p_2():
+    # 2 c = 0 mod 2, so no representative (2c : tc + d : tc - d) is a point.
+    with pytest.raises(ValueError, match="odd prime"):
+        list(hesse.curve_points(0, 2))
