@@ -183,7 +183,11 @@ def cmd_hesse_dual(args, cert):
             cert.check(f"Hasse bound mod {p}", True, report["hasse_ok"],
                        "DERIVED")
             cert.outputs["oracle"] = report
-    cert.outputs["sextic"] = hesse.dual_sextic(lam).to_json()
+    if skip == "skipped_singular_member":
+        cert.outputs["dual_curve"] = ("none: f_1 is three lines, whose dual is "
+                                      "three points, not a sextic")
+    else:
+        cert.outputs["sextic"] = hesse.dual_sextic(lam).to_json()
 
 
 def cmd_enum_degree_dual(args, cert):

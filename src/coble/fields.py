@@ -132,12 +132,6 @@ def _as_eisenstein(x):
 
 
 OMEGA = Eisenstein(0, 1)
-OMEGA2 = Eisenstein(-1, -1)
-
-
-def omega_pow(k):
-    """w**k for any integer k."""
-    return (Eisenstein(1), OMEGA, OMEGA2)[k % 3]
 
 
 def zw_pair(c):

@@ -10,16 +10,16 @@ Conventions
 
       (t, x, x*) . Z_b  =  w^t * w^(x* . (b - x)) * Z_{b-x}.
 
-* The group law stores the cocycle exponent additively; it is *defined* by
-  compatibility with the action (acting by g*h equals acting by g after h),
-  which forces the correction term  xstar_h . x_g.
+  `monomial_action` is the one transcription of it; the translation table,
+  the K^-invariance test of orbit sums, the action on polynomials and the
+  fixed-plane charts of `coble.nu` are all read off its output.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import itemgetter, mul
 
-from .fields import QW, omega_pow
+from .fields import QW
 from .poly import Polynomial, PolyRing
 
 COORDS = [(i, j) for i in range(3) for j in range(3)]
@@ -82,11 +82,6 @@ class Apoint:
         return f"Apoint(x={self.x}, xstar={self.xstar})"
 
 
-def weil_form(a, b):
-    """<(x, x*), (y, y*)> = y*(x) - x*(y), valued in Z/3."""
-    return (dot(b.xstar, a.x) - dot(a.xstar, b.x)) % 3
-
-
 def apoint_classes_mod_sign():
     """The 40 nonzero classes of A[3] modulo a ~ -a, canonical reps, sorted."""
     reps = set()
@@ -119,27 +114,6 @@ class HeisenbergElement:
     def __repr__(self):
         return f"H(t={self.t_exp}, x={self.x}, xstar={self.xstar})"
 
-    def to_json(self):
-        return {"t": self.t_exp, "x": list(self.x), "xstar": list(self.xstar)}
-
-    def is_central(self):
-        return self.x == (0, 0) and self.xstar == (0, 0)
-
-    def inverse(self):
-        # (t, x, x*)^-1 = (-t + x*.x, -x, -x*): check via group_mul = identity.
-        return HeisenbergElement(-self.t_exp + dot(self.xstar, self.x),
-                                 neg2(self.x), neg2(self.xstar))
-
-
-IDENTITY = HeisenbergElement(0, (0, 0), (0, 0))
-
-
-def group_mul(g, h):
-    """Product g*h; cocycle exponent fixed by action compatibility:
-    act(g*h, p) == act(g, act(h, p))."""
-    t = (g.t_exp + h.t_exp + dot(h.xstar, g.x)) % 3
-    return HeisenbergElement(t, add2(g.x, h.x), add2(g.xstar, h.xstar))
-
 
 def generators():
     """(1, e1, 0), (1, e2, 0), (1, 0, e1*), (1, 0, e2*) — generate H[3] with
@@ -163,57 +137,52 @@ def monomial_action(g):
     return out
 
 
+def exponent_getter(ring, perm):
+    """An itemgetter that moves the theta exponents of a monomial of `ring`
+    by the index permutation `perm` (the result has e[perm[k]] at Z_k);
+    the ring must start with the theta coordinates, and the exponents of
+    later variables pass through."""
+    if ring.varnames[:9] != THETA_VARS:
+        raise ValueError(f"not a theta-coordinate ring: {ring}")
+    return itemgetter(*perm, *range(9, ring.nvars))
+
+
 def act_on_polynomial(g, p):
-    """Apply g multiplicatively to the theta variables of p through
-    `monomial_action`; parameter variables pass through unchanged."""
-    ring = p.ring
-    field = ring.field
+    """Apply g to the theta variables of p (its ring starts with them)
+    through `monomial_action`.  A monomial map sends distinct monomials to
+    distinct monomials, so each term moves on its own: its exponent at
+    Z_target is its exponent at Z_k, and its coefficient picks up
+    w^(sum e_k * phase_k).  Later variables pass through."""
+    action = monomial_action(g)
+    source = [0] * 9
+    for k, (target, _) in enumerate(action):
+        source[target] = k
+    move = exponent_getter(p.ring, source)
+    phases = [phase for _, phase in action]
+    field = p.ring.field
     omega = field.omega()  # requires a field containing a cube root of unity
-    images = {ring.index[THETA_VARS[k]]: (ring.index[THETA_VARS[target]], phase)
-              for k, (target, phase) in enumerate(monomial_action(g))}
-    omega_powers = [field.one(), omega, omega * omega]
-    out = {}
-    for e, c in p.terms.items():
-        new_e = list(e)
-        phase = 0
-        for i in images:
-            new_e[i] = 0
-        for i, (j, ph) in images.items():
-            if e[i]:
-                new_e[j] += e[i]
-                phase += e[i] * ph
-        new_e = tuple(new_e)
-        c2 = c * omega_powers[phase % 3]
-        s = out.get(new_e)
-        s = c2 if s is None else s + c2
-        if s:
-            out[new_e] = s
-        elif new_e in out:
-            del out[new_e]
-    return Polynomial(ring, out)
-
-
-def action_matrix(g):
-    """The 9x9 matrix of g on V = span{Z_b} over Q(w): column b carries the
-    image g . Z_b."""
-    from .linalg import ExactMatrix
-
-    zero = QW.zero()
-    m = [[zero] * 9 for _ in range(9)]
-    for k, (target, phase) in enumerate(monomial_action(g)):
-        m[target][k] = omega_pow(phase)
-    return ExactMatrix(QW, m)
+    powers = (field.one(), omega, omega * omega)
+    return Polynomial(p.ring, {move(e): c * powers[sum(map(mul, e, phases)) % 3]
+                               for e, c in p.terms.items()})
 
 
 class NotKhatInvariant(Exception):
     """Seed monomial whose weighted index sum is nonzero mod 3."""
 
 
-# The nine translations Z_b -> Z_{b+shift} of (Z/3)^2, in COORDS order, as
-# index permutations of the nine theta exponents: the translate of e has
-# exponent e[perm[k]] at Z_k.
-TRANSLATIONS = tuple(tuple(COORD_INDEX[add2(b, neg2(shift))] for b in COORDS)
-                     for shift in COORDS)
+# The targets of the nine translations (0, x, 0), x in COORDS order, as index
+# permutations of the nine theta exponents.  Read as a getter, the table of
+# x puts e[perm[k]] at Z_k, moving the exponent of Z_c to Z_(c+x): the nine
+# translates of e are its K-orbit.
+TRANSLATIONS = tuple(tuple(target for target, _ in
+                           monomial_action(HeisenbergElement(0, x, (0, 0))))
+                     for x in COORDS)
+
+# The phases of Z_k under the characters (0, 0, e1*) and (0, 0, e2*): a
+# monomial e is K^-invariant iff both fix it, sum e_k * phase_k = 0 mod 3.
+CHARACTER_PHASES = tuple(tuple(phase for _, phase in
+                               monomial_action(HeisenbergElement(0, (0, 0), xstar)))
+                         for xstar in ((1, 0), (0, 1)))
 
 
 def translation_getters(n):
@@ -226,23 +195,14 @@ def translation_getters(n):
 def orbit_sum(ring, seed_exps):
     """Sum of the distinct K-translates of a seed monomial, coefficient 1.
 
-    seed_exps: dict var-name -> exponent, or a dense exponent tuple for the
-    ring.  The seed must be K^-invariant: sum of e_b * b = 0 mod 3.
+    seed_exps: a dense exponent tuple for the ring, theta block first.  The
+    seed must be K^-invariant: sum of e_b * b = 0 mod 3.
     """
-    if isinstance(seed_exps, dict):
-        dense = [0] * ring.nvars
-        for name, e in seed_exps.items():
-            dense[ring.index[name]] = e
-        seed_exps = tuple(dense)
-    else:
-        seed_exps = tuple(seed_exps)
-    s0 = s1 = 0
-    for k, e in enumerate(seed_exps[:9]):
-        if e:
-            s0 += e * COORDS[k][0]
-            s1 += e * COORDS[k][1]
-    if s0 % 3 or s1 % 3:
-        raise NotKhatInvariant(f"index sum ({s0 % 3},{s1 % 3}) != (0,0)")
+    seed_exps = tuple(seed_exps)
+    s0, s1 = (sum(map(mul, seed_exps, phases)) % 3
+              for phases in CHARACTER_PHASES)
+    if s0 or s1:
+        raise NotKhatInvariant(f"index sum ({s0},{s1}) != (0,0)")
     one = ring.field.one()
     return Polynomial(ring, {translate(seed_exps): one
                              for translate in translation_getters(len(seed_exps))})

@@ -8,11 +8,9 @@ the orbit enumeration puts each of its orbit sums in the slot of its seed.
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from .fields import binomial
-from .heisenberg import (COORD_INDEX, COORDS, THETA_VARS, neg2, orbit_sum,
-                         translation_getters)
+from .heisenberg import (COORD_INDEX, COORDS, exponent_getter, neg2,
+                         orbit_sum, translation_getters)
 from .poly import Polynomial
 
 
@@ -214,11 +212,8 @@ IOTA = tuple(COORD_INDEX[neg2(b)] for b in COORDS)
 def iota_act(p):
     """The involution Z_{(i,j)} -> Z_{(-i,-j)} on polynomials whose ring
     starts with the theta coordinates; later variables pass through."""
-    ring = p.ring
-    if ring.varnames[:9] != THETA_VARS:
-        raise ValueError(f"not a theta-coordinate ring: {ring}")
-    iota = itemgetter(*IOTA, *range(9, ring.nvars))
-    return Polynomial(ring, {iota(e): c for e, c in p.terms.items()})
+    iota = exponent_getter(p.ring, IOTA)
+    return Polynomial(p.ring, {iota(e): c for e, c in p.terms.items()})
 
 
 class IotaSplit:

@@ -163,7 +163,8 @@ def certified_rank_and_kernel(rows, candidates):
 
     Lower bound: for an integral matrix, reduction Z[w] -> F_p (p =
     RANK_PRIME) sending w to RANK_OMEGA is a ring homomorphism, so rank
-    mod p <= rank.
+    mod p <= rank.  A part is integral when it is an int, as `zw_pair`
+    gives every integral part; this is tested once per distinct entry.
     Upper bound: the candidate vectors over Q(w) that are integral and
     satisfy A v = 0 exactly in Z[w] are kept if they are independent (their
     rank mod p is their number; otherwise none is kept), and give
@@ -176,7 +177,7 @@ def certified_rank_and_kernel(rows, candidates):
     """
     cols = len(rows[0]) if rows else 0
     rank_p, kernel = None, []
-    if all(_is_integral(row) for row in rows):
+    if _is_integral(set().union(*rows)):
         p, r = RANK_PRIME, RANK_OMEGA
 
         def mod_p(vec):

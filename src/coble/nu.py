@@ -6,10 +6,10 @@ Chart conventions
 -----------------
 One constructor, `eigenspace_chart(eta, t)`, builds every chart: an adapted
 basis of the fixed plane of the lift (t, x, x*) of a nonzero class eta of
-A[3] mod +-, one vector per <x>-orbit of the coordinates whose phases close
-up.  Mode "all_lifts" charts all three lifts of all 40 classes (120 charts).
-Mode "annexe" charts the t = 0 lift of each class (40 charts) under the
-Annexe's names, in their order:
+A[3] mod +-, one vector per cycle of the lift's `monomial_action` whose
+phases close up.  Mode "all_lifts" charts all three lifts of all 40
+classes (120 charts).  Mode "annexe" charts the t = 0 lift of each class
+(40 charts) under the Annexe's names, in their order:
 * 4 "diagonal" charts diagonal(r,s), x = 0 and x* = (r,s): the coordinates
   Z_ij with r*i + s*j != 0 mod 3 vanish on the plane; the three survivors
   become Y0, Y1, Y2 in row-major order.
@@ -49,9 +49,8 @@ from __future__ import annotations
 import sys
 
 from .fields import QW, zw_pair, zw_rotate
-from .heisenberg import (COORD_INDEX, COORDS, THETA_VARS, HeisenbergElement,
-                         add2, apoint_classes_mod_sign, dot, monomial_action,
-                         neg2, theta_ring)
+from .heisenberg import (THETA_VARS, HeisenbergElement, apoint_classes_mod_sign,
+                         monomial_action, theta_ring)
 from .hesse import PENCIL, S_BASIS
 from .invariants import InvariantBasis, iota_act, pinned_basis
 from .linalg import certified_rank_and_kernel
@@ -83,7 +82,7 @@ def annexe_charts():
     charts = []
     for eta in apoint_classes_mod_sign():
         chart = eigenspace_chart(eta, 0)
-        x, (u, v) = eta.x, neg2(eta.xstar)
+        x, (u, v) = eta.x, (-eta).xstar
         chart.family_tag = ("diagonal({},{})".format(*eta.xstar) if x == (0, 0)
                             else f"shift({x[0]}{x[1]},u={u},v={v})")
         charts.append(chart)
@@ -91,32 +90,32 @@ def annexe_charts():
 
 
 def eigenspace_chart(eta, t):
-    """Adapted eigenvalue-1 chart for the lift g = (t, x, x*) of eta.  g sends
-    Z_(c+x) to w^(t + x*.c) Z_c, so a fixed vector sum alpha_b Z_b has
-    alpha_(c+x) = alpha_c w^-(t + x*.c).  Walking each <x>-orbit of the
-    coordinates from its first member (alpha = 1) gives one fixed vector
-    when the accumulated phase returns to 0 mod 3.  For x = 0 each orbit is
-    one Z_b, kept when t + x*.b = 0; for x != 0 all three cosets of <x> are
-    kept, as the phases over a coset sum to 3t + 3 x*.(c + x) = 0."""
+    """Adapted eigenvalue-1 chart for the lift g = (t, x, x*) of eta.  With
+    g . Z_b = w^phase Z_target (`monomial_action`), a fixed vector
+    sum w^alpha_b Z_b has alpha_target = alpha_b + phase, so walking each
+    cycle of the action from its first coordinate (alpha = 0) gives one
+    fixed vector when the cycle's phases sum to 0 mod 3.  The chart is
+    then checked against the same action (`fixes_chart`)."""
+    action = monomial_action(HeisenbergElement(t, eta.x, eta.xstar))
     images = [None] * 9
-    seen = set()
+    seen = [False] * 9
     k = 0
-    for c in COORDS:
-        orbit, alpha, b = [], 0, c
-        while b not in seen:
-            seen.add(b)
-            orbit.append((COORD_INDEX[b], alpha))
-            alpha = (alpha - t - dot(eta.xstar, b)) % 3
-            b = add2(b, eta.x)
-        if orbit and alpha == 0:
-            for i, j in orbit:
+    for start in range(9):
+        cycle, alpha, i = [], 0, start
+        while not seen[i]:
+            seen[i] = True
+            cycle.append((i, alpha))
+            i, phase = action[i]
+            alpha = (alpha + phase) % 3
+        if cycle and alpha == 0:
+            for i, j in cycle:
                 images[i] = (k, j)
             k += 1
     if k != 3:
         raise EigenspaceDimensionError(f"{eta}, t={t}")
     chart = FixedPlaneChart(f"lift(x={eta.x},xstar={eta.xstar},t={t})",
                             tuple(images), eta=eta)
-    _verify_eigenvectors(chart, HeisenbergElement(t, eta.x, eta.xstar))
+    _verify_eigenvectors(chart, action)
     return chart
 
 
@@ -126,8 +125,8 @@ def fixes_chart(images, action):
     g . Z_b = w^phase Z_target, this holds iff for every b: b and its target
     both vanish on the plane, or both go to the same Y_k with
     j_target = j_b + phase (mod 3).  The action matrix and the chart vectors
-    are monomial with entries in {0, w^j}, so this is exactly the matrix
-    test `action_matrix(g).mul_vector(v) == v`, run on exponents mod 3."""
+    are monomial with entries in {0, w^j}, so this is exactly the 9x9
+    matrix test g . v == v, run on exponents mod 3."""
     for img, (target, phase) in zip(images, action):
         img_t = images[target]
         if img is None or img_t is None:
@@ -138,10 +137,10 @@ def fixes_chart(images, action):
     return True
 
 
-def _verify_eigenvectors(chart, g):
-    if not fixes_chart(chart.images, monomial_action(g)):
+def _verify_eigenvectors(chart, action):
+    if not fixes_chart(chart.images, action):
         raise EigenspaceDimensionError(
-            f"basis vector of {chart.family_tag} is not fixed by {g}")
+            f"basis vector of {chart.family_tag} is not fixed by its lift")
 
 
 def all_lift_charts():

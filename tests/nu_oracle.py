@@ -20,13 +20,14 @@ from functools import cache
 
 from coble import nu
 from coble.coble_forms import coble_cubic
-from coble.fields import QW, Eisenstein, omega_pow
-from coble.heisenberg import (COORDS, Apoint, action_matrix, add2, coord_name,
-                              neg2, theta_ring, weil_form)
+from coble.fields import QW, Eisenstein
+from coble.heisenberg import (COORDS, Apoint, add2, apoint_classes_mod_sign,
+                              coord_name, dot, neg2, theta_ring)
 from coble.hesse import s_basis
 from coble.invariants import pinned_basis
 from coble.linalg import ExactMatrix
 from coble.poly import NotInSpan, PolyRing, coefficient_in_basis
+from heisenberg_oracle import action_matrix, omega_pow, weil_form
 
 Y_RING = PolyRing(QW, ("Y0", "Y1", "Y2"))
 S_BASIS = s_basis(Y_RING)
@@ -92,6 +93,45 @@ def printed_annexe_charts():
             for v in range(3):
                 charts.append(_shift_chart(direction, u, v))
     return charts
+
+
+def eta_walk_images(eta, t):
+    """The chart images of the lift (t, x, x*) of eta, worked out from eta
+    with `add2` and `dot`: g sends Z_(c+x) to w^(t + x*.c) Z_c, so a fixed
+    vector has alpha_(c+x) = alpha_c - t - x*.c.  Each <x>-orbit, walked
+    from its first member (alpha = 0), carries one fixed vector when the
+    accumulated phase returns to 0 mod 3.  This is the construction that
+    production reads off `monomial_action` instead."""
+    images = [None] * 9
+    seen = set()
+    k = 0
+    for c in COORDS:
+        orbit, alpha, b = [], 0, c
+        while b not in seen:
+            seen.add(b)
+            orbit.append((COORDS.index(b), alpha))
+            alpha = (alpha - t - dot(eta.xstar, b)) % 3
+            b = add2(b, eta.x)
+        if orbit and alpha == 0:
+            for i, j in orbit:
+                images[i] = (k, j)
+            k += 1
+    return tuple(images)
+
+
+def eta_walk_charts():
+    """(tag, images) of the 40 annexe charts in the order of their names,
+    then of the 120 lift charts, all by `eta_walk_images`."""
+    annexe = []
+    lifts = []
+    for eta in apoint_classes_mod_sign():
+        x, (u, v) = eta.x, neg2(eta.xstar)
+        tag = ("diagonal({},{})".format(*eta.xstar) if x == (0, 0)
+               else f"shift({x[0]}{x[1]},u={u},v={v})")
+        annexe.append((tag, eta_walk_images(eta, 0)))
+        lifts += [(f"lift(x={eta.x},xstar={eta.xstar},t={t})",
+                   eta_walk_images(eta, t)) for t in range(3)]
+    return sorted(annexe) + lifts
 
 
 def substitution_filter(elements):

@@ -110,6 +110,8 @@ def test_hesse_dual_singular_reduction_skips(capsys):
                                    "--oracle-prime", "13"])
     assert code == 0
     assert cert["outputs"]["oracle"] == "skipped_singular_reduction"
+    # Only the reduction is singular: f_3 over Q keeps its dual sextic.
+    assert "sextic" in cert["outputs"] and "dual_curve" not in cert["outputs"]
 
 
 def test_hesse_dual_singular_member_skips(capsys):
@@ -120,6 +122,9 @@ def test_hesse_dual_singular_member_skips(capsys):
         assert code == 0
         assert cert["outputs"]["oracle"] == "skipped_singular_member"
         assert cert["outputs"]["cusp_system"].startswith("singular")
+        # Three lines have no dual curve, so no sextic is written for them.
+        assert "sextic" not in cert["outputs"]
+        assert cert["outputs"]["dual_curve"].startswith("none: f_1 is three lines")
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -9,7 +9,7 @@ from coble.coble_forms import (BARTH_TABLE, BETAS, ETA_PLANE, barth_quadrics,
                                quadrics_in_yz, steiner_matrix,
                                verify_derivative_identity, yz_ring,
                                yz_substitution)
-from coble.fields import QQ, QW, omega_pow
+from coble.fields import QQ, QW
 from coble.heisenberg import (COORDS, HeisenbergElement, act_on_polynomial,
                               add2, coord_name, dot, generators, neg2,
                               theta_ring)
@@ -17,6 +17,7 @@ from coble.invariants import F_SEEDS
 from coble.poly import Polynomial
 
 import nu_oracle
+from heisenberg_oracle import omega_pow
 
 
 @pytest.fixture(scope="module")

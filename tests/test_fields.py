@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coble.fields import (OMEGA, QQ, QW, Eisenstein, bernoulli, binomial,
-                          format_rational, omega_pow, square_roots, zw_mul,
-                          zw_pair, zw_rotate)
+                          format_rational, square_roots, zw_mul, zw_pair,
+                          zw_rotate)
+from heisenberg_oracle import omega_pow
 from properties import prop_field_axioms, run_once, small_fraction
 
 

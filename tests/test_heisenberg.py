@@ -1,12 +1,12 @@
 import pytest
 
-from coble.fields import QW, omega_pow
-from coble.heisenberg import (COORD_INDEX, COORDS, IDENTITY, TRANSLATIONS,
-                              Apoint, HeisenbergElement, act_on_polynomial,
-                              action_matrix, add2, apoint_classes_mod_sign,
-                              generators, group_mul, orbit_sum, theta_ring,
-                              translation_getters, weil_form)
-from coble.linalg import ExactMatrix
+from coble.fields import QW
+from coble.heisenberg import (COORD_INDEX, COORDS, TRANSLATIONS, Apoint,
+                              HeisenbergElement, act_on_polynomial, add2,
+                              apoint_classes_mod_sign, generators, orbit_sum,
+                              theta_ring, translation_getters)
+from heisenberg_oracle import (IDENTITY, action_matrix, group_mul, inverse,
+                               is_central, omega_pow, weil_form)
 from properties import (prop_action_composition, prop_eigenvalue_multiplicity,
                         run_once)
 
@@ -22,8 +22,8 @@ def test_action_on_coordinate():
 def test_group_inverse_and_identity():
     for g in [HeisenbergElement(1, (2, 1), (0, 2)),
               HeisenbergElement(2, (0, 0), (1, 1))] + generators():
-        assert group_mul(g, g.inverse()) == IDENTITY
-        assert group_mul(g.inverse(), g) == IDENTITY
+        assert group_mul(g, inverse(g)) == IDENTITY
+        assert group_mul(inverse(g), g) == IDENTITY
         assert group_mul(g, IDENTITY) == g
 
 
@@ -31,8 +31,8 @@ def test_center_commutators():
     """ghg^-1h^-1 is central with exponent the commutator pairing."""
     g = HeisenbergElement(0, (1, 0), (0, 0))
     h = HeisenbergElement(0, (0, 0), (1, 0))
-    comm = group_mul(group_mul(g, h), group_mul(g.inverse(), h.inverse()))
-    assert comm.is_central()
+    comm = group_mul(group_mul(g, h), group_mul(inverse(g), inverse(h)))
+    assert is_central(comm)
     assert comm.t_exp != 0
 
 
@@ -69,7 +69,7 @@ def test_action_matrix_matches_polynomial_action():
 
 def test_orbit_sum():
     ring = theta_ring()
-    p = orbit_sum(ring, {"Z00": 6})
+    p = orbit_sum(ring, (6, 0, 0, 0, 0, 0, 0, 0, 0))
     assert len(p.terms) == 9 and all(c == QW.one() for c in p.terms.values())
     for g in generators():
         assert act_on_polynomial(g, p) == p
@@ -98,7 +98,7 @@ def test_orbit_sum_rejects_noninvariant_seed():
     from coble.heisenberg import NotKhatInvariant
     ring = theta_ring()
     with pytest.raises(NotKhatInvariant):
-        orbit_sum(ring, {"Z01": 1})
+        orbit_sum(ring, (0, 1, 0, 0, 0, 0, 0, 0, 0))
 
 
 def test_action_composition_suite():

@@ -2,10 +2,10 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from coble import invariants
+from coble import heisenberg, invariants
 from coble.fields import QQ
-from coble.heisenberg import (COORDS, generators, act_on_polynomial,
-                              orbit_sum, theta_ring)
+from coble.heisenberg import (COORDS, act_on_polynomial, generators,
+                              monomial_action, orbit_sum, theta_ring)
 from coble.invariants import (DegreeNotDivisibleBy3, InternalCountMismatch,
                               InvariantBasis, invariant_basis,
                               invariant_dimension, iota_act,
@@ -65,6 +65,20 @@ def test_basis_takes_one_orbit_sum_per_orbit(ring, monkeypatch, d):
     basis = invariant_basis(ring, d)
     assert len(seeds) == invariant_dimension(d)
     assert basis.elements == pinned_basis(ring, d)[1]
+
+
+def test_pinned_basis_builds_no_action(monkeypatch):
+    # The translation table and the K^-invariance phases are built once, at
+    # import: no orbit sum builds a group action of its own.
+    actions = []
+
+    def counting(g):
+        actions.append(g)
+        return monomial_action(g)
+
+    monkeypatch.setattr(heisenberg, "monomial_action", counting)
+    labels, elements = pinned_basis(theta_ring(), 6)
+    assert len(elements) == 43 and actions == []
 
 
 @pytest.mark.parametrize("tamper, message", [

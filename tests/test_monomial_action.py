@@ -3,14 +3,18 @@ mod 3 against the 9x9 action matrix over Q(w): `monomial_action` against
 `action_matrix` and `act_on_polynomial`, and the int chart check
 `nu.fixes_chart` against `action_matrix(g).mul_vector(v) == v`."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coble import nu
-from coble.fields import QW, omega_pow
+from coble.coble_forms import barth_quadrics, coble_cubic, coble_ring
+from coble.fields import QW, Eisenstein
 from coble.heisenberg import (COORDS, THETA_VARS, Apoint, HeisenbergElement,
-                              act_on_polynomial, action_matrix,
-                              monomial_action, theta_ring)
+                              act_on_polynomial, monomial_action, theta_ring)
+from coble.poly import PolyRing
+from heisenberg_oracle import action_matrix, omega_pow
 from nu_oracle import basis_vectors
 from properties import heisenberg_element
 
@@ -91,4 +95,41 @@ def test_moved_phase_is_caught():
         bad = nu.FixedPlaneChart(chart.family_tag, tuple(images))
         assert not matrix_fixes(bad, g)
         with pytest.raises(nu.EigenspaceDimensionError):
-            nu._verify_eigenvectors(bad, g)
+            nu._verify_eigenvectors(bad, monomial_action(g))
+
+
+def substituted(g, p):
+    """g applied to p by substituting w^phase Z_target for every Z_k."""
+    var = p.ring.var
+    return p.substitute({THETA_VARS[k]: omega_pow(phase) * var(THETA_VARS[t])
+                         for k, (t, phase) in enumerate(monomial_action(g))})
+
+
+def coble_ring_polynomials():
+    """Multi-term polynomials in the theta coordinates and beta0..beta4: the
+    Coble cubic, two Barth quadrics and a seeded polynomial with Q(w)
+    coefficients and no symmetry."""
+    ring = coble_ring()
+    rng = random.Random(19)
+    terms = {tuple(rng.randrange(3) for _ in range(9))
+             + tuple(rng.randrange(2) for _ in range(5)):
+             Eisenstein(rng.randint(-4, 4), rng.randint(1, 4))
+             for _ in range(12)}
+    quadrics = barth_quadrics(ring)
+    return [coble_cubic(ring), quadrics[(0, 0)], quadrics[(1, 2)],
+            ring.from_terms(terms)]
+
+
+def test_polynomial_action_equals_substitution(group):
+    polys = coble_ring_polynomials()
+    assert len(polys[-1].terms) == 12
+    for g in group:
+        for p in polys:
+            assert act_on_polynomial(g, p) == substituted(g, p), g
+
+
+def test_polynomial_action_needs_the_theta_block_first():
+    ring = PolyRing(QW, ("beta0",) + THETA_VARS)
+    with pytest.raises(ValueError):
+        act_on_polynomial(HeisenbergElement(0, (1, 0), (0, 0)),
+                          ring.var("Z00"))

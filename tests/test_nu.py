@@ -1,15 +1,16 @@
 import pytest
 
 from coble.fields import QW
-from coble.heisenberg import COORDS, HeisenbergElement, theta_ring
+from coble.heisenberg import (COORDS, HeisenbergElement, monomial_action,
+                              theta_ring)
 from coble.invariants import InvariantBasis, pinned_basis
 from coble.nu import (EigenspaceDimensionError, FixedPlaneChart, _nu_matrix,
                       all_lift_charts, annexe_charts, annexe_subblock_kernel,
                       diagonal_filter_pipeline, eigenspace_chart,
                       fixed_plane_charts, matching_lifts, nu_rank_and_kernel,
                       packed_terms)
-from nu_oracle import (annexe_restrictions, hack_rows, induced_plane_action,
-                       k_eta_generators, nu_matrix,
+from nu_oracle import (annexe_restrictions, eta_walk_charts, hack_rows,
+                       induced_plane_action, k_eta_generators, nu_matrix,
                        plane_action_preserves_s_span, printed_annexe_charts,
                        production_coordinates, qw_matrix, restrict,
                        substitution_filter)
@@ -177,6 +178,15 @@ def test_eigenspace_charts_match_annexe(charts):
             chart.family_tag
 
 
+def test_charts_equal_the_eta_walk():
+    # The cycles of each lift's monomial action give, chart by chart, the
+    # same images and tags as walking the <x>-orbits from eta.
+    built = [(c.family_tag, c.images)
+             for c in annexe_charts() + all_lift_charts()]
+    assert len(built) == 160
+    assert built == eta_walk_charts()
+
+
 def test_diagonal_filter_matches_zero_substitution(basis):
     labels, elements = basis
     assert diagonal_filter_pipeline() == substitution_filter(elements)
@@ -209,4 +219,4 @@ def test_eigenspace_dimension_guard():
     bad = FixedPlaneChart(chart.family_tag, tuple(images))
     from coble.nu import _verify_eigenvectors
     with pytest.raises(EigenspaceDimensionError):
-        _verify_eigenvectors(bad, g)
+        _verify_eigenvectors(bad, monomial_action(g))

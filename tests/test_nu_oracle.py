@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nu_oracle
-from coble import nu
+from coble import linalg, nu
 from coble.coble_forms import cubic_basis
 from coble.fields import QW, Eisenstein
 from coble.heisenberg import Apoint, theta_ring
@@ -377,6 +377,31 @@ def test_prime_drop_and_rational_entries_fall_back(entry, rank_mod_p):
     rank, kernel, cert = certified_rank_and_kernel(rows, [])
     assert cert["rank_mod_p"] == rank_mod_p and cert["route"] == "exact-Qw"
     assert (rank, kernel) == (2, [])
+
+
+def test_a_late_rational_entry_falls_back():
+    # Integrality is decided over the distinct entries of all rows: one
+    # rational entry in the last row, among repeated integral ones, still
+    # leaves no modular bound.
+    rows = [[ONE, ONE, NIL], [NIL, ONE, ONE], [ONE, NIL, (Fraction(1, 3), 0)]]
+    rank, kernel, cert = certified_rank_and_kernel(rows, [])
+    assert cert["rank_mod_p"] is None and cert["route"] == "exact-Qw"
+    assert (rank, kernel) == nu_oracle.qw_matrix(rows).rank_and_kernel()
+
+
+def test_integrality_is_tested_once_per_distinct_entry(annexe_rows,
+                                                       monkeypatch):
+    scanned = []
+
+    def counting(pairs):
+        pairs = list(pairs)
+        scanned.append(len(pairs))
+        return all(type(a) is int and type(b) is int for a, b in pairs)
+
+    monkeypatch.setattr(linalg, "_is_integral", counting)
+    certified_rank_and_kernel(annexe_rows, [])
+    distinct = {x for row in annexe_rows for x in row}
+    assert scanned == [len(distinct)] and len(distinct) < 20
 
 
 def test_kernel_candidates_must_annihilate():
