@@ -37,14 +37,6 @@ def coord_name(b):
     return f"Z{b[0] % 3}{b[1] % 3}"
 
 
-def dot(u, v):
-    return (u[0] * v[0] + u[1] * v[1]) % 3
-
-
-def add2(u, v):
-    return ((u[0] + v[0]) % 3, (u[1] + v[1]) % 3)
-
-
 def neg2(u):
     return ((-u[0]) % 3, (-u[1]) % 3)
 
@@ -60,9 +52,6 @@ class Apoint:
 
     def __neg__(self):
         return Apoint(neg2(self.x), neg2(self.xstar))
-
-    def is_zero(self):
-        return self.x == (0, 0) and self.xstar == (0, 0)
 
     def key(self):
         return self.x + self.xstar
@@ -84,15 +73,8 @@ class Apoint:
 
 def apoint_classes_mod_sign():
     """The 40 nonzero classes of A[3] modulo a ~ -a, canonical reps, sorted."""
-    reps = set()
-    for x0 in range(3):
-        for x1 in range(3):
-            for u in range(3):
-                for v in range(3):
-                    a = Apoint((x0, x1), (u, v))
-                    if a.is_zero():
-                        continue
-                    reps.add(a.canonical_mod_sign())
+    reps = {Apoint(x, xstar).canonical_mod_sign() for x in COORDS
+            for xstar in COORDS if x != (0, 0) or xstar != (0, 0)}
     return sorted(reps, key=lambda a: a.key())
 
 
@@ -129,12 +111,11 @@ def generators():
 def monomial_action(g):
     """The action of g on the theta coordinates as a monomial map: entry k is
     (target index, phase exponent mod 3) with g . Z_k = w^phase * Z_target.
-    This is the printed formula  (t,x,x*) . Z_b = w^t w^(x*.(b-x)) Z_{b-x}."""
-    out = []
-    for b in COORDS:
-        target = add2(b, neg2(g.x))
-        out.append((COORD_INDEX[target], (g.t_exp + dot(g.xstar, target)) % 3))
-    return out
+    This is the printed formula  (t,x,x*) . Z_b = w^t w^(x*.(b-x)) Z_{b-x},
+    where b = (i, j) runs through COORDS and Z_(i,j) has index 3i + j."""
+    t, (x0, x1), (u, v) = g.t_exp, g.x, g.xstar
+    return [(3 * ((i - x0) % 3) + (j - x1) % 3,
+             (t + u * (i - x0) + v * (j - x1)) % 3) for i, j in COORDS]
 
 
 def exponent_getter(ring, perm):

@@ -35,51 +35,69 @@ def invariant_dimension(d):
     return q
 
 
-def khat_invariant_monomials(d):
-    """All degree-d exponent 9-tuples whose weighted index sum is 0 mod 3, in
-    lexicographic order.
-
-    COORDS runs through three blocks Z0*, Z1*, Z2*.  Block i, with exponents
-    (a, b, c) of total n, adds i*n to the first index sum and b + 2c to the
-    second.  So once Z0* and Z1* are chosen with totals n0 and n1, the Z2*
-    block has total r = d - n0 - n1, the first sum n1 + 2r vanishes iff
-    n1 = 2(d - n0) mod 3, and the Z2* exponents are the triples of total r
-    whose b + 2c cancels the second sum."""
-    # (exponents, total, b + 2c mod 3) of every triple of total <= d.
-    triples = [((a, b, c), a + b + c, (b + 2 * c) % 3)
+def packed_khat_monomials(d, w):
+    """All K^-invariant degree-d monomials as ints, Z_k's exponent in bits
+    [w*k, w*(k+1)), in the lexicographic order of their exponent tuples.
+    Block Zi* = (a, b, c) of total n adds i*n to the first index sum and
+    b + 2c to the second.  So if Z0* has total d - m, Z1* has a total
+    n1 <= m with n1 = 2m mod 3, and Z2* the total m - n1 and the b + 2c
+    that cancels the second sum: the tails depend on m and Z0*'s b + 2c."""
+    triples = [(a | b << w | c << 2 * w, a + b + c, (b + 2 * c) % 3)
                for a in range(d + 1) for b in range(d + 1 - a)
                for c in range(d + 1 - a - b)]
-    # m = d - n0 -> the Z1* triples of total n1 <= m with n1 = 2m mod 3.
-    middle = [[t for t in triples if t[1] <= m and (t[1] - 2 * m) % 3 == 0]
-              for m in range(d + 1)]
-    last = {}  # (total, b + 2c mod 3) -> the Z2* triples
+    last = {}  # (total, b + 2c mod 3) -> the Z2* blocks, shifted into place
     for z, n, j in triples:
-        last.setdefault((n, j), []).append(z)
-    out = []
-    for z0, n0, j0 in triples:
-        m = d - n0
-        for z1, n1, j1 in middle[m]:
-            head = z0 + z1
-            z2s = last.get((m - n1, -(j0 + j1) % 3), ())
-            out.extend([head + z2 for z2 in z2s])
-    return out
+        last.setdefault((n, j), []).append(z << 6 * w)
+    tails = {}
+    for m in range(d + 1):
+        middle = [t for t in triples if t[1] <= m and (t[1] - 2 * m) % 3 == 0]
+        for j0 in range(3):
+            tails[m, j0] = [z1 << 3 * w | z2 for z1, n1, j1 in middle
+                            for z2 in last.get((m - n1, -(j0 + j1) % 3), ())]
+    return [z0 | tail for z0, n0, j0 in triples for tail in tails[d - n0, j0]]
+
+
+def packed_translator(w):
+    """The nine K-translates of a packed monomial by two rotations: (0, 1)
+    moves Z_(i,j) to Z_(i,j+1), each block rotated by w bits, and (1, 0)
+    moves Z_k to Z_(k+3 mod 9), the int rotated by 3w bits."""
+    full = (1 << 9 * w) - 1
+    up = sum(((1 << 2 * w) - 1) << 3 * w * i for i in range(3))  # Z_i0, Z_i1
+    wrap, s2, s3, s6, s9 = full ^ up, 2 * w, 3 * w, 6 * w, 9 * w
+
+    def translates(e):
+        f = (e & up) << w | (e & wrap) >> s2
+        g = (f & up) << w | (f & wrap) >> s2
+        # x | x << 9w holds x twice; its 9w-bit windows at 3w, 6w rotate x.
+        a, b, c = e | e << s9, f | f << s9, g | g << s9
+        return (e, f, g, a >> s3 & full, b >> s3 & full, c >> s3 & full,
+                a >> s6 & full, b >> s6 & full, c >> s6 & full)
+    return translates
+
+
+def packed_orbit_representatives(d):
+    """(w = max(1, d.bit_length()), the first packed K^-invariant degree-d
+    monomial of each K-orbit: its least translate as an exponent tuple)."""
+    w = max(1, d.bit_length())
+    translates = packed_translator(w)
+    seen, reps = set(), []
+    for e in packed_khat_monomials(d, w):
+        if e not in seen:
+            seen.update(translates(e))
+            reps.append(e)
+    return w, reps
 
 
 def orbit_representatives(d):
-    """The first K^-invariant degree-d monomial of each K-orbit, in the
-    order of `khat_invariant_monomials`."""
-    translations = translation_getters(9)
-    seen = set()
-    for e in khat_invariant_monomials(d):
-        if e not in seen:
-            seen.update([translate(e) for translate in translations])
-            yield e
+    """`packed_orbit_representatives` as exponent tuples."""
+    w, reps = packed_orbit_representatives(d)
+    return [tuple(e >> w * k & (1 << w) - 1 for k in range(9)) for e in reps]
 
 
 def orbit_count(d):
     """Number of K-orbits of K^-invariant degree-d monomials (independent
     combinatorial count of the invariant dimension)."""
-    return sum(1 for _ in orbit_representatives(d))
+    return len(packed_orbit_representatives(d)[1])
 
 
 # Seed table for the degree-6 basis, in the pinned order T1..T43.  Each entry
@@ -152,10 +170,7 @@ def _seed_table(degree):
 
 def _seed_exponents(seed):
     """A seed dict as its exponent tuple on the theta block."""
-    dense = [0] * 9
-    for b, e in seed.items():
-        dense[COORD_INDEX[b]] = e
-    return tuple(dense)
+    return tuple(seed.get(b, 0) for b in COORDS)
 
 
 def pinned_basis(ring, degree):

@@ -2,15 +2,35 @@
 certificate uses: the product, inverse and center of the group, the Weil
 pairing on A[3], the powers of w and the action as an exact matrix.  They
 are the references the monomial action (`heisenberg.monomial_action`) and
-the int chart test (`nu.fixes_chart`) are compared against.
+the int chart test (`nu.fixes_chart`) are compared against, with the
+action transcribed through the pair helpers `add2`, `neg2` and `dot`.
 """
 
 from coble.fields import OMEGA, QW
-from coble.heisenberg import HeisenbergElement, add2, dot, monomial_action, neg2
+from coble.heisenberg import (COORD_INDEX, COORDS, HeisenbergElement,
+                              monomial_action, neg2)
 from coble.linalg import ExactMatrix
 
 IDENTITY = HeisenbergElement(0, (0, 0), (0, 0))
 OMEGA2 = OMEGA * OMEGA
+
+
+def dot(u, v):
+    return (u[0] * v[0] + u[1] * v[1]) % 3
+
+
+def add2(u, v):
+    return ((u[0] + v[0]) % 3, (u[1] + v[1]) % 3)
+
+
+def monomial_action_by_helpers(g):
+    """The printed formula (t,x,x*) . Z_b = w^t w^(x*.(b-x)) Z_{b-x} through
+    the pair helpers, in the output format of `monomial_action`."""
+    out = []
+    for b in COORDS:
+        target = add2(b, neg2(g.x))
+        out.append((COORD_INDEX[target], (g.t_exp + dot(g.xstar, target)) % 3))
+    return out
 
 
 def omega_pow(k):

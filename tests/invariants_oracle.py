@@ -1,5 +1,6 @@
-"""The per-element and elimination routes of `coble.invariants`, kept as the
-references the production routes are compared against: `orbit_count`
+"""The tuple, per-element and elimination routes of `coble.invariants`,
+kept as the references the production routes are compared against: the
+K^-invariant monomials are listed as exponent tuples, `orbit_count`
 translates each exponent entry by entry with `add2`, the orbit sums are
 de-duplicated by their term sets, and `iota_split` takes exact kernels of
 (iota -/+ id) in basis coordinates over Q.
@@ -8,9 +9,40 @@ de-duplicated by their term sets, and `iota_split` takes exact kernels of
 from fractions import Fraction
 
 from coble.fields import QQ
-from coble.heisenberg import COORD_INDEX, COORDS, add2, orbit_sum
-from coble.invariants import iota_permutation, khat_invariant_monomials
+from coble.heisenberg import COORD_INDEX, COORDS, orbit_sum
+from coble.invariants import iota_permutation
 from coble.linalg import ExactMatrix
+from heisenberg_oracle import add2
+
+
+def khat_invariant_monomials(d):
+    """All degree-d exponent 9-tuples whose weighted index sum is 0 mod 3, in
+    lexicographic order.
+
+    COORDS runs through three blocks Z0*, Z1*, Z2*.  Block i, with exponents
+    (a, b, c) of total n, adds i*n to the first index sum and b + 2c to the
+    second.  So once Z0* and Z1* are chosen with totals n0 and n1, the Z2*
+    block has total r = d - n0 - n1, the first sum n1 + 2r vanishes iff
+    n1 = 2(d - n0) mod 3, and the Z2* exponents are the triples of total r
+    whose b + 2c cancels the second sum."""
+    # (exponents, total, b + 2c mod 3) of every triple of total <= d.
+    triples = [((a, b, c), a + b + c, (b + 2 * c) % 3)
+               for a in range(d + 1) for b in range(d + 1 - a)
+               for c in range(d + 1 - a - b)]
+    # m = d - n0 -> the Z1* triples of total n1 <= m with n1 = 2m mod 3.
+    middle = [[t for t in triples if t[1] <= m and (t[1] - 2 * m) % 3 == 0]
+              for m in range(d + 1)]
+    last = {}  # (total, b + 2c mod 3) -> the Z2* triples
+    for z, n, j in triples:
+        last.setdefault((n, j), []).append(z)
+    out = []
+    for z0, n0, j0 in triples:
+        m = d - n0
+        for z1, n1, j1 in middle[m]:
+            head = z0 + z1
+            z2s = last.get((m - n1, -(j0 + j1) % 3), ())
+            out.extend([head + z2 for z2 in z2s])
+    return out
 
 
 def translate_entrywise(exps, shift):

@@ -21,13 +21,13 @@ from functools import cache
 from coble import nu
 from coble.coble_forms import coble_cubic
 from coble.fields import QW, Eisenstein
-from coble.heisenberg import (COORDS, Apoint, add2, apoint_classes_mod_sign,
-                              coord_name, dot, neg2, theta_ring)
+from coble.heisenberg import (COORDS, Apoint, apoint_classes_mod_sign,
+                              coord_name, neg2, theta_ring)
 from coble.hesse import s_basis
 from coble.invariants import pinned_basis
 from coble.linalg import ExactMatrix
 from coble.poly import NotInSpan, PolyRing, coefficient_in_basis
-from heisenberg_oracle import action_matrix, omega_pow, weil_form
+from heisenberg_oracle import action_matrix, add2, dot, omega_pow, weil_form
 
 Y_RING = PolyRing(QW, ("Y0", "Y1", "Y2"))
 S_BASIS = s_basis(Y_RING)

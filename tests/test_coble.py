@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from coble.coble_forms import (BARTH_TABLE, BETAS, ETA_PLANE, barth_quadrics,
@@ -11,13 +9,12 @@ from coble.coble_forms import (BARTH_TABLE, BETAS, ETA_PLANE, barth_quadrics,
                                yz_substitution)
 from coble.fields import QQ, QW
 from coble.heisenberg import (COORDS, HeisenbergElement, act_on_polynomial,
-                              add2, coord_name, dot, generators, neg2,
-                              theta_ring)
+                              coord_name, generators, neg2, theta_ring)
 from coble.invariants import F_SEEDS
 from coble.poly import Polynomial
 
 import nu_oracle
-from heisenberg_oracle import omega_pow
+from heisenberg_oracle import add2, dot, omega_pow
 
 
 @pytest.fixture(scope="module")

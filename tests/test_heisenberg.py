@@ -2,11 +2,11 @@ import pytest
 
 from coble.fields import QW
 from coble.heisenberg import (COORD_INDEX, COORDS, TRANSLATIONS, Apoint,
-                              HeisenbergElement, act_on_polynomial, add2,
+                              HeisenbergElement, act_on_polynomial,
                               apoint_classes_mod_sign, generators, orbit_sum,
                               theta_ring, translation_getters)
-from heisenberg_oracle import (IDENTITY, action_matrix, group_mul, inverse,
-                               is_central, omega_pow, weil_form)
+from heisenberg_oracle import (IDENTITY, action_matrix, add2, group_mul,
+                               inverse, is_central, omega_pow, weil_form)
 from properties import (prop_action_composition, prop_eigenvalue_multiplicity,
                         run_once)
 

@@ -3,18 +3,22 @@ from itertools import combinations_with_replacement
 import pytest
 
 from coble import heisenberg, invariants
+from coble.cli import DEGREE_MAX
 from coble.fields import QQ
 from coble.heisenberg import (COORDS, act_on_polynomial, generators,
-                              monomial_action, orbit_sum, theta_ring)
+                              monomial_action, orbit_sum, theta_ring,
+                              translation_getters)
 from coble.invariants import (DegreeNotDivisibleBy3, InternalCountMismatch,
                               InvariantBasis, invariant_basis,
                               invariant_dimension, iota_act,
-                              iota_permutation, iota_split,
-                              khat_invariant_monomials, orbit_count,
-                              pinned_basis)
+                              iota_permutation, iota_split, orbit_count,
+                              packed_khat_monomials,
+                              packed_orbit_representatives,
+                              packed_translator, pinned_basis)
 from coble.linalg import ExactMatrix
 from coble.poly import _grlex_key
 from invariants_oracle import (distinct_orbit_sums, iota_split_by_elimination,
+                               khat_invariant_monomials,
                                orbit_count_entrywise)
 
 
@@ -45,6 +49,34 @@ def test_orbit_count_agrees():
 def test_orbit_count_equals_entrywise_route():
     for d in range(13):
         assert orbit_count(d) == orbit_count_entrywise(d), d
+
+
+def test_orbit_count_at_the_degree_bound():
+    assert orbit_count(DEGREE_MAX) == invariant_dimension(21) == 53025
+
+
+def unpack(e, w):
+    return tuple(e >> w * k & (1 << w) - 1 for k in range(9))
+
+
+def test_packed_enumeration_equals_tuple_reference():
+    for d in range(13):
+        w = packed_orbit_representatives(d)[0]
+        assert [unpack(e, w) for e in packed_khat_monomials(d, w)] == \
+            khat_invariant_monomials(d), d
+
+
+def test_packed_translates_are_the_translation_table():
+    # The two rotations give each of the nine translates read off
+    # `monomial_action` once.
+    getters = translation_getters(9)
+    for d in range(7):
+        w = packed_orbit_representatives(d)[0]
+        translates = packed_translator(w)
+        for e in packed_khat_monomials(d, w):
+            exps = unpack(e, w)
+            assert sorted(unpack(f, w) for f in translates(e)) == \
+                sorted(translate(exps) for translate in getters), exps
 
 
 def test_orbit_representatives_give_the_distinct_orbit_sums(ring):

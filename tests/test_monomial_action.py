@@ -14,7 +14,8 @@ from coble.fields import QW, Eisenstein
 from coble.heisenberg import (COORDS, THETA_VARS, Apoint, HeisenbergElement,
                               act_on_polynomial, monomial_action, theta_ring)
 from coble.poly import PolyRing
-from heisenberg_oracle import action_matrix, omega_pow
+from heisenberg_oracle import (action_matrix, monomial_action_by_helpers,
+                               omega_pow)
 from nu_oracle import basis_vectors
 from properties import heisenberg_element
 
@@ -41,6 +42,11 @@ def lifts_of_pm_eta(chart):
 
 def test_group_has_243_distinct_elements(group):
     assert len(set(group)) == 243
+
+
+def test_monomial_action_equals_the_helper_transcription(group):
+    for g in group:
+        assert monomial_action(g) == monomial_action_by_helpers(g), g
 
 
 def test_monomial_action_agrees_with_matrix_and_polynomial(group):

@@ -1,10 +1,9 @@
 import pytest
 
-from coble.prym import (I2, InadmissibleCover, IntMatrix2, J, J_TILDE,
-                        NonIntegralGenus, T, dihedral_identities,
-                        genus_of_quotient, group_generated_by_T_J,
-                        phi_matrix, polarization_beta_solve,
-                        prym_dimension_match)
+from coble.prym import (I2, J_TILDE, InadmissibleCover, NonIntegralGenus,
+                        T, dihedral_identities, genus_of_quotient,
+                        group_generated_by_T_J, phi_matrix,
+                        polarization_beta_solve, prym_dimension_match)
 
 
 def test_matrix_arithmetic():
