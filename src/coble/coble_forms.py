@@ -8,10 +8,10 @@ restricted to a fixed plane as the sextics are, by `nu.chart_coordinates`.
 
 from __future__ import annotations
 
-from .fields import QQ, QW
+from .fields import QQ, QW, zw_pair
 from .heisenberg import Apoint, coord_name, theta_ring
 from .invariants import pinned_basis
-from .linalg import ExactMatrix
+from .linalg import RANK_OMEGA, RANK_PRIME, ExactMatrix, rank_mod_p
 from .nu import PENCIL_TARGET, chart_coordinates, eigenspace_chart, packed_terms
 from .poly import PolyRing
 
@@ -273,11 +273,19 @@ def printed_block_span_report():
 
 
 def quadric_rank(qs=None):
-    """Exact rank of the nine Q_b (`barth_quadrics`) as a linear system
-    (beta formal)."""
+    """Rank of the nine Q_b (`barth_quadrics`) as a linear system (beta
+    formal), taken over F_p (p = RANK_PRIME) after sending w to RANK_OMEGA;
+    the coefficients must lie in Z[w].  That reduction is a ring
+    homomorphism, so the result is a lower bound on the rank over Q(w), and
+    exact when it equals the number of quadrics, 9: the one value that
+    `coble check` and `enum quadric-count` compare with."""
     qs = qs or barth_quadrics()
     polys = [qs[b] for b in sorted(qs)]
     monos = sorted({m for p in polys for m in p.terms})
-    zero = QW.zero()
-    m = ExactMatrix(QW, [[p.terms.get(mm, zero) for mm in monos] for p in polys])
-    return m.rank()
+
+    def residue(c):
+        a, b = zw_pair(c)
+        return a + b * RANK_OMEGA
+
+    return rank_mod_p([[residue(p.terms[m]) if m in p.terms else 0
+                        for m in monos] for p in polys], RANK_PRIME)

@@ -1,6 +1,6 @@
 """Exact coefficient fields: Q and Q(w) with w a primitive cube root of
 unity, plus the integer helpers the prime-field code needs (primality, square
-roots mod p, Bernoulli numbers).
+and cube roots mod p, Bernoulli numbers).
 
 All elements are immutable and hashable.  Rationals are plain
 ``fractions.Fraction`` values.  An element of Q(w) keeps each of its two
@@ -245,6 +245,41 @@ def square_roots(p):
     roots[0] = 0
     for x in range(1, p // 2 + 1):
         roots[x * x % p] = x
+    return roots
+
+
+def primitive_root(p):
+    """The least generator of the multiplicative group mod a prime p: the
+    least g with g^((p - 1) / q) != 1 for every prime q dividing p - 1,
+    which trial division up to sqrt(p) finds."""
+    n, primes, q = p - 1, [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        primes.append(n)
+    return next(g for g in range(1, p)
+                if all(pow(g, (p - 1) // q, p) != 1 for q in primes))
+
+
+def cube_roots(p):
+    """The cube roots mod a prime p = 1 mod 3, p < 2^31, as a table:
+    roots[a] is an x with x * x * x = a mod p, or 0 when a is not a cube
+    (and for a = 0).  With g a primitive root, the nonzero cubes are
+    g^(3k) = (g^k)^3 for k = 0..(p - 4) / 3, so one pass over those k fills
+    it.  The table is a typed buffer of p 4-byte ints, 40 MB at p = 10^7,
+    where a list of ints would take over four times that."""
+    roots = memoryview(bytearray(4 * p)).cast("i")
+    g = primitive_root(p)
+    g3 = g * g * g % p
+    x = cube = 1
+    for _ in range((p - 1) // 3):
+        roots[cube] = x
+        x = x * g % p
+        cube = cube * g3 % p
     return roots
 
 

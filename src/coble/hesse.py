@@ -15,13 +15,17 @@ The formal cubic `PENCIL`, the cusp residuals (row . a - rhs at formal
 lam) and the cusp certificate derive from them.
 The coefficients come three times (closed form; the discriminant of f_lam
 on a line, from `pencil` alone; one elimination of the cusp system, which
-is singular at lam = 0) and are certified over prime fields: every F_p-point
-of f_lam is found on the p + 1 lines through the rational flex (0 : 1 : -1),
-and its gradient must lie on the dual sextic.  Each line yields one
-projective representative, (2c : tc + d : tc - d) on the line through
-(1 : 0 : t), with no inverse mod p, and it is checked once for itself and
-its X1 <-> X2 twin: f_lam and F_lam are both symmetric in the last two
-coordinates.  That loop inlines f_lam and F_lam mod p on ints;
+is singular at lam = 0) and are certified over prime fields p = 1 mod 3:
+the gradient of every F_p-point of f_lam must lie on the dual sextic.  The
+points are walked one orbit at a time under the X1 <-> X2 twin and sigma:
+(x0 : x1 : x2) -> (x0 : e x1 : e^2 x2), e^3 = 1, which generate a group of
+order 6.  f_lam is invariant under both, and S1..S4 under the matching
+maps of the gradient, (g0, g2, g1) and diag(1, e^2, e).  In the chart
+x0 = 1 the sigma-invariants u = x1 x2 and v = x1^3 satisfy
+v^2 - (3 lam u - 1) v + u^3 = 0, whose two roots are the twins' v, so each
+u = 1..p - 1 takes one square root and one cube root from tables and yields
+at most one representative, (x1 : x1^2 : u) with no inverse mod p, checked
+once for its 3 or 6 points.  That loop inlines f_lam and F_lam mod p on ints;
 `tests/hesse_oracle.py` checks it against its own transcription, and holds
 the plane Heisenberg orbits of the flexes and cusps, which no certificate
 uses.
@@ -32,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .fields import QQ, square_roots
+from .fields import QQ, cube_roots, square_roots
 from .linalg import ExactMatrix
 from .poly import NotInSpan, PolyRing
 
@@ -196,58 +200,54 @@ def oracle_skip(lam, p):
     return None
 
 
-FLEX = (0, 1, -1)
-
-
 def curve_points(lam_p, p):
-    """Every F_p-point of f_lam (lam = lam_p mod p), as one projective
-    representative (x0, y1, y2, n) per line through FLEX: it stands for
-    n in {1, 2} points, itself and, when n = 2, its X1 <-> X2 twin
-    (x0 : y2 : y1), another point of f_lam, which is symmetric in X1 and
-    X2.
+    """Every F_p-point of f_lam (lam = lam_p mod p), p = 1 mod 3, as one
+    projective representative (x0, y1, y2, n) per orbit of the order-6
+    group generated by the X1 <-> X2 twin and sigma: (x0 : x1 : x2) ->
+    (x0 : e x1 : e^2 x2), e a cube root of 1 mod p.  f_lam is invariant
+    under both; the orbit has n in {3, 6} points.
 
-    The flex FLEX lies on every pencil member, and every other point is
-    Q + s*FLEX for exactly one s in F_p and one Q on the line X1 = 0, which
-    misses FLEX: Q = (1 : 0 : t) or (0 : 0 : 1).  As f(FLEX) = 0,
+    In the chart x0 = 1 the sigma-invariants of (1 : x1 : x2) are u = x1 x2
+    and v = x1^3, and the twin sends v to x2^3 = u^3 / v.  Multiplying
+    f_lam = 1 + v + u^3 / v - 3 lam u by v gives
 
-        f(Q + s FLEX) = f(Q) + s grad f(Q).FLEX + s^2 grad f(FLEX).Q,
+        v^2 - s v + u^3 = 0,    s = 3 lam u - 1,
 
-    so the points on each of the p + 1 lines through FLEX are the roots of a
-    quadratic a + b s + c s^2.  For Q = (1 : 0 : t) it has a = 1 + t^3,
-    b = -3 t (lam + t) = -t c and c = 3 (lam + t), so its roots are
-    s = (t c +- d) / (2 c) with d^2 = b^2 - 4 a c, and its points
-    (1 : s : t - s) are (2 c : t c + d : t c - d) and the twin: scaled by
-    2 c, no line needs an inverse.  For Q = (0 : 0 : 1), a = 1, b = -3 and
-    c = 3, so s = (3 +- d) / 6 with d^2 = -3, and (0 : s : 1 - s) is
-    (0 : 3 + d : 3 - d), again with its twin.  Either twin is the same
-    point exactly when d = 0, where n = 1; FLEX itself has n = 1.  The
-    square root is read from a table of all square roots mod p
-    (`fields.square_roots`), built once per call, so memory is O(p): at most
-    3079 entries for the benchmark's primes, about 0.1M at p = 100003.  On
-    the tangent at FLEX the quadratic is a nonzero constant; a line inside
-    the curve raises, since a smooth cubic contains none, and so does
-    p = 2, where 2 c = 0."""
-    if p == 2:
-        raise ValueError("the line walk needs an odd prime, not 2")
-    roots = square_roots(p)
-    yield 0, 1, p - 1, 1
-    for t in range(p):
-        a = (1 + t * t * t) % p
-        c = 3 * (lam_p + t) % p
-        if not c:
-            # The tangent at FLEX meets f there three times, so b = 0 as
-            # well, and it holds no other point unless it lies on f.
-            if a:
-                continue
-            raise ValueError(f"the line through {FLEX} and {(1, 0, t)} lies "
-                             f"on f_lam mod {p}, lam = {lam_p}")
-        tc = t * c
-        d = roots[(t * tc - 4 * a) * c % p]  # b^2 - 4 a c, as b = -t c
+    whose two roots are the twins' v.  So for each u in 1..p - 1 the walk
+    reads d, a square root of s^2 - 4 u^3, from a table of every square root
+    mod p (`fields.square_roots`), and x1, a cube root of v = (s + d) / 2,
+    from a table of every cube root mod p (`fields.cube_roots`), both built
+    once per call.  No root d means no point with x1 x2 = u; a v that is no
+    cube means none either, since then u^3 / v is no cube.  Otherwise the
+    three cube roots of v are the sigma-orbit of (1 : x1 : u / x1), yielded
+    as (x1 : x1^2 : u), scaled by x1 so that it takes no inverse.  The
+    twins' orbit is the same one when d = 0 (n = 3) and another (n = 6)
+    otherwise.  The points with x1 x2 = 0 are the orbit of (1 : 0 : -1),
+    n = 6, and, off the chart, that of (0 : 1 : -1), n = 3.  Memory is two
+    tables of p entries, the cube roots in a typed buffer.
+
+    Raises ValueError unless p = 1 mod 3: for p = 3 every gradient
+    3 (...) vanishes, and for p = 2 mod 3 there is no e, so sigma is not
+    defined over F_p.  It also raises for lam^3 = 1 mod p, where f_lam is
+    three lines."""
+    if p % 3 != 1:
+        raise ValueError(f"the orbit walk needs an odd prime p = 1 mod 3, "
+                         f"not {p}")
+    if lam_p * lam_p * lam_p % p == 1:
+        raise ValueError(f"a line lies on f_lam mod {p}, lam = {lam_p}: "
+                         f"lam^3 = 1, so f_lam is three lines")
+    roots, cubes = square_roots(p), cube_roots(p)
+    half = (p + 1) // 2  # 1 / 2 mod p
+    three_lam = 3 * lam_p % p
+    yield 0, 1, p - 1, 3
+    yield 1, 0, p - 1, 6
+    for u in range(1, p):
+        s = three_lam * u - 1  # reduced only inside the two lookups
+        d = roots[(s * s - 4 * u * u * u) % p]
         if d is not None:
-            yield 2 * c % p, (tc + d) % p, (tc - d) % p, 2 if d else 1
-    d = roots[-3 % p]  # Q = (0 : 0 : 1)
-    if d is not None:
-        yield 0, (3 + d) % p, (3 - d) % p, 2 if d else 1
+            x1 = cubes[(s + d) * half % p]
+            if x1:
+                yield x1, x1 * x1 % p, u, 6 if d else 3
 
 
 def _normalized(point, p):
@@ -257,19 +257,21 @@ def _normalized(point, p):
 
 
 def finite_field_duality_oracle(lam, p):
-    """Find every F_p-point of f_lam = 0 on the lines through the flex
-    (`curve_points`: p + 1 lines, one table of square roots mod p), check
-    that the gradient of every nonsingular point lies on the dual sextic
-    (raising `CounterexamplePoint` at the first that does not, normalized
-    to first nonzero coordinate 1), and report whether the point count N
-    meets the Hasse bound (N - p - 1)^2 <= 4p.  A count outside it is no
-    point, so it is reported, not raised.
+    """Find every F_p-point of f_lam = 0, one orbit of sigma and the
+    X1 <-> X2 twin at a time (`curve_points`: p - 1 values of u = x1 x2,
+    tables of square and cube roots mod p), check that the gradient of
+    every nonsingular point lies on the dual sextic (raising
+    `CounterexamplePoint` at the first that does not, normalized to first
+    nonzero coordinate 1), and report whether the point count N meets the
+    Hasse bound (N - p - 1)^2 <= 4p.  A count outside it is no point, so it
+    is reported, not raised.
 
     Each representative of `curve_points` is checked once and counts for
-    its n points.  That is exact: the gradient at the X1 <-> X2 twin is
-    (g0, g2, g1), the residual below is symmetric in g1 and g2, as S1..S4
-    are, and it is homogeneous, so its zero test holds for every scaling of
-    the point."""
+    its n points, so the residual is evaluated about p / 6 times.  That is
+    exact: the gradient at the X1 <-> X2 twin is (g0, g2, g1) and at the
+    sigma-image (x0 : e x1 : e^2 x2) it is (g0, e^2 g1, e g2); the residual
+    below is unchanged by both, as S1..S4 are, and it is homogeneous, so
+    its zero test holds for every scaling of the point."""
     lam = Fraction(lam)
     if singular_mod(lam, p):
         raise ValueError(f"lam = {lam} is a singular pencil member mod {p}")

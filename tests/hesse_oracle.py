@@ -1,13 +1,13 @@
 """The brute-force route to the Hesse duality oracle, kept as the reference
-the production line walk (`hesse.curve_points`) is compared against: every
+the production orbit walk (`hesse.curve_points`) is compared against: every
 point of P^2(F_p) is tested in the representatives (1 : y : z), (0 : 1 : z),
 (0 : 0 : 1), which is O(p^2) work.  `scan` evaluates the dual sextic
 exactly over Q before reducing it mod p and is meant for p <= 103;
 `point_set` alone takes about half a second at p = 1033.  `expand` turns
-the walk's representatives back into the points they stand for.  Also the
-exact gradient map of the pencil, whose image is the dual curve, projective
-equality of points, and the plane Heisenberg orbits of the flexes and of
-the cusps over Q(w), which no certificate uses.
+the walk's representatives back into the orbits of points they stand for.
+Also the exact gradient map of the pencil, whose image is the dual curve,
+projective equality of points, and the plane Heisenberg orbits of the
+flexes and of the cusps over Q(w), which no certificate uses.
 """
 
 from fractions import Fraction
@@ -92,16 +92,28 @@ def normalize_mod(point, p):
     return tuple(x * inv % p for x in point)
 
 
+def cube_root_of_unity(p):
+    """A cube root of 1 other than 1 mod p, p = 1 mod 3, by search."""
+    return next(e for e in range(2, p) if e * e * e % p == 1)
+
+
 def expand(representatives, p):
     """The points that `hesse.curve_points` representatives stand for, in
-    walk order and normalized: each (x0, y1, y2, n) gives (x0 : y1 : y2)
-    and, when n = 2, its X1 <-> X2 twin (x0 : y2 : y1)."""
-    points = []
-    for x0, y1, y2, n in representatives:
-        points.append(normalize_mod((x0, y1, y2), p))
-        if n == 2:
-            points.append(normalize_mod((x0, y2, y1), p))
-    return points
+    walk order: for each (x0, y1, y2, n) the normalized orbit of
+    (x0 : y1 : y2) under sigma, (x0 : x1 : x2) -> (x0 : e x1 : e^2 x2)
+    with e a cube root of 1 mod p, and the X1 <-> X2 twin, as a list of its
+    distinct points."""
+    e = cube_root_of_unity(p)
+    orbits = []
+    for x0, y1, y2, _ in representatives:
+        orbit = []
+        for x1, x2 in ((y1, y2), (y2, y1)):
+            for k in range(3):
+                point = normalize_mod((x0, x1 * e ** k, x2 * e ** (2 * k)), p)
+                if point not in orbit:
+                    orbit.append(point)
+        orbits.append(orbit)
+    return orbits
 
 
 # ----- plane Heisenberg orbits over Q(w) -----------------------------------

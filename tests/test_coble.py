@@ -11,6 +11,7 @@ from coble.fields import QQ, QW
 from coble.heisenberg import (COORDS, HeisenbergElement, act_on_polynomial,
                               coord_name, generators, neg2, theta_ring)
 from coble.invariants import F_SEEDS
+from coble.linalg import ExactMatrix
 from coble.poly import Polynomial
 
 import nu_oracle
@@ -106,8 +107,31 @@ def test_eta_plane_restriction(ring):
         b0 * (z0 ** 3 + z1 ** 3 + z2 ** 3) + 3 * b1 * z0 * z1 * z2
 
 
+def exact_quadric_rank(qs):
+    """The rank over Q(w) of the quadrics' coefficient rows."""
+    polys = [qs[b] for b in sorted(qs)]
+    monos = sorted({m for p in polys for m in p.terms})
+    return ExactMatrix(QW, [[p.terms.get(m, QW.zero()) for m in monos]
+                            for p in polys]).rank()
+
+
 def test_quadric_rank(ring):
+    """The rank mod p is a lower bound: equal to the exact rank on the
+    Barth quadrics, and below 9 once one quadric stands in for another or
+    two are q and w q for a q that mixes 1 and w, where only w^2 = -1 - w
+    makes the rows dependent."""
     assert quadric_rank() == 9
+    qs = barth_quadrics(ring)
+    first, second = sorted(qs)[:2]
+    repeated = dict(qs)
+    repeated[second] = qs[first]
+    w = QW.omega()
+    mixed = dict(qs)
+    mixed[first] = qs[first] + w * qs[second]
+    mixed[second] = w * mixed[first]
+    assert quadric_rank(qs) == exact_quadric_rank(qs) == 9
+    assert quadric_rank(repeated) == exact_quadric_rank(repeated) == 8
+    assert quadric_rank(mixed) == exact_quadric_rank(mixed) == 8
 
 
 def test_quadrics_in_yz_equal_term_by_term_rewrite():

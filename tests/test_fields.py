@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coble.fields import (OMEGA, QQ, QW, Eisenstein, bernoulli, binomial,
-                          format_rational, square_roots, zw_mul, zw_pair,
-                          zw_rotate)
+                          cube_roots, format_rational, square_roots, zw_mul,
+                          zw_pair, zw_rotate)
 from heisenberg_oracle import omega_pow
 from properties import prop_field_axioms, run_once, small_fraction
 
@@ -154,6 +154,20 @@ def test_square_roots_equals_brute_force(p):
             assert roots[a] * roots[a] % p == a, (a, roots[a])
         else:
             assert roots[a] is None, a
+
+
+@pytest.mark.parametrize("p", [7, 13, 97, 193, 769])
+def test_cube_roots_equals_brute_force(p):
+    """Every residue mod p: the table's root cubes back to it, and 0 stands
+    exactly on the non-cubes and on 0."""
+    roots = cube_roots(p)
+    cubes = {x * x * x % p for x in range(p)}
+    assert len(roots) == p
+    for a in range(p):
+        if a in cubes:
+            assert roots[a] * roots[a] * roots[a] % p == a, (a, roots[a])
+        else:
+            assert roots[a] == 0, a
 
 
 def test_bernoulli():

@@ -1,8 +1,9 @@
-"""Tests of the Hesse duality oracle's line walk: differential against the
+"""Tests of the Hesse duality oracle's orbit walk: differential against the
 brute-force scan in `hesse_oracle`, with each representative expanded to
-the points it stands for, an independent exact point count at lam = 0,
-and checks that a wrong dual sextic or a reducible member is caught, also
-when the oracle checks one point of each X1 <-> X2 pair."""
+the orbit of points it stands for, an independent exact point count at
+lam = 0, a count of the walk's representatives, and checks that a wrong
+dual sextic or a reducible member is caught, also when the oracle checks
+one point of each orbit of sigma and the X1 <-> X2 twin."""
 
 import math
 from fractions import Fraction
@@ -24,14 +25,14 @@ def smooth_mod(lam, p):
 
 
 def walked_points(lam_p, p):
-    """The expanded walk, after checking that n = 2 exactly when a
-    representative's X1 <-> X2 twin is a different point."""
+    """The expanded walk, after checking that each representative's n is
+    the size of its orbit under sigma and the X1 <-> X2 twin, and that no
+    point is walked twice."""
     walk = list(hesse.curve_points(lam_p, p))
-    for x0, y1, y2, n in walk:
-        twins = {hesse_oracle.normalize_mod(q, p)
-                 for q in ((x0, y1, y2), (x0, y2, y1))}
-        assert n == len(twins), (lam_p, p, (x0, y1, y2, n))
-    walked = hesse_oracle.expand(walk, p)
+    orbits = hesse_oracle.expand(walk, p)
+    for (x0, y1, y2, n), orbit in zip(walk, orbits):
+        assert n == len(orbit), (lam_p, p, (x0, y1, y2, n))
+    walked = [point for orbit in orbits for point in orbit]
     assert len(walked) == len(set(walked)), (lam_p, p)
     return set(walked)
 
@@ -86,6 +87,27 @@ def test_fermat_cubic_count_matches_gauss(p):
     assert report["points"] == report["checked"] == gauss_count(p)
 
 
+def test_walk_yields_one_representative_per_six_points():
+    """At 3079, the benchmark's largest prime, each representative stands
+    for 3 or 6 points, and there are at most N / 6 + 5 of them for the N
+    points they add up to, a count inside the Hasse bound."""
+    p = 3079
+    lam_p = hesse.reduce_mod(Fraction(-49, 15), p)
+    sizes = [n for *_, n in hesse.curve_points(lam_p, p)]
+    points = sum(sizes)
+    assert set(sizes) <= {3, 6}
+    assert (points - p - 1) ** 2 <= 4 * p
+    assert len(sizes) <= points / 6 + 5
+
+
+@pytest.mark.parametrize("p", [3, 5, 11])
+def test_walk_refuses_p_not_1_mod_3(p):
+    # At 3 every gradient 3 (...) vanishes; for p = 2 mod 3 sigma needs a
+    # cube root of 1 that F_p lacks.
+    with pytest.raises(ValueError, match="p = 1 mod 3"):
+        list(hesse.curve_points(2, p))
+
+
 def perturb(monkeypatch, i):
     """Put a_(i+1) of the dual sextic off by one."""
     true_coefficients = hesse.dual_coefficients
@@ -124,22 +146,25 @@ def test_wrong_dual_coefficient_is_caught_mod_1033(monkeypatch, i):
 
 @pytest.mark.parametrize("lam", [2, Fraction(-7, 3)], ids=str)
 def test_counterexamples_are_closed_under_the_twin_swap(monkeypatch, lam):
-    """With a1 off by one, the scan's counterexamples come in X1 <-> X2
-    pairs at every p <= 103, so the oracle, which checks one point of each
-    pair, loses none; it raises at one of them."""
+    """With a1 off by one, the scan's counterexamples are a union of orbits
+    of sigma and the X1 <-> X2 twin at every p <= 103, so the oracle, which
+    checks one point of each orbit, loses none; it raises at one of them."""
     perturb(monkeypatch, 0)
     for p in [p for p in SMALL_PRIMES + [103] if smooth_mod(lam, p)]:
         found = set(hesse_oracle.scan(lam, p)[2])
         assert found, (lam, p)
-        assert {hesse_oracle.normalize_mod((x0, x2, x1), p)
-                for x0, x1, x2 in found} == found, (lam, p)
+        e = hesse_oracle.cube_root_of_unity(p)
+        for images in ({(x0, x2, x1) for x0, x1, x2 in found},
+                       {(x0, x1 * e, x2 * e * e) for x0, x1, x2 in found}):
+            assert {hesse_oracle.normalize_mod(x, p)
+                    for x in images} == found, (lam, p)
         with pytest.raises(hesse.CounterexamplePoint) as exc:
             hesse.finite_field_duality_oracle(lam, p)
         assert exc.value.point in found, (lam, p)
 
 
 def test_oracle_calls_pow_a_fixed_number_of_times(monkeypatch):
-    # The representatives are scaled so that no line needs an inverse.
+    # The representatives are scaled so that no orbit needs an inverse.
     calls = []
 
     def counting(*args):
@@ -162,6 +187,6 @@ def test_line_inside_the_curve_raises():
 
 
 def test_walk_refuses_p_2():
-    # 2 c = 0 mod 2, so no representative (2c : tc + d : tc - d) is a point.
+    # p = 2 is no odd prime, and 2 = 2 mod 3.
     with pytest.raises(ValueError, match="odd prime"):
         list(hesse.curve_points(0, 2))
