@@ -1,7 +1,6 @@
 """Enumerative bookkeeping: the degree-6 intersection computation for the
 dual hypersurface, Verlinde dimensions and the degree of the theta map, the
-Bernoulli/Zagier leading coefficient, the quadric dimension count and the
-ramification degree.
+Bernoulli/Zagier leading coefficient and the quadric dimension count.
 """
 
 from __future__ import annotations
@@ -167,9 +166,3 @@ def quadric_dimension_count():
     """dim of quadrics through the abelian surface: C(10,2) - 6^2 = 9."""
     return binomial(10, 2) - 6 ** 2
 
-
-def ramification_degree():
-    """K = theta^*(O(-9) + delta R) with K = O(-6 Theta): -6 = -9 + delta,
-    and the branch sextic lives in |O(2 delta)|."""
-    delta = -6 + 9
-    return delta, 2 * delta

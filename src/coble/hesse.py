@@ -11,24 +11,20 @@ take numbers or polynomials alike:
   S3 = Y0 Y1 Y2 * sum Y_i^3, S4 = Y0^2 Y1^2 Y2^2;
 - `cusp_system`: the 3x3 linear system in (a1, a2, a3) saying that
   (lam : 1 : 1) is a cusp of F_lam.
-The formal cubic `PENCIL`, the cusp residuals (row . a - rhs at formal
-lam) and the cusp certificate derive from them.
+The formal cubic `PENCIL` and the cusp residuals (row . a - rhs at formal
+lam) derive from them.
 The coefficients come three times (closed form; the discriminant of f_lam
-on a line, from `pencil` alone; one elimination of the cusp system, which
-is singular at lam = 0) and are certified over prime fields p = 1 mod 3:
-the gradient of every F_p-point of f_lam must lie on the dual sextic.  The
-points are walked one orbit at a time under the X1 <-> X2 twin and sigma:
-(x0 : x1 : x2) -> (x0 : e x1 : e^2 x2), e^3 = 1, which generate a group of
-order 6.  f_lam is invariant under both, and S1..S4 under the matching
-maps of the gradient, (g0, g2, g1) and diag(1, e^2, e).  In the chart
-x0 = 1 the sigma-invariants u = x1 x2 and v = x1^3 satisfy
-v^2 - (3 lam u - 1) v + u^3 = 0, whose two roots are the twins' v, so each
-u = 1..p - 1 takes one square root and one cube root from tables and yields
-at most one representative, (x1 : x1^2 : u) with no inverse mod p, checked
-once for its 3 or 6 points.  That loop inlines f_lam and F_lam mod p on ints;
-`tests/hesse_oracle.py` checks it against its own transcription, and holds
-the plane Heisenberg orbits of the flexes and cusps, which no certificate
-uses.
+on a line, from `pencil` alone; the cusp system by Cramer's rule, singular
+exactly at lam = 0 and lam = 1) and are certified over prime fields
+p = 1 mod 3: the gradient of every F_p-point of f_lam must lie on the dual
+sextic.  The points are walked one orbit at a time under the order-6 group
+generated by the X1 <-> X2 twin and sigma: (x0 : x1 : x2) ->
+(x0 : e x1 : e^2 x2), e^3 = 1.  f_lam is invariant under both, and S1..S4
+under the matching maps of the gradient, so each orbit is checked once
+(`curve_points`: ints and table lookups, no inverse mod p).
+`tests/hesse_oracle.py` checks that walk against its own transcription,
+and holds the cusp identities and the plane Heisenberg orbits of the
+flexes and cusps, which no certificate uses.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from fractions import Fraction
 from functools import cache
 
 from .fields import QQ, cube_roots, square_roots
-from .linalg import ExactMatrix
 from .poly import NotInSpan, PolyRing
 
 
@@ -132,15 +127,21 @@ def cusp_system(lam):
     return rows, rhs
 
 
+def det3(rows):
+    """The determinant of a 3x3 matrix, numbers or polynomials."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def dual_sextic_from_cusp_system(lam):
-    """(a1, a2, a3) from one elimination of the augmented 3x4 system, which
-    is singular exactly when its pivots are not the three a-columns."""
+    """(a1, a2, a3) from the cusp system by Cramer's rule.  Its determinant
+    is 6 lam (lam^3 - 1)^2, so it is singular exactly at lam = 0 and 1."""
     rows, rhs = cusp_system(Fraction(lam))
-    reduced, pivots = ExactMatrix(QQ, [row + [Fraction(b)]
-                                       for row, b in zip(rows, rhs)]).rref()
-    if pivots != [0, 1, 2]:
+    det = det3(rows)
+    if not det:
         raise SingularSystem(f"cusp system is singular at lam = {lam}")
-    return tuple(row[3] for row in reduced)
+    return tuple(det3([row[:k] + [b] + row[k + 1:]
+                       for row, b in zip(rows, rhs)]) / det for k in range(3))
 
 
 def cusp_system_residuals():
@@ -154,28 +155,7 @@ def cusp_system_residuals():
             for row, b in zip(rows, rhs)]
 
 
-def cusp_orbit_check():
-    """Certify (lam : 1 : 1) as a cusp of the dual sextic, identically in
-    lam: both partials vanish there, and the printed restriction to
-    Y1 = Y2 = 1 vanishes to order >= 3 at Y0 = lam."""
-    lam = Y_RING.var("lam")
-    dual = dual_sextic(lam)
-    at_cusp = {"Y0": lam, "Y1": 1, "Y2": 1}
-    report = {}
-    for v in ("Y0", "Y1", "Y2"):
-        report[f"d/d{v}"] = dual.partial_derivative(v).substitute(at_cusp)
-    r = dual.substitute({"Y1": 1, "Y2": 1})
-    for order in (0, 1, 2):
-        report[f"restriction_order_{order}"] = r.substitute({"Y0": lam})
-        r = r.partial_derivative("Y0")
-    return report
-
-
 # ----- finite-field oracle -------------------------------------------------
-
-DEFAULT_ORACLE_PRIMES = (13, 31, 997)
-DEFAULT_ORACLE_LAMBDAS = (2, 3, 5)
-
 
 def reduce_mod(lam, p):
     """lam mod p; ValueError when p divides its denominator."""
@@ -297,19 +277,3 @@ def finite_field_duality_oracle(lam, p):
     return {"p": p, "lam": str(lam), "points": count, "checked": checked,
             "hasse_ok": (count - p - 1) ** 2 <= 4 * p, "counterexamples": 0}
 
-
-def run_default_oracle(lams=DEFAULT_ORACLE_LAMBDAS, primes=DEFAULT_ORACLE_PRIMES):
-    """Run the duality oracle over the default grid.  Pairs where f_lam or
-    its reduction is singular violate the oracle's precondition and are
-    reported as skipped (`oracle_skip`), not failed."""
-    reports = []
-    for lam in lams:
-        for p in primes:
-            skip = oracle_skip(lam, p)
-            if skip:
-                reports.append({"p": p, "lam": str(lam), "status": skip})
-                continue
-            r = finite_field_duality_oracle(lam, p)
-            r["status"] = "ok"
-            reports.append(r)
-    return reports

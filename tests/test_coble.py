@@ -2,11 +2,8 @@ import pytest
 
 from coble.coble_forms import (BARTH_TABLE, BETAS, ETA_PLANE, barth_quadrics,
                                coble_cubic, coble_ring, cubic_basis,
-                               eta_plane_coordinates, minus_space_restriction,
-                               printed_block_span_report, quadric_rank,
-                               quadrics_in_yz, steiner_matrix,
-                               verify_derivative_identity, yz_ring,
-                               yz_substitution)
+                               eta_plane_coordinates, quadric_rank,
+                               verify_derivative_identity)
 from coble.fields import QQ, QW
 from coble.heisenberg import (COORDS, HeisenbergElement, act_on_polynomial,
                               coord_name, generators, neg2, theta_ring)
@@ -15,6 +12,9 @@ from coble.linalg import ExactMatrix
 from coble.poly import Polynomial
 
 import nu_oracle
+from coble_oracle import (minus_space_restriction, printed_block_span_report,
+                          quadrics_in_yz, steiner_matrix, yz_ring,
+                          yz_substitution)
 from heisenberg_oracle import add2, dot, omega_pow
 
 

@@ -7,7 +7,7 @@ from coble.enumerative import (HARDCODED_TABLE, IntersectionClass,
                                NonIntegralDimension,
                                derived_intersection_table, dual_degree_computation,
                                dual_degree_expansion, finite_differences,
-                               quadric_dimension_count, ramification_degree,
+                               quadric_dimension_count,
                                theta_degree_from_verlinde,
                                theta_degree_from_zagier, verlinde_dimension,
                                verlinde_exact, verlinde_sequence,
@@ -103,6 +103,3 @@ def test_theta_degree_from_zagier():
 def test_quadric_count():
     assert quadric_dimension_count() == 9
 
-
-def test_ramification_degree():
-    assert ramification_degree() == (3, 6)

@@ -62,7 +62,8 @@ def test_action_matrix_matches_polynomial_action():
     for j, b in enumerate(COORDS):
         image = act_on_polynomial(g, ring.var(f"Z{b[0]}{b[1]}"))
         col = [m.entries[i][j] for i in range(9)]
-        expected = [image.coeff(tuple(1 if k == i else 0 for k in range(9)))
+        expected = [image.terms.get(tuple(1 if k == i else 0
+                                          for k in range(9)), QW.zero())
                     for i in range(9)]
         assert col == expected
 

@@ -4,19 +4,18 @@ import pytest
 
 from coble import hesse
 from coble.hesse import (PENCIL, X_RING, Y_RING, SingularSystem,
-                         cusp_orbit_check, cusp_system,
-                         cusp_system_residuals,
+                         cusp_system, cusp_system_residuals, det3,
                          dual_coefficients, dual_coefficients_from_discriminant,
                          dual_sextic,
                          dual_sextic_from_cusp_system,
-                         finite_field_duality_oracle,
-                         run_default_oracle, s_basis)
+                         finite_field_duality_oracle, s_basis)
 from coble.fields import QQ, QW, Eisenstein
 from coble.linalg import ExactMatrix
 from coble.poly import NotInSpan, PolyRing
-from hesse_oracle import (ZeroGradient, cusp_orbit, gradient_map,
-                          hessian_determinant_at, inflection_orbit,
-                          on_pencil_member, plane_orbit, proj_eq)
+from hesse_oracle import (ZeroGradient, cusp_orbit, cusp_orbit_check,
+                          gradient_map, hessian_determinant_at,
+                          inflection_orbit, on_pencil_member, plane_orbit,
+                          proj_eq)
 
 RATIONALS = (0, 1, 2, -1, Fraction(7, 3), Fraction(-5, 11), Fraction(1, 2))
 
@@ -32,7 +31,7 @@ def quartics_in_gradient_ideal(lam):
     products = [f.partial_derivative(v) * m for v in names for m in quadrics]
     quartics = sorted({e for p in products for e in p.terms})
     assert len(quartics) == 15
-    return ExactMatrix(QQ, [[p.coeff(e) for e in quartics]
+    return ExactMatrix(QQ, [[p.terms.get(e, 0) for e in quartics]
                             for p in products]).rank()
 
 
@@ -82,21 +81,22 @@ def test_cusp_system_singular_at_zero():
         dual_sextic_from_cusp_system(0)
 
 
-def test_cusp_system_is_eliminated_once(monkeypatch):
-    shapes = []
-    rref = ExactMatrix.rref
+def test_cusp_system_determinant():
+    lam = PolyRing(QQ, ("lam",)).var("lam")
+    rows, _ = cusp_system(lam)
+    assert det3(rows) == 6 * lam * (lam ** 3 - 1) ** 2
 
-    def counting(self):
-        shapes.append((self.rows, self.cols))
-        return rref(self)
 
-    monkeypatch.setattr(ExactMatrix, "rref", counting)
-    assert dual_sextic_from_cusp_system(2) == dual_coefficients(Fraction(2))
-    assert shapes == [(3, 4)]
-    shapes.clear()
-    with pytest.raises(SingularSystem, match="singular at lam = 0"):
-        dual_sextic_from_cusp_system(0)
-    assert shapes == [(3, 4)]
+@pytest.mark.parametrize("lam", RATIONALS, ids=str)
+def test_cusp_system_by_cramer(lam):
+    # Singular exactly where the determinant 6 lam (lam^3 - 1)^2 vanishes.
+    if lam in (0, 1):
+        with pytest.raises(SingularSystem,
+                           match=f"^cusp system is singular at lam = {lam}$"):
+            dual_sextic_from_cusp_system(lam)
+    else:
+        assert dual_sextic_from_cusp_system(lam) == \
+            dual_coefficients(Fraction(lam))
 
 
 def hand_expanded_cusp_equations(lam, a1, a2, a3):
@@ -191,16 +191,6 @@ def test_oracle_rejects_singular_member():
         finite_field_duality_oracle(1, 13)
     with pytest.raises(ValueError):
         finite_field_duality_oracle(3, 13)  # 27 = 1 mod 13
-
-
-def test_default_oracle_grid():
-    reports = run_default_oracle()
-    assert len(reports) == 9
-    assert all(r["status"] in ("ok", "skipped_singular_reduction")
-               for r in reports)
-    ok = [r for r in reports if r["status"] == "ok"]
-    assert len(ok) == 7
-    assert all(r["counterexamples"] == 0 and r["hasse_ok"] for r in ok)
 
 
 def test_duality_check_is_not_vacuous():

@@ -5,15 +5,14 @@ from coble.heisenberg import (COORDS, HeisenbergElement, monomial_action,
                               theta_ring)
 from coble.invariants import InvariantBasis, pinned_basis
 from coble.nu import (EigenspaceDimensionError, FixedPlaneChart, _nu_matrix,
-                      all_lift_charts, annexe_charts, annexe_subblock_kernel,
-                      diagonal_filter_pipeline, eigenspace_chart,
+                      all_lift_charts, annexe_charts, eigenspace_chart,
                       fixed_plane_charts, matching_lifts, nu_rank_and_kernel,
                       packed_terms)
 from nu_oracle import (annexe_restrictions, eta_walk_charts, hack_rows,
                        induced_plane_action, k_eta_generators, nu_matrix,
                        plane_action_preserves_s_span, printed_annexe_charts,
                        production_coordinates, qw_matrix, restrict,
-                       substitution_filter)
+                       subblock_kernel, substitution_filter)
 
 
 @pytest.fixture(scope="module")
@@ -112,13 +111,13 @@ def test_hack_rows_agree_with_s_coordinates(ring, basis, charts):
 
 
 def test_diagonal_filter_counts(basis):
-    counts, surviving = diagonal_filter_pipeline()
+    counts, surviving, _, _, _ = subblock_kernel()
     assert counts == [39, 36, 33, 30]
     assert len(surviving) == 30
 
 
 def test_subblock_rank_and_kernel():
-    counts, rank, kernel, kernel_labels = annexe_subblock_kernel()
+    counts, _, rank, _, kernel_labels = subblock_kernel()
     assert counts == [39, 36, 33, 30]
     # the exact value: 26, not the printed 27 -- criterion 4 in
     # tests/test_acceptance.py proves the bound and records the erratum
@@ -132,7 +131,7 @@ def test_subblock_filters_and_restricts_the_given_basis(basis):
     keep = [labels.index(t) for t in ("T1", "T7", "T8", "T9", "T10", "T11")]
     sub = InvariantBasis(6, [labels[i] for i in keep],
                          [elements[i] for i in keep])
-    counts, rank, kernel, kernel_labels = annexe_subblock_kernel(basis=sub)
+    counts, _, rank, _, kernel_labels = subblock_kernel(basis=sub)
     assert counts == [4, 4, 4, 4]
     assert rank == 2
     assert sorted(sorted(k) for k in kernel_labels) == [
@@ -189,12 +188,12 @@ def test_charts_equal_the_eta_walk():
 
 def test_diagonal_filter_matches_zero_substitution(basis):
     labels, elements = basis
-    assert diagonal_filter_pipeline() == substitution_filter(elements)
+    assert subblock_kernel()[:2] == substitution_filter(elements)
     keep = [labels.index(t) for t in ("T1", "T2", "T7", "T8", "T9", "T20",
                                       "T30", "T43")]
     sub = InvariantBasis(6, [labels[i] for i in keep],
                          [elements[i] for i in keep])
-    counts, surviving = diagonal_filter_pipeline(sub)
+    counts, surviving, _, _, _ = subblock_kernel(sub)
     assert (counts, surviving) == substitution_filter(sub.elements)
     assert counts[0] < len(keep) and counts[-1] > 0
 
