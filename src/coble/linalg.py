@@ -176,6 +176,7 @@ def certified_rank_and_kernel(rows, candidates):
     candidates kept and the route.
     """
     cols = len(rows[0]) if rows else 0
+    rows = list(dict.fromkeys(map(tuple, rows)))  # same rank, same kernel
     rank_p, kernel = None, []
     if _is_integral(set().union(*rows)):
         p, r = RANK_PRIME, RANK_OMEGA

@@ -34,14 +34,15 @@ list-slice comparisons check every restriction against its combination.
 The sextics are read in S1 = sum Y_i^6, S2 = sum Y_i^3 Y_j^3,
 S3 = Y0 Y1 Y2 * sum Y_i^3, S4 = Y0^2 Y1^2 Y2^2 (`S_TARGET`), the Coble
 cubic's F0..F4 in the Hesse pencil's sum Y^3, Y0Y1Y2 (`PENCIL_TARGET`).
+Each distinct image mod 3 is read off once per packing (`Packing.memo`).
 
 The nu matrix is integral in Z[w], kept as rows of (re, om) int pairs up
-to its rank certificate, `linalg.certified_rank_and_kernel`: the rank mod a
-prime p = 1 mod 3 is a lower bound, the printed text kernel vectors that
-check exactly give the upper bound, and exact elimination over Q(w) runs
-only when the two do not meet.  Either way the kernel is an
-echelon-normalized basis, so which printed kernel it is is decided by list
-equality (`kernel_verdict`).
+to its rank certificate, `linalg.certified_rank_and_kernel`, on its
+distinct rows: the rank mod a prime p = 1 mod 3 is a lower bound, the
+printed text kernel vectors that check exactly give the upper bound, and
+exact elimination over Q(w) runs only when the two do not meet.  Either
+way the kernel is an echelon-normalized basis, so which printed kernel it
+is is decided by list equality (`kernel_verdict`).
 """
 
 from __future__ import annotations
@@ -192,6 +193,9 @@ VANISHED = (1 << INDEX) - VANISH
 W_MASK = (1 << FIELD) - 1
 # A slot's key, its element index and Y-exponents, is all but its w field.
 KEY_MASK = ~(W_MASK << PHASE)
+# The byte of a slot's w field in native order, and a table reducing it mod 3.
+W_BYTE = PHASE // 8 if sys.byteorder == "little" else 7 - PHASE // 8
+MOD3 = bytes(b % 3 for b in range(256))
 ZERO = (0, 0)
 
 
@@ -223,6 +227,7 @@ class Packing:
         self.index = index
         self.rotations = rotations
         self.layouts = {}
+        self.memo = {}
 
     def layout(self, target):
         """Where `target`'s coordinates accumulate, built once per target:
@@ -284,13 +289,19 @@ def target_rows(chart, packing, target):
     Y_k's field plus j in the w field, and VANISH if Z_b is 0, so all of the
     terms' images come from one sum of columns times weights.  Raises
     NotInSpan unless each restriction is exactly the combination of the
-    target's forms read at their first monomials."""
+    target's forms read at their first monomials.  The rows are read off
+    once per target and slot images with w fields mod 3 (`packing.memo`),
+    so charts with equal images share row lists, which no caller mutates."""
     weight = [VANISH if img is None else (1 << FIELD * img[0]) + (img[1] << PHASE)
               for img in chart.images]
     images = sum((col * w for col, w in zip(packing.columns, weight)),
                  packing.index)
-    slots = memoryview(images.to_bytes(8 * len(packing.rotations),
-                                       sys.byteorder)).cast("Q")
+    raw = bytearray(images.to_bytes(8 * len(packing.rotations), sys.byteorder))
+    raw[W_BYTE::8] = raw[W_BYTE::8].translate(MOD3)
+    key = target, bytes(raw)
+    if key in packing.memo:
+        return packing.memo[key]
+    slots = memoryview(key[1]).cast("Q")
     if sys.byteorder == "big":  # the native bytes put the last slot first
         slots = slots[::-1]
     slot_map, size, firsts, checks = packing.layout(target)
@@ -300,11 +311,11 @@ def target_rows(chart, packing, target):
     for v, rotations in zip(slots, packing.rotations):
         i = accumulator(v & KEY_MASK)
         if i is not None:
-            a, b = rotations[(v >> PHASE & W_MASK) % 3]
+            a, b = rotations[v >> PHASE & W_MASK]
             re[i] += a
             om[i] += b
         elif not v & VANISHED:
-            a, b = rotations[(v >> PHASE & W_MASK) % 3]
+            a, b = rotations[v >> PHASE & W_MASK]
             old = outside.get(v & KEY_MASK, ZERO)
             outside[v & KEY_MASK] = (old[0] + a, old[1] + b)
     if any(c != ZERO for c in outside.values()) or any(
@@ -316,6 +327,7 @@ def target_rows(chart, packing, target):
     for first in firsts:
         row = list(zip(re[first], om[first]))
         rows.append(list(map(pairs.setdefault, row, row)))
+    packing.memo[key] = rows
     return rows
 
 
@@ -340,12 +352,19 @@ def chart_coordinates(chart, packing, target):
 
 def _nu_matrix(charts, packing, progress=None):
     """The restriction matrix as rows of Z[w] pairs: per chart, four rows
-    holding the S1..S4 coordinates of every element of `packing`."""
-    rows = []
+    holding the S1..S4 coordinates of every element of `packing`, and to
+    `progress` whether the chart was read off or reused (`target_rows`)."""
+    rows, start = [], len(packing.memo)
     for ci, chart in enumerate(charts):
-        if progress:
-            progress(f"chart {ci + 1}/{len(charts)} ({chart.family_tag})")
+        known = len(packing.memo)
         rows.extend(target_rows(chart, packing, S_TARGET))
+        if progress:
+            how = "read off" if len(packing.memo) > known else "reused"
+            progress(f"chart {ci + 1}/{len(charts)} ({chart.family_tag}): "
+                     + how)
+    if progress:
+        progress(f"charts read off {len(packing.memo) - start}/{len(charts)}, "
+                 f"distinct rows {len(set(map(tuple, rows)))}")
     return rows
 
 

@@ -260,6 +260,56 @@ def test_nu_rows_are_int_pairs_and_pinned(mode):
         NU_ROWS_SHA256[mode]
 
 
+@pytest.mark.parametrize("mode, read_off", [("annexe", 40), ("all_lifts", 48)])
+def test_charts_with_equal_images_mod_3_reuse_their_rows(mode, read_off):
+    # Per class, the three lift charts send every sextic term to the same
+    # Y-monomial with the same phase mod 3, so all_lifts reads off only the
+    # t = 0 chart of each shift class; each annexe chart is read off.
+    charts = nu.fixed_plane_charts(mode)
+    packing = nu.packed_terms(_elements)
+    said = []
+    rows = nu._nu_matrix(charts, packing, said.append)
+    assert rows == [row for chart in charts for row in nu.target_rows(
+        chart, nu.packed_terms(_elements), nu.S_TARGET)]
+    assert len(packing.memo) == read_off
+    assert sum(line.endswith(": read off") for line in said) == read_off
+    assert sum(line.endswith(": reused") for line in said) == \
+        len(charts) - read_off
+    assert said[-1] == \
+        f"charts read off {read_off}/{len(charts)}, distinct rows 133"
+
+
+def test_charts_apart_in_one_phase_mod_3_are_read_off_apart():
+    # Z00 Z01 Z02 -> w^(j0 + j1 + j2) Y0 Y1 Y2: phases (1, 0, 0) move its
+    # coordinate by w, phases (1, 1, 1) give back those of (0, 0, 0).
+    z = theta_ring().var
+    packing = nu.packed_terms([z("Z00") * z("Z01") * z("Z02")])
+
+    def rows(*phases):
+        chart = nu.FixedPlaneChart("hand-built", tuple(enumerate(phases))
+                                   + (None,) * 6)
+        return nu.target_rows(chart, packing, nu.PENCIL_TARGET)
+
+    base, moved = rows(0, 0, 0), rows(1, 0, 0)
+    assert base == [[nu.ZERO], [(1, 0)]] and moved == [[nu.ZERO], [(0, 1)]]
+    assert rows(1, 1, 1) is base and len(packing.memo) == 2
+
+
+@pytest.mark.parametrize("case, route", [("annexe", "modular+kernel"),
+                                         ("dependent", "exact-Qw")])
+def test_repeated_rows_leave_the_certificate_unchanged(annexe_rows, case,
+                                                      route):
+    rows = annexe_rows if case == "annexe" \
+        else PERTURBATIONS[case](annexe_rows)
+    distinct = [list(row) for row in dict.fromkeys(map(tuple, rows))]
+    assert len(distinct) < len(rows)
+    once = certified_rank_and_kernel(distinct, _text_candidates())
+    assert once[2]["route"] == route
+    assert once[:2] == nu_oracle.qw_matrix(distinct).rank_and_kernel()
+    for repeated in (rows, distinct + distinct):
+        assert certified_rank_and_kernel(repeated, _text_candidates()) == once
+
+
 def _with_column(rows, label, column):
     j = _labels.index(label)
     return [row[:j] + [x] + row[j + 1:] for row, x in zip(rows, column)]
