@@ -318,8 +318,13 @@ DEGREE = checked_int((lambda d: d <= DEGREE_MAX, f"at most {DEGREE_MAX}"),
                      (lambda d: d >= 0 and d % 3 == 0, "a multiple of 3 >= 0"))
 KMAX = checked_int((lambda n: n <= KMAX_MAX, f"at most {KMAX_MAX}"), POSITIVE)
 H = checked_int((lambda n: n <= H_MAX, f"at most {H_MAX}"), POSITIVE)
-COVER_DEGREE = checked_int((lambda n: n >= 2, "a cover degree >= 2"))
-SET_SIZE = checked_int((lambda n: n >= 0, "a set size >= 0"))
+# From inputs of thousands of digits `prym genus` makes a genus too long to
+# write (an int of over 4300 digits, `sys.get_int_max_str_digits`).
+PRYM_MAX = 10 ** 6
+PRYM = (lambda n: abs(n) <= PRYM_MAX, f"at most {PRYM_MAX} in absolute value")
+COVER_DEGREE = checked_int(PRYM, (lambda n: n >= 2, "a cover degree >= 2"))
+GENUS = checked_int(PRYM)
+SET_SIZE = checked_int(PRYM, (lambda n: n >= 0, "a set size >= 0"))
 # The oracle walks p - 1 values of u = x1 x2 with tables of p square roots
 # and p cube roots, so its time and memory grow with p; the bound is checked
 # before the trial division of `is_prime`, which is slow for large p.  At
@@ -333,12 +338,25 @@ ORACLE_PRIME = checked_int(
     (lambda p: p % 3 == 1 and is_prime(p), "a prime congruent to 1 mod 3"))
 
 
+# The dual sextic's a3 = -3 lam (lam^3 - 4) has about four times as many
+# digits as lambda, and an int of over 4300 cannot be written out.  A decimal
+# exponent above EXPONENT_MAX is refused before 10^e is built (`1e10000000`
+# alone takes 10 s to build).
+FRACTION_DIGITS_MAX, EXPONENT_MAX = 1000, 2000
+
+
 def fraction_text(text):
-    """An argparse type: a rational number, kept as the text given."""
+    """An argparse type: a rational number whose numerator and denominator
+    have at most FRACTION_DIGITS_MAX digits, kept as the text given."""
     try:
-        Fraction(text)
+        exponent = int(text.lower().partition("e")[2] or 0)
+        value = Fraction(text) if abs(exponent) <= EXPONENT_MAX else None
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
+    if value is None or max(abs(value.numerator),
+                            value.denominator) >= 10 ** FRACTION_DIGITS_MAX:
+        raise argparse.ArgumentTypeError(f"{text!r} has more than "
+                                         f"{FRACTION_DIGITS_MAX} digits")
     return text
 
 
@@ -406,7 +424,7 @@ COMMANDS = {
         "check": (cmd_prym_check, []),
         "genus": (cmd_prym_genus, [
             ("--n", {"type": COVER_DEGREE, "required": True}),
-            ("--g", {"type": int, "required": True}),
+            ("--g", {"type": GENUS, "required": True}),
             ("--t", {"type": SET_SIZE, "default": 0})]),
     },
     "verify-all": (cmd_verify_all, [ORACLE]),
@@ -472,10 +490,10 @@ def main(argv=None):
     cert = Certificate(label, inputs)
     try:
         args.func(args, cert)
+        print(cert.render(args.format))
     except Exception as exc:  # internal error contract
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
-    print(cert.render(args.format))
     return 0 if cert.passed() else 1
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .fields import QW, zw_pair
 from .heisenberg import Apoint, coord_name, theta_ring
 from .invariants import pinned_basis
-from .linalg import RANK_OMEGA, RANK_PRIME, rank_mod_p
+from .linalg import rank_mod_p
 from .nu import PENCIL_TARGET, chart_coordinates, eigenspace_chart, packed_terms
 
 BETAS = tuple(f"beta{i}" for i in range(5))
@@ -101,18 +101,12 @@ def eta_plane_coordinates():
 
 def quadric_rank(qs=None):
     """Rank of the nine Q_b (`barth_quadrics`) as a linear system (beta
-    formal), taken over F_p (p = RANK_PRIME) after sending w to RANK_OMEGA;
-    the coefficients must lie in Z[w].  That reduction is a ring
-    homomorphism, so the result is a lower bound on the rank over Q(w), and
-    exact when it equals the number of quadrics, 9: the one value that
-    `coble check` and `enum quadric-count` compare with."""
+    formal), taken mod p (`linalg.rank_mod_p`); the coefficients must lie
+    in Z[w].  That is a lower bound on the rank over Q(w), and exact when it
+    equals the number of quadrics, 9: the one value that `coble check` and
+    `enum quadric-count` compare with."""
     qs = qs or barth_quadrics()
     polys = [qs[b] for b in sorted(qs)]
     monos = sorted({m for p in polys for m in p.terms})
-
-    def residue(c):
-        a, b = zw_pair(c)
-        return a + b * RANK_OMEGA
-
-    return rank_mod_p([[residue(p.terms[m]) if m in p.terms else 0
-                        for m in monos] for p in polys], RANK_PRIME)
+    return rank_mod_p([[zw_pair(p.terms[m]) if m in p.terms else (0, 0)
+                        for m in monos] for p in polys])

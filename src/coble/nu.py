@@ -40,9 +40,9 @@ The nu matrix is integral in Z[w], kept as rows of (re, om) int pairs up
 to its rank certificate, `linalg.certified_rank_and_kernel`, on its
 distinct rows: the rank mod a prime p = 1 mod 3 is a lower bound, the
 printed text kernel vectors that check exactly give the upper bound, and
-exact elimination over Q(w) runs only when the two do not meet.  Either
-way the kernel is an echelon-normalized basis, so which printed kernel it
-is is decided by list equality (`kernel_verdict`).
+when the two meet the kernel is those vectors, echelon-normalized, so
+which printed kernel it is is decided by list equality (`kernel_verdict`).
+When they do not, the kernel is empty and no printed kernel is named.
 """
 
 from __future__ import annotations
@@ -402,8 +402,8 @@ TEXT_KERNEL_PAIRS = [("T8", "T7")] + ANNEXE_KERNEL_PAIRS
 def kernel_verdict(labels, kernel):
     """Which printed kernel `kernel` is, by list equality.  Each kernel
     `certified_rank_and_kernel` returns (a sub-list of the printed text
-    pairs, or exact elimination's) is echelon-normalized, and so is each
-    printed list: its pairs are disjoint, the larger label later."""
+    pairs, or empty for an unproven rank) is echelon-normalized, and so is
+    each printed list: its pairs are disjoint, the larger label later."""
     if kernel == candidate_vectors(labels, TEXT_KERNEL_PAIRS):
         return "text: rank 39, kernel {T8-T7, T11-T10, T14-T13, T17-T16}"
     if kernel == candidate_vectors(labels, ANNEXE_KERNEL_PAIRS):

@@ -11,8 +11,9 @@ are W1..W4 in `yz_ring`, to keep them apart from the theta names Z00..Z22.
 from coble.coble_forms import BETAS, barth_quadrics
 from coble.fields import QQ, QW
 from coble.heisenberg import coord_name, theta_ring
-from coble.linalg import ExactMatrix
 from coble.poly import PolyRing
+
+from linalg_oracle import ExactMatrix
 
 YZ_VARS = ("Y0", "Y1", "Y2", "Y3", "Y4", "W1", "W2", "W3", "W4")
 

@@ -9,7 +9,8 @@ action transcribed through the pair helpers `add2`, `neg2` and `dot`.
 from coble.fields import OMEGA, QW
 from coble.heisenberg import (COORD_INDEX, COORDS, HeisenbergElement,
                               monomial_action, neg2)
-from coble.linalg import ExactMatrix
+
+from linalg_oracle import ExactMatrix
 
 IDENTITY = HeisenbergElement(0, (0, 0), (0, 0))
 OMEGA2 = OMEGA * OMEGA

@@ -11,8 +11,8 @@ from fractions import Fraction
 from coble.fields import QQ
 from coble.heisenberg import COORD_INDEX, COORDS, orbit_sum
 from coble.invariants import iota_permutation
-from coble.linalg import ExactMatrix
 from heisenberg_oracle import add2
+from linalg_oracle import ExactMatrix
 
 
 def khat_invariant_monomials(d):

@@ -26,9 +26,9 @@ from coble.heisenberg import (COORDS, Apoint, apoint_classes_mod_sign,
                               coord_name, neg2, theta_ring)
 from coble.hesse import s_basis
 from coble.invariants import pinned_basis
-from coble.linalg import ExactMatrix
 from coble.poly import NotInSpan, PolyRing
 from heisenberg_oracle import action_matrix, add2, dot, omega_pow, weil_form
+from linalg_oracle import ExactMatrix
 
 Y_RING = PolyRing(QW, ("Y0", "Y1", "Y2"))
 S_BASIS = s_basis(Y_RING)

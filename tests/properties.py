@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from coble.fields import QW, Eisenstein
 from coble.heisenberg import HeisenbergElement, act_on_polynomial, theta_ring
-from coble.linalg import ExactMatrix
 from coble.poly import PolyRing
 from heisenberg_oracle import action_matrix, group_mul, is_central, omega_pow
+from linalg_oracle import ExactMatrix
 
 CASES = settings(max_examples=200, deadline=None)
 

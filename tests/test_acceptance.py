@@ -15,10 +15,10 @@ from coble.coble_forms import (ETA_PLANE, coble_cubic, coble_ring,
                                verify_derivative_identity)
 from coble.fields import QW
 from coble.heisenberg import act_on_polynomial, generators, theta_ring
-from coble.linalg import ExactMatrix
 
 import nu_oracle
 from hesse_oracle import cusp_orbit_check
+from linalg_oracle import ExactMatrix
 from nu_oracle import restrict
 from properties import ALL_SUITES, run_once
 

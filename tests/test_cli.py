@@ -9,7 +9,7 @@ import pytest
 
 from fractions import Fraction
 
-from coble import cli, coble_forms, hesse, linalg
+from coble import cli, coble_forms, hesse, nu
 from coble.cli import COMMANDS, jsonable, main
 from coble.fields import Eisenstein
 from coble.poly import Polynomial
@@ -196,6 +196,24 @@ def test_nu_rank(capsys):
     assert "kernel" not in cert["outputs"]
 
 
+def test_unproven_nu_rank_fails_its_checks(capsys, monkeypatch):
+    # T9 - T7 is no kernel vector, so only the three annexe pairs verify and
+    # the bounds do not meet (39 + 3 < 43): the certificate claims the lower
+    # bound only, with no kernel, and fails.
+    monkeypatch.setattr(nu, "TEXT_KERNEL_PAIRS",
+                        [("T9", "T7")] + nu.ANNEXE_KERNEL_PAIRS)
+    code, out, err = run(capsys, ["nu", "rank"])
+    assert code == 1 and "internal error" not in err
+    cert = json.loads(out)
+    assert [c["name"] for c in cert["checks"] if not c["pass"]] == \
+        ["rank-nullity", "kernel dimension in {3,4}"]
+    outputs = cert["outputs"]
+    assert outputs["rank_certificate"]["route"] == "unproven"
+    assert outputs["rank_certificate"]["kernel_vectors_verified"] == 3
+    assert (outputs["rank"], outputs["kernel_dimension"]) == (39, 0)
+    assert outputs["verdict"] == "neither printed kernel"
+
+
 def test_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["nu", "rank", "--mode", "bogus"])
@@ -219,6 +237,8 @@ def test_usage_error():
     ["verify-all", "--oracle-prime", "7"],
     # |T| is a set size: a negative one gave a genus before
     ["prym", "genus", "--n", "2", "--g", "2", "--t", "-2"],
+    # a genus of over 4300 digits cannot be written out
+    ["prym", "genus", "--n", "9" * 3000, "--g", "9" * 3000],
 ])
 def test_bad_argument_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -261,6 +281,9 @@ def test_oracle_prime_above_the_bound_is_a_usage_error(argv):
     (["invariants", "dim", "--degree"], cli.DEGREE_MAX),
     (["enum", "verlinde", "--kmax"], cli.KMAX_MAX),
     (["enum", "zagier", "--h"], cli.H_MAX),
+    (["prym", "genus", "--g", "2", "--n"], cli.PRYM_MAX),
+    (["prym", "genus", "--n", "3", "--g"], cli.PRYM_MAX),
+    (["prym", "genus", "--n", "3", "--g", "2", "--t"], cli.PRYM_MAX),
 ], ids=lambda x: " ".join(x) if isinstance(x, list) else str(x))
 def test_size_argument_is_bounded(capsys, argv, bound):
     # The bound itself parses; one more is a usage error, found before any
@@ -275,12 +298,43 @@ def test_size_argument_is_bounded(capsys, argv, bound):
         assert f"{value} is not at most {bound}" in captured.err
 
 
+def test_lambda_size_is_bounded(capsys):
+    # Each part of --lambda may have FRACTION_DIGITS_MAX digits: a3 then has
+    # about four times as many, short of the 4300 an int can be written in.
+    n = cli.FRACTION_DIGITS_MAX
+    for lam in ("9" * n, "-1/" + "9" * n, f"1e{n - 1}", f"7e-{n - 1}"):
+        assert cli.parse(["hesse", "dual", f"--lambda={lam}"]).lam == lam
+    code, out, err = run(capsys, ["hesse", "dual", "--lambda", "9" * n,
+                                  "--oracle-prime", "13"])
+    assert code == 0 and "internal error" not in err
+    # Over the bound is a usage error; so is an exponent above EXPONENT_MAX,
+    # refused before 10^e is built.
+    for lam in ("1" + "0" * n, "1/" + "1" * (n + 1), f"1e{n}", f"-1e-{n}",
+                "1e1080", f"1e{cli.EXPONENT_MAX + 1}", "1e999999999"):
+        with pytest.raises(SystemExit) as exc:
+            main(["hesse", "dual", f"--lambda={lam}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "argument --lambda" in captured.err
+
+
 def test_internal_error(capsys, monkeypatch):
     def boom(d):
         raise RuntimeError("injected")
 
     monkeypatch.setattr("coble.invariants.invariant_dimension", boom)
     code, out, err = run(capsys, ["invariants", "dim", "--degree", "3"])
+    assert code == 3
+    assert out == ""
+    assert "internal error" in err and "injected" in err
+
+
+def test_render_failure_is_an_internal_error(capsys, monkeypatch):
+    def boom(self, fmt):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(cli.Certificate, "render", boom)
+    code, out, err = run(capsys, ["prym", "check"])
     assert code == 3
     assert out == ""
     assert "internal error" in err and "injected" in err
@@ -359,10 +413,10 @@ NO_ELIMINATION = [("verify-all",)] + [
 
 @pytest.mark.parametrize("argv", NO_ELIMINATION, ids=" ".join)
 def test_certificates_build_no_exact_matrix(capsys, monkeypatch, argv):
-    # nu's rows stay Z[w] pairs up to the modular rank certificate, and the
-    # cusp system is solved by Cramer's rule.
-    monkeypatch.setattr(linalg.ExactMatrix, "__init__",
-                        refuse("ExactMatrix.__init__"))
+    # No certificate divides in Q(w), so none eliminates over it: nu's rows
+    # stay Z[w] pairs up to the modular rank certificate, and the cusp
+    # system is solved by Cramer's rule over Q.
+    monkeypatch.setattr(Eisenstein, "inverse", refuse("Eisenstein.inverse"))
     code, out, err = run(capsys, list(argv))
     assert code == 0 and "internal error" not in err, err
     assert all(c["pass"] for c in json.loads(out)["checks"])

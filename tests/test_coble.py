@@ -8,9 +8,9 @@ from coble.fields import QQ, QW
 from coble.heisenberg import (COORDS, HeisenbergElement, act_on_polynomial,
                               coord_name, generators, neg2, theta_ring)
 from coble.invariants import F_SEEDS
-from coble.linalg import ExactMatrix
 from coble.poly import Polynomial
 
+from linalg_oracle import ExactMatrix
 import nu_oracle
 from coble_oracle import (minus_space_restriction, printed_block_span_report,
                           quadrics_in_yz, steiner_matrix, yz_ring,

@@ -10,12 +10,12 @@ from coble.hesse import (PENCIL, X_RING, Y_RING, SingularSystem,
                          dual_sextic_from_cusp_system,
                          finite_field_duality_oracle, s_basis)
 from coble.fields import QQ, QW, Eisenstein
-from coble.linalg import ExactMatrix
 from coble.poly import NotInSpan, PolyRing
 from hesse_oracle import (ZeroGradient, cusp_orbit, cusp_orbit_check,
                           gradient_map, hessian_determinant_at,
                           inflection_orbit, on_pencil_member, plane_orbit,
                           proj_eq)
+from linalg_oracle import ExactMatrix
 
 RATIONALS = (0, 1, 2, -1, Fraction(7, 3), Fraction(-5, 11), Fraction(1, 2))
 

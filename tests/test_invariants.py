@@ -15,11 +15,11 @@ from coble.invariants import (DegreeNotDivisibleBy3, InternalCountMismatch,
                               packed_khat_monomials,
                               packed_orbit_representatives,
                               packed_translator, pinned_basis)
-from coble.linalg import ExactMatrix
 from coble.poly import _grlex_key
 from invariants_oracle import (distinct_orbit_sums, iota_split_by_elimination,
                                khat_invariant_monomials,
                                orbit_count_entrywise)
+from linalg_oracle import ExactMatrix
 
 
 @pytest.fixture(scope="module")

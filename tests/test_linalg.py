@@ -1,8 +1,8 @@
 from fractions import Fraction
 
 from coble.fields import OMEGA, QQ, QW
-from coble.linalg import ExactMatrix
 from heisenberg_oracle import OMEGA2
+from linalg_oracle import ExactMatrix
 from properties import prop_rank_nullity_random, run_once
 
 

@@ -1,8 +1,8 @@
 """Differential tests of the production restriction route (monomial maps,
 read-off coordinates, certified rank) against the generic Q(w) route in
 `nu_oracle`, for nu's sextics and for the Coble cubic's F0..F4, and tests
-that the rank certificate falls back to exact elimination whenever its
-bounds do not meet."""
+that the rank certificate claims only its lower bound, with no kernel,
+whenever its bounds do not meet."""
 
 import hashlib
 import re
@@ -296,7 +296,7 @@ def test_charts_apart_in_one_phase_mod_3_are_read_off_apart():
 
 
 @pytest.mark.parametrize("case, route", [("annexe", "modular+kernel"),
-                                         ("dependent", "exact-Qw")])
+                                         ("dependent", "unproven")])
 def test_repeated_rows_leave_the_certificate_unchanged(annexe_rows, case,
                                                       route):
     rows = annexe_rows if case == "annexe" \
@@ -305,7 +305,9 @@ def test_repeated_rows_leave_the_certificate_unchanged(annexe_rows, case,
     assert len(distinct) < len(rows)
     once = certified_rank_and_kernel(distinct, _text_candidates())
     assert once[2]["route"] == route
-    assert once[:2] == nu_oracle.qw_matrix(distinct).rank_and_kernel()
+    # Both ranks mod p are the true rank, 39; only a proven one has a kernel.
+    rank, kernel = nu_oracle.qw_matrix(distinct).rank_and_kernel()
+    assert once[:2] == (rank, kernel if route == "modular+kernel" else [])
     for repeated in (rows, distinct + distinct):
         assert certified_rank_and_kernel(repeated, _text_candidates()) == once
 
@@ -317,6 +319,19 @@ def _with_column(rows, label, column):
 
 def _text_candidates():
     return nu.candidate_vectors(_labels, nu.TEXT_KERNEL_PAIRS)
+
+
+def _unproven(result, rows, rank_mod_p, verified):
+    """Check that a `certified_rank_and_kernel` result on `rows` claims only
+    the lower bound `rank_mod_p` (0 when it is None), with no kernel, and
+    that exact elimination's rank is no smaller; returns elimination's
+    (rank, kernel)."""
+    rank, kernel, cert = result
+    assert cert == {"prime": RANK_PRIME, "rank_mod_p": rank_mod_p,
+                    "kernel_vectors_verified": verified, "route": "unproven"}
+    reference = nu_oracle.qw_matrix(rows).rank_and_kernel()
+    assert kernel == [] and rank == (rank_mod_p or 0) <= reference[0]
+    return reference
 
 
 def _t7_plus_t10(rows, label):
@@ -339,15 +354,13 @@ PERTURBATIONS = {"dependent": lambda m: _t7_plus_t10(m, "T8"),
                  "t11_moved": lambda m: _t7_plus_t10(m, "T11")}
 
 
-def test_dependent_perturbation_falls_back_to_elimination(annexe_rows):
+def test_dependent_perturbation_is_unproven(annexe_rows):
     # T8 := T7 + T10 keeps the rank at 39 but moves the kernel off T8-T7:
     # only the three annexe vectors verify, and 39 + 3 < 43.
     perturbed = PERTURBATIONS["dependent"](annexe_rows)
-    rank, kernel, cert = certified_rank_and_kernel(perturbed,
-                                                   _text_candidates())
-    assert cert == {"prime": RANK_PRIME, "rank_mod_p": 39,
-                    "kernel_vectors_verified": 3, "route": "exact-Qw"}
-    assert (rank, kernel) == nu_oracle.qw_matrix(perturbed).rank_and_kernel()
+    rank, _ = _unproven(certified_rank_and_kernel(perturbed,
+                                                  _text_candidates()),
+                        perturbed, 39, 3)
     assert rank == 39
 
 
@@ -366,13 +379,11 @@ def test_independent_perturbation_is_certified_by_the_annexe_kernel(
 
 def test_each_printed_vector_is_kept_on_its_own(annexe_rows):
     # With T11 := T10 + T7 no printed kernel verifies as a whole, but the
-    # three other pairs do; the rank stays 39, so elimination decides.
+    # three other pairs do; the rank stays 39, so 39 + 3 < 43 proves nothing.
     perturbed = PERTURBATIONS["t11_moved"](annexe_rows)
-    rank, kernel, cert = certified_rank_and_kernel(perturbed,
-                                                   _text_candidates())
-    assert cert == {"prime": RANK_PRIME, "rank_mod_p": 39,
-                    "kernel_vectors_verified": 3, "route": "exact-Qw"}
-    assert (rank, kernel) == nu_oracle.qw_matrix(perturbed).rank_and_kernel()
+    rank, _ = _unproven(certified_rank_and_kernel(perturbed,
+                                                  _text_candidates()),
+                        perturbed, 39, 3)
     assert rank == 39
 
 
@@ -409,13 +420,12 @@ ONE, NIL = (1, 0), (0, 0)
     (-RANK_OMEGA, 1),
 ])
 def test_rank_drop_mod_p_falls_back(entry):
+    # The rank mod p, 1, undercounts the rank, 2, so the certificate falls
+    # back to claiming 1 as a lower bound.
     rows = [[entry, NIL, NIL], [NIL, ONE, ONE]]
     candidates = [[QW.zero(), -QW.one(), QW.one()]]
-    rank, kernel, cert = certified_rank_and_kernel(rows, candidates)
-    assert cert == {"prime": RANK_PRIME, "rank_mod_p": 1,
-                    "kernel_vectors_verified": 1, "route": "exact-Qw"}
-    assert (rank, kernel) == nu_oracle.qw_matrix(rows).rank_and_kernel() \
-        == (2, candidates)
+    assert _unproven(certified_rank_and_kernel(rows, candidates), rows,
+                     1, 1) == (2, candidates)
 
 
 @pytest.mark.parametrize("entry, rank_mod_p", [
@@ -424,9 +434,8 @@ def test_rank_drop_mod_p_falls_back(entry):
 ])
 def test_prime_drop_and_rational_entries_fall_back(entry, rank_mod_p):
     rows = [[entry, ONE], [NIL, ONE]]
-    rank, kernel, cert = certified_rank_and_kernel(rows, [])
-    assert cert["rank_mod_p"] == rank_mod_p and cert["route"] == "exact-Qw"
-    assert (rank, kernel) == (2, [])
+    assert _unproven(certified_rank_and_kernel(rows, []), rows,
+                     rank_mod_p, 0) == (2, [])
 
 
 def test_a_late_rational_entry_falls_back():
@@ -434,9 +443,8 @@ def test_a_late_rational_entry_falls_back():
     # rational entry in the last row, among repeated integral ones, still
     # leaves no modular bound.
     rows = [[ONE, ONE, NIL], [NIL, ONE, ONE], [ONE, NIL, (Fraction(1, 3), 0)]]
-    rank, kernel, cert = certified_rank_and_kernel(rows, [])
-    assert cert["rank_mod_p"] is None and cert["route"] == "exact-Qw"
-    assert (rank, kernel) == nu_oracle.qw_matrix(rows).rank_and_kernel()
+    assert _unproven(certified_rank_and_kernel(rows, []), rows,
+                     None, 0) == (3, [])
 
 
 def test_integrality_is_tested_once_per_distinct_entry(annexe_rows,
@@ -457,15 +465,13 @@ def test_integrality_is_tested_once_per_distinct_entry(annexe_rows,
 def test_kernel_candidates_must_annihilate():
     rows = [[ONE, ONE], [ONE, ONE]]
     wrong = [[QW.one(), QW.one()]]
-    rank, kernel, cert = certified_rank_and_kernel(rows, wrong)
-    assert cert["kernel_vectors_verified"] == 0 and cert["route"] == "exact-Qw"
-    assert rank == 1 and kernel == [[-QW.one(), QW.one()]]
+    assert _unproven(certified_rank_and_kernel(rows, wrong), rows,
+                     1, 0) == (1, [[-QW.one(), QW.one()]])
 
 
 def test_dependent_candidates_are_all_dropped():
     # Both copies annihilate, but together they are no independent set.
     rows = [[ONE, ONE], [ONE, ONE]]
     twice = [[-QW.one(), QW.one()]] * 2
-    rank, kernel, cert = certified_rank_and_kernel(rows, twice)
-    assert cert["kernel_vectors_verified"] == 0 and cert["route"] == "exact-Qw"
-    assert rank == 1 and kernel == twice[:1]
+    assert _unproven(certified_rank_and_kernel(rows, twice), rows,
+                     1, 0) == (1, twice[:1])
