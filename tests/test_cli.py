@@ -363,6 +363,12 @@ PINNED_HASHES = [
      "dd6736a3c38712cafc5339acf202012df6cf67b86efaf00a97247e6b8f4c0d57"),
     (["invariants", "basis", "--degree", "6"],
      "16e518904e94d6057f7973e7b7ae3f021cc444e97a6588b9772356ebf6117ea7"),
+    (["nu", "charts", "--mode", "annexe"],
+     "9e5a66441e5559be31b882d5eef8a30e8cd88b5d161767fe5dfe9eb334a2cb2c"),
+    (["nu", "charts", "--mode", "all_lifts"],
+     "1c2cb6d760cbbb6594d97ca9367e73b8a3c178ff2bc0bda79e637611b13a4a74"),
+    (["invariants", "basis", "--degree", "3"],
+     "6de9a58aa54a7f5c1d7231161f0d1f5ba7efde895c893c206e730e42596400b4"),
 ]
 
 
