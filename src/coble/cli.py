@@ -2,7 +2,8 @@
 machine-readable certificates.
 
 Standard output carries exactly one JSON certificate (or a text rendering
-with --format text); progress for long eliminations goes to standard error.
+with --format text); progress, such as the charts of nu's rank certificate,
+goes to standard error.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error, 3 internal
 error.
 """
@@ -98,14 +99,15 @@ def cmd_invariants_dim(args, cert):
 
 def cmd_invariants_basis(args, cert):
     ring = theta_ring()
-    basis = invariants.invariant_basis(ring, args.degree)
+    labels, elements = invariants.invariant_basis(ring, args.degree)
     expected = {3: 5, 6: 43}[args.degree]
-    cert.check(f"basis size degree {args.degree}", expected, len(basis), "PAPER")
-    cert.outputs["labels"] = basis.labels
+    cert.check(f"basis size degree {args.degree}", expected, len(elements),
+               "PAPER")
+    cert.outputs["labels"] = labels
     if args.degree == 6:
-        split = invariants.iota_split(basis)
-        cert.check("involution split dims", [39, 4],
-                   [len(split.plus_basis), len(split.minus_basis)], "DERIVED")
+        plus, minus = invariants.iota_split(elements)
+        cert.check("involution split dims", [39, 4], [len(plus), len(minus)],
+                   "DERIVED")
 
 
 def cmd_coble_check(args, cert):
@@ -255,7 +257,7 @@ def cmd_verify_all(args, cert):
     residuals = verify_derivative_identity(coble_cubic(coble_ring()))
     cert.check("coble identities", True,
                all(p.is_zero() for p in residuals.values()), "PAPER")
-    progress("nu elimination (annexe charts)")
+    progress("nu rank certificate (annexe charts)")
     _, _, report = nu.nu_rank_and_kernel(progress=progress)
     cert.check("nu kernel iota-anti-invariant", True,
                report["kernel_iota_anti_invariant"], "PAPER")
@@ -361,20 +363,16 @@ def fraction_text(text):
 
 
 def join_fractions(argv, flags):
-    """argv with each option of `flags` joined to a rational number that
-    follows it, as flag=value: argparse alone reads a value such as -5/11
-    as an option, so `--lambda -5/11` would be a usage error."""
+    """argv with each option of `flags` joined to the token that follows
+    it, as flag=value: argparse alone reads a value such as -5/11 as an
+    option, so `--lambda -5/11` would be a usage error.  The joined value
+    is then checked as any other (`fraction_text`)."""
     out = []
     for token in argv:
         if out and out[-1] in flags:
-            try:
-                fraction_text(token)
-            except argparse.ArgumentTypeError:
-                pass
-            else:
-                out[-1] += "=" + token
-                continue
-        out.append(token)
+            out[-1] += "=" + token
+        else:
+            out.append(token)
     return out
 
 

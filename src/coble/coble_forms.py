@@ -9,7 +9,7 @@ restricted to a fixed plane as the sextics are, by `nu.chart_coordinates`.
 from __future__ import annotations
 
 from .fields import QW, zw_pair
-from .heisenberg import Apoint, coord_name, theta_ring
+from .heisenberg import HeisenbergElement, coord_name, theta_ring
 from .invariants import pinned_basis
 from .linalg import rank_mod_p
 from .nu import PENCIL_TARGET, chart_coordinates, eigenspace_chart, packed_terms
@@ -94,7 +94,7 @@ ETA_PLANE = [[(1, 0), (0, 0)], [(0, 0), (3, 0)]] + [[(0, 0), (0, 0)]] * 3
 def eta_plane_coordinates():
     """F0..F4 read off that plane, the chart of the lift (0, 00, 10), which
     sends Z0j to Yj; raises NotInSpan for a restriction off the pencil."""
-    chart = eigenspace_chart(Apoint((0, 0), (1, 0)), 0)
+    chart = eigenspace_chart(HeisenbergElement(0, (0, 0), (1, 0)))
     return chart_coordinates(chart, packed_terms(cubic_basis(theta_ring())),
                              PENCIL_TARGET)
 

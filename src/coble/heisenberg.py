@@ -5,7 +5,9 @@ Conventions
 -----------
 * Coordinates are named Z00, Z01, Z02, Z10, ..., Z22 in row-major order.
 * An element is (t_exp, x, xstar): the central scalar is w**t_exp, x is a
-  translation in (Z/3)^2 and xstar a character v -> w**(xstar . v).
+  translation in (Z/3)^2 and xstar a character v -> w**(xstar . v).  A
+  class eta = (x, xstar) of A[3] = H[3]/center is written as its lift
+  (0, x, xstar).
 * The action on coordinates is the printed formula
 
       (t, x, x*) . Z_b  =  w^t * w^(x* . (b - x)) * Z_{b-x}.
@@ -41,43 +43,6 @@ def neg2(u):
     return ((-u[0]) % 3, (-u[1]) % 3)
 
 
-class Apoint:
-    """An element of A[3] = (Z/3)^4, written (x, xstar)."""
-
-    __slots__ = ("x", "xstar")
-
-    def __init__(self, x, xstar):
-        self.x = (x[0] % 3, x[1] % 3)
-        self.xstar = (xstar[0] % 3, xstar[1] % 3)
-
-    def __neg__(self):
-        return Apoint(neg2(self.x), neg2(self.xstar))
-
-    def key(self):
-        return self.x + self.xstar
-
-    def canonical_mod_sign(self):
-        """The representative of {a, -a} with the smaller 4-tuple key."""
-        other = -self
-        return self if self.key() <= other.key() else other
-
-    def __eq__(self, other):
-        return isinstance(other, Apoint) and self.x == other.x and self.xstar == other.xstar
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return f"Apoint(x={self.x}, xstar={self.xstar})"
-
-
-def apoint_classes_mod_sign():
-    """The 40 nonzero classes of A[3] modulo a ~ -a, canonical reps, sorted."""
-    reps = {Apoint(x, xstar).canonical_mod_sign() for x in COORDS
-            for xstar in COORDS if x != (0, 0) or xstar != (0, 0)}
-    return sorted(reps, key=lambda a: a.key())
-
-
 class HeisenbergElement:
     __slots__ = ("t_exp", "x", "xstar")
 
@@ -95,6 +60,15 @@ class HeisenbergElement:
 
     def __repr__(self):
         return f"H(t={self.t_exp}, x={self.x}, xstar={self.xstar})"
+
+
+def classes_mod_sign():
+    """The 40 nonzero classes of A[3] modulo eta ~ -eta, each as the t = 0
+    lift of whichever of x + x* and its negative has the smaller key,
+    sorted by that key."""
+    keys = {min(x + xstar, neg2(x) + neg2(xstar))
+            for x in COORDS for xstar in COORDS} - {(0, 0, 0, 0)}
+    return [HeisenbergElement(0, key[:2], key[2:]) for key in sorted(keys)]
 
 
 def generators():

@@ -3,14 +3,15 @@ the nine-dimensional theta representation, plus the involution split.
 
 The degree-6 basis T1..T43 is pinned to a fixed seed table (the order used in
 the source computation) so that certificates are comparable line by line;
-the orbit enumeration puts each of its orbit sums in the slot of its seed.
+`invariant_basis` checks it against the orbit enumeration, one seed per
+K-orbit.
 """
 
 from __future__ import annotations
 
 from .fields import binomial
 from .heisenberg import (COORD_INDEX, COORDS, exponent_getter, neg2,
-                         orbit_sum, translation_getters)
+                         orbit_sum)
 from .poly import Polynomial
 
 
@@ -86,12 +87,6 @@ def packed_orbit_representatives(d):
             seen.update(translates(e))
             reps.append(e)
     return w, reps
-
-
-def orbit_representatives(d):
-    """`packed_orbit_representatives` as exponent tuples."""
-    w, reps = packed_orbit_representatives(d)
-    return [tuple(e >> w * k & (1 << w) - 1 for k in range(9)) for e in reps]
 
 
 def orbit_count(d):
@@ -181,43 +176,30 @@ def pinned_basis(ring, degree):
     return labels, [orbit_sum(ring, _seed_exponents(s) + tail) for s in seeds]
 
 
-class InvariantBasis:
-    def __init__(self, degree, labels, elements):
-        self.degree = degree
-        self.labels = list(labels)
-        self.elements = list(elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __getitem__(self, label):
-        return self.elements[self.labels.index(label)]
-
-
 def invariant_basis(ring, d):
-    """One orbit sum per K-orbit, in the slot of its seed in the pinned
-    table.  `orbit_representatives` meets each orbit first at its least
-    translate, so that is the key of each seed; there must be one seed per
-    orbit and `invariant_dimension(d)` orbits."""
-    labels, seeds = _seed_table(d)
-    translations = translation_getters(9)
-    slots = {min(translate(e) for translate in translations): i
-             for i, e in enumerate(map(_seed_exponents, seeds))}
-    tail = (0,) * (ring.nvars - 9)
-    elements = [None] * len(seeds)
-    for e in orbit_representatives(d):
-        i = slots.pop(e, None)
-        if i is None:
-            raise InternalCountMismatch(f"no seed for the orbit of {e}")
-        elements[i] = orbit_sum(ring, e + tail)
-    if slots:
+    """`pinned_basis(ring, d)`, checked against the packed orbit walk: the
+    K-orbit of each seed holds exactly one representative that no earlier
+    seed met, no representative is left over, and there are
+    `invariant_dimension(d)` orbits."""
+    labels, elements = pinned_basis(ring, d)
+    w, reps = packed_orbit_representatives(d)
+    translates = packed_translator(w)
+    left, lonely = set(reps), 0
+    for exps in map(_seed_exponents, _seed_table(d)[1]):
+        # A seed of degree d packs without carries: each exponent is < 2^w.
+        packed = sum(e << w * k for k, e in enumerate(exps))
+        met = left.intersection(translates(packed)) if sum(exps) == d else ()
+        left.difference_update(met)
+        lonely += not met
+    if left or lonely:
         raise InternalCountMismatch(
-            f"{len(slots)} seeds have no orbit representative")
+            f"{lonely} seeds have no orbit representative; no seed for the "
+            f"orbit of {len(left)} of {len(reps)} representatives")
     expected = invariant_dimension(d)
-    if len(elements) != expected:
+    if len(reps) != expected:
         raise InternalCountMismatch(
-            f"got {len(elements)} distinct orbit sums, expected {expected}")
-    return InvariantBasis(d, labels, elements)
+            f"got {len(reps)} distinct orbits, expected {expected}")
+    return labels, elements
 
 
 # iota as an index permutation of the theta exponents: Z_b -> Z_{-b}.
@@ -231,17 +213,11 @@ def iota_act(p):
     return Polynomial(p.ring, {iota(e): c for e, c in p.terms.items()})
 
 
-class IotaSplit:
-    def __init__(self, plus_basis, minus_basis):
-        self.plus_basis = plus_basis
-        self.minus_basis = minus_basis
-
-
-def iota_permutation(basis):
-    """iota maps each basis element to another one; return the index map."""
-    keys = {frozenset(p.terms): i for i, p in enumerate(basis.elements)}
+def iota_permutation(elements):
+    """iota maps each element to another one; return the index map."""
+    keys = {frozenset(p.terms): i for i, p in enumerate(elements)}
     perm = []
-    for p in basis.elements:
+    for p in elements:
         q = iota_act(p)
         i = keys.get(frozenset(q.terms))
         if i is None:
@@ -250,15 +226,14 @@ def iota_permutation(basis):
     return perm
 
 
-def iota_split(basis):
-    """Eigenbases of iota on the span of the basis, read off the cycles of
-    `iota_permutation`: a fixed T_i spans a +1 line, a 2-cycle (i, j) gives
-    T_i + T_j (+1) and T_i - T_j (-1).  Every vector is checked against
-    `iota_act`."""
-    perm = iota_permutation(basis)
+def iota_split(elements):
+    """(plus, minus): eigenbases of iota on the span of `elements`, read off
+    the cycles of `iota_permutation`: a fixed T_i spans a +1 line, a 2-cycle
+    (i, j) gives T_i + T_j (+1) and T_i - T_j (-1).  Every vector is checked
+    against `iota_act`."""
+    perm = iota_permutation(elements)
     if any(perm[j] != i for i, j in enumerate(perm)):
         raise ValueError("iota does not act on the basis as an involution")
-    elements = basis.elements
     plus, minus = [], []
     for i, j in enumerate(perm):
         if i == j:
@@ -269,4 +244,4 @@ def iota_split(basis):
     if any(iota_act(v) != v for v in plus) or \
             any(iota_act(v) != -v for v in minus):
         raise ValueError("iota split vector is not an eigenvector")
-    return IotaSplit(plus, minus)
+    return plus, minus

@@ -4,10 +4,10 @@ and kernel.
 
 Chart conventions
 -----------------
-One constructor, `eigenspace_chart(eta, t)`, builds every chart: an adapted
-basis of the fixed plane of the lift (t, x, x*) of a nonzero class eta of
-A[3] mod +-, one vector per cycle of the lift's `monomial_action` whose
-phases close up.  Mode "all_lifts" charts all three lifts of all 40
+One constructor, `eigenspace_chart(g)`, builds every chart: an adapted
+basis of the fixed plane of a lift g = (t, x, x*) of a nonzero class
+eta = (x, x*) of A[3] mod +-, one vector per cycle of g's `monomial_action`
+whose phases close up.  Mode "all_lifts" charts all three lifts of all 40
 classes (120 charts).  Mode "annexe" charts the t = 0 lift of each class
 (40 charts) under the Annexe's names, in their order:
 * 4 "diagonal" charts diagonal(r,s), x = 0 and x* = (r,s): the coordinates
@@ -50,8 +50,8 @@ from __future__ import annotations
 import sys
 
 from .fields import QW, zw_pair, zw_rotate
-from .heisenberg import (THETA_VARS, HeisenbergElement, apoint_classes_mod_sign,
-                         monomial_action, theta_ring)
+from .heisenberg import (THETA_VARS, HeisenbergElement, classes_mod_sign,
+                         monomial_action, neg2, theta_ring)
 from .hesse import PENCIL, S_BASIS
 from .invariants import iota_act, pinned_basis
 from .linalg import certified_rank_and_kernel
@@ -65,39 +65,39 @@ class EigenspaceDimensionError(Exception):
 class FixedPlaneChart:
     """A plane of fixed points as a monomial map: `images` holds, per theta
     coordinate in `COORDS` order, None when it vanishes on the plane, else
-    (k, j) with Z_b -> w^j * Y_k."""
+    (k, j) with Z_b -> w^j * Y_k; `lift` is the g it is built from."""
 
-    def __init__(self, family_tag, images, eta=None):
+    def __init__(self, family_tag, images, lift=None):
         self.family_tag = family_tag
         self.images = images
-        self.eta = eta
+        self.lift = lift
 
     def __repr__(self):
         return f"FixedPlaneChart({self.family_tag})"
 
 
 def annexe_charts():
-    """The 40 charts of the Annexe, in the order of their names: the t = 0
-    lift chart of each class eta, named diagonal(r,s) when x = 0 and
+    """The 40 charts of the Annexe, in the order of their names: the chart
+    of the t = 0 lift of each class, named diagonal(r,s) when x = 0 and
     x* = (r,s), else shift(x0x1,u=u,v=v) with (u, v) = -x*."""
     charts = []
-    for eta in apoint_classes_mod_sign():
-        chart = eigenspace_chart(eta, 0)
-        x, (u, v) = eta.x, (-eta).xstar
-        chart.family_tag = ("diagonal({},{})".format(*eta.xstar) if x == (0, 0)
+    for g in classes_mod_sign():
+        chart = eigenspace_chart(g)
+        x, (u, v) = g.x, neg2(g.xstar)
+        chart.family_tag = ("diagonal({},{})".format(*g.xstar) if x == (0, 0)
                             else f"shift({x[0]}{x[1]},u={u},v={v})")
         charts.append(chart)
     return sorted(charts, key=lambda chart: chart.family_tag)
 
 
-def eigenspace_chart(eta, t):
-    """Adapted eigenvalue-1 chart for the lift g = (t, x, x*) of eta.  With
+def eigenspace_chart(g):
+    """Adapted eigenvalue-1 chart for the lift g = (t, x, x*).  With
     g . Z_b = w^phase Z_target (`monomial_action`), a fixed vector
     sum w^alpha_b Z_b has alpha_target = alpha_b + phase, so walking each
     cycle of the action from its first coordinate (alpha = 0) gives one
     fixed vector when the cycle's phases sum to 0 mod 3.  The chart is
     then checked against the same action (`fixes_chart`)."""
-    action = monomial_action(HeisenbergElement(t, eta.x, eta.xstar))
+    action = monomial_action(g)
     images = [None] * 9
     seen = [False] * 9
     k = 0
@@ -113,9 +113,9 @@ def eigenspace_chart(eta, t):
                 images[i] = (k, j)
             k += 1
     if k != 3:
-        raise EigenspaceDimensionError(f"{eta}, t={t}")
-    chart = FixedPlaneChart(f"lift(x={eta.x},xstar={eta.xstar},t={t})",
-                            tuple(images), eta=eta)
+        raise EigenspaceDimensionError(repr(g))
+    chart = FixedPlaneChart(f"lift(x={g.x},xstar={g.xstar},t={g.t_exp})",
+                            tuple(images), lift=g)
     _verify_eigenvectors(chart, action)
     return chart
 
@@ -146,8 +146,8 @@ def _verify_eigenvectors(chart, action):
 
 def all_lift_charts():
     """120 charts: every nonzero class mod +- with each of its 3 lifts."""
-    return [eigenspace_chart(eta, t)
-            for eta in apoint_classes_mod_sign() for t in range(3)]
+    return [eigenspace_chart(HeisenbergElement(t, g.x, g.xstar))
+            for g in classes_mod_sign() for t in range(3)]
 
 
 def fixed_plane_charts(mode="annexe"):
@@ -160,18 +160,18 @@ def fixed_plane_charts(mode="annexe"):
 
 def matching_lifts(charts):
     """Per chart, all (sign, t) with sign in {+1, -1} such that the chart
-    span is fixed pointwise by the lift (t, sign*eta).  Inverse pairs share
-    their fixed space, so exactly one t per sign is expected.  The actions
-    of the six lifts of a class eta are built once, for all its charts."""
-    lifts = {}
-    out = []
+    span is fixed pointwise by (t, sign*x, sign*x*), (x, x*) the class of
+    its lift.  Inverse pairs share their fixed space, so exactly one t per
+    sign is expected.  The six lifts' actions are built once per class."""
+    lifts, out = {}, []
     for chart in charts:
-        eta = chart.eta
+        eta = x, xstar = chart.lift.x, chart.lift.xstar
         if eta not in lifts:
             lifts[eta] = [
-                (sign, t, monomial_action(HeisenbergElement(t, a.x, a.xstar)))
-                for sign, a in ((1, eta), (-1, -eta)) for t in range(3)]
-        out.append([(sign, t) for sign, t, action in lifts[eta]
+                (s, t, monomial_action(HeisenbergElement(t, y, ystar)))
+                for s, y, ystar in ((1, x, xstar), (-1, neg2(x), neg2(xstar)))
+                for t in range(3)]
+        out.append([(s, t) for s, t, action in lifts[eta]
                     if fixes_chart(chart.images, action)])
     return out
 
@@ -414,8 +414,9 @@ def kernel_verdict(labels, kernel):
 def nu_rank_and_kernel(mode="annexe", progress=None):
     """Certified rank and kernel of the assembled nu matrix plus a report
     that resolves the rank-39 (4-element kernel) versus rank-40 (3-element
-    kernel) discrepancy, certifies iota-anti-invariance of every kernel
-    element and says how the rank was proven (`rank_certificate`)."""
+    kernel) discrepancy, certifies iota-anti-invariance of a kernel it
+    claims (an unproven rank claims none, so that check fails) and says how
+    the rank was proven (`rank_certificate`)."""
     labels, elements = pinned_basis(theta_ring(), 6)
     charts = fixed_plane_charts(mode)
     rank, kernel, kernel_labels, certificate = _certified_kernel(
@@ -425,7 +426,8 @@ def nu_rank_and_kernel(mode="annexe", progress=None):
         return sum((c * p for c, p in zip(vec, elements) if c),
                    elements[0].ring.zero())
 
-    anti = all(iota_act(combine(v)) == -combine(v) for v in kernel)
+    anti = bool(kernel) and all(iota_act(combine(v)) == -combine(v)
+                                for v in kernel)
     report = {
         "mode": mode,
         "rows": 4 * len(charts),

@@ -168,7 +168,7 @@ class Polynomial:
         """Terms in graded-lex order (canonical, byte-stable)."""
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]))
 
-    # -- calculus / substitution -------------------------------------------
+    # -- calculus and evaluation --------------------------------------------
 
     def partial_derivative(self, name):
         i = self.ring.index[name]
@@ -187,38 +187,6 @@ class Polynomial:
                 elif e2 in out:
                     del out[e2]
         return Polynomial(self.ring, out)
-
-    def substitute(self, assignment, target_ring=None):
-        """Replace variables by polynomials (or scalars).
-
-        `assignment` maps variable names to values; unassigned variables map
-        to the variable of the same name in the target ring (defaults to this
-        ring).
-        """
-        ring = target_ring if target_ring is not None else self.ring
-        images = []
-        for name in self.ring.varnames:
-            if name in assignment:
-                val = assignment[name]
-                if not isinstance(val, Polynomial):
-                    val = ring.const(val)
-                elif val.ring != ring:
-                    raise ValueError(f"image of {name} lives in the wrong ring")
-            else:
-                val = ring.var(name)
-            images.append(val)
-        result = ring.zero()
-        power_cache = [{} for _ in images]
-        for e, c in self.terms.items():
-            term = ring.const(c)
-            for i, k in enumerate(e):
-                if k:
-                    cache = power_cache[i]
-                    if k not in cache:
-                        cache[k] = images[i] ** k
-                    term = term * cache[k]
-            result = result + term
-        return result
 
     def evaluate(self, assignment):
         """Full evaluation to a field element; every used variable must be set."""

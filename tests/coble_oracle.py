@@ -14,6 +14,7 @@ from coble.heisenberg import coord_name, theta_ring
 from coble.poly import PolyRing
 
 from linalg_oracle import ExactMatrix
+from nu_oracle import substitute
 
 YZ_VARS = ("Y0", "Y1", "Y2", "Y3", "Y4", "W1", "W2", "W3", "W4")
 
@@ -42,7 +43,7 @@ def quadrics_in_yz():
     target = yz_ring()
     sub = yz_substitution(target)
     quadrics = barth_quadrics(theta_ring(extra_params=BETAS, field=QQ))
-    return target, {b: q.substitute(sub, target_ring=target)
+    return target, {b: substitute(q, sub, target_ring=target)
                     for b, q in quadrics.items()}
 
 
@@ -85,7 +86,7 @@ def minus_space_restriction():
     Returns (ring, restricted dict, printed rows)."""
     target, qs = quadrics_in_yz()
     ysub = {f"Y{k}": 0 for k in range(5)}
-    restricted = {b: q.substitute(ysub) for b, q in qs.items()}
+    restricted = {b: substitute(q, ysub) for b, q in qs.items()}
     rows = steiner_row_polys(target)
 
     if restricted[(0, 0)] != rows[0]:

@@ -1,9 +1,10 @@
 """The group structure of H[3] and its 9x9 action matrix over Q(w), which no
 certificate uses: the product, inverse and center of the group, the Weil
-pairing on A[3], the powers of w and the action as an exact matrix.  They
-are the references the monomial action (`heisenberg.monomial_action`) and
-the int chart test (`nu.fixes_chart`) are compared against, with the
-action transcribed through the pair helpers `add2`, `neg2` and `dot`.
+pairing on A[3] (its classes written as t = 0 elements, `class_lift`), the
+powers of w and the action as an exact matrix.  They are the references
+the monomial action (`heisenberg.monomial_action`) and the int chart test
+(`nu.fixes_chart`) are compared against, with the action transcribed
+through the pair helpers `add2`, `neg2` and `dot`.
 """
 
 from coble.fields import OMEGA, QW
@@ -51,6 +52,14 @@ def inverse(g):
     """(t, x, x*)^-1 = (-t + x*.x, -x, -x*)."""
     return HeisenbergElement(-g.t_exp + dot(g.xstar, g.x),
                              neg2(g.x), neg2(g.xstar))
+
+
+def class_lift(x, xstar):
+    """The class {(x, x*), -(x, x*)} of A[3] mod sign as `classes_mod_sign`
+    lists it: the t = 0 lift of the member with the smaller key x + x*."""
+    g = HeisenbergElement(0, x, xstar)
+    key = min(g.x + g.xstar, neg2(g.x) + neg2(g.xstar))
+    return HeisenbergElement(0, key[:2], key[2:])
 
 
 def is_central(g):

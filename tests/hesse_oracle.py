@@ -16,6 +16,7 @@ from fractions import Fraction
 from coble.fields import OMEGA, QW
 from coble.hesse import PENCIL, Y_RING, det3, dual_sextic, reduce_mod
 from coble.poly import PolyRing
+from nu_oracle import substitute
 
 X_NAMES = ("X0", "X1", "X2")
 
@@ -161,8 +162,8 @@ def inflection_orbit():
 def _at_point(poly, point):
     """poly with X0, X1, X2 set to the Q(omega) coordinates of point: a
     polynomial in the formal lam over Q(omega)."""
-    return poly.substitute(dict(zip(X_NAMES, point)),
-                           target_ring=PolyRing(QW, ("lam",)))
+    return substitute(poly, dict(zip(X_NAMES, point)),
+                      target_ring=PolyRing(QW, ("lam",)))
 
 
 def on_pencil_member(point):
@@ -197,9 +198,9 @@ def cusp_orbit_check():
     at_cusp = {"Y0": lam, "Y1": 1, "Y2": 1}
     report = {}
     for v in ("Y0", "Y1", "Y2"):
-        report[f"d/d{v}"] = dual.partial_derivative(v).substitute(at_cusp)
-    r = dual.substitute({"Y1": 1, "Y2": 1})
+        report[f"d/d{v}"] = substitute(dual.partial_derivative(v), at_cusp)
+    r = substitute(dual, {"Y1": 1, "Y2": 1})
     for order in (0, 1, 2):
-        report[f"restriction_order_{order}"] = r.substitute({"Y0": lam})
+        report[f"restriction_order_{order}"] = substitute(r, {"Y0": lam})
         r = r.partial_derivative("Y0")
     return report

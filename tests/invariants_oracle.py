@@ -81,11 +81,12 @@ def distinct_orbit_sums(ring, d):
     return polys
 
 
-def iota_split_by_elimination(basis):
-    """(+1 vectors, -1 vectors) of iota as polynomials, from exact kernels
-    of the permutation matrix of iota minus and plus the identity."""
-    n = len(basis.elements)
-    perm = iota_permutation(basis)
+def iota_split_by_elimination(elements):
+    """(+1 vectors, -1 vectors) of iota on the span of `elements` as
+    polynomials, from exact kernels of the permutation matrix of iota minus
+    and plus the identity."""
+    n = len(elements)
+    perm = iota_permutation(elements)
     one, zero = Fraction(1), Fraction(0)
 
     def kernel(sign):
@@ -94,8 +95,8 @@ def iota_split_by_elimination(basis):
         return ExactMatrix(QQ, m).rank_and_kernel()[1]
 
     def combine(vec):
-        acc = basis.elements[0].ring.zero()
-        for c, p in zip(vec, basis.elements):
+        acc = elements[0].ring.zero()
+        for c, p in zip(vec, elements):
             if c:
                 acc = acc + p * c
         return acc

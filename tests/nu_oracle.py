@@ -1,7 +1,7 @@
 """The generic Q(w) route to nu, kept as the reference the production route
-is compared against: restriction by polynomial substitution (`restrict`,
-through the chart's basis vectors), coordinates by an exact solve
-(`coefficient_in_basis`) or by the source computation's substitution
+is compared against: restriction by polynomial substitution (`substitute`,
+through the chart's basis vectors in `restrict`), coordinates by an exact
+solve (`coefficient_in_basis`) or by the source computation's substitution
 Y1 = Y2 = 1, exact elimination (`ExactMatrix.rank_and_kernel`), and the
 verdict by exact span comparison with the printed kernels.  This
 is the only replication of the source's row convention: production reads
@@ -18,16 +18,18 @@ here are the oracle's own: production restricts into no polynomial ring.
 """
 
 from functools import cache
+from itertools import product
 
 from coble import nu
 from coble.coble_forms import coble_cubic
 from coble.fields import QW, Eisenstein
-from coble.heisenberg import (COORDS, Apoint, apoint_classes_mod_sign,
+from coble.heisenberg import (COORDS, HeisenbergElement, classes_mod_sign,
                               coord_name, neg2, theta_ring)
 from coble.hesse import s_basis
 from coble.invariants import pinned_basis
-from coble.poly import NotInSpan, PolyRing
-from heisenberg_oracle import action_matrix, add2, dot, omega_pow, weil_form
+from coble.poly import NotInSpan, Polynomial, PolyRing
+from heisenberg_oracle import (action_matrix, add2, class_lift, dot,
+                               omega_pow, weil_form)
 from linalg_oracle import ExactMatrix
 
 Y_RING = PolyRing(QW, ("Y0", "Y1", "Y2"))
@@ -71,8 +73,8 @@ def _diagonal_chart(r, s):
     survivors = [b for b in COORDS if (r * b[0] + s * b[1]) % 3 == 0]
     images = tuple((survivors.index(b), 0) if b in survivors else None
                    for b in COORDS)
-    eta = Apoint((0, 0), (r, s)).canonical_mod_sign()
-    return nu.FixedPlaneChart(f"diagonal({r},{s})", images, eta=eta)
+    return nu.FixedPlaneChart(f"diagonal({r},{s})", images,
+                              lift=class_lift((0, 0), (r, s)))
 
 
 def _shift_chart(direction, u, v):
@@ -80,9 +82,9 @@ def _shift_chart(direction, u, v):
     images = tuple((k, (u * w1 + v * w2) % 3)
                    for k, (w1, w2) in (table[b] for b in COORDS))
     # The plane is fixed by lifts with translation part -direction.
-    eta = Apoint(neg2(direction), (u, v)).canonical_mod_sign()
+    lift = class_lift(neg2(direction), (u, v))
     d = f"{direction[0]}{direction[1]}"
-    return nu.FixedPlaneChart(f"shift({d},u={u},v={v})", images, eta=eta)
+    return nu.FixedPlaneChart(f"shift({d},u={u},v={v})", images, lift=lift)
 
 
 def printed_annexe_charts():
@@ -125,7 +127,7 @@ def eta_walk_charts():
     then of the 120 lift charts, all by `eta_walk_images`."""
     annexe = []
     lifts = []
-    for eta in apoint_classes_mod_sign():
+    for eta in classes_mod_sign():
         x, (u, v) = eta.x, neg2(eta.xstar)
         tag = ("diagonal({},{})".format(*eta.xstar) if x == (0, 0)
                else f"shift({x[0]}{x[1]},u={u},v={v})")
@@ -144,10 +146,7 @@ def subblock_kernel(basis=None):
     charts on the survivors, with a certified rank and kernel.  Returns the
     surviving count after each filter, the survivors' indices, and the
     subblock's rank, kernel and kernel as {label: coefficient} dicts."""
-    if basis is None:
-        labels, elements = pinned_basis(theta_ring(), 6)
-    else:
-        labels, elements = basis.labels, basis.elements
+    labels, elements = basis or pinned_basis(theta_ring(), 6)
     charts = nu.annexe_charts()
     packing = nu.packed_terms(elements)
     surviving = list(range(len(elements)))
@@ -173,7 +172,7 @@ def substitution_filter(elements):
         zero_sub = {coord_name(b): 0 for b in COORDS
                     if (r * b[0] + s * b[1]) % 3 != 0}
         surviving = [i for i in surviving
-                     if elements[i].substitute(zero_sub).is_zero()]
+                     if substitute(elements[i], zero_sub).is_zero()]
         counts.append(len(surviving))
     return counts, surviving
 
@@ -186,6 +185,39 @@ def basis_vectors(chart):
             k, j = img
             vecs[k][i] = omega_pow(j)
     return vecs
+
+
+def substitute(p, assignment, target_ring=None):
+    """Replace variables of p by polynomials (or scalars).
+
+    `assignment` maps variable names to values; unassigned variables map
+    to the variable of the same name in the target ring (defaults to p's
+    ring).
+    """
+    ring = target_ring if target_ring is not None else p.ring
+    images = []
+    for name in p.ring.varnames:
+        if name in assignment:
+            val = assignment[name]
+            if not isinstance(val, Polynomial):
+                val = ring.const(val)
+            elif val.ring != ring:
+                raise ValueError(f"image of {name} lives in the wrong ring")
+        else:
+            val = ring.var(name)
+        images.append(val)
+    result = ring.zero()
+    power_cache = [{} for _ in images]
+    for e, c in p.terms.items():
+        term = ring.const(c)
+        for i, k in enumerate(e):
+            if k:
+                powers = power_cache[i]
+                if k not in powers:
+                    powers[k] = images[i] ** k
+                term = term * powers[k]
+        result = result + term
+    return result
 
 
 def assignment(chart):
@@ -203,14 +235,14 @@ def assignment(chart):
 
 def restrict(chart, p):
     """The theta polynomial p restricted to the chart, by substitution."""
-    return p.substitute(assignment(chart), target_ring=Y_RING)
+    return substitute(p, assignment(chart), target_ring=Y_RING)
 
 
 def eta_plane_restriction(ring):
     """F_beta = coble_cubic(ring) with the Z_ij, i != 0, set to 0 by
     substitution."""
-    return coble_cubic(ring).substitute(
-        {coord_name(b): 0 for b in COORDS if b[0] != 0})
+    return substitute(coble_cubic(ring),
+                      {coord_name(b): 0 for b in COORDS if b[0] != 0})
 
 
 def eta_plane_cubic(ring, coords):
@@ -269,7 +301,7 @@ def production_coordinates(p, chart, method="sbasis"):
 def hack_rows(res):
     """The source computation's row extraction: coefficients of Y0^2, Y0^3,
     Y0^4, Y0^6 after Y1 = Y2 = 1."""
-    line = res.substitute({"Y1": 1, "Y2": 1})
+    line = substitute(res, {"Y1": 1, "Y2": 1})
     return [line.terms.get((k, 0, 0), QW.zero()) for k in (2, 3, 4, 6)]
 
 
@@ -341,28 +373,18 @@ def span_verdict(labels, kernel):
 
 def k_eta_generators(eta):
     """Two classes generating K_eta = <eta>-perp / <eta> (with respect to the
-    commutator pairing)."""
-    span_eta = {(0, 0, 0, 0)}
-    cur = eta
-    for _ in range(2):
-        span_eta.add(cur.key())
-        cur = Apoint(add2(cur.x, eta.x), add2(cur.xstar, eta.xstar))
-    perp = []
-    for x0 in range(3):
-        for x1 in range(3):
-            for u in range(3):
-                for v in range(3):
-                    a = Apoint((x0, x1), (u, v))
-                    if weil_form(a, eta) == 0:
-                        perp.append(a)
+    commutator pairing), as t = 0 elements; the class eta is given by any
+    lift.  The span walk runs on the classes' 4-tuples x + x*."""
+    key = eta.x + eta.xstar
+    generated = {tuple(m * k % 3 for k in key) for m in range(3)}
     gens = []
-    generated = set(span_eta)
-    for a in perp:
-        if a.key() in generated:
+    for a_key in product(range(3), repeat=4):
+        a = HeisenbergElement(0, a_key[:2], a_key[2:])
+        if weil_form(a, eta) or a_key in generated:
             continue
         gens.append(a)
-        generated = {tuple((k[i] + m * a.key()[i]) % 3 for i in range(4))
-                     for k in generated for m in range(3)}
+        generated = {tuple((k + m * e) % 3 for k, e in zip(g, a_key))
+                     for g in generated for m in range(3)}
         if len(gens) == 2:
             break
     return gens
@@ -398,7 +420,7 @@ def plane_action_preserves_s_span(a):
     cols = []
     for s in S_BASIS:
         try:
-            cols.append(coefficient_in_basis(s.substitute(sub), S_BASIS))
+            cols.append(coefficient_in_basis(substitute(s, sub), S_BASIS))
         except NotInSpan:
             return None
     return ExactMatrix(QW, [[cols[j][r] for j in range(4)] for r in range(4)])

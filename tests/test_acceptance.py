@@ -18,6 +18,7 @@ from coble.heisenberg import act_on_polynomial, generators, theta_ring
 
 import nu_oracle
 from hesse_oracle import cusp_orbit_check
+from invariants_oracle import distinct_orbit_sums
 from linalg_oracle import ExactMatrix
 from nu_oracle import restrict
 from properties import ALL_SUITES, run_once
@@ -52,10 +53,12 @@ def test_criterion_02_basis_reproduction():
     def body():
         ring = theta_ring()
         for degree in (3, 6):
-            basis = invariants.invariant_basis(ring, degree)
-            labels, pinned = invariants.pinned_basis(ring, degree)
-            assert basis.labels == labels
-            assert basis.elements == pinned
+            labels, elements = invariants.invariant_basis(ring, degree)
+            assert (labels, elements) == invariants.pinned_basis(ring, degree)
+            # the reference route: every distinct orbit sum is a T_i
+            sums = distinct_orbit_sums(ring, degree)
+            assert len(sums) == len(elements)
+            assert all(p in elements for p in sums)
     _criterion(2, "orbit sums reproduce the printed bases exactly", 30, body)
 
 

@@ -199,19 +199,25 @@ def test_nu_rank(capsys):
 def test_unproven_nu_rank_fails_its_checks(capsys, monkeypatch):
     # T9 - T7 is no kernel vector, so only the three annexe pairs verify and
     # the bounds do not meet (39 + 3 < 43): the certificate claims the lower
-    # bound only, with no kernel, and fails.
+    # bound only, with no kernel, and fails; with no kernel claimed, there
+    # is none to be anti-invariant.
     monkeypatch.setattr(nu, "TEXT_KERNEL_PAIRS",
                         [("T9", "T7")] + nu.ANNEXE_KERNEL_PAIRS)
     code, out, err = run(capsys, ["nu", "rank"])
     assert code == 1 and "internal error" not in err
     cert = json.loads(out)
     assert [c["name"] for c in cert["checks"] if not c["pass"]] == \
-        ["rank-nullity", "kernel dimension in {3,4}"]
+        ["rank-nullity", "kernel iota-anti-invariant",
+         "kernel dimension in {3,4}"]
     outputs = cert["outputs"]
     assert outputs["rank_certificate"]["route"] == "unproven"
     assert outputs["rank_certificate"]["kernel_vectors_verified"] == 3
     assert (outputs["rank"], outputs["kernel_dimension"]) == (39, 0)
     assert outputs["verdict"] == "neither printed kernel"
+    code, out, err = run(capsys, ["verify-all"])
+    assert code == 1 and "internal error" not in err
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] \
+        == ["nu kernel iota-anti-invariant", "nu kernel dimension in {3,4}"]
 
 
 def test_usage_error():
@@ -224,7 +230,7 @@ def test_usage_error():
     ["invariants", "dim", "--degree", "4"],
     ["invariants", "dim", "--degree", "-3"],
     ["hesse", "dual", "--lambda", "abc"],
-    # a missing value stays one, whatever follows
+    # the token after --lambda is its value, even an option's name
     ["hesse", "dual", "--lambda", "--format", "json"],
     ["hesse", "dual", "--lambda", "-x"],
     ["hesse", "dual", "--oracle-prime", "11"],
@@ -316,6 +322,12 @@ def test_lambda_size_is_bounded(capsys):
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "argument --lambda" in captured.err
+    # A negative value in its own token gets the same message as joined.
+    for argv in (["--lambda=-1e1000"], ["--lambda", "-1e1000"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["hesse", "dual", *argv])
+        assert exc.value.code == 2
+        assert f"has more than {n} digits" in capsys.readouterr().err
 
 
 def test_internal_error(capsys, monkeypatch):
@@ -428,11 +440,11 @@ def test_certificates_build_no_exact_matrix(capsys, monkeypatch, argv):
     assert all(c["pass"] for c in json.loads(out)["checks"])
 
 
-def test_cli_mix_commands_substitute_nothing(capsys, monkeypatch):
+def test_cli_mix_commands_substitute_nothing(capsys):
     # Restriction to a fixed plane is the packed read-off, for the Coble
-    # cubic as for nu's sextics.
-    monkeypatch.setattr(Polynomial, "substitute",
-                        refuse("Polynomial.substitute"))
+    # cubic as for nu's sextics: polynomial substitution is no part of the
+    # package, only of the tests' reference (`nu_oracle.substitute`).
+    assert not hasattr(Polynomial, "substitute")
     commands = cli_mix_commands()
     assert ("coble", "check") in commands
     for argv in commands:

@@ -1,9 +1,11 @@
+from itertools import product
+
 import pytest
 
 from coble.fields import QW
-from coble.heisenberg import (COORD_INDEX, COORDS, TRANSLATIONS, Apoint,
+from coble.heisenberg import (COORD_INDEX, COORDS, TRANSLATIONS,
                               HeisenbergElement, act_on_polynomial,
-                              apoint_classes_mod_sign, generators, orbit_sum,
+                              classes_mod_sign, generators, neg2, orbit_sum,
                               theta_ring, translation_getters)
 from heisenberg_oracle import (IDENTITY, action_matrix, add2, group_mul,
                                inverse, is_central, omega_pow, weil_form)
@@ -37,22 +39,27 @@ def test_center_commutators():
 
 
 def test_weil_form_nondegenerate():
-    basis = [Apoint((1, 0), (0, 0)), Apoint((0, 1), (0, 0)),
-             Apoint((0, 0), (1, 0)), Apoint((0, 0), (0, 1))]
+    basis = generators()
     # empty radical: no nonzero element pairs to zero with all of A[3]
     for key in range(1, 81):
         v = [(key // 3 ** i) % 3 for i in range(4)]
-        a = Apoint((v[0], v[1]), (v[2], v[3]))
+        a = HeisenbergElement(0, (v[0], v[1]), (v[2], v[3]))
         assert not all(weil_form(a, b) == 0 for b in basis)
     assert weil_form(basis[0], basis[2]) != weil_form(basis[2], basis[0])
 
 
-def test_apoint_classes():
-    classes = apoint_classes_mod_sign()
-    assert len(classes) == 40
-    keys = {a.key() for a in classes}
-    for a in classes:
-        assert (-a).key() not in keys or (-a).key() == a.key()
+def test_classes_mod_sign():
+    # One t = 0 element per class {eta, -eta}, the one with the smaller key
+    # x + x*, in the order of the keys: with the negatives, all 80 nonzero
+    # classes of A[3].
+    classes = classes_mod_sign()
+    keys = [g.x + g.xstar for g in classes]
+    negatives = [neg2(g.x) + neg2(g.xstar) for g in classes]
+    assert len(classes) == 40 and all(g.t_exp == 0 for g in classes)
+    assert keys == sorted(keys)
+    assert all(key < neg for key, neg in zip(keys, negatives))
+    assert sorted(keys + negatives) == [v for v in product(range(3), repeat=4)
+                                        if any(v)]
 
 
 def test_action_matrix_matches_polynomial_action():

@@ -16,6 +16,7 @@ from hesse_oracle import (ZeroGradient, cusp_orbit, cusp_orbit_check,
                           inflection_orbit, on_pencil_member, plane_orbit,
                           proj_eq)
 from linalg_oracle import ExactMatrix
+from nu_oracle import substitute
 
 RATIONALS = (0, 1, 2, -1, Fraction(7, 3), Fraction(-5, 11), Fraction(1, 2))
 
@@ -24,7 +25,7 @@ def quartics_in_gradient_ideal(lam):
     """The rank of the 18 products (partial of f_lam) * (quadric monomial)
     in the 15 quartic monomials; 15 means every quartic, so the partials
     have no common zero and f_lam is smooth."""
-    f = PENCIL.substitute({"lam": lam})
+    f = substitute(PENCIL, {"lam": lam})
     names = ("X0", "X1", "X2")
     quadrics = [X_RING.var(a) * X_RING.var(b)
                 for i, a in enumerate(names) for b in names[i:]]
@@ -54,7 +55,7 @@ def test_closed_form_examples():
 @pytest.mark.parametrize("q", RATIONALS, ids=str)
 def test_numeric_sextic_is_the_formal_one_at_q(q):
     formal = dual_sextic(Y_RING.var("lam"))
-    assert dual_sextic(q) == formal.substitute({"lam": q})
+    assert dual_sextic(q) == substitute(formal, {"lam": q})
 
 
 def test_discriminant_gives_the_closed_form():

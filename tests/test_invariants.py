@@ -9,8 +9,7 @@ from coble.heisenberg import (COORDS, act_on_polynomial, generators,
                               monomial_action, orbit_sum, theta_ring,
                               translation_getters)
 from coble.invariants import (DegreeNotDivisibleBy3, InternalCountMismatch,
-                              InvariantBasis, invariant_basis,
-                              invariant_dimension, iota_act,
+                              invariant_basis, invariant_dimension, iota_act,
                               iota_permutation, iota_split, orbit_count,
                               packed_khat_monomials,
                               packed_orbit_representatives,
@@ -81,7 +80,8 @@ def test_packed_translates_are_the_translation_table():
 
 def test_orbit_representatives_give_the_distinct_orbit_sums(ring):
     for d in (3, 6, 9):
-        sums = [orbit_sum(ring, e) for e in invariants.orbit_representatives(d)]
+        w, reps = packed_orbit_representatives(d)
+        sums = [orbit_sum(ring, unpack(e, w)) for e in reps]
         assert sums == distinct_orbit_sums(ring, d), d
 
 
@@ -96,7 +96,7 @@ def test_basis_takes_one_orbit_sum_per_orbit(ring, monkeypatch, d):
     monkeypatch.setattr(invariants, "orbit_sum", counting)
     basis = invariant_basis(ring, d)
     assert len(seeds) == invariant_dimension(d)
-    assert basis.elements == pinned_basis(ring, d)[1]
+    assert basis == pinned_basis(ring, d)
 
 
 def test_pinned_basis_builds_no_action(monkeypatch):
@@ -123,6 +123,18 @@ def test_basis_needs_one_seed_per_orbit(ring, monkeypatch, tamper, message):
         invariant_basis(ring, 3)
 
 
+def test_a_seed_is_any_member_of_a_new_orbit(ring, monkeypatch):
+    # F0's seed Z00^3 may be any of its translates; a repeated seed meets
+    # no orbit that an earlier seed left.
+    seeds, expected = invariants.F_SEEDS, pinned_basis(ring, 3)
+    monkeypatch.setattr(invariants, "F_SEEDS", [{(1, 2): 3}] + seeds[1:])
+    assert invariant_basis(ring, 3) == expected
+    monkeypatch.setattr(invariants, "F_SEEDS", seeds + seeds[3:4])
+    with pytest.raises(InternalCountMismatch,
+                       match="1 seeds have no orbit representative"):
+        invariant_basis(ring, 3)
+
+
 def test_basis_size_must_be_the_dimension(ring, monkeypatch):
     monkeypatch.setattr(invariants, "invariant_dimension", lambda d: 6)
     with pytest.raises(InternalCountMismatch, match="got 5 distinct"):
@@ -141,31 +153,29 @@ def test_khat_invariant_monomials_equal_brute_force():
 
 
 def test_pinned_basis_is_invariant(ring, basis6):
-    for p in basis6.elements:
+    for p in basis6[1]:
         for g in generators():
             assert act_on_polynomial(g, p) == p
 
 
 def test_basis_matches_pinned_table(ring, basis6):
     labels, pinned = pinned_basis(ring, 6)
-    assert basis6.labels == labels
-    assert basis6.elements == pinned
-    assert len(basis6) == 43
-    assert basis6["T2"] == pinned[1]
+    assert basis6 == (labels, pinned)
+    assert len(labels) == len(pinned) == 43 and labels[1] == "T2"
 
 
 def test_degree3_basis(ring):
-    basis = invariant_basis(ring, 3)
-    assert basis.labels == ["F0", "F1", "F2", "F3", "F4"]
-    assert len(basis["F0"].terms) == 9  # orbit of Z00^3: all nine cubes
+    labels, elements = invariant_basis(ring, 3)
+    assert labels == ["F0", "F1", "F2", "F3", "F4"]
+    assert len(elements[0].terms) == 9  # orbit of Z00^3: all nine cubes
 
 
 def test_linear_independence(ring, basis6):
-    monomials = sorted({m for p in basis6.elements for m in p.terms},
+    monomials = sorted({m for p in basis6[1] for m in p.terms},
                        key=_grlex_key)
     index = {m: i for i, m in enumerate(monomials)}
     rows = []
-    for p in basis6.elements:
+    for p in basis6[1]:
         row = [QQ.zero()] * len(monomials)
         for m, c in p.terms.items():
             row[index[m]] = c.re  # coefficients are rational integers here
@@ -174,26 +184,27 @@ def test_linear_independence(ring, basis6):
 
 
 def test_iota_is_a_basis_permutation(ring, basis6):
-    perm = iota_permutation(basis6)
+    perm = iota_permutation(basis6[1])
     assert sorted(perm) == list(range(43))
     # involution
     assert all(perm[perm[i]] == i for i in range(43))
 
 
 def test_iota_split_dimensions(ring, basis6):
-    split = iota_split(basis6)
-    assert len(split.plus_basis) == 39
-    assert len(split.minus_basis) == 4
-    for p in split.plus_basis:
+    plus, minus = iota_split(basis6[1])
+    assert len(plus) == 39
+    assert len(minus) == 4
+    for p in plus:
         assert iota_act(p) == p
-    for p in split.minus_basis:
+    for p in minus:
         assert iota_act(p) == -p
 
 
 def test_w_vectors_are_anti_invariant(ring, basis6):
+    labels, elements = basis6
     for plus, minus in (("T8", "T7"), ("T11", "T10"), ("T14", "T13"),
                         ("T17", "T16")):
-        w = basis6[plus] - basis6[minus]
+        w = elements[labels.index(plus)] - elements[labels.index(minus)]
         assert iota_act(w) == -w
 
 
@@ -208,9 +219,8 @@ def rational_rank(polys):
 
 
 def test_iota_split_equals_elimination_route(basis6):
-    split = iota_split(basis6)
-    for new, old in zip((split.plus_basis, split.minus_basis),
-                        iota_split_by_elimination(basis6)):
+    for new, old in zip(iota_split(basis6[1]),
+                        iota_split_by_elimination(basis6[1])):
         assert len(new) == len(old) == rational_rank(new)
         assert rational_rank(new + old) == len(new)
 
@@ -218,20 +228,20 @@ def test_iota_split_equals_elimination_route(basis6):
 def test_iota_split_rejects_a_non_involution(basis6, monkeypatch):
     # A repeated element makes iota_permutation send both copies to the
     # last one, which is no involution.
-    t1 = basis6["T1"]
+    t1 = basis6[1][0]
     with pytest.raises(ValueError, match="involution"):
-        iota_split(InvariantBasis(6, ["T1", "T1'"], [t1, t1]))
+        iota_split([t1, t1])
     monkeypatch.setattr(invariants, "iota_permutation",
-                        lambda basis: [1, 2, 0])
+                        lambda elements: [1, 2, 0])
     with pytest.raises(ValueError, match="involution"):
-        iota_split(InvariantBasis(6, ["T1", "T2", "T3"], basis6.elements[:3]))
+        iota_split(basis6[1][:3])
 
 
 def test_iota_split_checks_every_vector(basis6, monkeypatch):
     # Pair two elements that iota fixes: their difference is no -1 vector.
-    perm = iota_permutation(basis6)
+    perm = iota_permutation(basis6[1])
     i, j = [k for k in range(43) if perm[k] == k][:2]
     perm[i], perm[j] = j, i
-    monkeypatch.setattr(invariants, "iota_permutation", lambda basis: perm)
+    monkeypatch.setattr(invariants, "iota_permutation", lambda elements: perm)
     with pytest.raises(ValueError, match="eigenvector"):
-        iota_split(basis6)
+        iota_split(basis6[1])

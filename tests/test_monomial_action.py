@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 from coble import nu
 from coble.coble_forms import barth_quadrics, coble_cubic, coble_ring
 from coble.fields import QW, Eisenstein
-from coble.heisenberg import (COORDS, THETA_VARS, Apoint, HeisenbergElement,
-                              act_on_polynomial, monomial_action, theta_ring)
+from coble.heisenberg import (COORDS, THETA_VARS, HeisenbergElement,
+                              act_on_polynomial, monomial_action, neg2,
+                              theta_ring)
 from coble.poly import PolyRing
 from heisenberg_oracle import (action_matrix, monomial_action_by_helpers,
                                omega_pow)
-from nu_oracle import basis_vectors
+from nu_oracle import basis_vectors, substitute
 from properties import heisenberg_element
 
 _charts = nu.annexe_charts() + nu.all_lift_charts()
@@ -36,8 +37,10 @@ def matrix_fixes(chart, g):
 
 
 def lifts_of_pm_eta(chart):
-    return [HeisenbergElement(t, a.x, a.xstar)
-            for a in (chart.eta, -chart.eta) for t in range(3)]
+    x, xstar = chart.lift.x, chart.lift.xstar
+    return [HeisenbergElement(t, y, ystar)
+            for y, ystar in ((x, xstar), (neg2(x), neg2(xstar)))
+            for t in range(3)]
 
 
 def test_group_has_243_distinct_elements(group):
@@ -91,9 +94,9 @@ def test_moved_phase_is_caught():
     """A chart vector with one phase moved by w keeps its support, so only
     the exponent comparison can reject it.  The lifts translate (x != 0):
     each chart vector then runs along a cycle Z_b -> Z_{b-x} -> ..."""
-    for eta, t in ((Apoint((1, 0), (0, 1)), 2), (Apoint((0, 1), (1, 1)), 0)):
-        chart = nu.eigenspace_chart(eta, t)
-        g = HeisenbergElement(t, eta.x, eta.xstar)
+    for g in (HeisenbergElement(2, (1, 0), (0, 1)),
+              HeisenbergElement(0, (0, 1), (1, 1))):
+        chart = nu.eigenspace_chart(g)
         images = list(chart.images)
         i = next(i for i, img in enumerate(images) if img is not None)
         k, j = images[i]
@@ -107,8 +110,8 @@ def test_moved_phase_is_caught():
 def substituted(g, p):
     """g applied to p by substituting w^phase Z_target for every Z_k."""
     var = p.ring.var
-    return p.substitute({THETA_VARS[k]: omega_pow(phase) * var(THETA_VARS[t])
-                         for k, (t, phase) in enumerate(monomial_action(g))})
+    return substitute(p, {THETA_VARS[k]: omega_pow(phase) * var(THETA_VARS[t])
+                          for k, (t, phase) in enumerate(monomial_action(g))})
 
 
 def coble_ring_polynomials():

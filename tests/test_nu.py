@@ -3,7 +3,7 @@ import pytest
 from coble.fields import QW
 from coble.heisenberg import (COORDS, HeisenbergElement, monomial_action,
                               theta_ring)
-from coble.invariants import InvariantBasis, pinned_basis
+from coble.invariants import pinned_basis
 from coble.nu import (EigenspaceDimensionError, FixedPlaneChart, _nu_matrix,
                       all_lift_charts, annexe_charts, eigenspace_chart,
                       fixed_plane_charts, matching_lifts, nu_rank_and_kernel,
@@ -129,8 +129,7 @@ def test_subblock_rank_and_kernel():
 def test_subblock_filters_and_restricts_the_given_basis(basis):
     labels, elements = basis
     keep = [labels.index(t) for t in ("T1", "T7", "T8", "T9", "T10", "T11")]
-    sub = InvariantBasis(6, [labels[i] for i in keep],
-                         [elements[i] for i in keep])
+    sub = [labels[i] for i in keep], [elements[i] for i in keep]
     counts, _, rank, _, kernel_labels = subblock_kernel(basis=sub)
     assert counts == [4, 4, 4, 4]
     assert rank == 2
@@ -171,9 +170,9 @@ def test_eigenspace_charts_match_annexe(charts):
     printed = printed_annexe_charts()
     assert [c.family_tag for c in charts] == [c.family_tag for c in printed]
     for chart, table in zip(charts, printed):
-        assert chart.eta == table.eta, chart.family_tag
+        assert chart.lift == table.lift, chart.family_tag
         assert chart.images == table.images, chart.family_tag
-        assert chart.images == eigenspace_chart(chart.eta, 0).images, \
+        assert chart.images == eigenspace_chart(chart.lift).images, \
             chart.family_tag
 
 
@@ -191,27 +190,24 @@ def test_diagonal_filter_matches_zero_substitution(basis):
     assert subblock_kernel()[:2] == substitution_filter(elements)
     keep = [labels.index(t) for t in ("T1", "T2", "T7", "T8", "T9", "T20",
                                       "T30", "T43")]
-    sub = InvariantBasis(6, [labels[i] for i in keep],
-                         [elements[i] for i in keep])
+    sub = [labels[i] for i in keep], [elements[i] for i in keep]
     counts, surviving, _, _, _ = subblock_kernel(sub)
-    assert (counts, surviving) == substitution_filter(sub.elements)
+    assert (counts, surviving) == substitution_filter(sub[1])
     assert counts[0] < len(keep) and counts[-1] > 0
 
 
 def test_k_eta_action_preserves_s_span(charts):
     for chart in charts[:8] + charts[20:24]:
-        for a in k_eta_generators(chart.eta):
-            g = HeisenbergElement(0, a.x, a.xstar)
+        for g in k_eta_generators(chart.lift):
             action = induced_plane_action(chart, g)
             assert action is not None
             assert plane_action_preserves_s_span(action) is not None
 
 
 def test_eigenspace_dimension_guard():
-    from coble.heisenberg import Apoint
     # a central perturbation cannot break the construction, but a broken
     # basis vector must be caught by the eigenvector verification
-    chart = eigenspace_chart(Apoint((0, 0), (1, 0)), 1)
+    chart = eigenspace_chart(HeisenbergElement(1, (0, 0), (1, 0)))
     g = HeisenbergElement(1, (0, 0), (1, 0))
     images = list(chart.images)
     images[COORDS.index((0, 2))] = (0, 0)  # pollute the first vector

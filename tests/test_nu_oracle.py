@@ -15,7 +15,7 @@ import nu_oracle
 from coble import linalg, nu
 from coble.coble_forms import cubic_basis
 from coble.fields import QW, Eisenstein
-from coble.heisenberg import Apoint, theta_ring
+from coble.heisenberg import HeisenbergElement, theta_ring
 from coble.invariants import pinned_basis
 from coble.linalg import RANK_OMEGA, RANK_PRIME, certified_rank_and_kernel
 from coble.poly import NotInSpan
@@ -112,7 +112,7 @@ def test_target_supports_are_the_basis_forms(target, basis):
 
 
 _cubics = cubic_basis(theta_ring())
-_ETA_CHART = nu.eigenspace_chart(Apoint((0, 0), (1, 0)), 0)
+_ETA_CHART = nu.eigenspace_chart(HeisenbergElement(0, (0, 0), (1, 0)))
 
 
 def _pencil_coordinates(p, chart):
