@@ -193,8 +193,8 @@ def invariant_basis(ring, d):
         lonely += not met
     if left or lonely:
         raise InternalCountMismatch(
-            f"{lonely} seeds have no orbit representative; no seed for the "
-            f"orbit of {len(left)} of {len(reps)} representatives")
+            f"{lonely} seeds have no orbit representative" if lonely else
+            f"no seed for the orbit of {len(left)} representatives")
     expected = invariant_dimension(d)
     if len(reps) != expected:
         raise InternalCountMismatch(
