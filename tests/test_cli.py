@@ -381,6 +381,12 @@ PINNED_HASHES = [
      "1c2cb6d760cbbb6594d97ca9367e73b8a3c178ff2bc0bda79e637611b13a4a74"),
     (["invariants", "basis", "--degree", "3"],
      "6de9a58aa54a7f5c1d7231161f0d1f5ba7efde895c893c206e730e42596400b4"),
+    (["nu", "kernel", "--mode", "annexe"],
+     "f5dd96ec69fdb7df6f0b4d07066a2c0a6a66c5727144a7b0dded6ea1712860d8"),
+    (["nu", "rank", "--mode", "annexe"],
+     "6429dc360c53dcf2d892bca18c1cf4db02632f54be9980f5c612fa1192c38e12"),
+    (["nu", "rank", "--mode", "all_lifts"],
+     "b1564bbda6dd7c4d3e744bf2fe195175845381cce6f0a5091787dbae63d17a6c"),
 ]
 
 
