@@ -1,13 +1,13 @@
-"""Exact coefficient fields: Q and Q(w) with w a primitive cube root of
+"""Exact coefficient rings: Q, and Z[w] with w a primitive cube root of
 unity, plus the integer helpers the prime-field code needs (primality, square
 and cube roots mod p, Bernoulli numbers).
 
 All elements are immutable and hashable.  Rationals are plain
-``fractions.Fraction`` values.  An element of Q(w) keeps each of its two
-parts as a plain ``int`` when it is integral and as a ``Fraction`` otherwise,
-so arithmetic in Z[w] runs on ints.  The field objects below exist so that
-generic code (polynomials, matrices) can ask for zero/one and coerce scalars
-without caring which field it is working over.
+``fractions.Fraction`` values.  An element of Z[w] keeps its two parts as
+plain ``int``s, so its arithmetic runs on ints; nothing here divides in
+Q(w).  The field objects below exist so that generic code (polynomials)
+can ask for zero/one and coerce scalars without caring which ring it is
+working over.
 """
 
 from __future__ import annotations
@@ -16,21 +16,18 @@ import math
 from fractions import Fraction
 
 
-def _part(x):
-    """A rational as a plain int when it is integral, else as a Fraction."""
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 class Eisenstein:
-    """An element a + b*w of Q(w), with w**2 = -1 - w (so w**3 = 1).  Each
-    part is an int when integral and a Fraction otherwise."""
+    """An element a + b*w of Z[w], with w**2 = -1 - w (so w**3 = 1); both
+    parts are ints, and any other part raises TypeError."""
 
     __slots__ = ("re", "om")
 
     def __init__(self, re=0, om=0):
-        self.re = re if type(re) is int else _part(re)
-        self.om = om if type(om) is int else _part(om)
+        if type(re) is not int or type(om) is not int:
+            raise TypeError(f"parts of an element of Z[w] must be ints: "
+                            f"{re!r}, {om!r}")
+        self.re = re
+        self.om = om
 
     def __add__(self, other):
         other = _as_eisenstein(other)
@@ -61,27 +58,6 @@ class Eisenstein:
         return Eisenstein(a * c - b * d, a * d + b * c - b * d)
 
     __rmul__ = __mul__
-
-    def inverse(self):
-        # Norm N(a + bw) = a^2 - ab + b^2, with conjugate a + b*w^2 = (a-b) - b*w.
-        # The norm is a Fraction, so that two int parts never meet `/`.
-        a, b = self.re, self.om
-        n = Fraction(a * a - a * b + b * b)
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero in Q(w)")
-        return Eisenstein((a - b) / n, -b / n)
-
-    def __truediv__(self, other):
-        other = _as_eisenstein(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _as_eisenstein(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
 
     def __neg__(self):
         return Eisenstein(-self.re, -self.om)
@@ -120,23 +96,20 @@ class Eisenstein:
         return f"{self.re}{'+' if self.om > 0 else ''}{self.om}*w"
 
     def to_json(self):
-        return {"re": format_rational(self.re), "om": format_rational(self.om)}
+        return {"re": str(self.re), "om": str(self.om)}
 
 
 def _as_eisenstein(x):
     if isinstance(x, Eisenstein):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Eisenstein(x)
-    return NotImplemented
+    return Eisenstein(x) if type(x) is int else NotImplemented
 
 
 OMEGA = Eisenstein(0, 1)
 
 
 def zw_pair(c):
-    """An element of Q(w) as the pair (re, om); a part is an int exactly
-    when it is integral."""
+    """An element of Z[w] as the pair (re, om) of ints."""
     return c.re, c.om
 
 
@@ -192,7 +165,7 @@ class RationalField:
 
 
 class EisensteinField:
-    """Q(w), w^2 + w + 1 = 0."""
+    """Z[w], w^2 + w + 1 = 0."""
 
     def zero(self):
         return Eisenstein(0)
@@ -204,11 +177,7 @@ class EisensteinField:
         return OMEGA
 
     def coerce(self, x):
-        if isinstance(x, Eisenstein):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Eisenstein(x)
-        raise TypeError(f"cannot coerce {x!r} into QQ(w)")
+        return x if isinstance(x, Eisenstein) else Eisenstein(x)
 
     def coeff_to_json(self, c):
         return c.to_json()
@@ -217,10 +186,10 @@ class EisensteinField:
         return isinstance(other, EisensteinField)
 
     def __hash__(self):
-        return hash("QQ(w)")
+        return hash("ZZ[w]")
 
     def __repr__(self):
-        return "QQ(w)"
+        return "ZZ[w]"
 
 
 QQ = RationalField()

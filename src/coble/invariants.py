@@ -214,12 +214,12 @@ def iota_act(p):
 
 
 def iota_permutation(elements):
-    """iota maps each element to another one; return the index map."""
-    keys = {frozenset(p.terms): i for i, p in enumerate(elements)}
+    """The index map perm with iota(elements[i]) == elements[perm[i]]
+    exactly, coefficients included; raises ValueError when there is none."""
+    keys = {p: i for i, p in enumerate(elements)}
     perm = []
     for p in elements:
-        q = iota_act(p)
-        i = keys.get(frozenset(q.terms))
+        i = keys.get(iota_act(p))
         if i is None:
             raise ValueError("basis is not closed under iota")
         perm.append(i)

@@ -1,7 +1,7 @@
-"""The rank certificate of a matrix over Q(w) given as rows of (re, om)
-pairs.  Sending w to RANK_OMEGA is a ring homomorphism Z[w] -> F_p (p =
-RANK_PRIME), so the rank mod p of an integral matrix is a lower bound on
-its rank (`rank_mod_p`); candidate kernel vectors checked exactly in Z[w]
+"""The rank certificate of a matrix over Z[w] given as rows of (re, om)
+int pairs.  Sending w to RANK_OMEGA is a ring homomorphism Z[w] -> F_p (p =
+RANK_PRIME), so the rank mod p of such a matrix is a lower bound on its
+rank (`rank_mod_p`); candidate kernel vectors checked exactly in Z[w]
 give the upper bound (`certified_rank_and_kernel`).  Nothing here
 eliminates over Q(w): exact elimination is the reference in
 `tests/linalg_oracle.py`.
@@ -9,7 +9,7 @@ eliminates over Q(w): exact elimination is the reference in
 
 from __future__ import annotations
 
-from .fields import zw_mul, zw_pair
+from .fields import zw_mul
 
 # The prime of the modular rank bound and the image of w in F_p: p = 1 mod 3,
 # and RANK_OMEGA is a root of r^2 + r + 1 mod p.
@@ -54,44 +54,33 @@ def _annihilates(rows, v):
     return True
 
 
-def _is_integral(pairs):
-    return all(type(a) is int and type(b) is int for a, b in pairs)
-
-
 def certified_rank_and_kernel(rows, candidates):
-    """Rank and kernel basis of the matrix over Q(w) whose `rows` hold
-    (re, om) pairs, with a certificate of how they were obtained; the
-    candidates and the kernel are vectors of Q(w) elements.
+    """Rank and kernel basis of the matrix over Z[w] whose `rows` hold
+    (re, om) int pairs, with a certificate of how they were obtained; the
+    candidates and the kernel are vectors of such pairs.
 
-    Lower bound: for an integral matrix, rank mod p <= rank (`rank_mod_p`).
-    A part is integral when it is an int, as `zw_pair` gives every integral
-    part; this is tested once per distinct entry.  Upper bound: the
-    candidate vectors that are integral and satisfy A v = 0 exactly in Z[w]
-    are kept if they are independent (their rank mod p is their number;
-    otherwise none is kept), and give rank <= cols - #kept.  When the bounds
-    meet, the rank is proven and the kept vectors are a kernel basis (route
+    Lower bound: rank mod p <= rank (`rank_mod_p`).  Upper bound: the
+    candidate vectors that satisfy A v = 0 exactly in Z[w] are kept if they
+    are independent (their rank mod p is their number; otherwise none is
+    kept), and give rank <= cols - #kept.  When the bounds meet, the rank is
+    proven and the kept vectors are a kernel basis (route
     "modular+kernel").  Otherwise the rank returned is only the lower bound
-    (0 for a non-integral matrix) and the kernel is empty (route
-    "unproven"): no kernel is ever returned beside an unproven rank.
-    Returns (rank, kernel, certificate); the certificate gives the prime,
-    the rank mod p (None for a non-integral matrix), the number of
-    candidates kept and the route.
+    and the kernel is empty (route "unproven"): no kernel is ever returned
+    beside an unproven rank.  Returns (rank, kernel, certificate); the
+    certificate gives the prime, the rank mod p, the number of candidates
+    kept and the route.
     """
     cols = len(rows[0]) if rows else 0
     rows = list(dict.fromkeys(map(tuple, rows)))  # same rank, same kernel
-    rank_p, kernel = None, []
-    if _is_integral(set().union(*rows)):
-        vecs = [[zw_pair(x) for x in v] for v in candidates]
-        kept = [i for i, v in enumerate(vecs)
-                if _is_integral(v) and _annihilates(rows, v)]
-        if rank_mod_p(vecs[i] for i in kept) == len(kept):
-            kernel = [list(candidates[i]) for i in kept]
-        rank_p = rank_mod_p(rows, stop_at=cols - len(kernel))
+    kernel = [list(v) for v in candidates if _annihilates(rows, v)]
+    if rank_mod_p(kernel) != len(kernel):
+        kernel = []
+    rank_p = rank_mod_p(rows, stop_at=cols - len(kernel))
     verified = len(kernel)
-    if rank_p is not None and rank_p + verified == cols:
+    if rank_p + verified == cols:
         route = "modular+kernel"
     else:
         kernel, route = [], "unproven"
-    return rank_p or 0, kernel, {"prime": RANK_PRIME, "rank_mod_p": rank_p,
-                                 "kernel_vectors_verified": verified,
-                                 "route": route}
+    return rank_p, kernel, {"prime": RANK_PRIME, "rank_mod_p": rank_p,
+                            "kernel_vectors_verified": verified,
+                            "route": route}

@@ -38,9 +38,10 @@ Each distinct image mod 3 is read off once per packing (`Packing.memo`).
 
 The nu matrix is integral in Z[w], kept as rows of (re, om) int pairs up
 to its rank certificate, `linalg.certified_rank_and_kernel`, on its
-distinct rows: the rank mod a prime p = 1 mod 3 is a lower bound, the
-printed text kernel vectors that check exactly give the upper bound, and
-when the two meet the kernel is those vectors, echelon-normalized, so
+distinct rows: the rank mod a prime p = 1 mod 3 is a lower bound, and the
+vectors T_j - T_i of the 2-cycles (T_i, T_j) of iota on the columns
+(`invariants.iota_permutation`) that check exactly give the upper bound.
+When the two meet the kernel is those vectors, echelon-normalized, so
 which printed kernel it is is decided by list equality (`kernel_verdict`).
 When they do not, the kernel is empty and no printed kernel is named.
 """
@@ -49,11 +50,11 @@ from __future__ import annotations
 
 import sys
 
-from .fields import QW, zw_pair, zw_rotate
+from .fields import QW, Eisenstein, zw_pair, zw_rotate
 from .heisenberg import (THETA_VARS, HeisenbergElement, classes_mod_sign,
                          monomial_action, neg2, theta_ring)
 from .hesse import PENCIL, S_BASIS
-from .invariants import iota_act, pinned_basis
+from .invariants import iota_permutation, pinned_basis
 from .linalg import certified_rank_and_kernel
 from .poly import NotInSpan
 
@@ -368,29 +369,33 @@ def _nu_matrix(charts, packing, progress=None):
     return rows
 
 
-def _certified_kernel(charts, packing, labels, progress=None):
+def _certified_kernel(charts, labels, elements, progress=None):
     """Certified rank, kernel, kernel as {label: coefficient} dicts and rank
-    certificate of the nu matrix of `packing` on `charts` (columns `labels`),
-    with the printed text pairs as kernel candidates."""
+    certificate of the nu matrix of the columns `elements` (named `labels`)
+    on `charts`.  The kernel candidates are T_j - T_i for each 2-cycle
+    i < j of iota on the columns (`iota_permutation`), each anti-invariant
+    under iota; the printed pairs are not read."""
+    perm = iota_permutation(elements)
+    pairs = [(labels[j], labels[i]) for i, j in enumerate(perm) if i < j]
     rank, kernel, certificate = certified_rank_and_kernel(
-        _nu_matrix(charts, packing, progress),
-        candidate_vectors(labels, TEXT_KERNEL_PAIRS))
-    kernel_labels = [{labels[j]: c for j, c in enumerate(v) if c}
-                     for v in kernel]
+        _nu_matrix(charts, packed_terms(elements), progress),
+        candidate_vectors(labels, pairs))
+    kernel_labels = [{labels[j]: Eisenstein(*c) for j, c in enumerate(v)
+                      if c != ZERO} for v in kernel]
     return rank, kernel, kernel_labels, certificate
 
 
 # ----- full resolution ----------------------------------------------------
 
 def candidate_vectors(labels, pairs):
-    """Vectors T_a - T_b over the columns `labels`, for the (a_label,
-    b_label) pairs whose labels are both present."""
+    """Vectors T_a - T_b of Z[w] pairs over the columns `labels`, for the
+    (a_label, b_label) pairs whose labels are both present."""
     out = []
     for plus, minus in pairs:
         if plus in labels and minus in labels:
-            v = [QW.zero()] * len(labels)
-            v[labels.index(plus)] = QW.one()
-            v[labels.index(minus)] = -QW.one()
+            v = [ZERO] * len(labels)
+            v[labels.index(plus)] = (1, 0)
+            v[labels.index(minus)] = (-1, 0)
             out.append(v)
     return out
 
@@ -400,10 +405,11 @@ TEXT_KERNEL_PAIRS = [("T8", "T7")] + ANNEXE_KERNEL_PAIRS
 
 
 def kernel_verdict(labels, kernel):
-    """Which printed kernel `kernel` is, by list equality.  Each kernel
-    `certified_rank_and_kernel` returns (a sub-list of the printed text
-    pairs, or empty for an unproven rank) is echelon-normalized, and so is
-    each printed list: its pairs are disjoint, the larger label later."""
+    """Which printed kernel `kernel` is, by list equality; this is the one
+    place the printed pairs are read.  Each kernel `_certified_kernel`
+    returns (a sub-list of the iota pairs T_j - T_i, i < j, in the order of
+    i, or empty for an unproven rank) is echelon-normalized, and so is each
+    printed list: its pairs are disjoint, +1 at the larger label."""
     if kernel == candidate_vectors(labels, TEXT_KERNEL_PAIRS):
         return "text: rank 39, kernel {T8-T7, T11-T10, T14-T13, T17-T16}"
     if kernel == candidate_vectors(labels, ANNEXE_KERNEL_PAIRS):
@@ -414,20 +420,13 @@ def kernel_verdict(labels, kernel):
 def nu_rank_and_kernel(mode="annexe", progress=None):
     """Certified rank and kernel of the assembled nu matrix plus a report
     that resolves the rank-39 (4-element kernel) versus rank-40 (3-element
-    kernel) discrepancy, certifies iota-anti-invariance of a kernel it
-    claims (an unproven rank claims none, so that check fails) and says how
-    the rank was proven (`rank_certificate`)."""
+    kernel) discrepancy, says whether it claims an iota-anti-invariant
+    kernel (an unproven rank claims none, so that check fails) and how the
+    rank was proven (`rank_certificate`)."""
     labels, elements = pinned_basis(theta_ring(), 6)
     charts = fixed_plane_charts(mode)
     rank, kernel, kernel_labels, certificate = _certified_kernel(
-        charts, packed_terms(elements), labels, progress)
-
-    def combine(vec):
-        return sum((c * p for c, p in zip(vec, elements) if c),
-                   elements[0].ring.zero())
-
-    anti = bool(kernel) and all(iota_act(combine(v)) == -combine(v)
-                                for v in kernel)
+        charts, labels, elements, progress)
     report = {
         "mode": mode,
         "rows": 4 * len(charts),
@@ -435,7 +434,8 @@ def nu_rank_and_kernel(mode="annexe", progress=None):
         "kernel_dimension": len(kernel),
         "kernel": kernel_labels,
         "rank_nullity_ok": rank + len(kernel) == len(labels),
-        "kernel_iota_anti_invariant": anti,
+        # Every candidate T_j - T_i has iota(T_i) = T_j exactly.
+        "kernel_iota_anti_invariant": bool(kernel),
         "verdict": kernel_verdict(labels, kernel),
         "rank_certificate": certificate,
     }

@@ -13,7 +13,7 @@ from coble.fields import QQ, QW
 from coble.heisenberg import coord_name, theta_ring
 from coble.poly import PolyRing
 
-from linalg_oracle import ExactMatrix
+from linalg_oracle import QWF, ExactMatrix
 from nu_oracle import substitute
 
 YZ_VARS = ("Y0", "Y1", "Y2", "Y3", "Y4", "W1", "W2", "W3", "W4")
@@ -111,7 +111,7 @@ def steiner_matrix(z):
     """Evaluate the printed q_ij(Z) matrix at four field values z = (z1..z4).
 
     Returns (5x5 ExactMatrix over Q(w), rank, kernel generator or None)."""
-    z = [QW.coerce(v) for v in z]
+    z = [QWF.coerce(v) for v in z]
     if not any(z):
         raise ValueError("z must be a nonzero point")
     vals = {k + 1: z[k] for k in range(4)}

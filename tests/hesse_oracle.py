@@ -16,6 +16,7 @@ from fractions import Fraction
 from coble.fields import OMEGA, QW
 from coble.hesse import PENCIL, Y_RING, det3, dual_sextic, reduce_mod
 from coble.poly import PolyRing
+from linalg_oracle import QWF
 from nu_oracle import substitute
 
 X_NAMES = ("X0", "X1", "X2")
@@ -123,7 +124,7 @@ def expand(representatives, p):
 def _proj_normalize(p):
     """The point p of P^2, coordinates coerced into Q(w), scaled so that its
     first nonzero coordinate is 1."""
-    p = [QW.coerce(c) for c in p]
+    p = [QWF.coerce(c) for c in p]
     for c in p:
         if c:
             inv = c.inverse()
@@ -163,7 +164,7 @@ def _at_point(poly, point):
     """poly with X0, X1, X2 set to the Q(omega) coordinates of point: a
     polynomial in the formal lam over Q(omega)."""
     return substitute(poly, dict(zip(X_NAMES, point)),
-                      target_ring=PolyRing(QW, ("lam",)))
+                      target_ring=PolyRing(QWF, ("lam",)))
 
 
 def on_pencil_member(point):
@@ -183,7 +184,7 @@ def cusp_orbit(lam):
     """The nine cusp candidates: the plane Heisenberg orbit of the dual
     point (lam : 1 : 1); reports whether they are distinct."""
     lam = Fraction(lam)
-    base = (QW.coerce(lam), QW.one(), QW.one())
+    base = (QWF.coerce(lam), QW.one(), QW.one())
     orbit = plane_orbit(base)
     return orbit, len(orbit) == 9
 

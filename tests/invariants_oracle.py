@@ -12,7 +12,7 @@ from coble.fields import QQ
 from coble.heisenberg import COORD_INDEX, COORDS, orbit_sum
 from coble.invariants import iota_permutation
 from heisenberg_oracle import add2
-from linalg_oracle import ExactMatrix
+from linalg_oracle import QWF, ExactMatrix
 
 
 def khat_invariant_monomials(d):
@@ -98,7 +98,7 @@ def iota_split_by_elimination(elements):
         acc = elements[0].ring.zero()
         for c, p in zip(vec, elements):
             if c:
-                acc = acc + p * c
+                acc = acc + p * QWF.coerce(c)
         return acc
 
     return ([combine(v) for v in kernel(1)], [combine(v) for v in kernel(-1)])

@@ -30,7 +30,7 @@ from coble.invariants import pinned_basis
 from coble.poly import NotInSpan, Polynomial, PolyRing
 from heisenberg_oracle import (action_matrix, add2, class_lift, dot,
                                omega_pow, weil_form)
-from linalg_oracle import ExactMatrix
+from linalg_oracle import ExactMatrix, QwFraction
 
 Y_RING = PolyRing(QW, ("Y0", "Y1", "Y2"))
 S_BASIS = s_basis(Y_RING)
@@ -143,9 +143,11 @@ def subblock_kernel(basis=None):
     keep the elements whose S1..S4 coordinates on the plane are all zero
     (`nu.target_rows` checks that each whole restriction is that
     combination, so exactly those restrict to zero); then the 36 shift
-    charts on the survivors, with a certified rank and kernel.  Returns the
+    charts on the survivors, with a certified rank and kernel, whose
+    candidates come from iota's 2-cycles on the survivors.  Returns the
     surviving count after each filter, the survivors' indices, and the
-    subblock's rank, kernel and kernel as {label: coefficient} dicts."""
+    subblock's rank, kernel, kernel as {label: coefficient} dicts and rank
+    certificate."""
     labels, elements = basis or pinned_basis(theta_ring(), 6)
     charts = nu.annexe_charts()
     packing = nu.packed_terms(elements)
@@ -156,10 +158,10 @@ def subblock_kernel(basis=None):
         surviving = [i for i in surviving
                      if all(row[i] == nu.ZERO for row in rows)]
         counts.append(len(surviving))
-    rank, kernel, kernel_labels, _ = nu._certified_kernel(
-        charts[4:], nu.packed_terms([elements[i] for i in surviving]),
-        [labels[i] for i in surviving])
-    return counts, surviving, rank, kernel, kernel_labels
+    rank, kernel, kernel_labels, certificate = nu._certified_kernel(
+        charts[4:], [labels[i] for i in surviving],
+        [elements[i] for i in surviving])
+    return counts, surviving, rank, kernel, kernel_labels, certificate
 
 
 def substitution_filter(elements):
@@ -267,7 +269,13 @@ def source_rows(coords):
 
 def qw_matrix(rows):
     """The ExactMatrix over Q(w) of rows of (re, om) pairs."""
-    return ExactMatrix(QW, [[Eisenstein(*c) for c in row] for row in rows])
+    return ExactMatrix(QW, [[QwFraction(*c) for c in row] for row in rows])
+
+
+def pair_vectors(vectors):
+    """Vectors over Q(w) as vectors of (re, om) pairs, the form of the
+    certificate's kernel."""
+    return [[(c.re, c.om) for c in v] for v in vectors]
 
 
 def in_basis(coords, basis):
@@ -293,7 +301,7 @@ def source_matrix(matrix):
 def production_coordinates(p, chart, method="sbasis"):
     """The production route's coordinates of p on one chart, as Q(w): S1..S4,
     or for method "hack" the source computation's rows."""
-    coords = [Eisenstein(*c) for c in nu.chart_coordinates(
+    coords = [QwFraction(*c) for c in nu.chart_coordinates(
         chart, nu.packed_terms([p]), nu.S_TARGET)[0]]
     return source_rows(coords) if method == "hack" else coords
 
@@ -351,17 +359,18 @@ def nu_matrix(restricted, method):
 
 
 def kernel_span_equals(kernel, candidates):
-    """Do the kernel vectors span the same space as the candidate vectors?"""
+    """Do the kernel vectors span the same space as the candidate vectors?
+    Both are vectors of (re, om) pairs."""
     if len(kernel) != len(candidates):
         return False
     if not kernel:
         return True
-    joint = ExactMatrix(QW, kernel + candidates)
-    return joint.rank() == len(kernel)
+    return qw_matrix(kernel + candidates).rank() == len(kernel)
 
 
 def span_verdict(labels, kernel):
-    """The verdict of `nu.nu_rank_and_kernel`, by span comparison."""
+    """The verdict of `nu.nu_rank_and_kernel` on a kernel of pair vectors,
+    by span comparison."""
     if kernel_span_equals(kernel, nu.candidate_vectors(
             labels, nu.TEXT_KERNEL_PAIRS)):
         return "text: rank 39, kernel {T8-T7, T11-T10, T14-T13, T17-T16}"

@@ -10,17 +10,17 @@ from functools import cache
 
 from hypothesis import given, settings, strategies as st
 
-from coble.fields import QW, Eisenstein
+from coble.fields import QW
 from coble.heisenberg import HeisenbergElement, act_on_polynomial, theta_ring
 from coble.poly import PolyRing
 from heisenberg_oracle import action_matrix, group_mul, is_central, omega_pow
-from linalg_oracle import ExactMatrix
+from linalg_oracle import ExactMatrix, QwFraction
 
 CASES = settings(max_examples=200, deadline=None)
 
 small_fraction = st.builds(Fraction, st.integers(-9, 9),
                            st.integers(1, 9))
-eisenstein = st.builds(Eisenstein, small_fraction, small_fraction)
+eisenstein = st.builds(QwFraction, small_fraction, small_fraction)
 heisenberg_element = st.builds(HeisenbergElement, st.integers(0, 2),
                                st.tuples(st.integers(0, 2), st.integers(0, 2)),
                                st.tuples(st.integers(0, 2), st.integers(0, 2)))
@@ -95,7 +95,7 @@ def prop_eigenvalue_multiplicity(g):
 _matrix = st.integers(1, 6).flatmap(
     lambda rows: st.integers(1, 6).flatmap(
         lambda cols: st.lists(
-            st.lists(st.builds(Eisenstein,
+            st.lists(st.builds(QwFraction,
                                st.builds(Fraction, st.integers(-4, 4)),
                                st.builds(Fraction, st.integers(-4, 4))),
                      min_size=cols, max_size=cols),

@@ -13,13 +13,11 @@ from coble import enumerative, hesse, invariants, nu, prym
 from coble.coble_forms import (ETA_PLANE, coble_cubic, coble_ring,
                                eta_plane_coordinates, quadric_rank,
                                verify_derivative_identity)
-from coble.fields import QW
 from coble.heisenberg import act_on_polynomial, generators, theta_ring
 
 import nu_oracle
 from hesse_oracle import cusp_orbit_check
 from invariants_oracle import distinct_orbit_sums
-from linalg_oracle import ExactMatrix
 from nu_oracle import restrict
 from properties import ALL_SUITES, run_once
 
@@ -89,14 +87,17 @@ PRINTED_SUBBLOCK_KERNEL_PAIRS = [("T11", "T10"), ("T14", "T13"),
 
 
 def _span_rank(vectors):
-    return ExactMatrix(QW, vectors).rank()
+    return nu_oracle.qw_matrix(vectors).rank()
 
 
 def test_criterion_04_chart_table_replication():
     def body():
         labels, elements = invariants.pinned_basis(theta_ring(), 6)
-        counts, surviving, rank, kernel, _ = nu_oracle.subblock_kernel()
+        counts, surviving, rank, kernel, _, certificate = \
+            nu_oracle.subblock_kernel()
         assert counts == [39, 36, 33, 30]
+        assert certificate["route"] == "modular+kernel"
+        assert certificate["kernel_vectors_verified"] == 4
         survivors = [labels[i] for i in surviving]
         shift_charts = nu.annexe_charts()[4:]
         assert len(shift_charts) == 36
@@ -129,7 +130,8 @@ def test_criterion_04_chart_table_replication():
             shift_blocks = nu_oracle.annexe_restrictions()[4:]
             m = nu_oracle.nu_matrix([[block[i] for i in sub_surviving]
                                      for block in shift_blocks], "hack")
-            return (sub_counts, *m.rank_and_kernel())
+            rank, kernel = m.rank_and_kernel()
+            return sub_counts, rank, nu_oracle.pair_vectors(kernel)
 
         for method, (sub_counts, rank, kernel) in (
                 ("sbasis", (counts, rank, kernel)),

@@ -12,6 +12,8 @@ from fractions import Fraction
 from coble import cli, coble_forms, hesse, nu
 from coble.cli import COMMANDS, jsonable, main
 from coble.fields import Eisenstein
+from coble.heisenberg import theta_ring
+from coble.invariants import pinned_basis
 from coble.poly import Polynomial
 
 
@@ -197,12 +199,21 @@ def test_nu_rank(capsys):
 
 
 def test_unproven_nu_rank_fails_its_checks(capsys, monkeypatch):
-    # T9 - T7 is no kernel vector, so only the three annexe pairs verify and
-    # the bounds do not meet (39 + 3 < 43): the certificate claims the lower
+    # With the column T8 := T7 + T10 the rank stays 39, but T8 - T7 is no
+    # kernel vector, so only three of iota's four pairs verify and the
+    # bounds do not meet (39 + 3 < 43): the certificate claims the lower
     # bound only, with no kernel, and fails; with no kernel claimed, there
     # is none to be anti-invariant.
-    monkeypatch.setattr(nu, "TEXT_KERNEL_PAIRS",
-                        [("T9", "T7")] + nu.ANNEXE_KERNEL_PAIRS)
+    nu_matrix = nu._nu_matrix
+    labels = pinned_basis(theta_ring(), 6)[0]
+    j7, j8, j10 = (labels.index(t) for t in ("T7", "T8", "T10"))
+
+    def dependent(charts, packing, progress=None):
+        return [row[:j8] + [(row[j7][0] + row[j10][0],
+                             row[j7][1] + row[j10][1])] + row[j8 + 1:]
+                for row in nu_matrix(charts, packing, progress)]
+
+    monkeypatch.setattr(nu, "_nu_matrix", dependent)
     code, out, err = run(capsys, ["nu", "rank"])
     assert code == 1 and "internal error" not in err
     cert = json.loads(out)
@@ -218,6 +229,24 @@ def test_unproven_nu_rank_fails_its_checks(capsys, monkeypatch):
     assert code == 1 and "internal error" not in err
     assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] \
         == ["nu kernel iota-anti-invariant", "nu kernel dimension in {3,4}"]
+
+
+def test_printed_pairs_only_name_the_kernel(capsys, monkeypatch):
+    # The proof takes its kernel candidates from iota, not from the text: a
+    # wrong printed pair leaves the certificate proven and changes only the
+    # verdict.
+    argv = ["nu", "kernel", "--mode", "annexe"]
+    text = run_json(capsys, argv)[1]["outputs"]
+    monkeypatch.setattr(nu, "TEXT_KERNEL_PAIRS",
+                        [("T9", "T7")] + nu.ANNEXE_KERNEL_PAIRS)
+    code, cert = run_json(capsys, argv)
+    assert code == 0 and all(c["pass"] for c in cert["checks"])
+    outputs = cert["outputs"]
+    assert outputs["rank_certificate"]["route"] == "modular+kernel"
+    assert outputs["rank_certificate"]["kernel_vectors_verified"] == 4
+    assert outputs["rank"] == 39
+    assert outputs["verdict"] == "neither printed kernel"
+    assert {**outputs, "verdict": text["verdict"]} == text
 
 
 def test_usage_error():
@@ -408,12 +437,6 @@ def test_negative_fraction_after_lambda_is_its_value(capsys):
                                        if argv == joined]
 
 
-def refuse(name):
-    def refused(*args, **kwargs):
-        raise AssertionError(f"{name} called")
-    return refused
-
-
 def cli_mix_commands():
     """Every distinct argument list of the benchmark's cli-mix plans for
     seeds 1 to 3 (perfbench/workloads.py)."""
@@ -436,11 +459,15 @@ NO_ELIMINATION = [("verify-all",)] + [
 
 
 @pytest.mark.parametrize("argv", NO_ELIMINATION, ids=" ".join)
-def test_certificates_build_no_exact_matrix(capsys, monkeypatch, argv):
+def test_certificates_build_no_exact_matrix(capsys, argv):
     # No certificate divides in Q(w), so none eliminates over it: nu's rows
     # stay Z[w] pairs up to the modular rank certificate, and the cusp
-    # system is solved by Cramer's rule over Q.
-    monkeypatch.setattr(Eisenstein, "inverse", refuse("Eisenstein.inverse"))
+    # system is solved by Cramer's rule over Q.  The type says so: an
+    # element of Z[w] has int parts and no division.
+    for name in ("inverse", "__truediv__", "__rtruediv__"):
+        assert not hasattr(Eisenstein, name), name
+    with pytest.raises(TypeError):
+        Eisenstein(Fraction(1, 2))
     code, out, err = run(capsys, list(argv))
     assert code == 0 and "internal error" not in err, err
     assert all(c["pass"] for c in json.loads(out)["checks"])

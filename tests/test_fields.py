@@ -7,6 +7,7 @@ from coble.fields import (OMEGA, QQ, QW, Eisenstein, bernoulli, binomial,
                           cube_roots, format_rational, square_roots, zw_mul,
                           zw_pair, zw_rotate)
 from heisenberg_oracle import omega_pow
+from linalg_oracle import QWF, QwFraction
 from properties import prop_field_axioms, run_once, small_fraction
 
 
@@ -26,24 +27,28 @@ def test_zw_pairs_follow_eisenstein_arithmetic():
             assert Eisenstein(*zw_mul(zw_pair(x), zw_pair(y))) == x * y
         for j in range(3):
             assert Eisenstein(*zw_rotate(zw_pair(x), j)) == x * omega_pow(j)
-    assert zw_pair(Eisenstein(Fraction(1, 2))) == (Fraction(1, 2), 0)
+    with pytest.raises(TypeError):
+        Eisenstein(Fraction(1, 2))
 
+
+# Q(w) with Fraction parts and division is the tests' `QwFraction`
+# (linalg_oracle); the tests below check it, mixed with Z[w]'s Eisenstein.
 
 def test_eisenstein_arithmetic():
-    a = Eisenstein(Fraction(1, 2), Fraction(-3))
+    a = QwFraction(Fraction(1, 2), Fraction(-3))
     b = Eisenstein(2, 5)
-    assert a + b == Eisenstein(Fraction(5, 2), 2)
+    assert a + b == QwFraction(Fraction(5, 2), 2)
     # (a + b*w)(c + d*w) = ac - bd + (ad + bc - bd) w
-    assert a * b == Eisenstein(Fraction(1) + 15, Fraction(5, 2) - 6 + 15)
+    assert a * b == QwFraction(Fraction(1) + 15, Fraction(5, 2) - 6 + 15)
     assert a - a == QW.zero()
     assert (a / b) * b == a
 
 
 def test_eisenstein_inverse():
-    a = Eisenstein(3, -2)
+    a = QwFraction(3, -2)
     assert a * a.inverse() == QW.one()
     with pytest.raises(ZeroDivisionError):
-        QW.zero().inverse()
+        QWF.zero().inverse()
 
 
 # The Fraction-only reference: an element of Q(w) as a pair of Fractions,
@@ -91,7 +96,7 @@ def assert_matches_ref(x, expected):
     for part, want in zip((x.re, x.om), expected):
         assert part == want
         assert type(part) is (int if want.denominator == 1 else Fraction)
-    assert x == Eisenstein(*expected)
+    assert x == QwFraction(*expected)
     assert hash(x) == ref_hash(expected)
     assert repr(x) == ref_repr(expected)
     assert x.to_json() == {"re": format_rational(expected[0]),
@@ -99,7 +104,7 @@ def assert_matches_ref(x, expected):
 
 
 qw_part = st.one_of(st.integers(-30, 30), small_fraction)
-qw_element = st.builds(Eisenstein, qw_part, qw_part)
+qw_element = st.builds(QwFraction, qw_part, qw_part)
 
 
 @settings(max_examples=300, deadline=None)
@@ -122,19 +127,22 @@ def test_eisenstein_equals_fraction_reference(x, y, n):
 
 def test_eisenstein_inverses_of_small_norms():
     """Inverses of 2 (norm 4), w (a unit) and 1 - w (norm 3) divide exactly."""
-    for x in (Eisenstein(2), OMEGA, Eisenstein(1, -1), Eisenstein(3, 1)):
+    omega = QWF.coerce(OMEGA)
+    for x in (QwFraction(2), omega, QwFraction(1, -1), QwFraction(3, 1)):
         assert_matches_ref(x.inverse(), ref_inverse(ref(x)))
         assert x * x.inverse() == QW.one()
-    assert_matches_ref(Eisenstein(2).inverse(), (Fraction(1, 2), Fraction(0)))
-    assert_matches_ref(OMEGA.inverse(), (Fraction(-1), Fraction(-1)))
-    assert_matches_ref(Eisenstein(1, -1).inverse(),
+    assert_matches_ref(QwFraction(2).inverse(), (Fraction(1, 2), Fraction(0)))
+    assert_matches_ref(omega.inverse(), (Fraction(-1), Fraction(-1)))
+    assert_matches_ref(QwFraction(1, -1).inverse(),
                        (Fraction(2, 3), Fraction(1, 3)))
-    assert_matches_ref(Eisenstein(1, -1) / Eisenstein(1, -1), (1, 0))
-    assert_matches_ref(Eisenstein(0.5, 2.0), (Fraction(1, 2), Fraction(2)))
+    assert_matches_ref(QwFraction(1, -1) / Eisenstein(1, -1), (1, 0))
+    assert_matches_ref(QwFraction(0.5, 2.0), (Fraction(1, 2), Fraction(2)))
 
 
 def test_eisenstein_json():
-    assert Eisenstein(Fraction(1, 2), -3).to_json() == {"re": "1/2", "om": "-3"}
+    assert Eisenstein(1, -3).to_json() == {"re": "1", "om": "-3"}
+    assert QwFraction(Fraction(1, 2), -3).to_json() == {"re": "1/2",
+                                                        "om": "-3"}
 
 
 def test_rational_field():

@@ -9,13 +9,13 @@ from coble.hesse import (PENCIL, X_RING, Y_RING, SingularSystem,
                          dual_sextic,
                          dual_sextic_from_cusp_system,
                          finite_field_duality_oracle, s_basis)
-from coble.fields import QQ, QW, Eisenstein
+from coble.fields import QQ, QW
 from coble.poly import NotInSpan, PolyRing
 from hesse_oracle import (ZeroGradient, cusp_orbit, cusp_orbit_check,
                           gradient_map, hessian_determinant_at,
                           inflection_orbit, on_pencil_member, plane_orbit,
                           proj_eq)
-from linalg_oracle import ExactMatrix
+from linalg_oracle import ExactMatrix, QwFraction
 from nu_oracle import substitute
 
 RATIONALS = (0, 1, 2, -1, Fraction(7, 3), Fraction(-5, 11), Fraction(1, 2))
@@ -163,7 +163,7 @@ def test_plane_orbit_of_rational_input_is_exact():
     assert len(orbit) == 9
     assert orbit == plane_orbit(tuple(QW.coerce(c) for c in (1, 2, 3)))
     assert orbit == plane_orbit((Fraction(1, 3), Fraction(2, 3), 1))
-    assert all(type(c) is Eisenstein for pt in orbit for c in pt)
+    assert all(type(c) is QwFraction for pt in orbit for c in pt)
     assert orbit[0] == (1, 2, 3)
     with pytest.raises(ValueError):
         plane_orbit((0, 0, 0))

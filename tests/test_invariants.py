@@ -190,6 +190,16 @@ def test_iota_is_a_basis_permutation(ring, basis6):
     assert all(perm[perm[i]] == i for i in range(43))
 
 
+def test_iota_permutation_matches_coefficients(basis6):
+    # iota(T7) is T8, not 2*T8: the two share their support only, so a
+    # basis with 2*T8 in place of T8 is not closed under iota.
+    labels, elements = basis6
+    doubled = list(elements)
+    doubled[labels.index("T8")] = 2 * doubled[labels.index("T8")]
+    with pytest.raises(ValueError, match="not closed under iota"):
+        iota_permutation(doubled)
+
+
 def test_iota_split_dimensions(ring, basis6):
     plus, minus = iota_split(basis6[1])
     assert len(plus) == 39

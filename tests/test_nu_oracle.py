@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nu_oracle
-from coble import linalg, nu
+from coble import nu
 from coble.coble_forms import cubic_basis
 from coble.fields import QW, Eisenstein
 from coble.heisenberg import HeisenbergElement, theta_ring
 from coble.invariants import pinned_basis
 from coble.linalg import RANK_OMEGA, RANK_PRIME, certified_rank_and_kernel
 from coble.poly import NotInSpan
+from linalg_oracle import QwFraction
 
 METHODS = ("sbasis", "hack")
 
@@ -51,7 +52,7 @@ def test_annexe_matrix_equals_oracle(oracle, annexe_rows, method):
 
 def test_oracle_elimination_agrees_with_certificate(oracle):
     rank, kernel, report = nu.nu_rank_and_kernel()
-    assert (rank, kernel) == oracle["sbasis"].rank_and_kernel()
+    assert (rank, kernel) == _elimination(oracle["sbasis"])
     assert report["rank_certificate"]["route"] == "modular+kernel"
 
 
@@ -172,12 +173,12 @@ def test_over_degree_term_is_refused_before_packing():
 _T = dict(zip(_labels, _elements))
 _W = Eisenstein(0, 1)
 # Elements of the span of T1..T43 over Q(w), packed together: Q(w) parts
-# that are Fractions, parts above 2^64, T6 + w T7 + w^2 T8 (T6, T7, T8 share
+# that are Fractions (the tests' `QwFraction`), parts above 2^64, T6 + w T7 + w^2 T8 (T6, T7, T8 share
 # coordinates on many charts, which cancel as 1 + w + w^2 = 0), a repeated
 # element and the zero element.
 _SEVERAL = [
-    Eisenstein(Fraction(1, 3), Fraction(-2, 7)) * _T["T5"]
-    + Fraction(5, 2) * _T["T20"],
+    QwFraction(Fraction(1, 3), Fraction(-2, 7)) * _T["T5"]
+    + QwFraction(Fraction(5, 2)) * _T["T20"],
     Eisenstein(10 ** 30, -10 ** 30) * _T["T1"]
     + Eisenstein(-10 ** 30, 7) * _T["T8"] + _T["T43"],
     _T["T6"] + _W * _T["T7"] + _W * _W * _T["T8"],
@@ -197,7 +198,7 @@ def test_one_pass_restriction_of_several_elements_matches_oracle():
         assert len(coords) == len(_SEVERAL)
         for p, c, single in zip(_SEVERAL, coords, alone):
             assert c == nu.chart_coordinates(chart, single, nu.S_TARGET)[0]
-            assert [Eisenstein(*x) for x in c] == nu_oracle.coordinates(
+            assert [QwFraction(*x) for x in c] == nu_oracle.coordinates(
                 nu_oracle.restrict(chart, p), "sbasis"), chart.family_tag
             assert all(x is nu.ZERO for x in c if x == nu.ZERO)
         fractional += any(type(part) is Fraction
@@ -306,7 +307,7 @@ def test_repeated_rows_leave_the_certificate_unchanged(annexe_rows, case,
     once = certified_rank_and_kernel(distinct, _text_candidates())
     assert once[2]["route"] == route
     # Both ranks mod p are the true rank, 39; only a proven one has a kernel.
-    rank, kernel = nu_oracle.qw_matrix(distinct).rank_and_kernel()
+    rank, kernel = _elimination(nu_oracle.qw_matrix(distinct))
     assert once[:2] == (rank, kernel if route == "modular+kernel" else [])
     for repeated in (rows, distinct + distinct):
         assert certified_rank_and_kernel(repeated, _text_candidates()) == once
@@ -321,16 +322,22 @@ def _text_candidates():
     return nu.candidate_vectors(_labels, nu.TEXT_KERNEL_PAIRS)
 
 
+def _elimination(matrix):
+    """Exact elimination's rank and kernel of an ExactMatrix, the kernel as
+    pair vectors, the form of the certificate's."""
+    rank, kernel = matrix.rank_and_kernel()
+    return rank, nu_oracle.pair_vectors(kernel)
+
+
 def _unproven(result, rows, rank_mod_p, verified):
     """Check that a `certified_rank_and_kernel` result on `rows` claims only
-    the lower bound `rank_mod_p` (0 when it is None), with no kernel, and
-    that exact elimination's rank is no smaller; returns elimination's
-    (rank, kernel)."""
+    the lower bound `rank_mod_p`, with no kernel, and that exact
+    elimination's rank is no smaller; returns elimination's (rank, kernel)."""
     rank, kernel, cert = result
     assert cert == {"prime": RANK_PRIME, "rank_mod_p": rank_mod_p,
                     "kernel_vectors_verified": verified, "route": "unproven"}
-    reference = nu_oracle.qw_matrix(rows).rank_and_kernel()
-    assert kernel == [] and rank == (rank_mod_p or 0) <= reference[0]
+    reference = _elimination(nu_oracle.qw_matrix(rows))
+    assert kernel == [] and rank == rank_mod_p <= reference[0]
     return reference
 
 
@@ -374,7 +381,7 @@ def test_independent_perturbation_is_certified_by_the_annexe_kernel(
     assert cert["route"] == "modular+kernel"
     assert cert["kernel_vectors_verified"] == 3
     assert (rank, kernel) == \
-        nu_oracle.qw_matrix(perturbed).rank_and_kernel() and rank == 40
+        _elimination(nu_oracle.qw_matrix(perturbed)) and rank == 40
 
 
 def test_each_printed_vector_is_kept_on_its_own(annexe_rows):
@@ -395,7 +402,7 @@ def test_verdict_by_list_equality_agrees_with_span_comparison(annexe_rows,
         _, kernel, report = nu.nu_rank_and_kernel(mode=case)
         assert report["verdict"] == nu.kernel_verdict(_labels, kernel)
     elif case == "elimination":
-        kernel = nu_oracle.qw_matrix(annexe_rows).rank_and_kernel()[1]
+        kernel = _elimination(nu_oracle.qw_matrix(annexe_rows))[1]
     else:
         kernel = certified_rank_and_kernel(
             PERTURBATIONS[case](annexe_rows), _text_candidates())[1]
@@ -423,55 +430,28 @@ def test_rank_drop_mod_p_falls_back(entry):
     # The rank mod p, 1, undercounts the rank, 2, so the certificate falls
     # back to claiming 1 as a lower bound.
     rows = [[entry, NIL, NIL], [NIL, ONE, ONE]]
-    candidates = [[QW.zero(), -QW.one(), QW.one()]]
+    candidates = [[NIL, (-1, 0), ONE]]
     assert _unproven(certified_rank_and_kernel(rows, candidates), rows,
                      1, 1) == (2, candidates)
 
 
-@pytest.mark.parametrize("entry, rank_mod_p", [
-    ((RANK_PRIME, 0), 1),       # the prime divides it
-    ((Fraction(1, 2), 0), None),  # not integral: no modular bound
-])
-def test_prime_drop_and_rational_entries_fall_back(entry, rank_mod_p):
-    rows = [[entry, ONE], [NIL, ONE]]
+def test_prime_drop_falls_back():
+    # The prime divides the entry, so the rank mod p, 1, undercounts.
+    rows = [[(RANK_PRIME, 0), ONE], [NIL, ONE]]
     assert _unproven(certified_rank_and_kernel(rows, []), rows,
-                     rank_mod_p, 0) == (2, [])
-
-
-def test_a_late_rational_entry_falls_back():
-    # Integrality is decided over the distinct entries of all rows: one
-    # rational entry in the last row, among repeated integral ones, still
-    # leaves no modular bound.
-    rows = [[ONE, ONE, NIL], [NIL, ONE, ONE], [ONE, NIL, (Fraction(1, 3), 0)]]
-    assert _unproven(certified_rank_and_kernel(rows, []), rows,
-                     None, 0) == (3, [])
-
-
-def test_integrality_is_tested_once_per_distinct_entry(annexe_rows,
-                                                       monkeypatch):
-    scanned = []
-
-    def counting(pairs):
-        pairs = list(pairs)
-        scanned.append(len(pairs))
-        return all(type(a) is int and type(b) is int for a, b in pairs)
-
-    monkeypatch.setattr(linalg, "_is_integral", counting)
-    certified_rank_and_kernel(annexe_rows, [])
-    distinct = {x for row in annexe_rows for x in row}
-    assert scanned == [len(distinct)] and len(distinct) < 20
+                     1, 0) == (2, [])
 
 
 def test_kernel_candidates_must_annihilate():
     rows = [[ONE, ONE], [ONE, ONE]]
-    wrong = [[QW.one(), QW.one()]]
+    wrong = [[ONE, ONE]]
     assert _unproven(certified_rank_and_kernel(rows, wrong), rows,
-                     1, 0) == (1, [[-QW.one(), QW.one()]])
+                     1, 0) == (1, [[(-1, 0), ONE]])
 
 
 def test_dependent_candidates_are_all_dropped():
     # Both copies annihilate, but together they are no independent set.
     rows = [[ONE, ONE], [ONE, ONE]]
-    twice = [[-QW.one(), QW.one()]] * 2
+    twice = [[(-1, 0), ONE]] * 2
     assert _unproven(certified_rank_and_kernel(rows, twice), rows,
                      1, 0) == (1, twice[:1])
