@@ -5,7 +5,7 @@ and cube roots mod p, Bernoulli numbers).
 All elements are immutable and hashable.  Rationals are plain
 ``fractions.Fraction`` values.  An element of Z[w] keeps its two parts as
 plain ``int``s, so its arithmetic runs on ints; nothing here divides in
-Q(w).  The field objects below exist so that generic code (polynomials)
+Q(w).  The ring objects below exist so that generic code (polynomials)
 can ask for zero/one and coerce scalars without caring which ring it is
 working over.
 """

@@ -128,7 +128,7 @@ class ExactMatrix:
         """entries: list of rows; every entry is coerced into `field`, Z[w]
         (`fields.QW`) standing for its field of fractions Q(w) (`QWF`)."""
         self.field = QWF if field == QWF else field
-        self.entries = [[field.coerce(x) for x in row] for row in entries]
+        self.entries = [[self.field.coerce(x) for x in row] for row in entries]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
         for row in self.entries:

@@ -173,9 +173,9 @@ def test_over_degree_term_is_refused_before_packing():
 _T = dict(zip(_labels, _elements))
 _W = Eisenstein(0, 1)
 # Elements of the span of T1..T43 over Q(w), packed together: Q(w) parts
-# that are Fractions (the tests' `QwFraction`), parts above 2^64, T6 + w T7 + w^2 T8 (T6, T7, T8 share
-# coordinates on many charts, which cancel as 1 + w + w^2 = 0), a repeated
-# element and the zero element.
+# that are Fractions (the tests' `QwFraction`), parts above 2^64,
+# T6 + w T7 + w^2 T8 (T6, T7, T8 share coordinates on many charts, which
+# cancel as 1 + w + w^2 = 0), a repeated element and the zero element.
 _SEVERAL = [
     QwFraction(Fraction(1, 3), Fraction(-2, 7)) * _T["T5"]
     + QwFraction(Fraction(5, 2)) * _T["T20"],
