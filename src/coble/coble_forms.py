@@ -8,7 +8,7 @@ restricted to a fixed plane as the sextics are, by `nu.chart_coordinates`.
 
 from __future__ import annotations
 
-from .fields import QW, zw_pair
+from .fields import zw_pair
 from .heisenberg import HeisenbergElement, coord_name, theta_ring
 from .invariants import pinned_basis
 from .linalg import rank_mod_p
@@ -18,7 +18,7 @@ BETAS = tuple(f"beta{i}" for i in range(5))
 
 
 def coble_ring():
-    return theta_ring(extra_params=BETAS, field=QW)
+    return theta_ring(extra_params=BETAS)
 
 
 def cubic_basis(ring=None):

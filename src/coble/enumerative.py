@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .fields import bernoulli, binomial
+from .fields import bernoulli
 
 
 class NonIntegralDimension(Exception):
@@ -59,7 +59,7 @@ def dual_degree_expansion():
     coeffs = {r: 0 for r in range(9)}
     for j in range(8):
         # (2H - e)^7 term: C(7,j) (2H)^(7-j) (-e)^j
-        base = binomial(7, j) * 2 ** (7 - j) * (-1) ** j
+        base = math.comb(7, j) * 2 ** (7 - j) * (-1) ** j
         coeffs[8 - j] += 3 * base          # times 3H
         coeffs[7 - j] += -2 * base         # times -2e
     return IntersectionClass(coeffs)
@@ -89,29 +89,33 @@ def verlinde_v111(m):
     return total
 
 
-def verlinde_dimension(k, tolerance=1e-6):
+# The float sum is checked against the exact dimensions up to this level,
+# where it must lie within this relative distance of an integer.
+FLOAT_CHECK_KMAX = 12
+FLOAT_CHECK_TOLERANCE = 1e-6
+
+
+def verlinde_dimension(k):
     """dim H^0 at level k for rank 3, genus 2 by the float sum
     3 ((k+3)/8)^2 V_{1,1,1}(k+3).  Returns (float value, nearest integer);
-    integrality enforced for k <= 12.  A cross-check only: its error grows
-    with k (the rounding is off by one at k = 160)."""
+    integrality enforced for k <= FLOAT_CHECK_KMAX.  A cross-check only: its
+    error grows with k (the rounding is off by one at k = 160)."""
     if k < 0:
         raise ValueError("level must be >= 0")
     m = k + 3
     value = 3 * ((m / 8) ** 2) * verlinde_v111(m)
     nearest = round(value)
-    if k <= 12 and abs(value - nearest) > tolerance * max(1, abs(value)):
+    tolerance = FLOAT_CHECK_TOLERANCE * max(1, abs(value))
+    if k <= FLOAT_CHECK_KMAX and abs(value - nearest) > tolerance:
         raise NonIntegralDimension(f"k={k}: {value}")
     return value, nearest
-
-
-FLOAT_CHECK_KMAX = 12
 
 
 def verlinde_exact(k):
     """h^0(L^k) = C(k+8, 8) + C(k+5, 8): the theta map is a double cover of
     P^8 branched along a sextic in |O(2 delta)|, delta = 3, so
     h^0(L^k) = h^0(P^8, O(k)) + h^0(P^8, O(k - delta))."""
-    return binomial(k + 8, 8) + binomial(k + 5, 8)
+    return math.comb(k + 8, 8) + math.comb(k + 5, 8)
 
 
 def verlinde_sequence(kmax):
@@ -119,9 +123,9 @@ def verlinde_sequence(kmax):
     rounded float sum must give the same integers."""
     seq = [verlinde_exact(k) for k in range(kmax + 1)]
     for k in range(min(kmax, FLOAT_CHECK_KMAX) + 1):
-        if verlinde_dimension(k)[1] != seq[k]:
-            raise NonIntegralDimension(
-                f"k={k}: float sum {verlinde_dimension(k)[0]} != {seq[k]}")
+        value, nearest = verlinde_dimension(k)
+        if nearest != seq[k]:
+            raise NonIntegralDimension(f"k={k}: float sum {value} != {seq[k]}")
     return seq
 
 
@@ -149,7 +153,7 @@ def zagier_leading_coefficient(h):
         raise ValueError("h must be >= 1")
     total = Fraction(0)
     for r in range(h + 1):
-        total += (binomial(4 * h - 2 * r - 1, 2 * h - 1)
+        total += (math.comb(4 * h - 2 * r - 1, 2 * h - 1)
                   * bernoulli(2 * r) / math.factorial(2 * r)
                   * bernoulli(6 * h - 2 * r) / math.factorial(6 * h - 2 * r))
     return (-1) ** h * 2 ** (6 * h) * total
@@ -164,5 +168,5 @@ def theta_degree_from_zagier():
 
 def quadric_dimension_count():
     """dim of quadrics through the abelian surface: C(10,2) - 6^2 = 9."""
-    return binomial(10, 2) - 6 ** 2
+    return math.comb(10, 2) - 6 ** 2
 

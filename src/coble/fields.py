@@ -2,12 +2,11 @@
 unity, plus the integer helpers the prime-field code needs (primality, square
 and cube roots mod p, Bernoulli numbers).
 
-All elements are immutable and hashable.  Rationals are plain
+All elements are immutable and hashable.  Rationals are plain ``int`` and
 ``fractions.Fraction`` values.  An element of Z[w] keeps its two parts as
 plain ``int``s, so its arithmetic runs on ints; nothing here divides in
-Q(w).  The ring objects below exist so that generic code (polynomials)
-can ask for zero/one and coerce scalars without caring which ring it is
-working over.
+Q(w).  There are no ring objects: a coefficient's type says which ring it
+lies in, and an int lies in both.
 """
 
 from __future__ import annotations
@@ -109,8 +108,13 @@ OMEGA = Eisenstein(0, 1)
 
 
 def zw_pair(c):
-    """An element of Z[w] as the pair (re, om) of ints."""
-    return c.re, c.om
+    """An element of Z[w], an int or an Eisenstein, as the pair (re, om) of
+    its parts; any other type raises TypeError."""
+    if type(c) is int:
+        return c, 0
+    if isinstance(c, Eisenstein):
+        return c.re, c.om
+    raise TypeError(f"not an element of Z[w]: {c!r}")
 
 
 def zw_mul(x, y):
@@ -135,65 +139,6 @@ def format_rational(q):
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-class RationalField:
-    """The rationals, elements are fractions.Fraction."""
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def coerce(self, x):
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
-        raise TypeError(f"cannot coerce {x!r} into QQ")
-
-    def coeff_to_json(self, c):
-        return format_rational(c)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
-    def __repr__(self):
-        return "QQ"
-
-
-class EisensteinField:
-    """Z[w], w^2 + w + 1 = 0."""
-
-    def zero(self):
-        return Eisenstein(0)
-
-    def one(self):
-        return Eisenstein(1)
-
-    def omega(self):
-        return OMEGA
-
-    def coerce(self, x):
-        return x if isinstance(x, Eisenstein) else Eisenstein(x)
-
-    def coeff_to_json(self, c):
-        return c.to_json()
-
-    def __eq__(self, other):
-        return isinstance(other, EisensteinField)
-
-    def __hash__(self):
-        return hash("ZZ[w]")
-
-    def __repr__(self):
-        return "ZZ[w]"
-
-
-QQ = RationalField()
-QW = EisensteinField()
 
 
 def is_prime(n):
@@ -252,10 +197,6 @@ def cube_roots(p):
     return roots
 
 
-def binomial(n, k):
-    return math.comb(n, k)
-
-
 _bernoulli_cache = {0: Fraction(1)}
 
 
@@ -270,6 +211,6 @@ def bernoulli(n):
         if m not in _bernoulli_cache:
             acc = Fraction(0)
             for k in range(m):
-                acc += binomial(m + 1, k) * _bernoulli_cache[k]
+                acc += math.comb(m + 1, k) * _bernoulli_cache[k]
             _bernoulli_cache[m] = -acc / (m + 1)
     return _bernoulli_cache[n]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from operator import itemgetter, mul
 
-from .fields import QW
+from .fields import OMEGA
 from .poly import Polynomial, PolyRing
 
 COORDS = [(i, j) for i in range(3) for j in range(3)]
@@ -29,10 +29,10 @@ COORD_INDEX = {b: k for k, b in enumerate(COORDS)}
 THETA_VARS = tuple(f"Z{i}{j}" for i, j in COORDS)
 
 
-def theta_ring(extra_params=(), field=QW):
+def theta_ring(extra_params=()):
     """The standard polynomial ring in the nine theta coordinates, optionally
     extended by formal parameter variables (appended after the theta block)."""
-    return PolyRing(field, THETA_VARS + tuple(extra_params))
+    return PolyRing(THETA_VARS + tuple(extra_params))
 
 
 def coord_name(b):
@@ -114,9 +114,7 @@ def act_on_polynomial(g, p):
         source[target] = k
     move = exponent_getter(p.ring, source)
     phases = [phase for _, phase in action]
-    field = p.ring.field
-    omega = field.omega()  # requires a field containing a cube root of unity
-    powers = (field.one(), omega, omega * omega)
+    powers = (1, OMEGA, OMEGA * OMEGA)
     return Polynomial(p.ring, {move(e): c * powers[sum(map(mul, e, phases)) % 3]
                                for e, c in p.terms.items()})
 
@@ -158,6 +156,5 @@ def orbit_sum(ring, seed_exps):
               for phases in CHARACTER_PHASES)
     if s0 or s1:
         raise NotKhatInvariant(f"index sum ({s0},{s1}) != (0,0)")
-    one = ring.field.one()
-    return Polynomial(ring, {translate(seed_exps): one
+    return Polynomial(ring, {translate(seed_exps): 1
                              for translate in translation_getters(len(seed_exps))})

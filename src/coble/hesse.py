@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .fields import QQ, cube_roots, square_roots
+from .fields import cube_roots, square_roots
 from .poly import NotInSpan, PolyRing
 
 
@@ -46,9 +46,9 @@ class CounterexamplePoint(Exception):
         super().__init__(f"{message} at {point}")
 
 
-X_RING = PolyRing(QQ, ("X0", "X1", "X2", "lam"))
-Y_RING = PolyRing(QQ, ("Y0", "Y1", "Y2", "lam"))
-LINE_RING = PolyRing(QQ, ("s", "t", "Y0", "Y1", "Y2", "lam"))
+X_RING = PolyRing(("X0", "X1", "X2", "lam"))
+Y_RING = PolyRing(("Y0", "Y1", "Y2", "lam"))
+LINE_RING = PolyRing(("s", "t", "Y0", "Y1", "Y2", "lam"))
 
 
 def pencil(x0, x1, x2, lam):
@@ -102,7 +102,7 @@ def dual_coefficients_from_discriminant(cubic):
                                      if e[0] == k}) for k in (3, 2, 1, 0))
     p, q, r = b * b - 3 * a * c, b * c - 9 * a * d, c * c - 3 * b * d
     disc3 = 4 * p * r - q * q  # 3 times the discriminant
-    a1, a2, a3 = (Y_RING.from_terms({(0, 0, 0, e[3]): x / -81
+    a1, a2, a3 = (Y_RING.from_terms({(0, 0, 0, e[3]): Fraction(x, -81)
                                      for e, x in disc3.terms.items()
                                      if e[:3] == (m[0], m[1], m[2] + 6)})
                   for m in (next(iter(si.terms)) for si in S_BASIS[1:]))
@@ -148,7 +148,7 @@ def cusp_system_residuals():
     """row . a - rhs for the three printed cusp equations, with the
     closed-form coefficients a and lam formal; all must be identically
     zero."""
-    lam = PolyRing(QQ, ("lam",)).var("lam")
+    lam = PolyRing(("lam",)).var("lam")
     a = dual_coefficients(lam)
     rows, rhs = cusp_system(lam)
     return [row[0] * a[0] + row[1] * a[1] + row[2] * a[2] - b

@@ -9,7 +9,8 @@ K-orbit.
 
 from __future__ import annotations
 
-from .fields import binomial
+import math
+
 from .heisenberg import (COORD_INDEX, COORDS, exponent_getter, neg2,
                          orbit_sum)
 from .poly import Polynomial
@@ -28,8 +29,8 @@ def invariant_dimension(d):
     with c_d = C(d/3 + 2, 2)."""
     if d % 3:
         raise DegreeNotDivisibleBy3(f"degree {d} is not divisible by 3")
-    c_d = binomial(d // 3 + 2, 2)
-    total = 80 * c_d + binomial(d + 8, 8)
+    c_d = math.comb(d // 3 + 2, 2)
+    total = 80 * c_d + math.comb(d + 8, 8)
     q, r = divmod(total, 81)
     if r:
         raise InternalCountMismatch("trace-formula sum is not divisible by 81")

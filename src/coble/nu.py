@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import sys
 
-from .fields import QW, Eisenstein, zw_pair, zw_rotate
+from .fields import Eisenstein, zw_pair, zw_rotate
 from .heisenberg import (THETA_VARS, HeisenbergElement, classes_mod_sign,
                          monomial_action, neg2, theta_ring)
 from .hesse import PENCIL, S_BASIS
@@ -276,7 +276,7 @@ def packed_terms(elements):
         for b, e in enumerate(exps):
             if e:
                 columns[b][8 * t] = e
-        pair = zw_pair(QW.coerce(c))
+        pair = zw_pair(c)
         rotations.append(tuple(zw_rotate(pair, j) for j in range(3)))
     index = b"".join((i << INDEX).to_bytes(8, "little") for i, _, _ in terms)
     return Packing(len(elements),

@@ -1,6 +1,8 @@
-"""Sparse exact multivariate polynomials over a pluggable coefficient field.
+"""Sparse exact multivariate polynomials with int, Fraction or Z[w]
+(`fields.Eisenstein`) coefficients.
 
-A ring fixes an ordered tuple of variable names; monomials are dense exponent
+A ring fixes an ordered tuple of variable names and nothing else; each
+coefficient's type says which ring it lies in.  Monomials are dense exponent
 tuples keyed to that order.  Everything is immutable-by-convention and kept in
 canonical form (no zero coefficients stored), so `==` on term maps is
 polynomial equality.
@@ -8,16 +10,25 @@ polynomial equality.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import add
+
+from .fields import Eisenstein, format_rational
 
 
 class NotInSpan(Exception):
     """Raised when a polynomial does not lie in the span of a given basis."""
 
 
+def _coefficient(c):
+    """c, if it is an int, a Fraction or an Eisenstein; TypeError else."""
+    if isinstance(c, (int, Fraction, Eisenstein)):
+        return c
+    raise TypeError(f"not a coefficient: {c!r}")
+
+
 class PolyRing:
-    def __init__(self, field, varnames):
-        self.field = field
+    def __init__(self, varnames):
         self.varnames = tuple(varnames)
         self.index = {v: i for i, v in enumerate(self.varnames)}
         if len(self.index) != len(self.varnames):
@@ -28,36 +39,33 @@ class PolyRing:
         return Polynomial(self, {})
 
     def one(self):
-        return self.const(self.field.one())
+        return self.const(1)
 
     def const(self, c):
-        c = self.field.coerce(c)
-        if not c:
+        if not _coefficient(c):
             return Polynomial(self, {})
         return Polynomial(self, {(0,) * self.nvars: c})
 
     def var(self, name):
         exps = [0] * self.nvars
         exps[self.index[name]] = 1
-        return Polynomial(self, {tuple(exps): self.field.one()})
+        return Polynomial(self, {tuple(exps): 1})
 
     def from_terms(self, terms):
         out = {}
         for exps, c in terms.items():
-            c = self.field.coerce(c)
-            if c:
+            if _coefficient(c):
                 out[tuple(exps)] = c
         return Polynomial(self, out)
 
     def __eq__(self, other):
-        return (isinstance(other, PolyRing) and other.field == self.field
-                and other.varnames == self.varnames)
+        return isinstance(other, PolyRing) and other.varnames == self.varnames
 
     def __hash__(self):
-        return hash((self.field, self.varnames))
+        return hash(self.varnames)
 
     def __repr__(self):
-        return f"PolyRing({self.field}, {list(self.varnames)})"
+        return f"PolyRing({list(self.varnames)})"
 
 
 def _grlex_key(exps):
@@ -189,23 +197,23 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
     def evaluate(self, assignment):
-        """Full evaluation to a field element; every used variable must be set."""
-        field = self.ring.field
-        acc = field.zero()
+        """Full evaluation to a coefficient; every used variable must be set
+        to one."""
+        acc = 0
         for e, c in self.terms.items():
             v = c
             for i, k in enumerate(e):
                 if k:
                     name = self.ring.varnames[i]
-                    v = v * (field.coerce(assignment[name]) ** k)
+                    v = v * _coefficient(assignment[name]) ** k
             acc = acc + v
         return acc
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
-        field = self.ring.field
-        return [{"coeff": field.coeff_to_json(c), "exps": list(e)}
+        return [{"coeff": c.to_json() if isinstance(c, Eisenstein)
+                 else format_rational(c), "exps": list(e)}
                 for e, c in self.sorted_terms()]
 
     def __repr__(self):

@@ -9,11 +9,10 @@ are W1..W4 in `yz_ring`, to keep them apart from the theta names Z00..Z22.
 """
 
 from coble.coble_forms import BETAS, barth_quadrics
-from coble.fields import QQ, QW
 from coble.heisenberg import coord_name, theta_ring
 from coble.poly import PolyRing
 
-from linalg_oracle import QWF, ExactMatrix
+from linalg_oracle import ExactMatrix, qw
 from nu_oracle import substitute
 
 YZ_VARS = ("Y0", "Y1", "Y2", "Y3", "Y4", "W1", "W2", "W3", "W4")
@@ -23,7 +22,7 @@ YZ_PAIRS = [((0, 1), (0, 2)), ((1, 0), (2, 0)), ((1, 1), (2, 2)), ((1, 2), (2, 1
 
 
 def yz_ring():
-    return PolyRing(QQ, YZ_VARS + BETAS)
+    return PolyRing(YZ_VARS + BETAS)
 
 
 def yz_substitution(target):
@@ -42,7 +41,7 @@ def quadrics_in_yz():
     """Each Q_b rewritten through the Y/Z chart, over Q."""
     target = yz_ring()
     sub = yz_substitution(target)
-    quadrics = barth_quadrics(theta_ring(extra_params=BETAS, field=QQ))
+    quadrics = barth_quadrics(theta_ring(extra_params=BETAS))
     return target, {b: substitute(q, sub, target_ring=target)
                     for b, q in quadrics.items()}
 
@@ -93,10 +92,8 @@ def minus_space_restriction():
         raise SpanMismatch("Q00 restriction differs from printed row 1")
 
     monos = sorted({m for p in list(restricted.values()) + rows for m in p.terms})
-    zero = target.field.zero()
-
     def matrix(polys):
-        return ExactMatrix(QQ, [[p.terms.get(m, zero) for m in monos] for p in polys])
+        return ExactMatrix([[p.terms.get(m, 0) for m in monos] for p in polys])
 
     m_restr = matrix(list(restricted.values()))
     m_rows = matrix(rows)
@@ -111,7 +108,7 @@ def steiner_matrix(z):
     """Evaluate the printed q_ij(Z) matrix at four field values z = (z1..z4).
 
     Returns (5x5 ExactMatrix over Q(w), rank, kernel generator or None)."""
-    z = [QWF.coerce(v) for v in z]
+    z = [qw(v) for v in z]
     if not any(z):
         raise ValueError("z must be a nonzero point")
     vals = {k + 1: z[k] for k in range(4)}
@@ -120,12 +117,12 @@ def steiner_matrix(z):
         out_row = []
         for ent in row:
             if ent is None:
-                out_row.append(QW.zero())
+                out_row.append(0)
             else:
                 sgn, (a, b) = ent
                 out_row.append(sgn * vals[a] * vals[b])
         entries.append(out_row)
-    m = ExactMatrix(QW, entries)
+    m = ExactMatrix(entries)
     rank, kernel = m.rank_and_kernel()
     point = kernel[0] if rank == 4 else None
     return m, rank, point
@@ -174,11 +171,10 @@ def printed_block_span_report():
     basis_polys = [qs[b] for b in sorted(qs)]
     printed = printed_yz_block_polys(target)
     monos = sorted({m for p in basis_polys + printed for m in p.terms})
-    zero = target.field.zero()
-    base = ExactMatrix(QQ, [[p.terms.get(m, zero) for m in monos] for p in basis_polys])
+    base = ExactMatrix([[p.terms.get(m, 0) for m in monos] for p in basis_polys])
     base_rank = base.rank()
     verdicts = []
     for p in printed:
-        vec = [p.terms.get(m, zero) for m in monos]
+        vec = [p.terms.get(m, 0) for m in monos]
         verdicts.append(base.row_space_contains(vec))
     return base_rank, verdicts

@@ -7,7 +7,7 @@ the monomial action (`heisenberg.monomial_action`) and the int chart test
 through the pair helpers `add2`, `neg2` and `dot`.
 """
 
-from coble.fields import OMEGA, QW
+from coble.fields import OMEGA, Eisenstein
 from coble.heisenberg import (COORD_INDEX, COORDS, HeisenbergElement,
                               monomial_action, neg2)
 
@@ -37,7 +37,7 @@ def monomial_action_by_helpers(g):
 
 def omega_pow(k):
     """w**k for any integer k."""
-    return (QW.one(), OMEGA, OMEGA2)[k % 3]
+    return (Eisenstein(1), OMEGA, OMEGA2)[k % 3]
 
 
 def group_mul(g, h):
@@ -74,8 +74,7 @@ def weil_form(a, b):
 def action_matrix(g):
     """The 9x9 matrix of g on V = span{Z_b} over Q(w): column b carries the
     image g . Z_b."""
-    zero = QW.zero()
-    m = [[zero] * 9 for _ in range(9)]
+    m = [[0] * 9 for _ in range(9)]
     for k, (target, phase) in enumerate(monomial_action(g)):
         m[target][k] = omega_pow(phase)
-    return ExactMatrix(QW, m)
+    return ExactMatrix(m)

@@ -13,10 +13,10 @@ cusps over Q(w), which no certificate uses.
 
 from fractions import Fraction
 
-from coble.fields import OMEGA, QW
+from coble.fields import OMEGA
 from coble.hesse import PENCIL, Y_RING, det3, dual_sextic, reduce_mod
 from coble.poly import PolyRing
-from linalg_oracle import QWF
+from linalg_oracle import qw
 from nu_oracle import substitute
 
 X_NAMES = ("X0", "X1", "X2")
@@ -122,9 +122,9 @@ def expand(representatives, p):
 # ----- plane Heisenberg orbits over Q(w) -----------------------------------
 
 def _proj_normalize(p):
-    """The point p of P^2, coordinates coerced into Q(w), scaled so that its
+    """The point p of P^2, coordinates lifted into Q(w), scaled so that its
     first nonzero coordinate is 1."""
-    p = [QWF.coerce(c) for c in p]
+    p = [qw(c) for c in p]
     for c in p:
         if c:
             inv = c.inverse()
@@ -153,7 +153,7 @@ def plane_orbit(point):
 def inflection_orbit():
     """The nine inflection points of every pencil member: the plane
     Heisenberg orbit of (0 : 1 : -1), with exact Q(omega) coordinates."""
-    base = (QW.zero(), QW.one(), -QW.one())
+    base = (0, 1, -1)
     orbit = plane_orbit(base)
     if len(orbit) != 9:
         raise AssertionError(f"inflection orbit has size {len(orbit)}")
@@ -164,7 +164,7 @@ def _at_point(poly, point):
     """poly with X0, X1, X2 set to the Q(omega) coordinates of point: a
     polynomial in the formal lam over Q(omega)."""
     return substitute(poly, dict(zip(X_NAMES, point)),
-                      target_ring=PolyRing(QWF, ("lam",)))
+                      target_ring=PolyRing(("lam",)))
 
 
 def on_pencil_member(point):
@@ -183,9 +183,7 @@ def hessian_determinant_at(point):
 def cusp_orbit(lam):
     """The nine cusp candidates: the plane Heisenberg orbit of the dual
     point (lam : 1 : 1); reports whether they are distinct."""
-    lam = Fraction(lam)
-    base = (QWF.coerce(lam), QW.one(), QW.one())
-    orbit = plane_orbit(base)
+    orbit = plane_orbit((Fraction(lam), 1, 1))
     return orbit, len(orbit) == 9
 
 

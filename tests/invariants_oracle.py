@@ -8,11 +8,10 @@ de-duplicated by their term sets, and `iota_split` takes exact kernels of
 
 from fractions import Fraction
 
-from coble.fields import QQ
 from coble.heisenberg import COORD_INDEX, COORDS, orbit_sum
 from coble.invariants import iota_permutation
 from heisenberg_oracle import add2
-from linalg_oracle import QWF, ExactMatrix
+from linalg_oracle import ExactMatrix
 
 
 def khat_invariant_monomials(d):
@@ -92,13 +91,13 @@ def iota_split_by_elimination(elements):
     def kernel(sign):
         m = [[(one if perm[j] == i else zero) - sign * (one if i == j else zero)
               for j in range(n)] for i in range(n)]
-        return ExactMatrix(QQ, m).rank_and_kernel()[1]
+        return ExactMatrix(m).rank_and_kernel()[1]
 
     def combine(vec):
         acc = elements[0].ring.zero()
         for c, p in zip(vec, elements):
             if c:
-                acc = acc + p * QWF.coerce(c)
+                acc = acc + p * c
         return acc
 
     return ([combine(v) for v in kernel(1)], [combine(v) for v in kernel(-1)])

@@ -2,7 +2,9 @@
 the reference elimination that the rank certificate
 (`linalg.certified_rank_and_kernel`) and every eliminating test are
 checked against.  `coble.fields` holds Z[w] only, so Q(w), with its
-Fraction parts and its division, is defined here (`QwFraction`, `QWF`).
+Fraction parts and its division, is defined here (`QwFraction`).  A matrix
+lifts each entry by its value: an `Eisenstein` to a `QwFraction`, an int or
+a Fraction to a Fraction.
 
 Elimination is plain Gaussian elimination with exact division; the pivot in
 each column is the first (lowest-index) row with a nonzero entry, so results
@@ -12,7 +14,7 @@ free column, with entry 1 in that column.
 
 from fractions import Fraction
 
-from coble.fields import Eisenstein, EisensteinField, zw_mul
+from coble.fields import Eisenstein, zw_mul
 
 
 def _part(x):
@@ -99,36 +101,29 @@ def _lift(x):
     return NotImplemented
 
 
-class QwFractionField(EisensteinField):
-    """Q(w) with `QwFraction` elements.  It equals `fields.QW`, so their
-    polynomial rings agree; only its elements divide."""
-
-    def zero(self):
-        return QwFraction(0)
-
-    def one(self):
-        return QwFraction(1)
-
-    def coerce(self, x):
-        if isinstance(x, Eisenstein):
-            return QwFraction(x.re, x.om)
-        if isinstance(x, (int, Fraction)):
-            return QwFraction(x)
-        raise TypeError(f"cannot coerce {x!r} into QQ(w)")
-
-    def __repr__(self):
-        return "QQ(w)"
+def qw(x):
+    """x as a QwFraction: an int, a Fraction or an Eisenstein; TypeError
+    otherwise."""
+    if isinstance(x, Eisenstein):
+        return QwFraction(x.re, x.om)
+    if isinstance(x, (int, Fraction)):
+        return QwFraction(x)
+    raise TypeError(f"not an element of Q(w): {x!r}")
 
 
-QWF = QwFractionField()
+def _entry(x):
+    """x lifted by value into a field: an int or a Fraction into Q, an
+    Eisenstein into Q(w) (`qw`)."""
+    return Fraction(x) if isinstance(x, (int, Fraction)) else qw(x)
+
+
+ZERO, ONE = Fraction(0), Fraction(1)
 
 
 class ExactMatrix:
-    def __init__(self, field, entries):
-        """entries: list of rows; every entry is coerced into `field`, Z[w]
-        (`fields.QW`) standing for its field of fractions Q(w) (`QWF`)."""
-        self.field = QWF if field == QWF else field
-        self.entries = [[self.field.coerce(x) for x in row] for row in entries]
+    def __init__(self, entries):
+        """entries: list of rows, each entry lifted by value (`_entry`)."""
+        self.entries = [[_entry(x) for x in row] for row in entries]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
         for row in self.entries:
@@ -136,19 +131,16 @@ class ExactMatrix:
                 raise ValueError("ragged rows")
 
     @classmethod
-    def identity(cls, field, n):
-        one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+    def identity(cls, n):
+        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     def transpose(self):
-        return ExactMatrix(self.field, [list(col) for col in zip(*self.entries)]) \
-            if self.rows else ExactMatrix(self.field, [])
+        return ExactMatrix([list(col) for col in zip(*self.entries)])
 
     def mul_vector(self, v):
-        zero = self.field.zero()
         out = []
         for row in self.entries:
-            acc = zero
+            acc = ZERO
             for a, x in zip(row, v):
                 if a and x:
                     acc = acc + a * x
@@ -171,7 +163,7 @@ class ExactMatrix:
             if pivot_row is None:
                 continue
             m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = self.field.one() / m[r][c]
+            inv = ONE / m[r][c]
             m[r] = [inv * x for x in m[r]]
             for i in range(self.rows):
                 if i != r and m[i][c]:
@@ -189,11 +181,10 @@ class ExactMatrix:
         m, pivots = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
-        zero, one = self.field.zero(), self.field.one()
         basis = []
         for f in free:
-            v = [zero] * self.cols
-            v[f] = one
+            v = [ZERO] * self.cols
+            v[f] = ONE
             for i, c in enumerate(pivots):
                 v[c] = -m[i][f]
             basis.append(v)
@@ -201,21 +192,19 @@ class ExactMatrix:
 
     def row_space_contains(self, v):
         """Does the vector v lie in the row span of this matrix?"""
-        stacked = ExactMatrix(self.field, self.entries + [list(v)])
+        stacked = ExactMatrix(self.entries + [list(v)])
         return stacked.rank() == self.rank()
 
     def solve(self, b):
         """One exact solution x of A x = b, or None if inconsistent."""
-        aug = ExactMatrix(self.field,
-                          [row + [bi] for row, bi in zip(self.entries, b)])
+        aug = ExactMatrix([row + [bi] for row, bi in zip(self.entries, b)])
         m, pivots = aug.rref()
         if self.cols in pivots:
             return None
-        zero = self.field.zero()
-        x = [zero] * self.cols
+        x = [ZERO] * self.cols
         for i, c in enumerate(pivots):
             x[c] = m[i][self.cols]
         return x
 
     def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols} over {self.field})"
+        return f"ExactMatrix({self.rows}x{self.cols})"

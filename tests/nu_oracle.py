@@ -22,7 +22,7 @@ from itertools import product
 
 from coble import nu
 from coble.coble_forms import coble_cubic
-from coble.fields import QW, Eisenstein
+from coble.fields import Eisenstein
 from coble.heisenberg import (COORDS, HeisenbergElement, classes_mod_sign,
                               coord_name, neg2, theta_ring)
 from coble.hesse import s_basis
@@ -30,9 +30,9 @@ from coble.invariants import pinned_basis
 from coble.poly import NotInSpan, Polynomial, PolyRing
 from heisenberg_oracle import (action_matrix, add2, class_lift, dot,
                                omega_pow, weil_form)
-from linalg_oracle import ExactMatrix, QwFraction
+from linalg_oracle import ExactMatrix, QwFraction, qw
 
-Y_RING = PolyRing(QW, ("Y0", "Y1", "Y2"))
+Y_RING = PolyRing(("Y0", "Y1", "Y2"))
 S_BASIS = s_basis(Y_RING)
 _y0, _y1, _y2 = (Y_RING.var(f"Y{k}") for k in range(3))
 # The forms of the Hesse pencil, sum Y^3 and Y0Y1Y2.
@@ -181,7 +181,7 @@ def substitution_filter(elements):
 
 def basis_vectors(chart):
     """The chart's three 9-long coefficient vectors over Q(w)."""
-    vecs = [[QW.zero()] * 9 for _ in range(3)]
+    vecs = [[0] * 9 for _ in range(3)]
     for i, img in enumerate(chart.images):
         if img is not None:
             k, j = img
@@ -269,13 +269,13 @@ def source_rows(coords):
 
 def qw_matrix(rows):
     """The ExactMatrix over Q(w) of rows of (re, om) pairs."""
-    return ExactMatrix(QW, [[QwFraction(*c) for c in row] for row in rows])
+    return ExactMatrix([[QwFraction(*c) for c in row] for row in rows])
 
 
 def pair_vectors(vectors):
     """Vectors over Q(w) as vectors of (re, om) pairs, the form of the
     certificate's kernel."""
-    return [[(c.re, c.om) for c in v] for v in vectors]
+    return [[(c.re, c.om) for c in map(qw, v)] for v in vectors]
 
 
 def in_basis(coords, basis):
@@ -295,7 +295,7 @@ def source_matrix(matrix):
         cols = [source_rows([row[j] for row in block])
                 for j in range(matrix.cols)]
         rows.extend([col[r] for col in cols] for r in range(4))
-    return ExactMatrix(QW, rows)
+    return ExactMatrix(rows)
 
 
 def production_coordinates(p, chart, method="sbasis"):
@@ -310,18 +310,16 @@ def hack_rows(res):
     """The source computation's row extraction: coefficients of Y0^2, Y0^3,
     Y0^4, Y0^6 after Y1 = Y2 = 1."""
     line = substitute(res, {"Y1": 1, "Y2": 1})
-    return [line.terms.get((k, 0, 0), QW.zero()) for k in (2, 3, 4, 6)]
+    return [line.terms.get((k, 0, 0), 0) for k in (2, 3, 4, 6)]
 
 
 def coefficient_in_basis(p, basis):
     """Exact coordinates of p in the span of the polynomials `basis`, by an
     exact solve on their monomial coefficients; raises NotInSpan when p is
     outside the span."""
-    zero = p.ring.field.zero()
     monomials = sorted(set(p.terms).union(*(b.terms for b in basis)))
-    mat = ExactMatrix(p.ring.field, [[b.terms.get(m, zero) for b in basis]
-                                     for m in monomials])
-    x = mat.solve([p.terms.get(m, zero) for m in monomials])
+    mat = ExactMatrix([[b.terms.get(m, 0) for b in basis] for m in monomials])
+    x = mat.solve([p.terms.get(m, 0) for m in monomials])
     if x is None:
         raise NotInSpan("polynomial is not in the span of the basis")
     return x
@@ -332,7 +330,7 @@ def coordinates(res, method):
     if method == "hack":
         return hack_rows(res)
     if res.is_zero():
-        return [QW.zero()] * 4
+        return [0] * 4
     return coefficient_in_basis(res, S_BASIS)
 
 
@@ -355,7 +353,7 @@ def nu_matrix(restricted, method):
     for block in restricted:
         cols = [coordinates(res, method) for res in block]
         rows.extend([col[r] for col in cols] for r in range(4))
-    return ExactMatrix(QW, rows)
+    return ExactMatrix(rows)
 
 
 def kernel_span_equals(kernel, candidates):
@@ -403,7 +401,7 @@ def induced_plane_action(chart, g):
     """The exact 3x3 matrix A with g . v_k = sum_m A[m][k] v_m when g maps
     the chart plane to itself; None otherwise."""
     vecs = basis_vectors(chart)
-    b = ExactMatrix(QW, [[vecs[k][i] for k in range(3)] for i in range(9)])
+    b = ExactMatrix([[vecs[k][i] for k in range(3)] for i in range(9)])
     m = action_matrix(g)
     cols = []
     for v in vecs:
@@ -411,7 +409,7 @@ def induced_plane_action(chart, g):
         if c is None:
             return None
         cols.append(c)
-    return ExactMatrix(QW, [[cols[k][r] for k in range(3)] for r in range(3)])
+    return ExactMatrix([[cols[k][r] for k in range(3)] for r in range(3)])
 
 
 def plane_action_preserves_s_span(a):
@@ -432,4 +430,4 @@ def plane_action_preserves_s_span(a):
             cols.append(coefficient_in_basis(substitute(s, sub), S_BASIS))
         except NotInSpan:
             return None
-    return ExactMatrix(QW, [[cols[j][r] for j in range(4)] for r in range(4)])
+    return ExactMatrix([[cols[j][r] for j in range(4)] for r in range(4)])

@@ -4,7 +4,7 @@ from coble.coble_forms import (BARTH_TABLE, BETAS, ETA_PLANE, barth_quadrics,
                                coble_cubic, coble_ring, cubic_basis,
                                eta_plane_coordinates, quadric_rank,
                                verify_derivative_identity)
-from coble.fields import QQ, QW
+from coble.fields import OMEGA
 from coble.heisenberg import (COORDS, HeisenbergElement, act_on_polynomial,
                               coord_name, generators, neg2, theta_ring)
 from coble.invariants import F_SEEDS
@@ -30,7 +30,7 @@ def test_cubic_term_counts(ring):
     assert len(basis[0].terms) == 9
     for f in basis[1:]:
         assert len(f.terms) == 3
-        assert all(c == QW.coerce(3) for c in f.terms.values())
+        assert all(c == 3 for c in f.terms.values())
     f_beta = coble_cubic(ring)
     assert len(f_beta.terms) == 9 + 4 * 3
 
@@ -111,8 +111,8 @@ def exact_quadric_rank(qs):
     """The rank over Q(w) of the quadrics' coefficient rows."""
     polys = [qs[b] for b in sorted(qs)]
     monos = sorted({m for p in polys for m in p.terms})
-    return ExactMatrix(QW, [[p.terms.get(m, QW.zero()) for m in monos]
-                            for p in polys]).rank()
+    return ExactMatrix([[p.terms.get(m, 0) for m in monos]
+                        for p in polys]).rank()
 
 
 def test_quadric_rank(ring):
@@ -125,7 +125,7 @@ def test_quadric_rank(ring):
     first, second = sorted(qs)[:2]
     repeated = dict(qs)
     repeated[second] = qs[first]
-    w = QW.omega()
+    w = OMEGA
     mixed = dict(qs)
     mixed[first] = qs[first] + w * qs[second]
     mixed[second] = w * mixed[first]
@@ -137,7 +137,7 @@ def test_quadric_rank(ring):
 def test_quadrics_in_yz_equal_term_by_term_rewrite():
     """The Y/Z quadrics equal the nine printed quadrics built term by term
     over Q from BARTH_TABLE and then substituted."""
-    ring = theta_ring(extra_params=BETAS, field=QQ)
+    ring = theta_ring(extra_params=BETAS)
     target = yz_ring()
     sub = yz_substitution(target)
     expected = {}
@@ -167,15 +167,13 @@ def test_steiner_degenerate_point():
 def test_steiner_rank_four_point():
     m, rank, point = steiner_matrix((1, 1, 1, 1))
     assert rank == 4
-    assert m.mul_vector(point) == [QW.zero()] * 5
-    assert [c / point[4] for c in point] == \
-        [QW.coerce(c) for c in (3, -3, 1, 1, 1)]
+    assert m.mul_vector(point) == [0] * 5
+    assert [c / point[4] for c in point] == [3, -3, 1, 1, 1]
 
 
 def test_steiner_scaling_invariance():
     _, rank1, p1 = steiner_matrix((1, 1, 1, 1))
-    from coble.fields import OMEGA
-    _, rank2, p2 = steiner_matrix(tuple(OMEGA * QW.one() for _ in range(4)))
+    _, rank2, p2 = steiner_matrix((OMEGA,) * 4)
     assert rank1 == rank2 == 4
     # kernel unchanged under scaling z by omega (entries scale by omega^2)
     assert [c / p2[4] for c in p2] == [c / p1[4] for c in p1]

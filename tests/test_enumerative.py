@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from coble.enumerative import (HARDCODED_TABLE, IntersectionClass,
+from coble.enumerative import (FLOAT_CHECK_KMAX, HARDCODED_TABLE,
+                               IntersectionClass,
                                NonIntegralDimension,
                                derived_intersection_table, dual_degree_computation,
                                dual_degree_expansion, finite_differences,
@@ -74,6 +75,23 @@ def test_verlinde_float_cross_check_is_live(monkeypatch):
     assert verlinde_sequence(11) == [exact(k) for k in range(12)]
     with pytest.raises(NonIntegralDimension):
         verlinde_sequence(12)
+
+
+def test_verlinde_sequence_sums_each_checked_level_once(monkeypatch):
+    """One float sum per level k <= FLOAT_CHECK_KMAX, none above, and a
+    failing level reports the float it already summed."""
+    v111, exact = verlinde_v111, verlinde_exact
+    calls = []
+    monkeypatch.setattr("coble.enumerative.verlinde_v111",
+                        lambda m: calls.append(m) or v111(m))
+    verlinde_sequence(FLOAT_CHECK_KMAX + 5)
+    assert calls == [k + 3 for k in range(FLOAT_CHECK_KMAX + 1)]
+    calls.clear()
+    monkeypatch.setattr("coble.enumerative.verlinde_exact",
+                        lambda k: exact(k) + (k == FLOAT_CHECK_KMAX))
+    with pytest.raises(NonIntegralDimension, match="float sum"):
+        verlinde_sequence(FLOAT_CHECK_KMAX)
+    assert calls == [k + 3 for k in range(FLOAT_CHECK_KMAX + 1)]
 
 
 def test_theta_degree_from_verlinde():

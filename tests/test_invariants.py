@@ -1,10 +1,10 @@
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
 from coble import heisenberg, invariants
 from coble.cli import DEGREE_MAX
-from coble.fields import QQ
 from coble.heisenberg import (COORDS, act_on_polynomial, generators,
                               monomial_action, orbit_sum, theta_ring,
                               translation_getters)
@@ -176,11 +176,11 @@ def test_linear_independence(ring, basis6):
     index = {m: i for i, m in enumerate(monomials)}
     rows = []
     for p in basis6[1]:
-        row = [QQ.zero()] * len(monomials)
+        row = [0] * len(monomials)
         for m, c in p.terms.items():
-            row[index[m]] = c.re  # coefficients are rational integers here
+            row[index[m]] = c
         rows.append(row)
-    assert ExactMatrix(QQ, rows).rank() == 43
+    assert ExactMatrix(rows).rank() == 43
 
 
 def test_iota_is_a_basis_permutation(ring, basis6):
@@ -223,9 +223,9 @@ def rational_rank(polys):
     monomials = sorted({m for p in polys for m in p.terms})
     rows = []
     for p in polys:
-        assert all(c.om == 0 for c in p.terms.values())
-        rows.append([p.terms[m].re if m in p.terms else 0 for m in monomials])
-    return ExactMatrix(QQ, rows).rank()
+        assert all(isinstance(c, (int, Fraction)) for c in p.terms.values())
+        rows.append([p.terms.get(m, 0) for m in monomials])
+    return ExactMatrix(rows).rank()
 
 
 def test_iota_split_equals_elimination_route(basis6):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from coble import nu
 from coble.coble_forms import barth_quadrics, coble_cubic, coble_ring
-from coble.fields import QW, Eisenstein
+from coble.fields import Eisenstein
 from coble.heisenberg import (COORDS, THETA_VARS, HeisenbergElement,
                               act_on_polynomial, monomial_action, neg2,
                               theta_ring)
@@ -60,7 +60,7 @@ def test_monomial_action_agrees_with_matrix_and_polynomial(group):
         assert sorted(target for target, _ in action) == list(range(9))
         for k, (target, phase) in enumerate(action):
             assert [m.entries[i][k] for i in range(9)] == \
-                [omega_pow(phase) if i == target else QW.zero() for i in range(9)]
+                [omega_pow(phase) if i == target else 0 for i in range(9)]
             image = act_on_polynomial(g, ring.var(THETA_VARS[k]))
             assert image == omega_pow(phase) * ring.var(THETA_VARS[target])
 
@@ -138,7 +138,7 @@ def test_polynomial_action_equals_substitution(group):
 
 
 def test_polynomial_action_needs_the_theta_block_first():
-    ring = PolyRing(QW, ("beta0",) + THETA_VARS)
+    ring = PolyRing(("beta0",) + THETA_VARS)
     with pytest.raises(ValueError):
         act_on_polynomial(HeisenbergElement(0, (1, 0), (0, 0)),
                           ring.var("Z00"))

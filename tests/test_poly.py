@@ -3,7 +3,11 @@ from math import comb
 
 import pytest
 
-from coble.fields import OMEGA, QQ, QW
+from coble import hesse
+from coble.coble_forms import barth_quadrics, coble_cubic
+from coble.fields import OMEGA, Eisenstein
+from coble.heisenberg import theta_ring
+from coble.invariants import pinned_basis
 from coble.poly import NotInSpan, Polynomial, PolyRing
 from nu_oracle import coefficient_in_basis, substitute
 from properties import prop_euler_homogeneous, prop_leibniz, run_once
@@ -11,7 +15,7 @@ from properties import prop_euler_homogeneous, prop_leibniz, run_once
 
 @pytest.fixture
 def ring():
-    return PolyRing(QQ, ("x", "y"))
+    return PolyRing(("x", "y"))
 
 
 def test_arithmetic(ring):
@@ -63,11 +67,50 @@ def test_substitute_and_evaluate(ring):
 
 
 def test_substitute_across_rings():
-    src = PolyRing(QW, ("a", "b"))
-    dst = PolyRing(QW, ("b", "c"))
+    src = PolyRing(("a", "b"))
+    dst = PolyRing(("b", "c"))
     p = src.var("a") * 2 + src.var("b")
     q = substitute(p, {"a": dst.var("c") * OMEGA}, target_ring=dst)
     assert q == 2 * OMEGA * dst.var("c") + dst.var("b")
+
+
+@pytest.mark.parametrize("ring", [theta_ring(), hesse.X_RING],
+                         ids=["theta", "hesse"])
+def test_coefficients_keep_their_type_and_refuse_others(ring):
+    # A coefficient is an int, a Fraction or an Eisenstein, kept as given;
+    # a float, a str or anything else raises TypeError.
+    e = (0,) * (ring.nvars - 1) + (1,)
+    p = ring.var(ring.varnames[0])
+    for c in (1, Fraction(1, 2), OMEGA):
+        assert ring.from_terms({e: c}).terms == {e: c}
+        assert type(ring.const(c).terms[(0,) * ring.nvars]) is type(c)
+    assert type(ring.one().terms[(0,) * ring.nvars]) is int
+    assert all(type(c) is int for c in (3 * p + 1).terms.values())
+    for refused in (lambda: p + 0.5, lambda: 0.5 + p, lambda: p * "x",
+                    lambda: ring.const(1.5), lambda: ring.const(None),
+                    lambda: ring.from_terms({e: 0.5})):
+        with pytest.raises(TypeError):
+            refused()
+
+
+def test_production_coefficients_are_exact():
+    # A float compares equal to an int and renders the same through
+    # format_rational, so neither an identity check nor a certificate hash
+    # would notice one (an int / int in the discriminant route makes them).
+    polys = {
+        "PENCIL": [hesse.PENCIL],
+        "S_BASIS": hesse.S_BASIS,
+        "dual_sextic(2/3)": [hesse.dual_sextic(Fraction(2, 3))],
+        "discriminant route": list(hesse.dual_coefficients_from_discriminant(
+            hesse.pencil)),
+        "coble_cubic": [coble_cubic()],
+        "barth_quadrics": list(barth_quadrics().values()),
+        "pinned_basis(6)": pinned_basis(theta_ring(), 6)[1],
+    }
+    for name, ps in polys.items():
+        assert ps and all(p.terms for p in ps), name
+        kinds = {type(c) for p in ps for c in p.terms.values()}
+        assert kinds <= {int, Fraction, Eisenstein}, (name, kinds)
 
 
 def test_graded_lex_order(ring):
