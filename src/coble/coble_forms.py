@@ -3,7 +3,8 @@ and rank, and F_beta's coordinates on a fixed plane.
 
 Coordinates here are the theta variables Z00..Z22 (written X_b in degree-3
 sources; same thing) with five formal parameters beta0..beta4.  F_beta is
-restricted to a fixed plane as the sextics are, by `nu.chart_coordinates`.
+restricted to a fixed plane as the sextics are, by `nu.target_rows` on
+F0..F4 packed in the Hesse pencil's basis (`nu.PENCIL_TARGET`).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from .fields import zw_pair
 from .heisenberg import HeisenbergElement, coord_name, theta_ring
 from .invariants import pinned_basis
 from .linalg import rank_mod_p
-from .nu import PENCIL_TARGET, chart_coordinates, eigenspace_chart, packed_terms
+from .nu import PENCIL_TARGET, eigenspace_chart, packed_terms, target_rows
 
 BETAS = tuple(f"beta{i}" for i in range(5))
 
@@ -21,19 +22,19 @@ def coble_ring():
     return theta_ring(extra_params=BETAS)
 
 
-def cubic_basis(ring=None):
+def cubic_basis(ring):
     """F0..F4 as the *literal* printed sums over all nine translates:
     F_i = sum_b X_b X_{mu+b} X_{-mu+b}.  Each is its orbit sum (the pinned
     basis) times the order 9 / #terms of its stabilizer: for i >= 1 that is
     3, so each distinct monomial has coefficient 3; this is exactly what
     makes dF_beta/dX_b = 3 Q_b an identity."""
     return [9 // len(f.terms) * f
-            for f in pinned_basis(ring or coble_ring(), 3)[1]]
+            for f in pinned_basis(ring, 3)[1]]
 
 
-def coble_cubic(ring=None):
-    """F_beta = beta0*F0 + ... + beta4*F4."""
-    ring = ring or coble_ring()
+def coble_cubic():
+    """F_beta = beta0*F0 + ... + beta4*F4, in `coble_ring()`."""
+    ring = coble_ring()
     acc = ring.zero()
     for i, f in enumerate(cubic_basis(ring)):
         acc = acc + ring.var(f"beta{i}") * f
@@ -55,9 +56,9 @@ BARTH_TABLE = {
 }
 
 
-def barth_quadrics(ring=None):
-    """The nine quadrics as a dict b -> polynomial (5 terms each)."""
-    ring = ring or coble_ring()
+def barth_quadrics():
+    """The nine quadrics of `coble_ring()`, a dict b -> Q_b (5 terms each)."""
+    ring = coble_ring()
     out = {}
     for b, rows in BARTH_TABLE.items():
         q = ring.zero()
@@ -67,13 +68,12 @@ def barth_quadrics(ring=None):
     return out
 
 
-def verify_derivative_identity(f, quadrics=None):
+def verify_derivative_identity(f, quadrics):
     """dF_beta/dZ_b = 3 Q_b for all b, and sum_b Z_b Q_b = F_beta, for the
-    Coble cubic f = coble_cubic(ring) and its quadrics = barth_quadrics(ring).
+    Coble cubic f = coble_cubic() and its quadrics = barth_quadrics().
 
     Returns a dict of residual polynomials (all zero on success)."""
     ring = f.ring
-    quadrics = quadrics or barth_quadrics(ring)
     residuals = {}
     acc = euler = ring.zero()
     for b, q in quadrics.items():
@@ -87,25 +87,26 @@ def verify_derivative_identity(f, quadrics=None):
 
 
 # F_beta restricted to the plane Z_ij = 0 (i != 0) as printed, beta0 sum Y^3 +
-# 3 beta1 Y0Y1Y2: the pencil coordinates of F0..F4, as Z[w] pairs.
-ETA_PLANE = [[(1, 0), (0, 0)], [(0, 0), (3, 0)]] + [[(0, 0), (0, 0)]] * 3
+# 3 beta1 Y0Y1Y2: the sum Y^3 and Y0Y1Y2 rows of F0..F4, as Z[w] pairs.
+ETA_PLANE = [[(1, 0)] + [(0, 0)] * 4, [(0, 0), (3, 0)] + [(0, 0)] * 3]
 
 
 def eta_plane_coordinates():
-    """F0..F4 read off that plane, the chart of the lift (0, 00, 10), which
-    sends Z0j to Yj; raises NotInSpan for a restriction off the pencil."""
+    """The pencil rows of F0..F4 read off that plane, the chart of the lift
+    (0, 00, 10), which sends Z0j to Yj (`nu.target_rows`); raises NotInSpan
+    for a restriction off the pencil."""
     chart = eigenspace_chart(HeisenbergElement(0, (0, 0), (1, 0)))
-    return chart_coordinates(chart, packed_terms(cubic_basis(theta_ring())),
-                             PENCIL_TARGET)
+    return target_rows(chart, packed_terms(cubic_basis(theta_ring()),
+                                           PENCIL_TARGET))
 
 
-def quadric_rank(qs=None):
-    """Rank of the nine Q_b (`barth_quadrics`) as a linear system (beta
-    formal), taken mod p (`linalg.rank_mod_p`); the coefficients must lie
-    in Z[w].  That is a lower bound on the rank over Q(w), and exact when it
-    equals the number of quadrics, 9: the one value that `coble check` and
-    `enum quadric-count` compare with."""
-    qs = qs or barth_quadrics()
+def quadric_rank(qs):
+    """Rank of the quadrics `qs` (a dict b -> Q_b, as `barth_quadrics`
+    gives) as a linear system (beta formal), taken mod p
+    (`linalg.rank_mod_p`); the coefficients must lie in Z[w].  That is a
+    lower bound on the rank over Q(w), and exact when it equals the number
+    of quadrics, 9: the one value that `coble check` and `enum
+    quadric-count` compare with."""
     polys = [qs[b] for b in sorted(qs)]
     monos = sorted({m for p in polys for m in p.terms})
     return rank_mod_p([[zw_pair(p.terms[m]) if m in p.terms else (0, 0)

@@ -44,25 +44,16 @@ def derived_intersection_table():
     return table
 
 
-class IntersectionClass:
-    """A degree-8 class sum c_r * H^r e^(8-r), r = 0..8."""
-
-    def __init__(self, coefficients):
-        self.coefficients = dict(coefficients)
-
-    def evaluate(self, table):
-        return sum(c * table[r] for r, c in self.coefficients.items())
-
-
 def dual_degree_expansion():
-    """Expand (3H - 2e)(2H - e)^7 into an IntersectionClass."""
+    """Expand (3H - 2e)(2H - e)^7 into its coefficients {r: c_r} of the
+    degree-8 classes H^r e^(8-r), r = 0..8."""
     coeffs = {r: 0 for r in range(9)}
     for j in range(8):
         # (2H - e)^7 term: C(7,j) (2H)^(7-j) (-e)^j
         base = math.comb(7, j) * 2 ** (7 - j) * (-1) ** j
         coeffs[8 - j] += 3 * base          # times 3H
         coeffs[7 - j] += -2 * base         # times -2e
-    return IntersectionClass(coeffs)
+    return coeffs
 
 
 def dual_degree_computation():
@@ -72,7 +63,7 @@ def dual_degree_computation():
     if table != HARDCODED_TABLE:
         raise ValueError(f"derived table {table} differs from the frozen "
                          f"{HARDCODED_TABLE}")
-    return dual_degree_expansion().evaluate(table)
+    return sum(c * table[r] for r, c in dual_degree_expansion().items())
 
 
 # ----- Verlinde ------------------------------------------------------------

@@ -101,6 +101,8 @@ class Eisenstein:
 def _as_eisenstein(x):
     if isinstance(x, Eisenstein):
         return x
+    if type(x) is Fraction and x.denominator == 1:  # it lies in Z[w]
+        x = x.numerator
     return Eisenstein(x) if type(x) is int else NotImplemented
 
 

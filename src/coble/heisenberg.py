@@ -138,13 +138,6 @@ CHARACTER_PHASES = tuple(tuple(phase for _, phase in
                          for xstar in ((1, 0), (0, 1)))
 
 
-def translation_getters(n):
-    """The nine translations as itemgetters on n-long exponent tuples (theta
-    block first); parameter exponents after the theta block pass through."""
-    tail = tuple(range(9, n))
-    return [itemgetter(*perm, *tail) for perm in TRANSLATIONS]
-
-
 def orbit_sum(ring, seed_exps):
     """Sum of the distinct K-translates of a seed monomial, coefficient 1.
 
@@ -156,5 +149,5 @@ def orbit_sum(ring, seed_exps):
               for phases in CHARACTER_PHASES)
     if s0 or s1:
         raise NotKhatInvariant(f"index sum ({s0},{s1}) != (0,0)")
-    return Polynomial(ring, {translate(seed_exps): 1
-                             for translate in translation_getters(len(seed_exps))})
+    return Polynomial(ring, {exponent_getter(ring, perm)(seed_exps): 1
+                             for perm in TRANSLATIONS})

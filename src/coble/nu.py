@@ -7,9 +7,10 @@ Chart conventions
 One constructor, `eigenspace_chart(g)`, builds every chart: an adapted
 basis of the fixed plane of a lift g = (t, x, x*) of a nonzero class
 eta = (x, x*) of A[3] mod +-, one vector per cycle of g's `monomial_action`
-whose phases close up.  Mode "all_lifts" charts all three lifts of all 40
-classes (120 charts).  Mode "annexe" charts the t = 0 lift of each class
-(40 charts) under the Annexe's names, in their order:
+whose phases close up.  `fixed_plane_charts(mode)` lists them.  Mode
+"all_lifts" charts all three lifts of all 40 classes (120 charts).  Mode
+"annexe" charts the t = 0 lift of each class (40 charts) under the
+Annexe's names, in their order:
 * 4 "diagonal" charts diagonal(r,s), x = 0 and x* = (r,s): the coordinates
   Z_ij with r*i + s*j != 0 mod 3 vanish on the plane; the three survivors
   become Y0, Y1, Y2 in row-major order.
@@ -28,9 +29,11 @@ slot per term, and with one int weight per Z_b (Y_k and j in bit fields)
 the sum of columns times weights is every term's image, whose w field
 picks its Z[w] coefficient times w^j (`target_rows`).  This is the one
 restriction to a fixed plane, read in a `Target` basis with disjoint
-monomial supports: a slot map sends each (element, target monomial) to an
-accumulator, each coordinate is read at its form's first monomial, and
-list-slice comparisons check every restriction against its combination.
+monomial supports that is fixed when the list is packed
+(`packed_terms(elements, target)`): a slot map, laid out once per packing,
+sends each (element, target monomial) to an accumulator, each coordinate
+is read at its form's first monomial, and list-slice comparisons check
+every restriction against its combination.
 The sextics are read in S1 = sum Y_i^6, S2 = sum Y_i^3 Y_j^3,
 S3 = Y0 Y1 Y2 * sum Y_i^3, S4 = Y0^2 Y1^2 Y2^2 (`S_TARGET`), the Coble
 cubic's F0..F4 in the Hesse pencil's sum Y^3, Y0Y1Y2 (`PENCIL_TARGET`).
@@ -68,27 +71,13 @@ class FixedPlaneChart:
     coordinate in `COORDS` order, None when it vanishes on the plane, else
     (k, j) with Z_b -> w^j * Y_k; `lift` is the g it is built from."""
 
-    def __init__(self, family_tag, images, lift=None):
+    def __init__(self, family_tag, images, lift):
         self.family_tag = family_tag
         self.images = images
         self.lift = lift
 
     def __repr__(self):
         return f"FixedPlaneChart({self.family_tag})"
-
-
-def annexe_charts():
-    """The 40 charts of the Annexe, in the order of their names: the chart
-    of the t = 0 lift of each class, named diagonal(r,s) when x = 0 and
-    x* = (r,s), else shift(x0x1,u=u,v=v) with (u, v) = -x*."""
-    charts = []
-    for g in classes_mod_sign():
-        chart = eigenspace_chart(g)
-        x, (u, v) = g.x, neg2(g.xstar)
-        chart.family_tag = ("diagonal({},{})".format(*g.xstar) if x == (0, 0)
-                            else f"shift({x[0]}{x[1]},u={u},v={v})")
-        charts.append(chart)
-    return sorted(charts, key=lambda chart: chart.family_tag)
 
 
 def eigenspace_chart(g):
@@ -145,18 +134,25 @@ def _verify_eigenvectors(chart, action):
             f"basis vector of {chart.family_tag} is not fixed by its lift")
 
 
-def all_lift_charts():
-    """120 charts: every nonzero class mod +- with each of its 3 lifts."""
-    return [eigenspace_chart(HeisenbergElement(t, g.x, g.xstar))
-            for g in classes_mod_sign() for t in range(3)]
-
-
-def fixed_plane_charts(mode="annexe"):
-    if mode == "annexe":
-        return annexe_charts()
+def fixed_plane_charts(mode):
+    """The charts of `mode`.  "all_lifts": 120 charts, every nonzero class
+    mod +- with each of its 3 lifts.  "annexe": the 40 charts of the
+    Annexe, in the order of their names: the chart of the t = 0 lift of
+    each class, named diagonal(r,s) when x = 0 and x* = (r,s), else
+    shift(x0x1,u=u,v=v) with (u, v) = -x*."""
     if mode == "all_lifts":
-        return all_lift_charts()
-    raise ValueError(f"unknown mode {mode!r}")
+        return [eigenspace_chart(HeisenbergElement(t, g.x, g.xstar))
+                for g in classes_mod_sign() for t in range(3)]
+    if mode != "annexe":
+        raise ValueError(f"unknown mode {mode!r}")
+    charts = []
+    for g in classes_mod_sign():
+        chart = eigenspace_chart(g)
+        x, (u, v) = g.x, neg2(g.xstar)
+        chart.family_tag = ("diagonal({},{})".format(*g.xstar) if x == (0, 0)
+                            else f"shift({x[0]}{x[1]},u={u},v={v})")
+        charts.append(chart)
+    return sorted(charts, key=lambda chart: chart.family_tag)
 
 
 def matching_lifts(charts):
@@ -218,43 +214,38 @@ PENCIL_TARGET = Target("sum Y^3, Y0Y1Y2",
 
 class Packing:
     """The terms of `count` theta polynomials, packed for restriction to any
-    chart: `columns[b]` holds each term's exponent of Z_b in the term's
-    slot, `index` its element's index in the INDEX field, and `rotations`
-    its Z[w] coefficient times 1, w, w^2 as pairs."""
+    chart and read in `target`: `columns[b]` holds each term's exponent of
+    Z_b in the term's slot, `index` its element's index in the INDEX field,
+    and `rotations` its Z[w] coefficient times 1, w, w^2 as pairs.  The
+    `size` accumulators lie in one block of `count` per target monomial:
+    `slot_map` sends a slot's key to its accumulator, `firsts` holds each
+    form's block at its first monomial and `checks` (block, first block)
+    for every other monomial."""
 
-    def __init__(self, count, columns, index, rotations):
+    def __init__(self, count, columns, index, rotations, target):
         self.count = count
         self.columns = columns
         self.index = index
         self.rotations = rotations
-        self.layouts = {}
+        self.target = target
         self.memo = {}
-
-    def layout(self, target):
-        """Where `target`'s coordinates accumulate, built once per target:
-        one block of `count` accumulators per target monomial, in the order
-        of `target.keys`.  Returns the slot map (a slot's key -> its
-        accumulator), the number of accumulators, each form's block at its
-        first monomial, and (block, first block) for every other monomial."""
-        if target not in self.layouts:
-            n = self.count
-            slot_map, firsts, checks, q = {}, [], [], 0
-            for support in target.keys:
-                first = slice(q * n, q * n + n)
-                firsts.append(first)
-                for key in support:
-                    block = slice(q * n, q * n + n)
-                    if block != first:
-                        checks.append((block, first))
-                    slot_map.update((e << INDEX | key, q * n + e)
-                                    for e in range(n))
-                    q += 1
-            self.layouts[target] = slot_map, q * n, firsts, checks
-        return self.layouts[target]
+        self.slot_map, self.firsts, self.checks, q = {}, [], [], 0
+        for support in target.keys:
+            first = slice(q * count, q * count + count)
+            self.firsts.append(first)
+            for key in support:
+                block = slice(q * count, q * count + count)
+                if block != first:
+                    self.checks.append((block, first))
+                self.slot_map.update((e << INDEX | key, q * count + e)
+                                     for e in range(count))
+                q += 1
+        self.size = q * count
 
 
-def packed_terms(elements):
-    """Every term of the theta polynomials `elements`, packed (`Packing`).
+def packed_terms(elements, target):
+    """Every term of the theta polynomials `elements`, packed to be read in
+    `target` (`Packing`).
     Raises ValueError, before any packing, when there are more elements
     than the INDEX field numbers or a term's degree could overflow a
     field."""
@@ -281,17 +272,17 @@ def packed_terms(elements):
     index = b"".join((i << INDEX).to_bytes(8, "little") for i, _, _ in terms)
     return Packing(len(elements),
                    [int.from_bytes(col, "little") for col in columns],
-                   int.from_bytes(index, "little"), rotations)
+                   int.from_bytes(index, "little"), rotations, target)
 
 
-def target_rows(chart, packing, target):
-    """Per form of `target`, the coordinate as a Z[w] pair of every element
-    of `packing` restricted to the chart.  Z_b -> w^j Y_k weighs a 1 in
+def target_rows(chart, packing):
+    """Per form of `packing.target`, the coordinate as a Z[w] pair of every
+    element of `packing` restricted to the chart.  Z_b -> w^j Y_k weighs a 1 in
     Y_k's field plus j in the w field, and VANISH if Z_b is 0, so all of the
     terms' images come from one sum of columns times weights.  Raises
     NotInSpan unless each restriction is exactly the combination of the
     target's forms read at their first monomials.  The rows are read off
-    once per target and slot images with w fields mod 3 (`packing.memo`),
+    once per packing and slot images with w fields mod 3 (`packing.memo`),
     so charts with equal images share row lists, which no caller mutates."""
     weight = [VANISH if img is None else (1 << FIELD * img[0]) + (img[1] << PHASE)
               for img in chart.images]
@@ -299,16 +290,16 @@ def target_rows(chart, packing, target):
                  packing.index)
     raw = bytearray(images.to_bytes(8 * len(packing.rotations), sys.byteorder))
     raw[W_BYTE::8] = raw[W_BYTE::8].translate(MOD3)
-    key = target, bytes(raw)
+    key = bytes(raw)
     if key in packing.memo:
         return packing.memo[key]
-    slots = memoryview(key[1]).cast("Q")
+    slots = memoryview(key).cast("Q")
     if sys.byteorder == "big":  # the native bytes put the last slot first
         slots = slots[::-1]
-    slot_map, size, firsts, checks = packing.layout(target)
-    re, om = [0] * size, [0] * size
+    checks = packing.checks
+    re, om = [0] * packing.size, [0] * packing.size
     outside = {}
-    accumulator = slot_map.get
+    accumulator = packing.slot_map.get
     for v, rotations in zip(slots, packing.rotations):
         i = accumulator(v & KEY_MASK)
         if i is not None:
@@ -322,10 +313,11 @@ def target_rows(chart, packing, target):
     if any(c != ZERO for c in outside.values()) or any(
             re[block] != re[first] or om[block] != om[first]
             for block, first in checks):
-        raise NotInSpan(_span_failure(re, om, outside, checks, target.name))
+        raise NotInSpan(_span_failure(re, om, outside, checks,
+                                      packing.target.name))
     pairs = {ZERO: ZERO}
     rows = []
-    for first in firsts:
+    for first in packing.firsts:
         row = list(zip(re[first], om[first]))
         rows.append(list(map(pairs.setdefault, row, row)))
     packing.memo[key] = rows
@@ -345,20 +337,14 @@ def _span_failure(re, om, outside, checks, name):
     return f"restriction {failed[min(failed)]} {name}"
 
 
-def chart_coordinates(chart, packing, target):
-    """The `target` coordinates, as Z[w] pairs, of each element of `packing`
-    restricted to the chart (see `target_rows`)."""
-    return [list(c) for c in zip(*target_rows(chart, packing, target))]
-
-
-def _nu_matrix(charts, packing, progress=None):
+def _nu_matrix(charts, packing, progress):
     """The restriction matrix as rows of Z[w] pairs: per chart, four rows
     holding the S1..S4 coordinates of every element of `packing`, and to
     `progress` whether the chart was read off or reused (`target_rows`)."""
     rows, start = [], len(packing.memo)
     for ci, chart in enumerate(charts):
         known = len(packing.memo)
-        rows.extend(target_rows(chart, packing, S_TARGET))
+        rows.extend(target_rows(chart, packing))
         if progress:
             how = "read off" if len(packing.memo) > known else "reused"
             progress(f"chart {ci + 1}/{len(charts)} ({chart.family_tag}): "
@@ -369,7 +355,7 @@ def _nu_matrix(charts, packing, progress=None):
     return rows
 
 
-def _certified_kernel(charts, labels, elements, progress=None):
+def _certified_kernel(charts, labels, elements, progress):
     """Certified rank, kernel, kernel as {label: coefficient} dicts and rank
     certificate of the nu matrix of the columns `elements` (named `labels`)
     on `charts`.  The kernel candidates are T_j - T_i for each 2-cycle
@@ -378,7 +364,7 @@ def _certified_kernel(charts, labels, elements, progress=None):
     perm = iota_permutation(elements)
     pairs = [(labels[j], labels[i]) for i, j in enumerate(perm) if i < j]
     rank, kernel, certificate = certified_rank_and_kernel(
-        _nu_matrix(charts, packed_terms(elements), progress),
+        _nu_matrix(charts, packed_terms(elements, S_TARGET), progress),
         candidate_vectors(labels, pairs))
     kernel_labels = [{labels[j]: Eisenstein(*c) for j, c in enumerate(v)
                       if c != ZERO} for v in kernel]
@@ -417,12 +403,13 @@ def kernel_verdict(labels, kernel):
     return "neither printed kernel"
 
 
-def nu_rank_and_kernel(mode="annexe", progress=None):
+def nu_rank_and_kernel(progress, mode="annexe"):
     """Certified rank and kernel of the assembled nu matrix plus a report
     that resolves the rank-39 (4-element kernel) versus rank-40 (3-element
     kernel) discrepancy, says whether it claims an iota-anti-invariant
     kernel (an unproven rank claims none, so that check fails) and how the
-    rank was proven (`rank_certificate`)."""
+    rank was proven (`rank_certificate`).  `progress`, None or a callable,
+    is told how each chart was read (`_nu_matrix`)."""
     labels, elements = pinned_basis(theta_ring(), 6)
     charts = fixed_plane_charts(mode)
     rank, kernel, kernel_labels, certificate = _certified_kernel(

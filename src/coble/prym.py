@@ -29,14 +29,6 @@ class IntMatrix2:
     def __init__(self, a, b, c, d):
         self.rows = ((a, b), (c, d))
 
-    @classmethod
-    def identity(cls):
-        return cls(1, 0, 0, 1)
-
-    @classmethod
-    def zero(cls):
-        return cls(0, 0, 0, 0)
-
     def __mul__(self, other):
         (a, b), (c, d) = self.rows
         (e, f), (g, h) = other.rows
@@ -77,7 +69,8 @@ class IntMatrix2:
 T = IntMatrix2(0, -1, 1, -1)
 J_TILDE = IntMatrix2(1, -1, 0, -1)
 J = -(J_TILDE * T * T)
-I2 = IntMatrix2.identity()
+I2 = IntMatrix2(1, 0, 0, 1)
+ZERO2 = IntMatrix2(0, 0, 0, 0)
 
 
 def dihedral_identities():
@@ -89,7 +82,7 @@ def dihedral_identities():
         "Jtilde^2 = I": J_TILDE * J_TILDE == I2,
         "J = [[0,-1],[-1,0]]": J == IntMatrix2(0, -1, -1, 0),
         "T J = J T^2": T * J == J * T * T,
-        "T^2 + T + I = 0": T * T + T + I2 == IntMatrix2.zero(),
+        "T^2 + T + I = 0": T * T + T + I2 == ZERO2,
     }
 
 
@@ -141,7 +134,7 @@ def polarization_beta_solve():
         raise NonUnique("constraint is vacuous")
     beta = solutions
     phi = phi_matrix(beta)
-    if residual(beta) != IntMatrix2.zero():
+    if residual(beta) != ZERO2:
         raise NoSolution(f"beta = {beta} leaves a nonzero residual")
     kernel = {v for v in _three_torsion()
               if phi.apply(v)[0] % 3 == 0 and phi.apply(v)[1] % 3 == 0}

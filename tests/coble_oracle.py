@@ -9,7 +9,7 @@ are W1..W4 in `yz_ring`, to keep them apart from the theta names Z00..Z22.
 """
 
 from coble.coble_forms import BETAS, barth_quadrics
-from coble.heisenberg import coord_name, theta_ring
+from coble.heisenberg import coord_name
 from coble.poly import PolyRing
 
 from linalg_oracle import ExactMatrix, qw
@@ -41,7 +41,7 @@ def quadrics_in_yz():
     """Each Q_b rewritten through the Y/Z chart, over Q."""
     target = yz_ring()
     sub = yz_substitution(target)
-    quadrics = barth_quadrics(theta_ring(extra_params=BETAS))
+    quadrics = barth_quadrics()
     return target, {b: substitute(q, sub, target_ring=target)
                     for b, q in quadrics.items()}
 

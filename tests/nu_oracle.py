@@ -87,7 +87,7 @@ def _shift_chart(direction, u, v):
     return nu.FixedPlaneChart(f"shift({d},u={u},v={v})", images, lift=lift)
 
 
-def printed_annexe_charts():
+def printed_charts():
     """The 40 charts as the Annexe prints them: diagonals, then shift
     families with (u, v) row-major."""
     charts = [_diagonal_chart(r, s) for r, s in DIAGONAL_RS]
@@ -149,18 +149,18 @@ def subblock_kernel(basis=None):
     subblock's rank, kernel, kernel as {label: coefficient} dicts and rank
     certificate."""
     labels, elements = basis or pinned_basis(theta_ring(), 6)
-    charts = nu.annexe_charts()
-    packing = nu.packed_terms(elements)
+    charts = nu.fixed_plane_charts("annexe")
+    packing = nu.packed_terms(elements, nu.S_TARGET)
     surviving = list(range(len(elements)))
     counts = []
     for chart in charts[:4]:
-        rows = nu.target_rows(chart, packing, nu.S_TARGET)
+        rows = nu.target_rows(chart, packing)
         surviving = [i for i in surviving
                      if all(row[i] == nu.ZERO for row in rows)]
         counts.append(len(surviving))
     rank, kernel, kernel_labels, certificate = nu._certified_kernel(
         charts[4:], [labels[i] for i in surviving],
-        [elements[i] for i in surviving])
+        [elements[i] for i in surviving], None)
     return counts, surviving, rank, kernel, kernel_labels, certificate
 
 
@@ -240,20 +240,21 @@ def restrict(chart, p):
     return substitute(p, assignment(chart), target_ring=Y_RING)
 
 
-def eta_plane_restriction(ring):
-    """F_beta = coble_cubic(ring) with the Z_ij, i != 0, set to 0 by
+def eta_plane_restriction():
+    """F_beta = coble_cubic() with the Z_ij, i != 0, set to 0 by
     substitution."""
-    return substitute(coble_cubic(ring),
+    return substitute(coble_cubic(),
                       {coord_name(b): 0 for b in COORDS if b[0] != 0})
 
 
-def eta_plane_cubic(ring, coords):
+def eta_plane_cubic(ring, rows):
     """sum_i beta_i (A_i (Z00^3 + Z01^3 + Z02^3) + B_i Z00 Z01 Z02) in
-    `ring`, for the Z[w] pairs (A_i, B_i) of `coords`, one per F0..F4."""
+    `ring`, for the pencil rows (A_0..A_4), (B_0..B_4) of F0..F4 as Z[w]
+    pairs."""
     z0, z1, z2 = (ring.var(n) for n in ("Z00", "Z01", "Z02"))
     pencil = [z0 ** 3 + z1 ** 3 + z2 ** 3, z0 * z1 * z2]
     acc = ring.zero()
-    for i, c in enumerate(coords):
+    for i, c in enumerate(by_element(rows)):
         acc = acc + ring.var(f"beta{i}") * in_basis(c, pencil)
     return acc
 
@@ -276,6 +277,11 @@ def pair_vectors(vectors):
     """Vectors over Q(w) as vectors of (re, om) pairs, the form of the
     certificate's kernel."""
     return [[(c.re, c.om) for c in map(qw, v)] for v in vectors]
+
+
+def by_element(rows):
+    """`nu.target_rows` transposed: per element, its coordinates."""
+    return [list(c) for c in zip(*rows)]
 
 
 def in_basis(coords, basis):
@@ -301,8 +307,8 @@ def source_matrix(matrix):
 def production_coordinates(p, chart, method="sbasis"):
     """The production route's coordinates of p on one chart, as Q(w): S1..S4,
     or for method "hack" the source computation's rows."""
-    coords = [QwFraction(*c) for c in nu.chart_coordinates(
-        chart, nu.packed_terms([p]), nu.S_TARGET)[0]]
+    coords = [QwFraction(*row[0]) for row in nu.target_rows(
+        chart, nu.packed_terms([p], nu.S_TARGET))]
     return source_rows(coords) if method == "hack" else coords
 
 
@@ -343,7 +349,7 @@ def restrictions(charts, elements):
 def annexe_restrictions():
     """The pinned T1..T43 restricted to the 40 annexe charts, built once per
     process for every test that needs them (tuples, so none can edit them)."""
-    return tuple(map(tuple, restrictions(nu.annexe_charts(),
+    return tuple(map(tuple, restrictions(nu.fixed_plane_charts("annexe"),
                                          pinned_basis(theta_ring(), 6)[1])))
 
 

@@ -10,9 +10,9 @@ import time
 from fractions import Fraction
 
 from coble import enumerative, hesse, invariants, nu, prym
-from coble.coble_forms import (ETA_PLANE, coble_cubic, coble_ring,
-                               eta_plane_coordinates, quadric_rank,
-                               verify_derivative_identity)
+from coble.coble_forms import (ETA_PLANE, barth_quadrics, coble_cubic,
+                               coble_ring, eta_plane_coordinates,
+                               quadric_rank, verify_derivative_identity)
 from coble.heisenberg import act_on_polynomial, generators, theta_ring
 
 import nu_oracle
@@ -63,8 +63,8 @@ def test_criterion_02_basis_reproduction():
 def test_criterion_03_coble_identities():
     def body():
         ring = coble_ring()
-        f = coble_cubic(ring)
-        residuals = verify_derivative_identity(f)
+        f = coble_cubic()
+        residuals = verify_derivative_identity(f, barth_quadrics())
         assert all(p.is_zero() for p in residuals.values()), \
             [k for k, p in residuals.items() if not p.is_zero()]
         assert all(act_on_polynomial(g, f) == f for g in generators())
@@ -74,7 +74,7 @@ def test_criterion_03_coble_identities():
         coords = eta_plane_coordinates()
         assert coords == ETA_PLANE
         assert nu_oracle.eta_plane_cubic(ring, coords) == \
-            nu_oracle.eta_plane_restriction(ring)
+            nu_oracle.eta_plane_restriction()
     _criterion(3, "cubic derivative/decomposition identities and restriction",
                10, body)
 
@@ -99,7 +99,7 @@ def test_criterion_04_chart_table_replication():
         assert certificate["route"] == "modular+kernel"
         assert certificate["kernel_vectors_verified"] == 4
         survivors = [labels[i] for i in surviving]
-        shift_charts = nu.annexe_charts()[4:]
+        shift_charts = nu.fixed_plane_charts("annexe")[4:]
         assert len(shift_charts) == 36
 
         # Bound without elimination.  The four differences T8-T7, T11-T10,
@@ -156,7 +156,7 @@ def test_criterion_04_chart_table_replication():
 
 def test_criterion_05_full_restriction_resolution():
     def body():
-        rank, kernel, report = nu.nu_rank_and_kernel()
+        rank, kernel, report = nu.nu_rank_and_kernel(None)
         assert report["rows"] == 160
         assert report["rank_nullity_ok"]
         assert report["kernel_iota_anti_invariant"]
@@ -212,7 +212,7 @@ def test_criterion_08_verlinde():
 def test_criterion_09_quadric_count():
     def body():
         assert enumerative.quadric_dimension_count() == 9
-        assert quadric_rank() == 9
+        assert quadric_rank(barth_quadrics()) == 9
     _criterion(9, "nine independent quadrics through the surface", 60, body)
 
 

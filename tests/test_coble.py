@@ -31,7 +31,7 @@ def test_cubic_term_counts(ring):
     for f in basis[1:]:
         assert len(f.terms) == 3
         assert all(c == 3 for c in f.terms.values())
-    f_beta = coble_cubic(ring)
+    f_beta = coble_cubic()
     assert len(f_beta.terms) == 9 + 4 * 3
 
 
@@ -55,7 +55,7 @@ def test_cubic_basis_equals_the_literal_sums(ring):
 
 
 def test_derivative_identity_differentiates_each_coordinate_once(
-        ring, monkeypatch):
+        monkeypatch):
     calls = []
     derive = Polynomial.partial_derivative
 
@@ -64,28 +64,28 @@ def test_derivative_identity_differentiates_each_coordinate_once(
         return derive(p, name)
 
     monkeypatch.setattr(Polynomial, "partial_derivative", counting)
-    residuals = verify_derivative_identity(coble_cubic(ring))
+    residuals = verify_derivative_identity(coble_cubic(), barth_quadrics())
     assert sorted(calls) == [coord_name(b) for b in COORDS]
     assert list(residuals) == [f"dF/d{coord_name(b)} - 3*Q" for b in COORDS] \
         + ["sum Z_b*Q_b - F", "Euler: sum Z_b*dF/dZ_b - 3F"]
     assert all(p.is_zero() for p in residuals.values())
 
 
-def test_derivative_identities(ring):
-    residuals = verify_derivative_identity(coble_cubic(ring))
+def test_derivative_identities():
+    residuals = verify_derivative_identity(coble_cubic(), barth_quadrics())
     for name, poly in residuals.items():
         assert poly.is_zero(), name
 
 
-def test_heisenberg_invariance(ring):
-    f = coble_cubic(ring)
+def test_heisenberg_invariance():
+    f = coble_cubic()
     for g in generators():
         assert act_on_polynomial(g, f) == f
 
 
-def test_quadric_equivariance(ring):
+def test_quadric_equivariance():
     """g . Q_b = w^(2t + 2 x*.(b - x)) Q_{b-x} for the lifted action."""
-    qs = barth_quadrics(ring)
+    qs = barth_quadrics()
     elements = generators() + [HeisenbergElement(2, (1, 2), (2, 1))]
     for g in elements:
         for b, q in qs.items():
@@ -99,7 +99,7 @@ def test_eta_plane_restriction(ring):
     # substitution, which gives the printed beta0 sum Z^3 + 3 beta1 Z00 Z01 Z02.
     coords = eta_plane_coordinates()
     assert coords == ETA_PLANE
-    restricted = nu_oracle.eta_plane_restriction(ring)
+    restricted = nu_oracle.eta_plane_restriction()
     assert nu_oracle.eta_plane_cubic(ring, coords) == restricted
     z0, z1, z2 = (ring.var(n) for n in ("Z00", "Z01", "Z02"))
     b0, b1 = ring.var("beta0"), ring.var("beta1")
@@ -115,13 +115,12 @@ def exact_quadric_rank(qs):
                         for p in polys]).rank()
 
 
-def test_quadric_rank(ring):
+def test_quadric_rank():
     """The rank mod p is a lower bound: equal to the exact rank on the
     Barth quadrics, and below 9 once one quadric stands in for another or
     two are q and w q for a q that mixes 1 and w, where only w^2 = -1 - w
     makes the rows dependent."""
-    assert quadric_rank() == 9
-    qs = barth_quadrics(ring)
+    qs = barth_quadrics()
     first, second = sorted(qs)[:2]
     repeated = dict(qs)
     repeated[second] = qs[first]

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from coble.enumerative import (FLOAT_CHECK_KMAX, HARDCODED_TABLE,
-                               IntersectionClass,
                                NonIntegralDimension,
                                derived_intersection_table, dual_degree_computation,
                                dual_degree_expansion, finite_differences,
@@ -23,7 +22,7 @@ def test_derived_table_matches_frozen():
 
 
 def test_expansion_coefficients():
-    coeffs = dual_degree_expansion().coefficients
+    coeffs = dual_degree_expansion()
     assert coeffs[8] == 384
     assert coeffs[2] == 210
     assert coeffs[1] == -31
@@ -35,10 +34,14 @@ def test_dual_degree():
 
 
 def test_intersection_class_evaluation():
+    # Only H^8 and H^r e^(8-r), r <= 2, are nonzero in the table:
+    # 384 * 1 + 210 * (-18) - 31 * (-162) + 2 * (-810) = 6.
     table = derived_intersection_table()
-    cls = IntersectionClass({8: 1})
-    assert cls.evaluate(table) == 1
-    assert IntersectionClass({2: 1}).evaluate(table) == -18
+    coeffs = dual_degree_expansion()
+    assert sorted(coeffs) == list(range(9))
+    terms = {r: c * table[r] for r, c in coeffs.items() if table[r]}
+    assert terms == {8: 384, 2: 210 * -18, 1: -31 * -162, 0: 2 * -810}
+    assert sum(terms.values()) == dual_degree_computation() == 6
 
 
 def test_verlinde_values():

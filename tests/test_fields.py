@@ -27,13 +27,27 @@ def test_zw_pairs_follow_eisenstein_arithmetic():
             assert Eisenstein(*zw_mul(zw_pair(x), zw_pair(y))) == x * y
         for j in range(3):
             assert Eisenstein(*zw_rotate(zw_pair(x), j)) == x * omega_pow(j)
-    # An int is an element of Z[w] as it stands; a Fraction is none.
+    # An int is an element of Z[w] as it stands; a Fraction is none, and
+    # no part of one.
     assert zw_pair(-7) == (-7, 0) and type(zw_pair(-7)[0]) is int
     for bad in (Fraction(1, 2), Fraction(3), 0.5, True):
         with pytest.raises(TypeError):
             zw_pair(bad)
-    with pytest.raises(TypeError):
-        Eisenstein(Fraction(1, 2))
+    for bad in (Fraction(1, 2), Fraction(3)):
+        with pytest.raises(TypeError):
+            Eisenstein(bad)
+    # As an operand, an integral Fraction meets Z[w] as its int does, and
+    # hashes alike; any other Fraction is refused.
+    assert Fraction(1) == Eisenstein(1) and Eisenstein(1) == Fraction(1)
+    assert hash(Fraction(1)) == hash(Eisenstein(1))
+    assert Fraction(1) + OMEGA == Eisenstein(1, 1)
+    assert OMEGA * Fraction(-2) == Eisenstein(0, -2)
+    assert Fraction(1, 2) != Eisenstein(0)
+    for refused in (lambda: Fraction(1, 2) + OMEGA,
+                    lambda: OMEGA - Fraction(1, 2),
+                    lambda: OMEGA * Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            refused()
 
 
 # Q(w) with Fraction parts and division is the tests' `QwFraction`

@@ -4,8 +4,8 @@ import pytest
 
 from coble.heisenberg import (COORD_INDEX, COORDS, TRANSLATIONS,
                               HeisenbergElement, act_on_polynomial,
-                              classes_mod_sign, generators, neg2, orbit_sum,
-                              theta_ring, translation_getters)
+                              classes_mod_sign, exponent_getter, generators,
+                              neg2, orbit_sum, theta_ring)
 from heisenberg_oracle import (IDENTITY, action_matrix, add2, group_mul,
                                inverse, is_central, omega_pow, weil_form)
 from properties import (prop_action_composition, prop_eigenvalue_multiplicity,
@@ -93,12 +93,13 @@ def translate_by_add2(exps, shift):
 def test_translation_table_equals_add2():
     exps = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)  # two parameter exponents
     assert len(TRANSLATIONS) == 9
-    for n in (9, 10, 11):  # no, one and two parameter exponents
-        getters = translation_getters(n)
-        assert len(getters) == 9
-        for shift, translate in zip(COORDS, getters):
+    for params in ((), ("a",), ("a", "b")):  # no, one and two parameters
+        ring = theta_ring(extra_params=params)
+        n = ring.nvars
+        for shift, perm in zip(COORDS, TRANSLATIONS):
+            translate = exponent_getter(ring, perm)
             assert translate(exps[:n]) == translate_by_add2(exps, shift)[:n]
-    assert translation_getters(9)[0](exps[:9]) == exps[:9]
+    assert exponent_getter(theta_ring(), TRANSLATIONS[0])(exps[:9]) == exps[:9]
 
 
 def test_orbit_sum_rejects_noninvariant_seed():

@@ -5,9 +5,9 @@ import pytest
 
 from coble import heisenberg, invariants
 from coble.cli import DEGREE_MAX
-from coble.heisenberg import (COORDS, act_on_polynomial, generators,
-                              monomial_action, orbit_sum, theta_ring,
-                              translation_getters)
+from coble.heisenberg import (COORDS, TRANSLATIONS, act_on_polynomial,
+                              exponent_getter, generators, monomial_action,
+                              orbit_sum, theta_ring)
 from coble.invariants import (DegreeNotDivisibleBy3, InternalCountMismatch,
                               invariant_basis, invariant_dimension, iota_act,
                               iota_permutation, iota_split, orbit_count,
@@ -68,7 +68,7 @@ def test_packed_enumeration_equals_tuple_reference():
 def test_packed_translates_are_the_translation_table():
     # The two rotations give each of the nine translates read off
     # `monomial_action` once.
-    getters = translation_getters(9)
+    getters = [exponent_getter(theta_ring(), perm) for perm in TRANSLATIONS]
     for d in range(7):
         w = packed_orbit_representatives(d)[0]
         translates = packed_translator(w)

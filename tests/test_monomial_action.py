@@ -20,7 +20,8 @@ from heisenberg_oracle import (action_matrix, monomial_action_by_helpers,
 from nu_oracle import basis_vectors, substitute
 from properties import heisenberg_element
 
-_charts = nu.annexe_charts() + nu.all_lift_charts()
+_charts = (nu.fixed_plane_charts("annexe")
+           + nu.fixed_plane_charts("all_lifts"))
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +102,7 @@ def test_moved_phase_is_caught():
         i = next(i for i, img in enumerate(images) if img is not None)
         k, j = images[i]
         images[i] = (k, (j + 1) % 3)
-        bad = nu.FixedPlaneChart(chart.family_tag, tuple(images))
+        bad = nu.FixedPlaneChart(chart.family_tag, tuple(images), g)
         assert not matrix_fixes(bad, g)
         with pytest.raises(nu.EigenspaceDimensionError):
             nu._verify_eigenvectors(bad, monomial_action(g))
@@ -124,8 +125,8 @@ def coble_ring_polynomials():
              + tuple(rng.randrange(2) for _ in range(5)):
              Eisenstein(rng.randint(-4, 4), rng.randint(1, 4))
              for _ in range(12)}
-    quadrics = barth_quadrics(ring)
-    return [coble_cubic(ring), quadrics[(0, 0)], quadrics[(1, 2)],
+    quadrics = barth_quadrics()
+    return [coble_cubic(), quadrics[(0, 0)], quadrics[(1, 2)],
             ring.from_terms(terms)]
 
 

@@ -3,13 +3,12 @@ import pytest
 from coble.heisenberg import (COORDS, HeisenbergElement, monomial_action,
                               theta_ring)
 from coble.invariants import pinned_basis
-from coble.nu import (EigenspaceDimensionError, FixedPlaneChart, _nu_matrix,
-                      all_lift_charts, annexe_charts, eigenspace_chart,
-                      fixed_plane_charts, matching_lifts, nu_rank_and_kernel,
-                      packed_terms)
+from coble.nu import (S_TARGET, EigenspaceDimensionError, FixedPlaneChart,
+                      _nu_matrix, eigenspace_chart, fixed_plane_charts,
+                      matching_lifts, nu_rank_and_kernel, packed_terms)
 from nu_oracle import (annexe_restrictions, eta_walk_charts, hack_rows,
                        induced_plane_action, k_eta_generators, nu_matrix,
-                       plane_action_preserves_s_span, printed_annexe_charts,
+                       plane_action_preserves_s_span, printed_charts,
                        production_coordinates, qw_matrix, restrict,
                        subblock_kernel, substitution_filter)
 
@@ -27,12 +26,17 @@ def basis(ring):
 
 @pytest.fixture(scope="module")
 def charts():
-    return annexe_charts()
+    return fixed_plane_charts("annexe")
+
+
+def every_chart():
+    """The 40 annexe charts, then the 120 lift charts."""
+    return fixed_plane_charts("annexe") + fixed_plane_charts("all_lifts")
 
 
 @pytest.fixture(scope="module")
 def full_report():
-    rank, kernel, report = nu_rank_and_kernel()
+    rank, kernel, report = nu_rank_and_kernel(None)
     return rank, kernel, report
 
 
@@ -63,7 +67,7 @@ def test_shift_chart_trivial_character(charts):
 
 def test_every_chart_is_a_monomial_map_onto_the_plane():
     # each Z_b goes to w^j Y_k (k, j in 0..2) or to 0, and every Y_k is hit
-    for chart in annexe_charts() + all_lift_charts():
+    for chart in every_chart():
         assert isinstance(chart.images, tuple) and len(chart.images) == 9
         live = [img for img in chart.images if img is not None]
         assert all(k in range(3) and j in range(3) for k, j in live), \
@@ -159,14 +163,14 @@ def test_hack_route_same_rank(full_report):
 
 def test_column_rank_equals_row_rank(full_report, basis, charts):
     rank, _, _ = full_report
-    rows = _nu_matrix(charts, packed_terms(basis[1]))
+    rows = _nu_matrix(charts, packed_terms(basis[1], S_TARGET), None)
     assert qw_matrix(rows).transpose().rank() == rank
 
 
 def test_eigenspace_charts_match_annexe(charts):
     # the same monomial map, not only the same plane: each annexe chart is
     # the transcribed table and the t = 0 lift chart of its class
-    printed = printed_annexe_charts()
+    printed = printed_charts()
     assert [c.family_tag for c in charts] == [c.family_tag for c in printed]
     for chart, table in zip(charts, printed):
         assert chart.lift == table.lift, chart.family_tag
@@ -178,8 +182,7 @@ def test_eigenspace_charts_match_annexe(charts):
 def test_charts_equal_the_eta_walk():
     # The cycles of each lift's monomial action give, chart by chart, the
     # same images and tags as walking the <x>-orbits from eta.
-    built = [(c.family_tag, c.images)
-             for c in annexe_charts() + all_lift_charts()]
+    built = [(c.family_tag, c.images) for c in every_chart()]
     assert len(built) == 160
     assert built == eta_walk_charts()
 
@@ -210,7 +213,7 @@ def test_eigenspace_dimension_guard():
     g = HeisenbergElement(1, (0, 0), (1, 0))
     images = list(chart.images)
     images[COORDS.index((0, 2))] = (0, 0)  # pollute the first vector
-    bad = FixedPlaneChart(chart.family_tag, tuple(images))
+    bad = FixedPlaneChart(chart.family_tag, tuple(images), chart.lift)
     from coble.nu import _verify_eigenvectors
     with pytest.raises(EigenspaceDimensionError):
         _verify_eigenvectors(bad, monomial_action(g))

@@ -24,7 +24,8 @@ from linalg_oracle import QwFraction
 METHODS = ("sbasis", "hack")
 
 _labels, _elements = pinned_basis(theta_ring(), 6)
-_charts = nu.annexe_charts() + nu.all_lift_charts()
+_charts = (nu.fixed_plane_charts("annexe")
+           + nu.fixed_plane_charts("all_lifts"))
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,8 @@ def oracle():
 @pytest.fixture(scope="module")
 def annexe_rows():
     """The production annexe nu matrix, rows of Z[w] pairs."""
-    return nu._nu_matrix(nu.annexe_charts(), nu.packed_terms(_elements))
+    return nu._nu_matrix(nu.fixed_plane_charts("annexe"),
+                         nu.packed_terms(_elements, nu.S_TARGET), None)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -51,7 +53,7 @@ def test_annexe_matrix_equals_oracle(oracle, annexe_rows, method):
 
 
 def test_oracle_elimination_agrees_with_certificate(oracle):
-    rank, kernel, report = nu.nu_rank_and_kernel()
+    rank, kernel, report = nu.nu_rank_and_kernel(None)
     assert (rank, kernel) == _elimination(oracle["sbasis"])
     assert report["rank_certificate"]["route"] == "modular+kernel"
 
@@ -117,16 +119,16 @@ _ETA_CHART = nu.eigenspace_chart(HeisenbergElement(0, (0, 0), (1, 0)))
 
 
 def _pencil_coordinates(p, chart):
-    return nu.chart_coordinates(chart, nu.packed_terms([p]),
-                                nu.PENCIL_TARGET)[0]
+    return [row[0] for row in nu.target_rows(
+        chart, nu.packed_terms([p], nu.PENCIL_TARGET))]
 
 
 def test_cubic_read_off_equals_substitution_on_every_chart():
     # F0..F4 restrict into the Hesse pencil on each of the 160 charts.
     assert len(_charts) == 160
-    packed = nu.packed_terms(_cubics)
+    packed = nu.packed_terms(_cubics, nu.PENCIL_TARGET)
     for chart in _charts:
-        coords = nu.chart_coordinates(chart, packed, nu.PENCIL_TARGET)
+        coords = nu_oracle.by_element(nu.target_rows(chart, packed))
         for f, c in zip(_cubics, coords):
             assert nu_oracle.in_basis(c, nu_oracle.PENCIL_BASIS) == \
                 nu_oracle.restrict(chart, f), chart.family_tag
@@ -165,9 +167,9 @@ def test_over_degree_term_is_refused_before_packing():
     fits = z00 ** 126 * z01
     assert 2 * 127 < 1 << nu.FIELD <= 2 * 128
     with pytest.raises(NotInSpan, match="outside S1..S4"):
-        nu.chart_coordinates(_charts[4], nu.packed_terms([fits]), nu.S_TARGET)
+        nu.target_rows(_charts[4], nu.packed_terms([fits], nu.S_TARGET))
     with pytest.raises(ValueError, match="degree 128 overflows"):
-        nu.packed_terms([_elements[0], fits * z01])
+        nu.packed_terms([_elements[0], fits * z01], nu.S_TARGET)
 
 
 _T = dict(zip(_labels, _elements))
@@ -189,15 +191,15 @@ _SEVERAL.append(_SEVERAL[0])
 
 
 def test_one_pass_restriction_of_several_elements_matches_oracle():
-    packing = nu.packed_terms(_SEVERAL)
-    alone = [nu.packed_terms([p]) for p in _SEVERAL]
-    t6 = nu.packed_terms([_T["T6"]])
+    packing = nu.packed_terms(_SEVERAL, nu.S_TARGET)
+    alone = [nu.packed_terms([p], nu.S_TARGET) for p in _SEVERAL]
+    t6 = nu.packed_terms([_T["T6"]], nu.S_TARGET)
     cancelled = huge = fractional = 0
     for chart in _charts:
-        coords = nu.chart_coordinates(chart, packing, nu.S_TARGET)
+        coords = nu_oracle.by_element(nu.target_rows(chart, packing))
         assert len(coords) == len(_SEVERAL)
         for p, c, single in zip(_SEVERAL, coords, alone):
-            assert c == nu.chart_coordinates(chart, single, nu.S_TARGET)[0]
+            assert c == [row[0] for row in nu.target_rows(chart, single)]
             assert [QwFraction(*x) for x in c] == nu_oracle.coordinates(
                 nu_oracle.restrict(chart, p), "sbasis"), chart.family_tag
             assert all(x is nu.ZERO for x in c if x == nu.ZERO)
@@ -207,7 +209,7 @@ def test_one_pass_restriction_of_several_elements_matches_oracle():
         assert all(type(part) is int for part in big)
         huge += any(abs(part) >= 1 << 64 for part in big)
         cancelled += sum(x is nu.ZERO and y != nu.ZERO for x, y in zip(
-            coords[2], nu.chart_coordinates(chart, t6, nu.S_TARGET)[0]))
+            coords[2], [row[0] for row in nu.target_rows(chart, t6)]))
         assert coords[3] == [nu.ZERO] * 4
     assert fractional > 0 and huge > 0 and cancelled > 0
 
@@ -224,22 +226,21 @@ def test_first_failing_element_names_the_failure():
             (combination, outside, "is not a combination of S1..S4"),
             (outside, combination, "has a monomial outside S1..S4")):
         with pytest.raises(NotInSpan, match=message):
-            nu.chart_coordinates(chart, nu.packed_terms([_T["T1"], first]),
-                                 nu.S_TARGET)
+            nu.target_rows(chart, nu.packed_terms([_T["T1"], first],
+                                                  nu.S_TARGET))
         with pytest.raises(NotInSpan, match=message):
-            nu.chart_coordinates(
-                chart, nu.packed_terms([_T["T1"], first, second]),
-                nu.S_TARGET)
+            nu.target_rows(chart, nu.packed_terms([_T["T1"], first, second],
+                                                  nu.S_TARGET))
 
 
 def test_element_count_beyond_the_index_field_is_refused(monkeypatch):
     # Each slot numbers its element in the top INDEX_BITS bits of 64.
     assert nu.INDEX + nu.INDEX_BITS == 64
     monkeypatch.setattr(nu, "INDEX_BITS", 2)
-    assert nu.packed_terms([_elements[0]] * 4).count == 4
+    assert nu.packed_terms([_elements[0]] * 4, nu.S_TARGET).count == 4
     with pytest.raises(ValueError, match="5 elements overflow the 2-bit "
                        "index field"):
-        nu.packed_terms([_elements[0]] * 5)
+        nu.packed_terms([_elements[0]] * 5, nu.S_TARGET)
 
 
 # sha256 of repr(rows) of the nu matrix on each mode, unchanged since the
@@ -254,7 +255,7 @@ NU_ROWS_SHA256 = {
 @pytest.mark.parametrize("mode", sorted(NU_ROWS_SHA256))
 def test_nu_rows_are_int_pairs_and_pinned(mode):
     rows = nu._nu_matrix(nu.fixed_plane_charts(mode),
-                         nu.packed_terms(_elements))
+                         nu.packed_terms(_elements, nu.S_TARGET), None)
     assert len(rows) == 4 * len(nu.fixed_plane_charts(mode))
     assert all(type(part) is int for row in rows for x in row for part in x)
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
@@ -267,11 +268,11 @@ def test_charts_with_equal_images_mod_3_reuse_their_rows(mode, read_off):
     # Y-monomial with the same phase mod 3, so all_lifts reads off only the
     # t = 0 chart of each shift class; each annexe chart is read off.
     charts = nu.fixed_plane_charts(mode)
-    packing = nu.packed_terms(_elements)
+    packing = nu.packed_terms(_elements, nu.S_TARGET)
     said = []
     rows = nu._nu_matrix(charts, packing, said.append)
     assert rows == [row for chart in charts for row in nu.target_rows(
-        chart, nu.packed_terms(_elements), nu.S_TARGET)]
+        chart, nu.packed_terms(_elements, nu.S_TARGET))]
     assert len(packing.memo) == read_off
     assert sum(line.endswith(": read off") for line in said) == read_off
     assert sum(line.endswith(": reused") for line in said) == \
@@ -284,12 +285,13 @@ def test_charts_apart_in_one_phase_mod_3_are_read_off_apart():
     # Z00 Z01 Z02 -> w^(j0 + j1 + j2) Y0 Y1 Y2: phases (1, 0, 0) move its
     # coordinate by w, phases (1, 1, 1) give back those of (0, 0, 0).
     z = theta_ring().var
-    packing = nu.packed_terms([z("Z00") * z("Z01") * z("Z02")])
+    packing = nu.packed_terms([z("Z00") * z("Z01") * z("Z02")],
+                              nu.PENCIL_TARGET)
 
     def rows(*phases):
         chart = nu.FixedPlaneChart("hand-built", tuple(enumerate(phases))
-                                   + (None,) * 6)
-        return nu.target_rows(chart, packing, nu.PENCIL_TARGET)
+                                   + (None,) * 6, None)
+        return nu.target_rows(chart, packing)
 
     base, moved = rows(0, 0, 0), rows(1, 0, 0)
     assert base == [[nu.ZERO], [(1, 0)]] and moved == [[nu.ZERO], [(0, 1)]]
@@ -399,7 +401,7 @@ def test_each_printed_vector_is_kept_on_its_own(annexe_rows):
 def test_verdict_by_list_equality_agrees_with_span_comparison(annexe_rows,
                                                               case):
     if case in ("annexe", "all_lifts"):
-        _, kernel, report = nu.nu_rank_and_kernel(mode=case)
+        _, kernel, report = nu.nu_rank_and_kernel(None, mode=case)
         assert report["verdict"] == nu.kernel_verdict(_labels, kernel)
     elif case == "elimination":
         kernel = _elimination(nu_oracle.qw_matrix(annexe_rows))[1]

@@ -85,6 +85,7 @@ def test_coefficients_keep_their_type_and_refuse_others(ring):
         assert ring.from_terms({e: c}).terms == {e: c}
         assert type(ring.const(c).terms[(0,) * ring.nvars]) is type(c)
     assert type(ring.one().terms[(0,) * ring.nvars]) is int
+    assert ring.const(Fraction(1)) == ring.const(Eisenstein(1))
     assert all(type(c) is int for c in (3 * p + 1).terms.values())
     for refused in (lambda: p + 0.5, lambda: 0.5 + p, lambda: p * "x",
                     lambda: ring.const(1.5), lambda: ring.const(None),

@@ -92,3 +92,59 @@ def test_every_method_is_used_in_the_package():
     # So is a method of a package class that nothing in the package calls or
     # names outside its own def.
     assert unused_definitions()[1] == []
+
+
+def defaults_left_out():
+    """"file:line function(parameter)" for each defaulted parameter in the
+    package that every call of its function passes.  A call is matched by
+    the function's name (a method's attribute name, an `__init__` by its
+    class name); a call with *args or **kwargs counts as leaving every
+    parameter out."""
+    defaulted, calls = [], []
+    for path in sorted(Path(coble.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+        methods = {id(node): cls.name for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for node in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            cls = methods.get(id(node))
+            name = cls if node.name == "__init__" else node.name
+            args = node.args
+            positional = args.posonlyargs + args.args
+            if cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list):
+                positional = positional[1:]  # self or cls
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                defaulted.append((f"{path.name}:{node.lineno}", name, i,
+                                  arg.arg))
+            defaulted += [(f"{path.name}:{node.lineno}", name, None, arg.arg)
+                          for arg, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+
+    def leaves_out(call, position, parameter):
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords):
+            return True
+        if position is not None and len(call.args) > position:
+            return False
+        return all(k.arg != parameter for k in call.keywords)
+
+    def called_name(call):
+        f = call.func
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+    return sorted(f"{where} {name}({parameter})"
+                  for where, name, position, parameter in defaulted
+                  if not any(called_name(call) == name
+                             and leaves_out(call, position, parameter)
+                             for call in calls))
+
+
+def test_every_parameter_default_is_used_in_the_package():
+    # A default that no call in the package relies on is a knob for tests
+    # only: the parameter should be required, and the tests pass it.
+    assert defaults_left_out() == []
