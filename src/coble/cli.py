@@ -23,12 +23,16 @@ from .coble_forms import (ETA_PLANE, barth_quadrics, coble_cubic,
                           verify_derivative_identity)
 from .fields import Eisenstein, is_prime
 from .heisenberg import act_on_polynomial, generators, theta_ring
-from .poly import NotInSpan
+from .poly import NotInSpan, Polynomial
 
 
 def jsonable(obj):
+    """obj as certificate JSON; a type not handled here raises TypeError."""
     if isinstance(obj, Eisenstein):
-        return obj.to_json()
+        return {"re": str(obj.re), "om": str(obj.om)}
+    if isinstance(obj, Polynomial):
+        return [{"coeff": jsonable(c) if isinstance(c, Eisenstein) else str(c),
+                 "exps": list(e)} for e, c in obj.sorted_terms()]
     if isinstance(obj, Fraction):
         return str(obj) if obj.denominator != 1 else obj.numerator
     if isinstance(obj, dict):
@@ -39,7 +43,7 @@ def jsonable(obj):
         return [jsonable(v) for v in obj]
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
-    return str(obj)
+    raise TypeError(f"no certificate JSON for {type(obj).__name__}: {obj!r}")
 
 
 class Certificate:
@@ -51,10 +55,10 @@ class Certificate:
         self.started = time.monotonic()
 
     def check(self, name, expected, actual, provenance):
-        self.checks.append({"name": name, "expected": jsonable(expected),
-                            "provenance": provenance,
-                            "actual": jsonable(actual),
-                            "pass": jsonable(expected) == jsonable(actual)})
+        expected, actual = jsonable(expected), jsonable(actual)
+        self.checks.append({"name": name, "expected": expected,
+                            "provenance": provenance, "actual": actual,
+                            "pass": expected == actual})
 
     def passed(self):
         return all(c["pass"] for c in self.checks)
@@ -120,8 +124,8 @@ def cmd_coble_check(args, cert):
     cert.check("Heisenberg invariance of F", True, invariant, "PAPER")
     try:
         on_plane = eta_plane_coordinates() == ETA_PLANE
-    except NotInSpan:
-        on_plane = False
+    except NotInSpan as exc:
+        on_plane = str(exc)
     cert.check("restriction to the fixed plane of (1,00,10)", True, on_plane,
                "PAPER")
     cert.check("quadric linear-system rank", 9, quadric_rank(quadrics), "DERIVED")
@@ -188,7 +192,7 @@ def cmd_hesse_dual(args, cert):
         cert.outputs["dual_curve"] = ("none: f_1 is three lines, whose dual is "
                                       "three points, not a sextic")
     else:
-        cert.outputs["sextic"] = hesse.dual_sextic(lam).to_json()
+        cert.outputs["sextic"] = hesse.dual_sextic(lam)
 
 
 def cmd_enum_degree_dual(args, cert):
@@ -483,7 +487,7 @@ def main(argv=None):
     args = parse(argv)
     label = args.group if args.group == args.command else \
         f"{args.group} {args.command}"
-    inputs = {k: jsonable(v) for k, v in vars(args).items()
+    inputs = {k: v for k, v in vars(args).items()
               if k not in ("func", "group", "command", "format")}
     cert = Certificate(label, inputs)
     try:

@@ -94,9 +94,6 @@ class Eisenstein:
             return f"{self.om}*w"
         return f"{self.re}{'+' if self.om > 0 else ''}{self.om}*w"
 
-    def to_json(self):
-        return {"re": str(self.re), "om": str(self.om)}
-
 
 def _as_eisenstein(x):
     if isinstance(x, Eisenstein):
@@ -134,13 +131,6 @@ def zw_rotate(x, j):
     if j == 1:
         return -b, a - b
     return b - a, -a
-
-
-def format_rational(q):
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def is_prime(n):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .fields import Eisenstein, format_rational
+from .fields import Eisenstein
 
 
 class NotInSpan(Exception):
@@ -179,21 +179,14 @@ class Polynomial:
     # -- calculus and evaluation --------------------------------------------
 
     def partial_derivative(self, name):
-        i = self.ring.index[name]
-        out = {}
+        # e -> e - 1 at i is one-to-one, so no two terms meet, and
+        # c * e[i] != 0, as Q and Z[w] have no zero divisors: no sum to keep.
+        i, out = self.ring.index[name], {}
         for e, c in self.terms.items():
             if e[i]:
                 e2 = list(e)
-                k = e2[i]
                 e2[i] -= 1
-                e2 = tuple(e2)
-                c2 = c * k
-                s = out.get(e2)
-                s = c2 if s is None else s + c2
-                if s:
-                    out[e2] = s
-                elif e2 in out:
-                    del out[e2]
+                out[tuple(e2)] = c * e[i]
         return Polynomial(self.ring, out)
 
     def evaluate(self, assignment):
@@ -208,13 +201,6 @@ class Polynomial:
                     v = v * _coefficient(assignment[name]) ** k
             acc = acc + v
         return acc
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self):
-        return [{"coeff": c.to_json() if isinstance(c, Eisenstein)
-                 else format_rational(c), "exps": list(e)}
-                for e, c in self.sorted_terms()]
 
     def __repr__(self):
         if not self.terms:

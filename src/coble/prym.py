@@ -19,10 +19,6 @@ class NoSolution(Exception):
     pass
 
 
-class NonUnique(Exception):
-    pass
-
-
 class IntMatrix2:
     """Exact 2x2 integer matrix."""
 
@@ -109,35 +105,25 @@ def polarization_beta_solve():
     phi T^-1 = (transpose T) phi; also certifies the mod-3 kernel
     K = {(x, -x)}."""
     t_inv = T * T  # T^3 = I
-    # Each entry of phi*T^-1 - tT*phi is linear in beta: a + b*beta = 0.
     def residual(beta):
         return phi_matrix(beta) * t_inv + -(T.transpose() * phi_matrix(beta))
 
-    r0 = residual(0)
-    r1 = residual(1)
-    solutions = None
-    for (i, j) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        a = r0.rows[i][j]
-        b = r1.rows[i][j] - a
-        if b == 0:
-            if a != 0:
-                raise NoSolution(f"entry ({i},{j}): {a} = 0 unsolvable")
-            continue
-        sol = Fraction(-a, b)
-        if sol.denominator != 1:
-            raise NoSolution(f"entry ({i},{j}): beta = {sol} not integral")
-        if solutions is None:
-            solutions = int(sol)
-        elif solutions != int(sol):
-            raise NonUnique(f"{solutions} vs {sol}")
-    if solutions is None:
-        raise NonUnique("constraint is vacuous")
-    beta = solutions
-    phi = phi_matrix(beta)
+    # The residual is affine in beta, r(0) + beta (r(1) - r(0)): beta solves
+    # the first entry with a nonzero slope, and then every entry must vanish.
+    r0, r1 = residual(0), residual(1)
+    lines = [(a, b - a) for a, b in zip(r0.rows[0] + r0.rows[1],
+                                        r1.rows[0] + r1.rows[1]) if b != a]
+    if not lines:
+        raise NoSolution("no entry of the residual depends on beta")
+    a, slope = lines[0]
+    beta, rest = divmod(-a, slope)
+    if rest:
+        raise NoSolution(f"beta = {Fraction(-a, slope)} is not an integer")
     if residual(beta) != ZERO2:
         raise NoSolution(f"beta = {beta} leaves a nonzero residual")
+    phi = phi_matrix(beta)
     kernel = {v for v in _three_torsion()
-              if phi.apply(v)[0] % 3 == 0 and phi.apply(v)[1] % 3 == 0}
+              if all(x % 3 == 0 for x in phi.apply(v))}
     expected = {(x % 3, (-x) % 3) for x in range(3)}
     return {"beta": beta, "det": phi.det(), "kernel_mod_3": sorted(kernel),
             "kernel_is_antidiagonal": kernel == expected}
@@ -172,6 +158,6 @@ def prym_dimension_match(n, g):
     """dim P = (n-1)(g-1) must equal twice the quotient genus (n odd)."""
     if n % 2 == 0:
         raise ValueError("the comparison is for odd cover degree")
-    dim_p = (n - 1) * (g - 1)
-    return {"dim_prym": dim_p, "twice_genus": 2 * genus_of_quotient(n, g),
-            "match": dim_p == 2 * genus_of_quotient(n, g)}
+    dim_p, twice_genus = (n - 1) * (g - 1), 2 * genus_of_quotient(n, g)
+    return {"dim_prym": dim_p, "twice_genus": twice_genus,
+            "match": dim_p == twice_genus}

@@ -14,7 +14,7 @@ from coble.cli import COMMANDS, jsonable, main
 from coble.fields import Eisenstein
 from coble.heisenberg import theta_ring
 from coble.invariants import pinned_basis
-from coble.poly import Polynomial
+from coble.poly import NotInSpan, Polynomial
 
 
 def run(capsys, argv):
@@ -255,6 +255,13 @@ def test_usage_error():
     assert exc.value.code == 2
 
 
+# The message of a usage error, where a test asks for it.
+USAGE_MESSAGES = {
+    "invariants dim --degree x": "'x' is not an integer",
+    "hesse dual --oracle-prime 1": "1 is not a prime congruent to 1 mod 3",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["invariants", "dim", "--degree", "4"],
     ["invariants", "dim", "--degree", "-3"],
@@ -274,6 +281,9 @@ def test_usage_error():
     ["prym", "genus", "--n", "2", "--g", "2", "--t", "-2"],
     # a genus of over 4300 digits cannot be written out
     ["prym", "genus", "--n", "9" * 3000, "--g", "9" * 3000],
+    ["invariants", "dim", "--degree", "x"],
+    # 1 = 1 mod 3 passes to the primality test, which refuses it
+    ["hesse", "dual", "--oracle-prime", "1"],
 ])
 def test_bad_argument_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -281,6 +291,26 @@ def test_bad_argument_is_a_usage_error(capsys, argv):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "error: argument" in captured.err
+    assert USAGE_MESSAGES.get(" ".join(argv), "") in captured.err
+
+
+@pytest.mark.parametrize("argv, module, route, name", [
+    (["coble", "check"], cli, "eta_plane_coordinates",
+     "restriction to the fixed plane of (1,00,10)"),
+    (["hesse", "dual"], hesse, "dual_coefficients_from_discriminant",
+     "closed-form coefficients"),
+])
+def test_restriction_off_the_span_is_a_failed_check(capsys, monkeypatch,
+                                                    argv, module, route, name):
+    def off_span(*args):
+        raise NotInSpan("injected: off the span")
+
+    monkeypatch.setattr(module, route, off_span)
+    code, out, err = run(capsys, argv)
+    assert code == 1 and "internal error" not in err
+    failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+    assert [(c["name"], c["actual"]) for c in failed] == \
+        [(name, "injected: off the span")]
 
 
 BOUNDED_MAIN = """\
@@ -379,6 +409,14 @@ def test_render_failure_is_an_internal_error(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "internal error" in err and "injected" in err
+
+
+def test_value_of_no_json_type_is_an_internal_error(capsys, monkeypatch):
+    # jsonable writes no value as its str: a type it does not list fails.
+    monkeypatch.setattr("coble.enumerative.quadric_dimension_count", object)
+    code, out, err = run(capsys, ["enum", "quadric-count"])
+    assert code == 3 and out == ""
+    assert "internal error" in err and "no certificate JSON for object" in err
 
 
 def test_artifact_hash_deterministic(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from coble import enumerative
 from coble.enumerative import (FLOAT_CHECK_KMAX, HARDCODED_TABLE,
                                NonIntegralDimension,
                                derived_intersection_table, dual_degree_computation,
@@ -124,3 +125,26 @@ def test_theta_degree_from_zagier():
 def test_quadric_count():
     assert quadric_dimension_count() == 9
 
+
+
+def test_tampered_frozen_table_is_refused(monkeypatch):
+    monkeypatch.setattr(enumerative, "HARDCODED_TABLE",
+                        {**HARDCODED_TABLE, 2: -17})
+    with pytest.raises(ValueError, match="differs from the frozen"):
+        dual_degree_computation()
+
+
+def test_float_sum_off_an_integer_is_refused(monkeypatch):
+    v111 = verlinde_v111
+    monkeypatch.setattr(enumerative, "verlinde_v111",
+                        lambda m: v111(m) + 0.1)
+    with pytest.raises(NonIntegralDimension, match="k=1: "):
+        verlinde_dimension(1)
+
+
+def test_nonconstant_eighth_differences_are_refused(monkeypatch):
+    monkeypatch.setattr(enumerative, "verlinde_sequence",
+                        lambda kmax: [verlinde_exact(k) + (k == kmax)
+                                      for k in range(kmax + 1)])
+    with pytest.raises(NonIntegralDimension, match="not constant"):
+        theta_degree_from_verlinde()

@@ -1,8 +1,9 @@
 import pytest
 
-from coble.prym import (I2, J_TILDE, InadmissibleCover, NonIntegralGenus,
-                        T, dihedral_identities, genus_of_quotient,
-                        group_generated_by_T_J, phi_matrix,
+from coble import prym
+from coble.prym import (I2, J_TILDE, InadmissibleCover, IntMatrix2,
+                        NoSolution, NonIntegralGenus, T, dihedral_identities,
+                        genus_of_quotient, group_generated_by_T_J, phi_matrix,
                         polarization_beta_solve, prym_dimension_match)
 
 
@@ -27,6 +28,17 @@ def test_polarization_solution():
     assert sol["det"] == 3
     assert sol["kernel_mod_3"] == [(0, 0), (1, 2), (2, 1)]
     assert sol["kernel_is_antidiagonal"]
+
+
+@pytest.mark.parametrize("phi, message", [
+    # the residual vanishes at beta = -1/2 only
+    (lambda beta: IntMatrix2(2, 2 * beta, 2 * beta, 2), "not an integer"),
+    (lambda beta: IntMatrix2(2, 1, 1, 2), "no entry"),
+])
+def test_polarization_without_integer_solution(monkeypatch, phi, message):
+    monkeypatch.setattr(prym, "phi_matrix", phi)
+    with pytest.raises(NoSolution, match=message):
+        polarization_beta_solve()
 
 
 def test_phi_matrix_at_solution():

@@ -148,3 +148,30 @@ def test_every_parameter_default_is_used_in_the_package():
     # A default that no call in the package relies on is a knob for tests
     # only: the parameter should be required, and the tests pass it.
     assert defaults_left_out() == []
+
+
+def unraised_or_untested_exceptions():
+    """"file:line name" for each Exception subclass defined in the package
+    that no `raise` in the package names, or that nothing under tests/
+    names."""
+    defined, raised, tested = [], Counter(), Counter()
+    for path in sorted(Path(coble.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                raised.update(references(node))
+        defined += [(f"{path.name}:{node.lineno}", node.name)
+                    for node in tree.body if isinstance(node, ast.ClassDef)
+                    and any(isinstance(base, ast.Name)
+                            and base.id == "Exception" for base in node.bases)]
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tested.update(references(ast.parse(path.read_text(),
+                                           filename=str(path))))
+    return [f"{where} {name}" for where, name in defined
+            if not raised[name] or not tested[name]]
+
+
+def test_every_exception_class_is_raised_and_tested():
+    # An exception class that nothing raises is dead code; one that no test
+    # names is a failure branch that no test shows can fire.
+    assert unraised_or_untested_exceptions() == []
