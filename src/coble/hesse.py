@@ -15,13 +15,13 @@ The formal cubic `PENCIL` and the cusp residuals (row . a - rhs at formal
 lam) derive from them.
 The coefficients come three times (closed form; the discriminant of f_lam
 on a line, from `pencil` alone; the cusp system by Cramer's rule, singular
-exactly at lam = 0 and lam = 1) and are certified over prime fields
-p = 1 mod 3: the gradient of every F_p-point of f_lam must lie on the dual
-sextic.  The points are walked one orbit at a time under the order-6 group
-generated by the X1 <-> X2 twin and sigma: (x0 : x1 : x2) ->
-(x0 : e x1 : e^2 x2), e^3 = 1.  f_lam is invariant under both, and S1..S4
-under the matching maps of the gradient, so each orbit is checked once
-(`curve_points`: ints and table lookups, no inverse mod p).
+exactly at lam = 0 and lam = 1, where it returns None) and are certified
+over prime fields p = 1 mod 3: the oracle counts the F_p-points of f_lam
+whose gradient misses the dual sextic.  The points are walked one orbit at a
+time under the order-6 group generated by the X1 <-> X2 twin and sigma:
+(x0 : x1 : x2) -> (x0 : e x1 : e^2 x2), e^3 = 1.  f_lam is invariant under
+both, and S1..S4 under the matching maps of the gradient, so each orbit is
+checked once (`curve_points`: ints and table lookups, no inverse mod p).
 `tests/hesse_oracle.py` checks that walk against its own transcription,
 and holds the cusp identities and the plane Heisenberg orbits of the
 flexes and cusps, which no certificate uses.
@@ -33,17 +33,7 @@ from fractions import Fraction
 from functools import cache
 
 from .fields import cube_roots, square_roots
-from .poly import NotInSpan, PolyRing
-
-
-class SingularSystem(Exception):
-    pass
-
-
-class CounterexamplePoint(Exception):
-    def __init__(self, point, message):
-        self.point = point
-        super().__init__(f"{message} at {point}")
+from .poly import PolyRing
 
 
 X_RING = PolyRing(("X0", "X1", "X2", "lam"))
@@ -95,7 +85,7 @@ def dual_coefficients_from_discriminant(cubic):
     cubic(Y2 s, Y2 t, -(Y0 s + Y1 t), lam) = a s^3 + b s^2 t + c s t^2 + d t^3
     has discriminant (4 (b^2 - 3ac)(c^2 - 3bd) - (bc - 9ad)^2) / 3 =
     -27 Y2^6 F_lam(Y).  Each a_i is read at one monomial of Y2^6 S_(i+1);
-    raises NotInSpan unless that holds identically in lam."""
+    None unless that holds identically in lam."""
     s, t, y0, y1, y2, lam = (LINE_RING.var(v) for v in LINE_RING.varnames)
     g = cubic(y2 * s, y2 * t, -(y0 * s + y1 * t), lam)
     a, b, c, d = (Y_RING.from_terms({e[2:]: x for e, x in g.terms.items()
@@ -109,8 +99,7 @@ def dual_coefficients_from_discriminant(cubic):
     s1, s2, s3, s4 = S_BASIS
     sextic = s1 + a1 * s2 + a2 * s3 + a3 * s4
     if disc3 != -81 * Y_RING.var("Y2") ** 6 * sextic:
-        raise NotInSpan("the discriminant of f_lam on a line is not "
-                        "-27 Y2^6 (S1 + a1 S2 + a2 S3 + a3 S4)")
+        return None
     return a1, a2, a3
 
 
@@ -134,12 +123,12 @@ def det3(rows):
 
 
 def dual_sextic_from_cusp_system(lam):
-    """(a1, a2, a3) from the cusp system by Cramer's rule.  Its determinant
-    is 6 lam (lam^3 - 1)^2, so it is singular exactly at lam = 0 and 1."""
+    """(a1, a2, a3) from the cusp system by Cramer's rule, or None where
+    its determinant 6 lam (lam^3 - 1)^2 is 0: exactly at lam = 0 and 1."""
     rows, rhs = cusp_system(Fraction(lam))
     det = det3(rows)
     if not det:
-        raise SingularSystem(f"cusp system is singular at lam = {lam}")
+        return None
     return tuple(det3([row[:k] + [b] + row[k + 1:]
                        for row, b in zip(rows, rhs)]) / det for k in range(3))
 
@@ -241,11 +230,11 @@ def finite_field_duality_oracle(lam, p):
     X1 <-> X2 twin at a time (`curve_points`: p - 1 values of u = x1 x2,
     tables of square and cube roots mod p), check that the gradient of
     every point lies on the dual sextic (none is zero: `curve_points`
-    refuses lam^3 = 1 mod p, the only singular members for p != 3), raising
-    `CounterexamplePoint` at the first that does not, normalized to first
-    nonzero coordinate 1, and report whether the point count N meets the
-    Hasse bound (N - p - 1)^2 <= 4p.  A count outside it is no point, so it
-    is reported, not raised.
+    refuses lam^3 = 1 mod p, the only singular members for p != 3), and
+    report whether the point count N meets the Hasse bound
+    (N - p - 1)^2 <= 4p.  "counterexamples" counts the points whose
+    gradient misses the sextic; when it is nonzero, "first_counterexample"
+    is the first of them walked, normalized to first nonzero coordinate 1.
 
     Each representative of `curve_points` is checked once and counts for
     its n points, so the residual is evaluated about p / 6 times.  That is
@@ -256,7 +245,7 @@ def finite_field_duality_oracle(lam, p):
     lam = Fraction(lam)
     lam_p = reduce_mod(lam, p)
     a1, a2, a3 = (a % p for a in dual_coefficients(lam_p))
-    count = 0
+    count, missed, first = 0, 0, {}
     for x0, y1, y2, n in curve_points(lam_p, p):
         count += n
         g0 = 3 * (x0 * x0 - lam_p * y1 * y2) % p
@@ -267,8 +256,10 @@ def finite_field_duality_oracle(lam, p):
         m = g0 * g1 * g2 % p
         if (k0 * k0 + k1 * k1 + k2 * k2 + a1 * (k0 * k1 + k0 * k2 + k1 * k2)
                 + m * (a2 * (k0 + k1 + k2) + a3 * m)) % p:
-            raise CounterexamplePoint(_normalized((x0, y1, y2), p),
-                                      f"dual sextic nonzero (lam={lam}, p={p})")
+            missed += n
+            first = first or {
+                "first_counterexample": _normalized((x0, y1, y2), p)}
     return {"p": p, "lam": str(lam), "points": count, "checked": count,
-            "hasse_ok": (count - p - 1) ** 2 <= 4 * p, "counterexamples": 0}
+            "hasse_ok": (count - p - 1) ** 2 <= 4 * p,
+            "counterexamples": missed, **first}
 

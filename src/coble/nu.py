@@ -315,11 +315,7 @@ def target_rows(chart, packing):
             for block, first in checks):
         raise NotInSpan(_span_failure(re, om, outside, checks,
                                       packing.target.name))
-    pairs = {ZERO: ZERO}
-    rows = []
-    for first in packing.firsts:
-        row = list(zip(re[first], om[first]))
-        rows.append(list(map(pairs.setdefault, row, row)))
+    rows = [list(zip(re[first], om[first])) for first in packing.firsts]
     packing.memo[key] = rows
     return rows
 

@@ -129,6 +129,15 @@ def test_hesse_dual_singular_member_skips(capsys):
         assert cert["outputs"]["dual_curve"].startswith("none: f_1 is three lines")
 
 
+# The failed check's actual value: `hesse dual` gives the oracle's count,
+# verify-all the count and the first point, ahead of the Hasse bound.
+COUNTEREXAMPLE_ACTUAL = {
+    "duality oracle mod 997": 1,
+    "duality oracle": "dual sextic nonzero at 1 points (lam=2, p=997), "
+                      "first at (1, 5, 7)",
+}
+
+
 @pytest.mark.parametrize("argv, name", [
     (["hesse", "dual"], "duality oracle mod 997"),
     (["verify-all"], "duality oracle"),
@@ -136,7 +145,7 @@ def test_hesse_dual_singular_member_skips(capsys):
 def test_duality_counterexample_is_a_failed_check(capsys, monkeypatch, argv,
                                                   name):
     # (1 : 5 : 7) is no point of f_2 mod 997 and its gradient misses the
-    # dual sextic: the oracle raises at it, and the check records that.
+    # dual sextic: the oracle counts it as one point and walks on.
     points = hesse.curve_points
 
     def one_more(lam_p, p):
@@ -146,11 +155,18 @@ def test_duality_counterexample_is_a_failed_check(capsys, monkeypatch, argv,
     monkeypatch.setattr(hesse, "curve_points", one_more)
     code, out, err = run(capsys, argv)
     assert code == 1 and "internal error" not in err
-    failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
-    assert [c["name"] for c in failed] == [name]
-    assert failed[0]["expected"] == 0
-    assert failed[0]["actual"].startswith("dual sextic nonzero")
-    assert failed[0]["actual"].endswith("at (1, 5, 7)")
+    cert = json.loads(out)
+    failed = [c for c in cert["checks"] if not c["pass"]]
+    assert [(c["name"], c["expected"], c["actual"]) for c in failed] == \
+        [(name, 0, COUNTEREXAMPLE_ACTUAL[name])]
+    if argv == ["hesse", "dual"]:
+        # The report is kept: the Hasse check is made on its point count.
+        report = cert["outputs"]["oracle"]
+        assert "Hasse bound mod 997" in {c["name"] for c in cert["checks"]}
+        assert (report["counterexamples"], report["first_counterexample"]) \
+            == (1, [1, 5, 7])
+        assert report["points"] == report["checked"] == 1 + \
+            sum(n for *_, n in points(2, 997))
 
 
 def no_points(monkeypatch):
@@ -302,15 +318,21 @@ def test_bad_argument_is_a_usage_error(capsys, argv):
 ])
 def test_restriction_off_the_span_is_a_failed_check(capsys, monkeypatch,
                                                     argv, module, route, name):
+    # The plane read-off raises NotInSpan, which `coble check` catches; the
+    # discriminant route returns None, which `hesse dual` writes out.
     def off_span(*args):
         raise NotInSpan("injected: off the span")
 
+    actual = "injected: off the span"
+    if module is hesse:
+        off_span, actual = (lambda cubic: None), (
+            "the discriminant of f_lam on a line is not "
+            "-27 Y2^6 (S1 + a1 S2 + a2 S3 + a3 S4)")
     monkeypatch.setattr(module, route, off_span)
     code, out, err = run(capsys, argv)
     assert code == 1 and "internal error" not in err
     failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
-    assert [(c["name"], c["actual"]) for c in failed] == \
-        [(name, "injected: off the span")]
+    assert [(c["name"], c["actual"]) for c in failed] == [(name, actual)]
 
 
 BOUNDED_MAIN = """\
@@ -475,16 +497,39 @@ def test_negative_fraction_after_lambda_is_its_value(capsys):
                                        if argv == joined]
 
 
+def perfbench_module(name):
+    """perfbench/<name>.py, loaded by path; the benchmark is only read."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def cli_mix_commands():
     """Every distinct argument list of the benchmark's cli-mix plans for
     seeds 1 to 3 (perfbench/workloads.py)."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                        "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = perfbench_module("workloads")
     return sorted({tuple(argv) for seed in (1, 2, 3)
                    for argv in workloads.plan_cli_mix(seed)})
+
+
+def test_workload_certificates_pass_the_benchmark_gate(capsys):
+    # The benchmark counts a certificate as a failed operation unless its
+    # content gate (perfbench/checks.py) passes it, and refuses a run whose
+    # gate lets a tampered copy through; tier-1 runs the same gate on every
+    # certificate of every plan, seeds 1 to 3.
+    checks, workloads = perfbench_module("checks"), perfbench_module("workloads")
+    argvs = sorted({tuple(argv) for plan, _, _ in workloads.WORKLOADS.values()
+                    for seed in (1, 2, 3) for argv in plan(seed)})
+    samples = {}
+    for argv in map(list, argvs):
+        code, out, _ = run(capsys, argv)
+        assert checks.certificate_problems(argv, code, out) == [], argv
+        samples.setdefault(checks.label(argv), (argv, out))
+    assert len(samples) == 13
+    assert checks.tamper_test(samples) == []
 
 
 # The verify-all and nu certificates, every certificate of the benchmark's

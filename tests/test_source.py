@@ -150,6 +150,13 @@ def test_every_parameter_default_is_used_in_the_package():
     assert defaults_left_out() == []
 
 
+def exception_classes(tree):
+    """The module-level classes of tree that subclass Exception."""
+    return [node for node in tree.body if isinstance(node, ast.ClassDef)
+            and any(isinstance(base, ast.Name) and base.id == "Exception"
+                    for base in node.bases)]
+
+
 def unraised_or_untested_exceptions():
     """"file:line name" for each Exception subclass defined in the package
     that no `raise` in the package names, or that nothing under tests/
@@ -161,9 +168,7 @@ def unraised_or_untested_exceptions():
             if isinstance(node, ast.Raise):
                 raised.update(references(node))
         defined += [(f"{path.name}:{node.lineno}", node.name)
-                    for node in tree.body if isinstance(node, ast.ClassDef)
-                    and any(isinstance(base, ast.Name)
-                            and base.id == "Exception" for base in node.bases)]
+                    for node in exception_classes(tree)]
     for path in sorted(Path(__file__).parent.glob("*.py")):
         tested.update(references(ast.parse(path.read_text(),
                                            filename=str(path))))
@@ -175,3 +180,30 @@ def test_every_exception_class_is_raised_and_tested():
     # An exception class that nothing raises is dead code; one that no test
     # names is a failure branch that no test shows can fire.
     assert unraised_or_untested_exceptions() == []
+
+
+# The package exceptions that a handler may catch: a restriction off the
+# target's span aborts nu's matrix (`nu.target_rows`) and is caught only by
+# `coble check`, and an impossible cover is a usage error
+# (`cli.combination_error`).  Any other outcome the maths can give, such as
+# a counterexample point or a singular system, is returned as a value.
+CATCHABLE = {"NotInSpan", "InadmissibleCover"}
+
+
+def caught_package_exceptions():
+    """"file:line name" for each `except` in the package that names one of
+    the package's own Exception subclasses outside CATCHABLE."""
+    trees = [(path.name, ast.parse(path.read_text(), filename=str(path)))
+             for path in sorted(Path(coble.__file__).parent.glob("*.py"))]
+    own = {node.name for _, tree in trees for node in exception_classes(tree)}
+    return [f"{name}:{node.lineno} {caught}" for name, tree in trees
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler) and node.type
+            for caught in sorted((set(references(node.type)) & own)
+                                 - CATCHABLE)]
+
+
+def test_only_span_and_cover_failures_are_caught():
+    # A finding is a value of the function that finds it; catching a
+    # package exception to turn it back into a check hides a second path.
+    assert caught_package_exceptions() == []
