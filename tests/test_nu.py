@@ -3,9 +3,10 @@ import pytest
 from coble.heisenberg import (COORDS, HeisenbergElement, monomial_action,
                               theta_ring)
 from coble.invariants import pinned_basis
-from coble.nu import (S_TARGET, EigenspaceDimensionError, FixedPlaneChart,
-                      _nu_matrix, eigenspace_chart, fixed_plane_charts,
-                      matching_lifts, nu_rank_and_kernel, packed_terms)
+from coble.nu import (S_TARGET, ZERO, EigenspaceDimensionError,
+                      FixedPlaneChart, _nu_matrix, eigenspace_chart,
+                      fixed_plane_charts, matching_lifts, nu_rank_and_kernel,
+                      packed_terms)
 from nu_oracle import (annexe_restrictions, eta_walk_charts, hack_rows,
                        induced_plane_action, k_eta_generators, nu_matrix,
                        plane_action_preserves_s_span, printed_charts,
@@ -165,6 +166,14 @@ def test_column_rank_equals_row_rank(full_report, basis, charts):
     rank, _, _ = full_report
     rows = _nu_matrix(charts, packed_terms(basis[1], S_TARGET), None)
     assert qw_matrix(rows).transpose().rank() == rank
+
+
+@pytest.mark.parametrize("mode", ["annexe", "all_lifts"])
+def test_zero_coordinates_share_one_pair(basis, mode):
+    rows = _nu_matrix(fixed_plane_charts(mode),
+                      packed_terms(basis[1], S_TARGET), None)
+    zeros = [c for row in rows for c in row if c == (0, 0)]
+    assert zeros and all(c is ZERO for c in zeros)
 
 
 def test_eigenspace_charts_match_annexe(charts):
