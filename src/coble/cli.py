@@ -16,11 +16,15 @@ import sys
 import time
 from fractions import Fraction
 
-# The builtin module hashes as hashlib does without loading OpenSSL.
+# The builtin module hashes as hashlib does without loading OpenSSL; it is
+# named _sha2 from Python 3.12 on.
 try:
     from _sha256 import sha256
 except ImportError:
-    from hashlib import sha256
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import enumerative, hesse, invariants, nu, prym
 from .coble_forms import (ETA_PLANE, barth_quadrics, coble_cubic,
@@ -157,6 +161,8 @@ def cmd_nu_rank(args, cert):
                report["kernel_iota_anti_invariant"], "PAPER")
     cert.check("kernel dimension in {3,4}", True,
                report["kernel_dimension"] in (3, 4), "PAPER")
+    cert.check("rank", 39, report["rank"], "PAPER")
+    cert.check("kernel dimension", 4, report["kernel_dimension"], "PAPER")
     cert.outputs.update({k: report[k] for k in NU_OUTPUTS})
     if args.command == "kernel":
         cert.outputs["kernel"] = report["kernel"]
@@ -266,6 +272,8 @@ def cmd_verify_all(args, cert):
                report["kernel_iota_anti_invariant"], "PAPER")
     cert.check("nu kernel dimension in {3,4}", True,
                report["kernel_dimension"] in (3, 4), "PAPER")
+    cert.check("nu rank", 39, report["rank"], "PAPER")
+    cert.check("nu kernel dimension", 4, report["kernel_dimension"], "PAPER")
     cert.outputs["nu"] = {k: report[k] for k in NU_OUTPUTS}
     progress("hesse duality")
     cert.check("cusp system identities", True,
@@ -398,7 +406,8 @@ def combination_error(args):
 
 # group -> command -> (handler, options); a group with no commands, like
 # verify-all, maps straight to its (handler, options).  An option is
-# (flag, argparse keywords); every command also takes --format.
+# (flag, argparse keywords); every command also takes FORMAT.
+FORMAT = ("--format", {"choices": ("json", "text"), "default": "json"})
 MODE = ("--mode", {"choices": ("annexe", "all_lifts"), "default": "annexe"})
 ORACLE = ("--oracle-prime", {"type": ORACLE_PRIME, "default": 997})
 
@@ -451,11 +460,46 @@ def look_up(table, argv):
     return None
 
 
+def look_up_options(options, argv):
+    """The values argparse would give `options` ((flag, keywords) pairs),
+    by dest in their order, when argv is only `--flag value` or
+    `--flag=value` of these flags, each value accepted by its type and
+    choices and every required flag given; else None.  A value in a token
+    of its own that starts with "-" is a miss: argparse may read it as an
+    option (a joined `--lambda`, `join_fractions`, is no such token)."""
+    keywords, given = dict(options), {}
+    tokens = iter(argv)
+    for token in tokens:
+        flag, joined, text = token.partition("=")
+        text = text if joined else next(tokens, "-")
+        kwargs = keywords.get(flag)
+        if kwargs is None or not joined and text.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        given[flag] = value
+    values = {}
+    for flag, kwargs in options:
+        if flag not in given and kwargs.get("required"):
+            return None
+        value = given.get(flag, kwargs.get("default"))
+        if flag not in given and isinstance(value, str):
+            value = kwargs.get("type", str)(value)
+        values[kwargs.get("dest", flag[2:].replace("-", "_"))] = value
+    return values
+
+
 def parse(argv):
-    """The namespace for argv.  A valid path is looked up in COMMANDS, so
-    only the command's parser is built; where a lookup misses (help, an
-    unknown or missing name, an option or "--" in the way), that level's
-    `split_off` parser runs and reports or skips what argparse would."""
+    """The namespace for argv.  A valid call is looked up in COMMANDS, the
+    group and command by name and the options by `look_up_options`, so no
+    parser is built.  Where a lookup misses (help, an unknown or missing
+    name, an option or "--" in the way, a value that its option refuses),
+    that level's parser runs, `split_off`'s for a name or the command's
+    own for its options, and reports or skips what argparse would."""
     argv = list(sys.argv[1:] if argv is None else argv)
     group, rest = look_up(COMMANDS, argv) or split_off(
         "coble", "group", COMMANDS, argv, description="Exact verification "
@@ -466,12 +510,18 @@ def parse(argv):
             prog, "command", entry, rest)
         entry, prog = entry[command], f"{prog} {command}"
     func, options = entry
-    parser = argparse.ArgumentParser(prog=prog)
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    for flag, kwargs in options:
-        parser.add_argument(flag, **kwargs)
+    options = [FORMAT, *options]
     rest = join_fractions(rest, {flag for flag, kwargs in options
                                  if kwargs.get("type") is fraction_text})
+    values = look_up_options(options, rest)
+    if values is not None:
+        args = argparse.Namespace(group=group, command=command, **values,
+                                  func=func)
+        if combination_error(args) is None:
+            return args
+    parser = argparse.ArgumentParser(prog=prog)
+    for flag, kwargs in options:
+        parser.add_argument(flag, **kwargs)
     args = parser.parse_args(rest, argparse.Namespace(group=group,
                                                       command=command))
     args.func = func

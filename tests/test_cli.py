@@ -236,7 +236,7 @@ def test_unproven_nu_rank_fails_its_checks(capsys, monkeypatch):
     cert = json.loads(out)
     assert [c["name"] for c in cert["checks"] if not c["pass"]] == \
         ["rank-nullity", "kernel iota-anti-invariant",
-         "kernel dimension in {3,4}"]
+         "kernel dimension in {3,4}", "kernel dimension"]
     outputs = cert["outputs"]
     assert outputs["rank_certificate"]["route"] == "unproven"
     assert outputs["rank_certificate"]["kernel_vectors_verified"] == 3
@@ -245,7 +245,8 @@ def test_unproven_nu_rank_fails_its_checks(capsys, monkeypatch):
     code, out, err = run(capsys, ["verify-all"])
     assert code == 1 and "internal error" not in err
     assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] \
-        == ["nu kernel iota-anti-invariant", "nu kernel dimension in {3,4}"]
+        == ["nu kernel iota-anti-invariant", "nu kernel dimension in {3,4}",
+            "nu kernel dimension"]
 
 
 def test_printed_pairs_only_name_the_kernel(capsys, monkeypatch):
@@ -336,6 +337,14 @@ def test_restriction_off_the_span_is_a_failed_check(capsys, monkeypatch,
     assert [(c["name"], c["actual"]) for c in failed] == [(name, actual)]
 
 
+def run_python(script, *args, **kwargs):
+    """`python -c script *args` with `coble` importable from this checkout."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), COLUMNS="80")
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, **kwargs)
+
+
 BOUNDED_MAIN = """\
 import json, resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -356,10 +365,7 @@ print(json.dumps([code, time.monotonic() - start]))
 def test_oracle_prime_above_the_bound_is_a_usage_error(argv):
     # Both are primes = 1 mod 3: 2^61 - 1 used to stall in trial division,
     # 100000081 to exhaust memory in the oracle's table of square roots.
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    done = subprocess.run([sys.executable, "-c", BOUNDED_MAIN, *argv],
-                          env=env, capture_output=True, text=True, timeout=10)
+    done = run_python(BOUNDED_MAIN, *argv, timeout=10)
     code, seconds = json.loads(done.stdout)
     assert code == 2 and seconds < 1
     assert f"{argv[-1]} is not at most {cli.ORACLE_PRIME_MAX}" in done.stderr
@@ -452,7 +458,7 @@ def test_artifact_hash_deterministic(capsys):
 # these certificates must update its hash here.
 PINNED_HASHES = [
     (["verify-all"],
-     "6ee3442417cf3a0b955d730d1605fe372af6a4182fe43e252b9e7b968a77e99b"),
+     "b9ab4128b1f809df2612acf9deb162d77761ab228ea19a8c243fa91912aa608a"),
     (["hesse", "dual"],
      "408da8dade095bc07483d7ca5a9246aff252e9e0c79d8f2c2561f82fdea64cf3"),
     (["hesse", "dual", "--lambda", "7/3", "--oracle-prime", "97"],
@@ -462,7 +468,7 @@ PINNED_HASHES = [
     (["coble", "check"],
      "b21979b3825257f5796b290392f5b487ae797a423062e2cae197fbcc68eb54a3"),
     (["nu", "kernel", "--mode", "all_lifts"],
-     "dd6736a3c38712cafc5339acf202012df6cf67b86efaf00a97247e6b8f4c0d57"),
+     "858e4ed5c61409b523f67982a68e03613e4f57f288dbd77fcdcd19634ca94404"),
     (["invariants", "basis", "--degree", "6"],
      "16e518904e94d6057f7973e7b7ae3f021cc444e97a6588b9772356ebf6117ea7"),
     (["nu", "charts", "--mode", "annexe"],
@@ -472,11 +478,11 @@ PINNED_HASHES = [
     (["invariants", "basis", "--degree", "3"],
      "6de9a58aa54a7f5c1d7231161f0d1f5ba7efde895c893c206e730e42596400b4"),
     (["nu", "kernel", "--mode", "annexe"],
-     "f5dd96ec69fdb7df6f0b4d07066a2c0a6a66c5727144a7b0dded6ea1712860d8"),
+     "7e342eb5cbe1ce575722743734607925d03deac7e3e264b67c995aae429cdffa"),
     (["nu", "rank", "--mode", "annexe"],
-     "6429dc360c53dcf2d892bca18c1cf4db02632f54be9980f5c612fa1192c38e12"),
+     "4951ade6879c9010cb03da6ae892796e68f8403ea82cba5713ea172d19b75b73"),
     (["nu", "rank", "--mode", "all_lifts"],
-     "b1564bbda6dd7c4d3e744bf2fe195175845381cce6f0a5091787dbae63d17a6c"),
+     "4b9c315462f019dd41b53a72983414e98dbc036dbc72d1d247f6b7779092417e"),
 ]
 
 
@@ -501,7 +507,7 @@ def test_negative_fraction_after_lambda_is_its_value(capsys):
 HASH_VERIFY_ALL = """\
 import contextlib, io, json, sys
 if sys.argv[1] == "fallback":
-    sys.modules["_sha256"] = None
+    sys.modules["_sha256"] = sys.modules["_sha2"] = None
 from coble import cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -510,16 +516,13 @@ loaded = [m for m in ("hashlib", "_hashlib") if m in sys.modules]
 import importlib.util
 print(json.dumps({"code": code, "cert": json.loads(out.getvalue()),
                   "loaded": loaded,
-                  "builtin": importlib.util.find_spec("_sha256") is not None}))
+                  "builtin": any(importlib.util.find_spec(name) is not None
+                                 for name in ("_sha256", "_sha2"))}))
 """
 
 
 def hash_verify_all(path):
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    done = subprocess.run([sys.executable, "-c", HASH_VERIFY_ALL, path],
-                          env=env, check=True, capture_output=True, text=True)
-    return json.loads(done.stdout)
+    return json.loads(run_python(HASH_VERIFY_ALL, path, check=True).stdout)
 
 
 def test_builtin_and_hashlib_sha256_give_the_same_artifact_hash():
@@ -554,16 +557,21 @@ def cli_mix_commands():
                    for argv in workloads.plan_cli_mix(seed)})
 
 
+def workload_argvs():
+    """Every argument list of the benchmark's workload plans, seeds 1 to 3."""
+    workloads = perfbench_module("workloads")
+    return sorted({tuple(argv) for plan, _, _ in workloads.WORKLOADS.values()
+                   for seed in (1, 2, 3) for argv in plan(seed)})
+
+
 def test_workload_certificates_pass_the_benchmark_gate(capsys):
     # The benchmark counts a certificate as a failed operation unless its
     # content gate (perfbench/checks.py) passes it, and refuses a run whose
     # gate lets a tampered copy through; tier-1 runs the same gate on every
     # certificate of every plan, seeds 1 to 3.
-    checks, workloads = perfbench_module("checks"), perfbench_module("workloads")
-    argvs = sorted({tuple(argv) for plan, _, _ in workloads.WORKLOADS.values()
-                    for seed in (1, 2, 3) for argv in plan(seed)})
+    checks = perfbench_module("checks")
     samples = {}
-    for argv in map(list, argvs):
+    for argv in map(list, workload_argvs()):
         code, out, _ = run(capsys, argv)
         assert checks.certificate_problems(argv, code, out) == [], argv
         samples.setdefault(checks.label(argv), (argv, out))
@@ -644,16 +652,19 @@ def test_every_command_builds_only_its_path(capsys, parsers_built, path):
         code, out, _ = run(capsys, argv)
         assert code in (0, 1), argv
         assert json.loads(out)["command"] == " ".join(path)
-        assert parsers_built == ["coble " + " ".join(path)]
+        assert parsers_built == []  # every level is a lookup
 
 
 def outcome(capsys, argv):
-    """vars(parse(argv)), or the exit code and output of a parse that exits."""
+    """vars(parse(argv)), the exit code and output of a parse that exits, or
+    the repr of what a parse raises."""
     try:
         return vars(cli.parse(argv))
     except SystemExit as exc:
         captured = capsys.readouterr()
         return exc.code, captured.out, captured.err
+    except Exception as exc:  # argparse before 3.13 reads `--flag=--` as []
+        return repr(exc)
 
 
 @pytest.mark.parametrize("path", TABLE, ids=" ".join)
@@ -668,35 +679,127 @@ def test_lookup_equals_the_split_off_route(capsys, monkeypatch, path):
     assert found == [outcome(capsys, argv) for argv in argvs]
 
 
+# The argparse keywords that `cli.look_up_options` reproduces.
+LOOKUP_KEYWORDS = {"type", "default", "choices", "required", "dest"}
+
+
+def command_options(path):
+    """The options of the command at path, FORMAT first, as parse takes them."""
+    entry = COMMANDS[path[0]]
+    return [cli.FORMAT, *(entry[path[1]] if isinstance(entry, dict)
+                          else entry)[1]]
+
+
+@pytest.mark.parametrize("path", TABLE, ids=" ".join)
+def test_options_use_only_the_keywords_the_lookup_reproduces(path):
+    # An option with, say, `nargs` or `action` would parse one way through
+    # the lookup and another through argparse.
+    for flag, kwargs in command_options(path):
+        assert flag.startswith("--") and set(kwargs) <= LOOKUP_KEYWORDS, flag
+
+
+# A valid value of each option other than its default.
+VALID = {"--format": "text", "--degree": "3", "--mode": "all_lifts",
+         "--lambda": "-5/11", "--oracle-prime": "31", "--kmax": "4",
+         "--h": "2", "--n": "5", "--g": "3", "--t": "1"}
+
+
+def option_argvs(path):
+    """Each option of the command at path given well and badly, alone and
+    after the required ones, then help, "--" and an extra token after a
+    valid call.  "-0_0" is the int 0, which argparse reads as an option."""
+    base = path + REQUIRED.get(tuple(path), [])
+    argvs = [base + tail for tail in ([], ["--help"], ["-h"], ["--"],
+                                      ["--", "--format", "text"], ["extra"],
+                                      ["--format", "text", "extra"])]
+    for flag, _ in command_options(path):
+        v = VALID[flag]
+        argvs += [path + [flag, v]] + [base + tail for tail in (
+            [flag, v], [f"{flag}={v}"], [flag[:-1], v], [f"{flag[:-1]}={v}"],
+            [flag, v, flag, v], [flag, "x", flag, v], [flag, v, flag, "x"],
+            [flag], [f"{flag}="], [flag, "x"], [f"{flag}=x"], [flag, "-1"],
+            [f"{flag}=-1"], [flag, "-0_0"], [f"{flag}=-0_0"], [flag, "-x"],
+            [flag, "--"], [f"{flag}=--"], [flag, v, "--"])]
+    return argvs
+
+
+@pytest.mark.parametrize("argvs", [[list(argv) for argv in workload_argvs()]]
+                         + [option_argvs(path) for path in TABLE],
+                         ids=["workloads"] + [" ".join(p) for p in TABLE])
+def test_option_lookup_equals_the_parser_route(capsys, monkeypatch, argvs):
+    found = [outcome(capsys, argv) for argv in argvs]
+    # The reference: the option lookup misses, so the command's parser runs.
+    monkeypatch.setattr(cli, "look_up_options", lambda options, argv: None)
+    assert found == [outcome(capsys, argv) for argv in argvs]
+
+
 @pytest.mark.parametrize("argv", [["--", "nu", "charts"],
                                   ["nu", "--", "charts"]])
 def test_double_dash_before_a_name_falls_back(capsys, parsers_built, argv):
     code, cert = run_json(capsys, argv)
     assert code == 0 and cert["command"] == "nu charts"
     assert len(cert["outputs"]["charts"]) == 40
-    assert parsers_built[-1] == "coble nu charts" and len(parsers_built) == 2
+    # Only the level that missed builds its parser: the rest are lookups.
+    assert parsers_built == ["coble"]
 
 
-COUNT_PARSERS_AT_IMPORT = """\
-import argparse
+COUNT_PARSERS = """\
+import argparse, contextlib, io, json, sys
 built = []
 init = argparse.ArgumentParser.__init__
 def counting_init(self, *args, **kwargs):
-    built.append(self)
+    built.append(kwargs.get("prog"))
     init(self, *args, **kwargs)
 argparse.ArgumentParser.__init__ = counting_init
 import coble.cli
-print(len(built))
+"""
+COUNT_PARSERS_AT_IMPORT = COUNT_PARSERS + "print(len(built))\n"
+# The parsers one call builds, whether it loads `locale` (gettext does, for
+# a parser's titles), and its exit code and output.
+COUNT_PARSERS_IN_MAIN = COUNT_PARSERS + """\
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        code = coble.cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([built, "locale" in sys.modules, code, out.getvalue(),
+                  err.getvalue()]))
 """
 
 
 def test_no_parser_is_built_at_import():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, "-c", COUNT_PARSERS_AT_IMPORT],
-                         env=env, check=True, capture_output=True,
-                         text=True).stdout
+    out = run_python(COUNT_PARSERS_AT_IMPORT, check=True).stdout
     assert out.strip() == "0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-all"],
+    ["hesse", "dual", "--lambda", "-5/11", "--oracle-prime", "31"],
+    ["prym", "genus", "--n", "3", "--g", "2", "--format", "text"],
+], ids=" ".join)
+def test_a_valid_call_builds_no_parser_and_loads_no_locale(argv):
+    built, has_locale, code, _, _ = json.loads(
+        run_python(COUNT_PARSERS_IN_MAIN, *argv, check=True).stdout)
+    assert (built, has_locale, code) == ([], False, 0)
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["nu", "charts", "--help"], "usage: coble nu charts [-h]"),
+    (["invariants", "dim", "--degree", "x"], "'x' is not an integer"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
+def test_a_missed_option_lookup_runs_the_commands_parser(
+        capsys, monkeypatch, argv, shown):
+    built, _, *found = json.loads(
+        run_python(COUNT_PARSERS_IN_MAIN, *argv, check=True).stdout)
+    assert built == ["coble " + " ".join(argv[:2])]
+    assert shown in found[1] + found[2]
+    # The same exit and output as with no option lookup at all.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "look_up_options", lambda options, argv: None)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert found == [exc.value.code, *capsys.readouterr()]
 
 
 @pytest.mark.parametrize("argv, listed", [
