@@ -37,7 +37,11 @@ every restriction against its combination.
 The sextics are read in S1 = sum Y_i^6, S2 = sum Y_i^3 Y_j^3,
 S3 = Y0 Y1 Y2 * sum Y_i^3, S4 = Y0^2 Y1^2 Y2^2 (`S_TARGET`), the Coble
 cubic's F0..F4 in the Hesse pencil's sum Y^3, Y0Y1Y2 (`PENCIL_TARGET`).
-Each distinct image mod 3 is read off once per packing (`Packing.memo`).
+Each distinct image mod 3 is read off once per packing (`Packing.memo`),
+and when every coefficient is real, an image whose w fields are a known
+image's negated mod 3 (the conjugate chart, Z_b -> w^-j Y_k) takes the
+conjugate rows: the sextics have integer coefficients, so nu on the
+conjugate chart is the entrywise conjugate of nu.
 
 The nu matrix is integral in Z[w], kept as rows of (re, om) int pairs up
 to its rank certificate, `linalg.certified_rank_and_kernel`, on its
@@ -52,6 +56,7 @@ When they do not, the kernel is empty and no printed kernel is named.
 from __future__ import annotations
 
 import sys
+from operator import itemgetter
 
 from .fields import Eisenstein, zw_pair, zw_rotate
 from .heisenberg import (THETA_VARS, HeisenbergElement, classes_mod_sign,
@@ -187,12 +192,12 @@ VANISH = 1 << 4 * FIELD
 INDEX = 5 * FIELD
 INDEX_BITS = 64 - INDEX
 VANISHED = (1 << INDEX) - VANISH
-W_MASK = (1 << FIELD) - 1
-# A slot's key, its element index and Y-exponents, is all but its w field.
-KEY_MASK = ~(W_MASK << PHASE)
-# The byte of a slot's w field in native order, and a table reducing it mod 3.
+# The byte of a slot's w field in native order, and tables reducing it and
+# its negative mod 3.  A slot's key, its element index and Y-exponents, is
+# the slot with that byte cleared.
 W_BYTE = PHASE // 8 if sys.byteorder == "little" else 7 - PHASE // 8
 MOD3 = bytes(b % 3 for b in range(256))
+NEG3 = bytes(-b % 3 for b in range(256))
 ZERO = (0, 0)
 
 
@@ -216,19 +221,23 @@ class Packing:
     """The terms of `count` theta polynomials, packed for restriction to any
     chart and read in `target`: `columns[b]` holds each term's exponent of
     Z_b in the term's slot, `index` its element's index in the INDEX field,
-    and `rotations` its Z[w] coefficient times 1, w, w^2 as pairs.  The
-    `size` accumulators lie in one block of `count` per target monomial:
-    `slot_map` sends a slot's key to its accumulator, `firsts` holds each
-    form's block at its first monomial and `checks` (block, first block)
-    for every other monomial."""
+    and `rotations` its Z[w] coefficient times 1, w, w^2 as pairs; `real`
+    says that no coefficient has a w part.  The `size` accumulators lie in
+    one block of `count` per target monomial: `slot_map` sends a slot's key
+    to its accumulator, `firsts` holds each form's block at its first
+    monomial and `checks` (block, first block) for every other monomial.
+    `memo` keeps the rows per reduced slot bytes, and `read_offs` counts
+    the charts whose terms were summed (`target_rows`)."""
 
-    def __init__(self, count, columns, index, rotations, target):
+    def __init__(self, count, columns, index, rotations, real, target):
         self.count = count
         self.columns = columns
         self.index = index
         self.rotations = rotations
+        self.real = real
         self.target = target
         self.memo = {}
+        self.read_offs = 0
         self.slot_map, self.firsts, self.checks, q = {}, [], [], 0
         for support in target.keys:
             first = slice(q * count, q * count + count)
@@ -245,7 +254,9 @@ class Packing:
 
 def packed_terms(elements, target):
     """Every term of the theta polynomials `elements`, packed to be read in
-    `target` (`Packing`).
+    `target` (`Packing`).  Each column and each byte of the index field is
+    laid out by one slice assignment, and the terms with equal coefficients
+    share one rotation tuple.
     Raises ValueError, before any packing, when there are more elements
     than the INDEX field numbers or a term's degree could overflow a
     field."""
@@ -259,20 +270,23 @@ def packed_terms(elements, target):
             if 2 * sum(exps) >= 1 << FIELD:
                 raise ValueError(f"a term of degree {sum(exps)} overflows the "
                                  f"{FIELD}-bit fields of a restriction")
-    terms = [(i, exps, c) for i, p in enumerate(elements)
-             for exps, c in p.terms.items()]
-    columns = [bytearray(8 * len(terms)) for _ in THETA_VARS]
-    rotations = []
-    for t, (_, exps, c) in enumerate(terms):
-        for b, e in enumerate(exps):
-            if e:
-                columns[b][8 * t] = e
-        pair = zw_pair(c)
-        rotations.append(tuple(zw_rotate(pair, j) for j in range(3)))
-    index = b"".join((i << INDEX).to_bytes(8, "little") for i, _, _ in terms)
-    return Packing(len(elements),
-                   [int.from_bytes(col, "little") for col in columns],
-                   int.from_bytes(index, "little"), rotations, target)
+    exps = [e for p in elements for e in p.terms]
+    pairs = [zw_pair(c) for p in elements for c in p.terms.values()]
+    columns = []
+    for b in range(len(THETA_VARS)):
+        col = bytearray(8 * len(exps))
+        col[0::8] = bytes(map(itemgetter(b), exps))
+        columns.append(int.from_bytes(col, "little"))
+    index = bytearray(8 * len(exps))
+    for byte in range(INDEX // 8, 8):
+        shift = 8 * byte - INDEX
+        index[byte::8] = b"".join(bytes((i >> shift & 255,)) * len(p.terms)
+                                  for i, p in enumerate(elements))
+    rotation = {pair: tuple(zw_rotate(pair, j) for j in range(3))
+                for pair in set(pairs)}
+    return Packing(len(elements), columns, int.from_bytes(index, "little"),
+                   list(map(rotation.__getitem__, pairs)),
+                   not any(om for _, om in rotation), target)
 
 
 def target_rows(chart, packing):
@@ -284,33 +298,51 @@ def target_rows(chart, packing):
     target's forms read at their first monomials.  The rows are read off
     once per packing and slot images with w fields mod 3 (`packing.memo`),
     so charts with equal images share row lists, which no caller mutates;
-    every zero coordinate in them is the one ZERO pair."""
+    every zero coordinate in them is the one ZERO pair.  A read-off takes
+    each slot's key with its w byte cleared, beside that byte.  When no
+    coefficient has a w part, an image whose w fields are those of a known
+    one negated mod 3 (the conjugate chart's) takes that image's rows
+    conjugated entrywise, (a, b) -> (a - b, -b), with no term summed: the
+    target's forms have coefficient 1, so restriction and its span check
+    commute with conjugation."""
     weight = [VANISH if img is None else (1 << FIELD * img[0]) + (img[1] << PHASE)
               for img in chart.images]
     images = sum((col * w for col, w in zip(packing.columns, weight)),
                  packing.index)
     raw = bytearray(images.to_bytes(8 * len(packing.rotations), sys.byteorder))
-    raw[W_BYTE::8] = raw[W_BYTE::8].translate(MOD3)
+    phases = raw[W_BYTE::8]
+    reduced = phases.translate(MOD3)
+    raw[W_BYTE::8] = reduced
     key = bytes(raw)
-    if key in packing.memo:
-        return packing.memo[key]
-    slots = memoryview(key).cast("Q")
+    memo = packing.memo
+    if key in memo:
+        return memo[key]
+    if packing.real:
+        raw[W_BYTE::8] = phases.translate(NEG3)
+        mirror = memo.get(bytes(raw))
+        if mirror is not None:
+            rows = memo[key] = [[c if not c[1] else (c[0] - c[1], -c[1])
+                                 for c in row] for row in mirror]
+            return rows
+    packing.read_offs += 1
+    raw[W_BYTE::8] = bytes(len(reduced))
+    slots = memoryview(raw).cast("Q")
     if sys.byteorder == "big":  # the native bytes put the last slot first
-        slots = slots[::-1]
+        slots, reduced = slots[::-1], reduced[::-1]
     checks = packing.checks
     re, om = [0] * packing.size, [0] * packing.size
     outside = {}
     accumulator = packing.slot_map.get
-    for v, rotations in zip(slots, packing.rotations):
-        i = accumulator(v & KEY_MASK)
+    for k, j, rotations in zip(slots, reduced, packing.rotations):
+        i = accumulator(k)
         if i is not None:
-            a, b = rotations[v >> PHASE & W_MASK]
+            a, b = rotations[j]
             re[i] += a
             om[i] += b
-        elif not v & VANISHED:
-            a, b = rotations[v >> PHASE & W_MASK]
-            old = outside.get(v & KEY_MASK, ZERO)
-            outside[v & KEY_MASK] = (old[0] + a, old[1] + b)
+        elif not k & VANISHED:
+            a, b = rotations[j]
+            old = outside.get(k, ZERO)
+            outside[k] = (old[0] + a, old[1] + b)
     if any(c != ZERO for c in outside.values()) or any(
             re[block] != re[first] or om[block] != om[first]
             for block, first in checks):
@@ -318,7 +350,7 @@ def target_rows(chart, packing):
                                       packing.target.name))
     rows = [[ZERO if c == ZERO else c for c in zip(re[first], om[first])]
             for first in packing.firsts]
-    packing.memo[key] = rows
+    memo[key] = rows
     return rows
 
 
@@ -338,17 +370,21 @@ def _span_failure(re, om, outside, checks, name):
 def _nu_matrix(charts, packing, progress):
     """The restriction matrix as rows of Z[w] pairs: per chart, four rows
     holding the S1..S4 coordinates of every element of `packing`, and to
-    `progress` whether the chart was read off or reused (`target_rows`)."""
-    rows, start = [], len(packing.memo)
+    `progress` whether the chart was read off, reused or conjugated
+    (`target_rows`)."""
+    rows, told = [], {"read off": 0, "conjugated": 0, "reused": 0}
     for ci, chart in enumerate(charts):
-        known = len(packing.memo)
+        known, summed = len(packing.memo), packing.read_offs
         rows.extend(target_rows(chart, packing))
+        how = ("reused" if len(packing.memo) == known else "read off"
+               if packing.read_offs > summed else "conjugated")
+        told[how] += 1
         if progress:
-            how = "read off" if len(packing.memo) > known else "reused"
             progress(f"chart {ci + 1}/{len(charts)} ({chart.family_tag}): "
                      + how)
     if progress:
-        progress(f"charts read off {len(packing.memo) - start}/{len(charts)}, "
+        progress(f"charts read off {told['read off']}/{len(charts)}, "
+                 f"conjugated {told['conjugated']}, "
                  f"distinct rows {len(set(map(tuple, rows)))}")
     return rows
 

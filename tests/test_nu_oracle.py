@@ -261,23 +261,91 @@ def test_nu_rows_are_int_pairs_and_pinned(mode):
         NU_ROWS_SHA256[mode]
 
 
-@pytest.mark.parametrize("mode, read_off", [("annexe", 40), ("all_lifts", 48)])
-def test_charts_with_equal_images_mod_3_reuse_their_rows(mode, read_off):
+# Charts whose terms are summed per mode; the other distinct images are
+# conjugates of images read off before them.
+READ_OFFS = {"annexe": 24, "all_lifts": 32}
+
+
+@pytest.mark.parametrize("mode, distinct", [("annexe", 40), ("all_lifts", 48)])
+def test_charts_with_equal_images_mod_3_reuse_their_rows(mode, distinct):
     # Per class, the three lift charts send every sextic term to the same
-    # Y-monomial with the same phase mod 3, so all_lifts reads off only the
-    # t = 0 chart of each shift class; each annexe chart is read off.
+    # Y-monomial with the same phase mod 3, so all_lifts meets only the
+    # images of the t = 0 charts; each annexe chart has its own.  Of those,
+    # 16 are the conjugates (w fields negated mod 3) of images met before.
     charts = nu.fixed_plane_charts(mode)
     packing = nu.packed_terms(_elements, nu.S_TARGET)
     said = []
     rows = nu._nu_matrix(charts, packing, said.append)
     assert rows == [row for chart in charts for row in nu.target_rows(
         chart, nu.packed_terms(_elements, nu.S_TARGET))]
-    assert len(packing.memo) == read_off
+    read_off = READ_OFFS[mode]
+    assert packing.real and len(packing.memo) == distinct
+    assert packing.read_offs == read_off
     assert sum(line.endswith(": read off") for line in said) == read_off
+    assert sum(line.endswith(": conjugated") for line in said) == \
+        distinct - read_off == 16
     assert sum(line.endswith(": reused") for line in said) == \
-        len(charts) - read_off
-    assert said[-1] == \
-        f"charts read off {read_off}/{len(charts)}, distinct rows 133"
+        len(charts) - distinct
+    assert said[-1] == (f"charts read off {read_off}/{len(charts)}, "
+                        f"conjugated 16, distinct rows 133")
+
+
+def _read(charts):
+    """nu's rows on `charts` through one fresh packing, and per chart how
+    `_nu_matrix` read it."""
+    said = []
+    rows = nu._nu_matrix(charts, nu.packed_terms(_elements, nu.S_TARGET),
+                         said.append)
+    return rows, [line.rsplit(": ", 1)[1] for line in said[:-1]]
+
+
+@pytest.mark.parametrize("mode", sorted(READ_OFFS))
+def test_conjugate_rows_hold_in_both_read_directions(mode):
+    # Read backwards, the other chart of each conjugate pair is read off
+    # and the first one conjugated; the rows still equal those of a fresh
+    # packing per chart, which conjugates nothing.
+    charts = nu.fixed_plane_charts(mode)
+    backwards = charts[::-1]
+    rows, reverse = _read(backwards)
+    assert rows == [row for chart in backwards for row in nu.target_rows(
+        chart, nu.packed_terms(_elements, nu.S_TARGET))]
+    assert any(c[1] for row in rows for c in row)
+    _, forward = _read(charts)
+    for hows in (forward, reverse):
+        assert hows.count("read off") == READ_OFFS[mode]
+        assert hows.count("conjugated") == 16
+    flipped = dict(zip(map(id, backwards), reverse))
+    assert all(flipped[id(chart)] != "conjugated"
+               for chart, how in zip(charts, forward) if how == "conjugated")
+
+
+@pytest.mark.parametrize("elements", [_SEVERAL, [_W * _T["T7"]]],
+                         ids=["several", "w_T7"])
+def test_a_packing_with_a_w_part_conjugates_nothing(elements):
+    # Conjugation takes w c to w^2 conj(c), not to w conj(c), so a packing
+    # with a coefficient off Q reads off every distinct image.
+    charts = nu.fixed_plane_charts("annexe")
+    packing = nu.packed_terms(elements, nu.S_TARGET)
+    assert not packing.real
+    for chart in charts:
+        coords = nu_oracle.by_element(nu.target_rows(chart, packing))
+        for p, c in zip(elements, coords):
+            assert [QwFraction(*x) for x in c] == nu_oracle.coordinates(
+                nu_oracle.restrict(chart, p), "sbasis"), chart.family_tag
+    assert packing.read_offs == len(packing.memo) > 1
+
+
+def test_index_field_numbers_elements_past_one_byte():
+    # 300 distinct multiples of the basis elements need two bytes of the
+    # index field; each gets the rows of its own one-element packing.
+    elements = [(i + 1) * _elements[i % len(_elements)] for i in range(300)]
+    packing = nu.packed_terms(elements, nu.S_TARGET)
+    for chart in _charts[::20]:
+        coords = nu_oracle.by_element(nu.target_rows(chart, packing))
+        assert len(coords) == len(elements)
+        for p, c in zip(elements, coords):
+            assert c == [row[0] for row in nu.target_rows(
+                chart, nu.packed_terms([p], nu.S_TARGET))]
 
 
 def test_charts_apart_in_one_phase_mod_3_are_read_off_apart():
