@@ -50,7 +50,7 @@ def jsonable(obj):
         obj = sorted(obj)
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
+    if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
     raise TypeError(f"no certificate JSON for {type(obj).__name__}: {obj!r}")
 
@@ -167,8 +167,6 @@ def cmd_nu_rank(args, cert):
     cert.check("rank-nullity", True, report["rank_nullity_ok"], "TRIVIAL")
     cert.check("kernel iota-anti-invariant", True,
                report["kernel_iota_anti_invariant"], "PAPER")
-    cert.check("kernel dimension in {3,4}", True,
-               report["kernel_dimension"] in (3, 4), "PAPER")
     cert.check("rank", 39, proven_rank(report), "PAPER")
     cert.check("kernel dimension", 4, report["kernel_dimension"], "PAPER")
     cert.outputs.update({k: report[k] for k in NU_OUTPUTS})
@@ -216,9 +214,16 @@ def cmd_enum_degree_dual(args, cert):
     cert.check("dual degree", 6, enumerative.dual_degree_computation(), "PAPER")
 
 
+def check_character_sum(cert, kmax):
+    cert.check(f"levels k <= {kmax} where the character sum is off "
+               "C(k+8, 8) + C(k+5, 8)", [],
+               enumerative.character_sum_mismatches(kmax), "DERIVED")
+
+
 def cmd_enum_verlinde(args, cert):
     seq = enumerative.verlinde_sequence(args.kmax)
     cert.check("dimension at k=1", 9, seq[1], "PAPER")
+    check_character_sum(cert, args.kmax)
     cert.check("theta degree from finite differences", 2,
                enumerative.theta_degree_from_verlinde(), "PAPER")
     cert.outputs["dimensions"] = seq
@@ -278,8 +283,6 @@ def cmd_verify_all(args, cert):
     _, _, report = nu.nu_rank_and_kernel(progress=progress)
     cert.check("nu kernel iota-anti-invariant", True,
                report["kernel_iota_anti_invariant"], "PAPER")
-    cert.check("nu kernel dimension in {3,4}", True,
-               report["kernel_dimension"] in (3, 4), "PAPER")
     cert.check("nu rank", 39, proven_rank(report), "PAPER")
     cert.check("nu kernel dimension", 4, report["kernel_dimension"], "PAPER")
     cert.outputs["nu"] = {k: report[k] for k in NU_OUTPUTS}
@@ -299,6 +302,7 @@ def cmd_verify_all(args, cert):
     cert.check("duality oracle", 0, found, "DERIVED")
     progress("enumerative")
     cert.check("dual degree", 6, enumerative.dual_degree_computation(), "PAPER")
+    check_character_sum(cert, 10)
     cert.check("theta degree", 2, enumerative.theta_degree_from_verlinde(),
                "PAPER")
     cert.check("v_{1,1,1}", Fraction(1, 945),
@@ -331,7 +335,9 @@ def checked_int(*checks):
 
 # Size bounds, checked before any work (`invariants dim --degree 21` takes
 # 0.4 s and 71 MB, degree 18 0.12 s and 43 MB: each step of 3 about 3.5x
-# the time and 1.7x the memory).
+# the time and 1.7x the memory; `enum verlinde --kmax 1000` 0.33-0.34 s as
+# a process, 0.25-0.28 s of it the character sum at every level; 2 vCPUs,
+# Python 3.11.7).
 DEGREE_MAX, KMAX_MAX, H_MAX = 21, 1000, 40
 POSITIVE = (lambda n: n >= 1, "a positive integer")
 DEGREE = checked_int((lambda d: d <= DEGREE_MAX, f"at most {DEGREE_MAX}"),

@@ -11,10 +11,6 @@ from fractions import Fraction
 from .fields import bernoulli
 
 
-class NonIntegralDimension(Exception):
-    pass
-
-
 # Top intersection numbers H^r e^(8-r) on the blown-up P^8, in the order
 # r = 0..8.  Kept as a frozen cross-check; the computation derives them.
 HARDCODED_TABLE = {8: 1, 7: 0, 6: 0, 5: 0, 4: 0, 3: 0, 2: -18, 1: -162, 0: -810}
@@ -68,40 +64,6 @@ def dual_degree_computation():
 
 # ----- Verlinde ------------------------------------------------------------
 
-def verlinde_v111(m):
-    """V_{1,1,1}(m): sum over interior lattice points a, b >= 1, a+b <= m-1
-    of [sin(pi a/m) sin(pi b/m) sin(pi (a+b)/m)]^(-2)."""
-    total = 0.0
-    for a in range(1, m - 1):
-        for b in range(1, m - a):
-            s = (math.sin(math.pi * a / m) * math.sin(math.pi * b / m)
-                 * math.sin(math.pi * (a + b) / m))
-            total += s ** -2
-    return total
-
-
-# The float sum is checked against the exact dimensions up to this level,
-# where it must lie within this relative distance of an integer.
-FLOAT_CHECK_KMAX = 12
-FLOAT_CHECK_TOLERANCE = 1e-6
-
-
-def verlinde_dimension(k):
-    """dim H^0 at level k for rank 3, genus 2 by the float sum
-    3 ((k+3)/8)^2 V_{1,1,1}(k+3).  Returns (float value, nearest integer);
-    integrality enforced for k <= FLOAT_CHECK_KMAX.  A cross-check only: its
-    error grows with k (the rounding is off by one at k = 160)."""
-    if k < 0:
-        raise ValueError("level must be >= 0")
-    m = k + 3
-    value = 3 * ((m / 8) ** 2) * verlinde_v111(m)
-    nearest = round(value)
-    tolerance = FLOAT_CHECK_TOLERANCE * max(1, abs(value))
-    if k <= FLOAT_CHECK_KMAX and abs(value - nearest) > tolerance:
-        raise NonIntegralDimension(f"k={k}: {value}")
-    return value, nearest
-
-
 def verlinde_exact(k):
     """h^0(L^k) = C(k+8, 8) + C(k+5, 8): the theta map is a double cover of
     P^8 branched along a sextic in |O(2 delta)|, delta = 3, so
@@ -109,15 +71,41 @@ def verlinde_exact(k):
     return math.comb(k + 8, 8) + math.comb(k + 5, 8)
 
 
+def csc_square_coefficients(m):
+    """[q_0, ..., q_(m-1)], q_n the sum of ij over 1 <= i, j < m with
+    i + j = n mod m: csc^2(pi a/m) = sum_l c_l zeta^(al), zeta = e^(2 pi i/m),
+    for a != 0 mod m, with c_l = -4 q_(l-1)/m^2 (indices mod m)."""
+    top1, top2 = m * (m - 1) // 2, (m - 1) * m * (2 * m - 1) // 6
+    # q_n = sum_{i<n} i (n - i) + sum_{i=n+1}^{m-1} i (n + m - i)
+    return [(n ** 3 - n) // 6 + (n + m) * (top1 - n * (n + 1) // 2)
+            - top2 + n * (n + 1) * (2 * n + 1) // 6 for n in range(m)]
+
+
+def verlinde_character_sum(k):
+    """h^0(L^k) by the Verlinde formula for rank 3, genus 2, summed exactly.
+    With m = k + 3, h^0 = 3 (m/8)^2 V(m), where V(m) sums
+    [sin(pi a/m) sin(pi b/m) sin(pi (a+b)/m)]^(-2) over a, b >= 1,
+    a + b <= m - 1.  Expanding each csc^2 in characters
+    (`csc_square_coefficients`) and summing over the pairs (a, b) of
+    (Z/m)^2 with a, b and a + b nonzero, which hold that triangle twice,
+    gives h^0 = 3 (3 m S B - m^2 A - 2 S^3) / (2 m^4), with S, B and A the
+    sums of q_n, q_n^2 and q_n^3 (c_l = c_-l, as csc^2 is even)."""
+    m = k + 3
+    q = csc_square_coefficients(m)
+    s, b, a = sum(q), sum(x * x for x in q), sum(x ** 3 for x in q)
+    return Fraction(3 * (3 * m * s * b - m * m * a - 2 * s ** 3), 2 * m ** 4)
+
+
+def character_sum_mismatches(kmax):
+    """The levels k <= kmax at which the character sum is not the closed
+    form: the finding, returned as a value."""
+    return [k for k in range(kmax + 1)
+            if verlinde_character_sum(k) != verlinde_exact(k)]
+
+
 def verlinde_sequence(kmax):
-    """The exact dimensions for k = 0..kmax; for k <= FLOAT_CHECK_KMAX the
-    rounded float sum must give the same integers."""
-    seq = [verlinde_exact(k) for k in range(kmax + 1)]
-    for k in range(min(kmax, FLOAT_CHECK_KMAX) + 1):
-        value, nearest = verlinde_dimension(k)
-        if nearest != seq[k]:
-            raise NonIntegralDimension(f"k={k}: float sum {value} != {seq[k]}")
-    return seq
+    """The exact dimensions for k = 0..kmax."""
+    return [verlinde_exact(k) for k in range(kmax + 1)]
 
 
 def finite_differences(seq):
@@ -126,14 +114,14 @@ def finite_differences(seq):
 
 def theta_degree_from_verlinde():
     """deg theta = 8! * (leading coefficient of the Hilbert polynomial),
-    extracted as the 8th finite difference of the integer dimensions; the
-    difference must be constant over k = 0..10."""
-    seq = verlinde_sequence(10)
-    diffs = seq
+    extracted as the 8th finite difference of the integer dimensions over
+    k = 0..10; differences that are not constant are returned as the
+    finding."""
+    diffs = verlinde_sequence(10)
     for _ in range(8):
         diffs = finite_differences(diffs)
     if len(set(diffs)) != 1:
-        raise NonIntegralDimension(f"8th differences not constant: {diffs}")
+        return f"8th differences not constant: {diffs}"
     return diffs[0]
 
 

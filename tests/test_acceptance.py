@@ -200,8 +200,10 @@ def test_criterion_07_dual_degree():
 
 def test_criterion_08_verlinde():
     def body():
-        seq = enumerative.verlinde_sequence(8)  # integrality enforced inside
+        seq = enumerative.verlinde_sequence(8)
         assert seq[1] == 9
+        # The Verlinde character sum, exact, is the closed form at each level.
+        assert enumerative.character_sum_mismatches(8) == []
         assert enumerative.theta_degree_from_verlinde() == 2
         assert enumerative.zagier_leading_coefficient(1) == Fraction(1, 945)
         assert Fraction(1, 945) == Fraction(2 ** 4, 3 * 5040)

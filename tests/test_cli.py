@@ -10,7 +10,7 @@ import pytest
 
 from fractions import Fraction
 
-from coble import cli, coble_forms, hesse, nu
+from coble import cli, coble_forms, enumerative, hesse, nu
 from coble.cli import COMMANDS, jsonable, main
 from coble.fields import Eisenstein
 from coble.heisenberg import theta_ring
@@ -235,8 +235,8 @@ def test_unproven_nu_rank_fails_its_checks(capsys, monkeypatch):
     assert code == 1 and "internal error" not in err
     cert = json.loads(out)
     assert [c["name"] for c in cert["checks"] if not c["pass"]] == \
-        ["rank-nullity", "kernel iota-anti-invariant",
-         "kernel dimension in {3,4}", "rank", "kernel dimension"]
+        ["rank-nullity", "kernel iota-anti-invariant", "rank",
+         "kernel dimension"]
     # The rank mod p is only a lower bound, so the rank check claims no 39.
     assert [c["actual"] for c in cert["checks"] if c["name"] == "rank"] == \
         ["unproven: at least 39"]
@@ -248,8 +248,7 @@ def test_unproven_nu_rank_fails_its_checks(capsys, monkeypatch):
     code, out, err = run(capsys, ["verify-all"])
     assert code == 1 and "internal error" not in err
     assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] \
-        == ["nu kernel iota-anti-invariant", "nu kernel dimension in {3,4}",
-            "nu rank", "nu kernel dimension"]
+        == ["nu kernel iota-anti-invariant", "nu rank", "nu kernel dimension"]
 
 
 def test_printed_pairs_only_name_the_kernel(capsys, monkeypatch):
@@ -451,6 +450,40 @@ def test_value_of_no_json_type_is_an_internal_error(capsys, monkeypatch):
     assert "internal error" in err and "no certificate JSON for object" in err
 
 
+def test_float_output_is_an_internal_error(capsys, monkeypatch):
+    # No certificate holds a float: an exact number is an int or a Fraction.
+    with pytest.raises(TypeError, match="no certificate JSON for float"):
+        jsonable(0.5)
+    monkeypatch.setattr("coble.enumerative.quadric_dimension_count",
+                        lambda: 9.0)
+    code, out, err = run(capsys, ["enum", "quadric-count"])
+    assert code == 3 and out == ""
+    assert "internal error" in err and "no certificate JSON for float" in err
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["enum", "verlinde", "--kmax", "9"],
+     ["levels k <= 9 where the character sum is off C(k+8, 8) + C(k+5, 8)",
+      "theta degree from finite differences"]),
+    (["verify-all"],
+     ["levels k <= 10 where the character sum is off C(k+8, 8) + C(k+5, 8)",
+      "theta degree"]),
+])
+def test_closed_form_off_at_one_level_fails_its_checks(
+        capsys, monkeypatch, argv, names):
+    # Both findings are values: the character sum names the level, and the
+    # eighth differences of the sequence are no longer constant.
+    exact = enumerative.verlinde_exact
+    monkeypatch.setattr(enumerative, "verlinde_exact",
+                        lambda k: exact(k) + (k == 7))
+    code, out, err = run(capsys, argv)
+    assert code == 1 and "internal error" not in err
+    failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == names
+    assert failed[0]["actual"] == [7]
+    assert failed[1]["actual"].startswith("8th differences not constant")
+
+
 def test_artifact_hash_deterministic(capsys):
     _, cert1 = run_json(capsys, ["prym", "check"])
     _, cert2 = run_json(capsys, ["prym", "check"])
@@ -461,7 +494,7 @@ def test_artifact_hash_deterministic(capsys):
 # these certificates must update its hash here.
 PINNED_HASHES = [
     (["verify-all"],
-     "b9ab4128b1f809df2612acf9deb162d77761ab228ea19a8c243fa91912aa608a"),
+     "9a054b28c43b4cc17ec301f0f7f19ef7b8ba14e10ba290444986ed3bc91d6c63"),
     (["hesse", "dual"],
      "408da8dade095bc07483d7ca5a9246aff252e9e0c79d8f2c2561f82fdea64cf3"),
     (["hesse", "dual", "--lambda", "7/3", "--oracle-prime", "97"],
@@ -471,7 +504,7 @@ PINNED_HASHES = [
     (["coble", "check"],
      "b21979b3825257f5796b290392f5b487ae797a423062e2cae197fbcc68eb54a3"),
     (["nu", "kernel", "--mode", "all_lifts"],
-     "858e4ed5c61409b523f67982a68e03613e4f57f288dbd77fcdcd19634ca94404"),
+     "8ff0c46242abd269f8ae51baf5df03bb33dee12fbc3d5ffecee1b923c423d5ed"),
     (["invariants", "basis", "--degree", "6"],
      "16e518904e94d6057f7973e7b7ae3f021cc444e97a6588b9772356ebf6117ea7"),
     (["nu", "charts", "--mode", "annexe"],
@@ -481,11 +514,13 @@ PINNED_HASHES = [
     (["invariants", "basis", "--degree", "3"],
      "6de9a58aa54a7f5c1d7231161f0d1f5ba7efde895c893c206e730e42596400b4"),
     (["nu", "kernel", "--mode", "annexe"],
-     "7e342eb5cbe1ce575722743734607925d03deac7e3e264b67c995aae429cdffa"),
+     "cb13d03c5ae00f481e8f2e941f40837c0e97a43fc7ce3c2e798436243d13756c"),
     (["nu", "rank", "--mode", "annexe"],
-     "4951ade6879c9010cb03da6ae892796e68f8403ea82cba5713ea172d19b75b73"),
+     "f03bcb77c517784e6d39ad0e41393c2fb4bf365e93d566344ec11f85ca36df48"),
     (["nu", "rank", "--mode", "all_lifts"],
-     "4b9c315462f019dd41b53a72983414e98dbc036dbc72d1d247f6b7779092417e"),
+     "79b48630130dcb2b1f498cd45f0a6487e2b4155f71e017c8f5c3feea2a2f7654"),
+    (["enum", "verlinde", "--kmax", "12"],
+     "814a44a0166b31df52e56d1adc2f9b542435f187fd27555987dca0b96aef9d14"),
 ]
 
 

@@ -1,18 +1,43 @@
+import cmath
 import math
 from fractions import Fraction
 
 import pytest
 
 from coble import enumerative
-from coble.enumerative import (FLOAT_CHECK_KMAX, HARDCODED_TABLE,
-                               NonIntegralDimension,
+from coble.enumerative import (HARDCODED_TABLE, character_sum_mismatches,
+                               csc_square_coefficients,
                                derived_intersection_table, dual_degree_computation,
                                dual_degree_expansion, finite_differences,
                                quadric_dimension_count,
                                theta_degree_from_verlinde,
-                               theta_degree_from_zagier, verlinde_dimension,
-                               verlinde_exact, verlinde_sequence,
-                               verlinde_v111, zagier_leading_coefficient)
+                               theta_degree_from_zagier,
+                               verlinde_character_sum, verlinde_exact,
+                               verlinde_sequence, zagier_leading_coefficient)
+
+
+def verlinde_v111(m):
+    """The float reference: V_{1,1,1}(m), the sum over a, b >= 1,
+    a + b <= m - 1 of [sin(pi a/m) sin(pi b/m) sin(pi (a+b)/m)]^(-2)."""
+    total = 0.0
+    for a in range(1, m - 1):
+        for b in range(1, m - a):
+            s = (math.sin(math.pi * a / m) * math.sin(math.pi * b / m)
+                 * math.sin(math.pi * (a + b) / m))
+            total += s ** -2
+    return total
+
+
+def float_verlinde(k):
+    """h^0(L^k) as the float sum 3 ((k+3)/8)^2 V_{1,1,1}(k+3); its error
+    grows with k (rounded, it is one too few at k = 160)."""
+    return 3 * ((k + 3) / 8) ** 2 * verlinde_v111(k + 3)
+
+
+def q_by_definition(m, n):
+    """q_n: the sum of ij over 1 <= i, j < m with i + j = n mod m."""
+    return sum(i * j for i in range(1, m) for j in range(1, m)
+               if (i + j - n) % m == 0)
 
 
 def test_derived_table_matches_frozen():
@@ -46,9 +71,40 @@ def test_intersection_class_evaluation():
 
 
 def test_verlinde_values():
-    value, rounded = verlinde_dimension(1)
-    assert rounded == 9 and abs(value - 9) < 1e-6
+    assert verlinde_character_sum(1) == 9
     assert verlinde_v111(4) == pytest.approx(12)
+
+
+def test_float_sum_agrees_with_the_character_sum_up_to_level_12():
+    for k in range(13):
+        exact = verlinde_character_sum(k)
+        assert exact.denominator == 1
+        assert abs(float_verlinde(k) - exact) < 1e-6 * exact
+
+
+def test_character_sum_is_the_closed_form_up_to_level_1000():
+    assert character_sum_mismatches(1000) == []
+    assert verlinde_character_sum(160) == 24756893689473
+    assert round(float_verlinde(160)) == 24756893689472
+
+
+def test_q_closed_form_is_its_definition():
+    # Also c_l = c_-l, which lets the sum take q_n^2 and q_n^3 for
+    # c_l c_-l and c_l c_-l^2.
+    for m in range(1, 31):
+        q = csc_square_coefficients(m)
+        assert q == [q_by_definition(m, n) for n in range(m)]
+        assert all(q[(l - 1) % m] == q[(-l - 1) % m] for l in range(m))
+
+
+def test_csc_square_coefficients_are_the_fourier_coefficients():
+    for m in range(2, 13):
+        q = csc_square_coefficients(m)
+        for a in range(1, m):
+            series = sum(-4 * q[(l - 1) % m] / m ** 2
+                         * cmath.exp(2j * math.pi * a * l / m)
+                         for l in range(m))
+            assert series == pytest.approx(math.sin(math.pi * a / m) ** -2)
 
 
 def test_verlinde_sequence_frozen():
@@ -57,7 +113,6 @@ def test_verlinde_sequence_frozen():
 
 
 def test_verlinde_exact_at_large_level():
-    """The rounded float sum gives 24756893689472 here, one too few."""
     assert verlinde_sequence(160)[160] == 24756893689473
 
 
@@ -72,30 +127,25 @@ def test_verlinde_leading_coefficient_matches_zagier():
     assert leading == 3 * zagier_leading_coefficient(1) / 64
 
 
-def test_verlinde_float_cross_check_is_live(monkeypatch):
+def test_verlinde_character_sum_check_is_live(monkeypatch):
     exact = verlinde_exact
     monkeypatch.setattr("coble.enumerative.verlinde_exact",
-                        lambda k: exact(k) + (k == 12))
-    assert verlinde_sequence(11) == [exact(k) for k in range(12)]
-    with pytest.raises(NonIntegralDimension):
-        verlinde_sequence(12)
+                        lambda k: exact(k) + (k in (12, 15)))
+    assert character_sum_mismatches(11) == []
+    assert character_sum_mismatches(20) == [12, 15]
 
 
-def test_verlinde_sequence_sums_each_checked_level_once(monkeypatch):
-    """One float sum per level k <= FLOAT_CHECK_KMAX, none above, and a
-    failing level reports the float it already summed."""
-    v111, exact = verlinde_v111, verlinde_exact
-    calls = []
-    monkeypatch.setattr("coble.enumerative.verlinde_v111",
-                        lambda m: calls.append(m) or v111(m))
-    verlinde_sequence(FLOAT_CHECK_KMAX + 5)
-    assert calls == [k + 3 for k in range(FLOAT_CHECK_KMAX + 1)]
+def test_character_sum_check_sums_each_level_once(monkeypatch):
+    """One character sum per level k = 0..kmax, and none for the sequence,
+    which is the closed form alone."""
+    summed, calls = verlinde_character_sum, []
+    monkeypatch.setattr("coble.enumerative.verlinde_character_sum",
+                        lambda k: calls.append(k) or summed(k))
+    assert character_sum_mismatches(17) == []
+    assert calls == list(range(18))
     calls.clear()
-    monkeypatch.setattr("coble.enumerative.verlinde_exact",
-                        lambda k: exact(k) + (k == FLOAT_CHECK_KMAX))
-    with pytest.raises(NonIntegralDimension, match="float sum"):
-        verlinde_sequence(FLOAT_CHECK_KMAX)
-    assert calls == [k + 3 for k in range(FLOAT_CHECK_KMAX + 1)]
+    verlinde_sequence(17)
+    assert calls == []
 
 
 def test_theta_degree_from_verlinde():
@@ -134,17 +184,17 @@ def test_tampered_frozen_table_is_refused(monkeypatch):
         dual_degree_computation()
 
 
-def test_float_sum_off_an_integer_is_refused(monkeypatch):
-    v111 = verlinde_v111
-    monkeypatch.setattr(enumerative, "verlinde_v111",
-                        lambda m: v111(m) + 0.1)
-    with pytest.raises(NonIntegralDimension, match="k=1: "):
-        verlinde_dimension(1)
+def test_character_sum_off_an_integer_is_a_mismatch(monkeypatch):
+    summed = verlinde_character_sum
+    monkeypatch.setattr(enumerative, "verlinde_character_sum",
+                        lambda k: summed(k) + Fraction(k == 1, 10))
+    assert character_sum_mismatches(5) == [1]
 
 
 def test_nonconstant_eighth_differences_are_refused(monkeypatch):
+    # The finding is the value: no degree is returned.
     monkeypatch.setattr(enumerative, "verlinde_sequence",
                         lambda kmax: [verlinde_exact(k) + (k == kmax)
                                       for k in range(kmax + 1)])
-    with pytest.raises(NonIntegralDimension, match="not constant"):
-        theta_degree_from_verlinde()
+    assert theta_degree_from_verlinde() == \
+        "8th differences not constant: [2, 2, 3]"

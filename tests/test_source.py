@@ -213,3 +213,38 @@ def test_only_span_and_cover_failures_are_caught():
     # A finding is a value of the function that finds it; catching a
     # package exception to turn it back into a check hides a second path.
     assert caught_package_exceptions() == []
+
+
+TRIGONOMETRY = {"sin", "cos", "pi"}
+
+
+def floats_in_the_package():
+    """"file:line what" for each float or complex literal, each name
+    `float` and each `sin`, `cos` or `pi` of `math` (as an attribute or
+    imported by name) in the package."""
+    found = []
+    for path in sorted(Path(coble.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and \
+                    isinstance(node.value, (float, complex)):
+                what = [repr(node.value)]
+            elif isinstance(node, ast.Name) and node.id == "float":
+                what = ["float"]
+            elif isinstance(node, ast.Attribute) and \
+                    node.attr in TRIGONOMETRY and \
+                    isinstance(node.value, ast.Name) and node.value.id == "math":
+                what = [f"math.{node.attr}"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                what = [f"math.{alias.name}" for alias in node.names
+                        if alias.name in TRIGONOMETRY]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {w}" for w in what]
+    return found
+
+
+def test_no_float_in_the_package():
+    # Every number a certificate reports is exact: an int, a Fraction or an
+    # Eisenstein integer, so no float is computed anywhere in `coble`.
+    assert floats_in_the_package() == []
