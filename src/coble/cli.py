@@ -334,10 +334,11 @@ def checked_int(*checks):
 
 
 # Size bounds, checked before any work (`invariants dim --degree 21` takes
-# 0.4 s and 71 MB, degree 18 0.12 s and 43 MB: each step of 3 about 3.5x
-# the time and 1.7x the memory; `enum verlinde --kmax 1000` 0.33-0.34 s as
-# a process, 0.25-0.28 s of it the character sum at every level; 2 vCPUs,
-# Python 3.11.7).
+# 0.15 s and 19 MB as a process, degree 18 0.11 s and 17 MB, of which the
+# import is 16 MB: each step of 3 about 2.3x the orbit count's time and
+# 2.5x its memory; `enum verlinde --kmax 1000` 0.33-0.34 s as a process,
+# 0.25-0.28 s of it the character sum at every level; 2 vCPUs, Python
+# 3.11.7).
 DEGREE_MAX, KMAX_MAX, H_MAX = 21, 1000, 40
 POSITIVE = (lambda n: n >= 1, "a positive integer")
 DEGREE = checked_int((lambda d: d <= DEGREE_MAX, f"at most {DEGREE_MAX}"),

@@ -10,6 +10,7 @@ K-orbit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 from .heisenberg import (COORD_INDEX, COORDS, exponent_getter, neg2,
                          orbit_sum)
@@ -37,28 +38,6 @@ def invariant_dimension(d):
     return q
 
 
-def packed_khat_monomials(d, w):
-    """All K^-invariant degree-d monomials as ints, Z_k's exponent in bits
-    [w*k, w*(k+1)), in the lexicographic order of their exponent tuples.
-    Block Zi* = (a, b, c) of total n adds i*n to the first index sum and
-    b + 2c to the second.  So if Z0* has total d - m, Z1* has a total
-    n1 <= m with n1 = 2m mod 3, and Z2* the total m - n1 and the b + 2c
-    that cancels the second sum: the tails depend on m and Z0*'s b + 2c."""
-    triples = [(a | b << w | c << 2 * w, a + b + c, (b + 2 * c) % 3)
-               for a in range(d + 1) for b in range(d + 1 - a)
-               for c in range(d + 1 - a - b)]
-    last = {}  # (total, b + 2c mod 3) -> the Z2* blocks, shifted into place
-    for z, n, j in triples:
-        last.setdefault((n, j), []).append(z << 6 * w)
-    tails = {}
-    for m in range(d + 1):
-        middle = [t for t in triples if t[1] <= m and (t[1] - 2 * m) % 3 == 0]
-        for j0 in range(3):
-            tails[m, j0] = [z1 << 3 * w | z2 for z1, n1, j1 in middle
-                            for z2 in last.get((m - n1, -(j0 + j1) % 3), ())]
-    return [z0 | tail for z0, n0, j0 in triples for tail in tails[d - n0, j0]]
-
-
 def packed_translator(w):
     """The nine K-translates of a packed monomial by two rotations: (0, 1)
     moves Z_(i,j) to Z_(i,j+1), each block rotated by w bits, and (1, 0)
@@ -78,21 +57,61 @@ def packed_translator(w):
 
 
 def packed_orbit_representatives(d):
-    """(w = max(1, d.bit_length()), the first packed K^-invariant degree-d
-    monomial of each K-orbit: its least translate as an exponent tuple)."""
+    """(w = max(1, d.bit_length()), the least packed int of each K-orbit of
+    K^-invariant degree-d monomials), Z_k's exponent in bits [w*k, w*(k+1)).
+
+    Block Zi* = (a, b, c) of total n adds i*n to the first index sum and
+    b + 2c to the second, so K^-invariance asks n1 = n2 mod 3 and the b + 2c
+    classes of the three blocks to sum to 0 mod 3.  Z2* is the top 3w bits
+    and every translate rotates the three blocks alike and permutes them, so
+    an orbit's least member has the least of the nine block rotations on
+    top.  The tops are the blocks that are their own least rotation; the
+    (Z1*, Z0*) tails of a top's (total, class) are keyed by the lesser of
+    their blocks' least rotations.  A key above a top that no rotation fixes
+    gives the least member outright, a key below it none, and any other key
+    is kept when the monomial is the least of its translates.  Raises
+    `DegreeNotDivisibleBy3` unless 3 | d: there a translate by x shifts the
+    character values by d*x, so no other translate is K^-invariant."""
+    if d % 3:
+        raise DegreeNotDivisibleBy3(f"degree {d} is not divisible by 3")
     w = max(1, d.bit_length())
+    s2, s3, s6, mask = 2 * w, 3 * w, 6 * w, (1 << 3 * w) - 1
     translates = packed_translator(w)
-    seen, reps = set(), []
-    for e in packed_khat_monomials(d, w):
-        if e not in seen:
-            seen.update(translates(e))
-            reps.append(e)
+
+    def rotate(z):  # (a, b, c) -> (c, a, b)
+        return z << w & mask | z >> s2
+
+    blocks = {}  # (total, b + 2c mod 3) -> [(block, its least rotation)]
+    for a in range(d + 1):
+        for b in range(d + 1 - a):
+            for c in range(d + 1 - a - b):
+                z = a | b << w | c << s2
+                blocks.setdefault((a + b + c, (b + 2 * c) % 3), []).append(
+                    (z, min(z, rotate(z), rotate(rotate(z)))))
+    reps = []
+    for (n2, j2), group in blocks.items():
+        tops = [z for z, least in group if z == least]
+        if not tops:
+            continue
+        m = d - n2
+        tails = sorted((min(l1, l0), z1 << s3 | z0)
+                       for n1 in range(n2 % 3, m + 1, 3) for j1 in range(3)
+                       for z1, l1 in blocks.get((n1, j1), ())
+                       for z0, l0 in blocks.get((m - n1, -(j2 + j1) % 3), ()))
+        keys = [key for key, _ in tails]
+        for z in tops:
+            top, lo = z << s6, bisect_left(keys, z)
+            # Only a constant top (a, a, a) is fixed by a rotation.
+            hi = len(keys) if z == rotate(z) else bisect_right(keys, z, lo)
+            reps += [e for e in (top | t for _, t in tails[lo:hi])
+                     if e == min(translates(e))]
+            reps += [top | t for _, t in tails[hi:]]
     return w, reps
 
 
 def orbit_count(d):
-    """Number of K-orbits of K^-invariant degree-d monomials (independent
-    combinatorial count of the invariant dimension)."""
+    """Number of K-orbits of K^-invariant degree-d monomials, 3 | d
+    (independent combinatorial count of the invariant dimension)."""
     return len(packed_orbit_representatives(d)[1])
 
 
@@ -178,9 +197,9 @@ def pinned_basis(ring, degree):
 
 
 def invariant_basis(ring, d):
-    """`pinned_basis(ring, d)`, checked against the packed orbit walk: the
-    K-orbit of each seed holds exactly one representative that no earlier
-    seed met, no representative is left over, and there are
+    """`pinned_basis(ring, d)`, checked against the packed orbit
+    enumeration: the K-orbit of each seed holds exactly one representative
+    that no earlier seed met, no representative is left over, and there are
     `invariant_dimension(d)` orbits."""
     labels, elements = pinned_basis(ring, d)
     w, reps = packed_orbit_representatives(d)

@@ -521,6 +521,10 @@ PINNED_HASHES = [
      "79b48630130dcb2b1f498cd45f0a6487e2b4155f71e017c8f5c3feea2a2f7654"),
     (["enum", "verlinde", "--kmax", "12"],
      "814a44a0166b31df52e56d1adc2f9b542435f187fd27555987dca0b96aef9d14"),
+    (["invariants", "dim", "--degree", "12"],
+     "1bf6bd79a3bf2da714641cc49c94b1ba71ac9f99fbb15da3120e52f556397319"),
+    (["invariants", "dim", "--degree", "21"],
+     "f2543fb55f0f33fac1e00de3edcd0adaa36088b898897c945571071f5f00f2fe"),
 ]
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -11,13 +12,14 @@ from coble.heisenberg import (COORDS, TRANSLATIONS, act_on_polynomial,
 from coble.invariants import (DegreeNotDivisibleBy3, InternalCountMismatch,
                               invariant_basis, invariant_dimension, iota_act,
                               iota_permutation, iota_split, orbit_count,
-                              packed_khat_monomials,
                               packed_orbit_representatives,
                               packed_translator, pinned_basis)
 from coble.poly import _grlex_key
 from invariants_oracle import (distinct_orbit_sums, iota_split_by_elimination,
                                khat_invariant_monomials,
-                               orbit_count_entrywise)
+                               orbit_count_entrywise,
+                               orbit_representatives_by_walk,
+                               packed_khat_monomials)
 from linalg_oracle import ExactMatrix
 
 
@@ -47,7 +49,32 @@ def test_orbit_count_agrees():
 
 def test_orbit_count_equals_entrywise_route():
     for d in range(13):
-        assert orbit_count(d) == orbit_count_entrywise(d), d
+        if d % 3:
+            with pytest.raises(DegreeNotDivisibleBy3):
+                orbit_count(d)
+        else:
+            assert orbit_count(d) == orbit_count_entrywise(d), d
+
+
+def test_orbit_representatives_are_the_least_translates_of_the_walk():
+    for d in range(0, 19, 3):
+        w, reps = packed_orbit_representatives(d)
+        translates = packed_translator(w)
+        assert all(e == min(translates(e)) for e in reps), d
+        walk = orbit_representatives_by_walk(d)[1]
+        assert sorted(reps) == sorted(min(translates(e)) for e in walk), d
+
+
+def test_orbit_count_memory_stays_small():
+    # The visited-set walk of `invariants_oracle`, which holds every
+    # K^-invariant monomial and its translates, peaks at 24 MB here.
+    tracemalloc.start()
+    try:
+        assert orbit_count(18) == invariant_dimension(18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
 
 
 def test_orbit_count_at_the_degree_bound():
@@ -60,7 +87,7 @@ def unpack(e, w):
 
 def test_packed_enumeration_equals_tuple_reference():
     for d in range(13):
-        w = packed_orbit_representatives(d)[0]
+        w = max(1, d.bit_length())
         assert [unpack(e, w) for e in packed_khat_monomials(d, w)] == \
             khat_invariant_monomials(d), d
 
@@ -70,7 +97,7 @@ def test_packed_translates_are_the_translation_table():
     # `monomial_action` once.
     getters = [exponent_getter(theta_ring(), perm) for perm in TRANSLATIONS]
     for d in range(7):
-        w = packed_orbit_representatives(d)[0]
+        w = max(1, d.bit_length())
         translates = packed_translator(w)
         for e in packed_khat_monomials(d, w):
             exps = unpack(e, w)
@@ -79,10 +106,17 @@ def test_packed_translates_are_the_translation_table():
 
 
 def test_orbit_representatives_give_the_distinct_orbit_sums(ring):
+    # One orbit sum per orbit, whatever order each route lists them in.
+    def term_set(p):
+        return sorted(p.terms)
+
     for d in (3, 6, 9):
         w, reps = packed_orbit_representatives(d)
         sums = [orbit_sum(ring, unpack(e, w)) for e in reps]
-        assert sums == distinct_orbit_sums(ring, d), d
+        reference = distinct_orbit_sums(ring, d)
+        assert len(sums) == len(reference), d
+        assert sorted(sums, key=term_set) == \
+            sorted(reference, key=term_set), d
 
 
 @pytest.mark.parametrize("d", [3, 6])
